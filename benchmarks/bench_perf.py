@@ -12,26 +12,11 @@ Runs Q1 (10x WS perturbation) and Q2 (join sleep) at batch sizes
   are scheduled, so makespans may drift by well under a percent when
   blocking perturbations interleave differently with channel traffic.
 
-A separate **kernel overhead** section runs each scenario at the
-default batch size with the kernel fast path on and off: the two modes
-must agree bit-for-bit on DES events, simulated response time and row
-counts (the fast path is a pure allocation/coalescing discipline), and
-the section reports their wall-clock and allocation deltas.
-
-A **columnar speedup** section does the same comparison for the
-columnar data plane (``EngineConfig.columnar``) at batch size 128 —
-the morsel size where vectorization pays most — taking the minimum of
-several repeats per mode because single-shot wall clocks on shared
-hosts are dominated by scheduler noise.  Identity of DES events,
-simulated response time and row counts is asserted, exactly as for the
-kernel fast path: the columnar plane is a host-side representation
-change, never a semantic one.
-
 Results are written to ``BENCH_perf.json`` in the repository root;
-when a previous report exists, per-scenario wall-clock and allocation
-deltas against it are printed before it is overwritten.  The headline
-acceptance check: batch size 32 must schedule at least 5x fewer DES
-events than batch size 1 on the Q1 10x scenario.
+when a previous report exists, per-scenario wall-clock, allocation and
+DES-event deltas against it are printed before it is overwritten.  The
+headline acceptance check: batch size 32 must schedule at least 5x
+fewer DES events than batch size 1 on the Q1 10x scenario.
 
 Run directly (``python benchmarks/bench_perf.py``) or via pytest
 (``pytest benchmarks/bench_perf.py``).  ``--smoke SCENARIO`` runs a
@@ -69,18 +54,14 @@ SCENARIOS = {
 OUTPUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
-#: The default batch size, used by the overhead and smoke sections.
+#: The default batch size, used by the smoke check.
 DEFAULT_BATCH_SIZE = 32
 
 
-def _execute(query_text, perturb, batch_size, fast_path=True,
-             columnar=True):
+def _execute(query_text, perturb, batch_size):
     """One full run; returns (result, grid)."""
     grid = DemoGrid(DemoGridSpec(),
-                    engine_config=EngineConfig(
-                        batch_size=batch_size,
-                        kernel_fast_path=fast_path,
-                        columnar=columnar))
+                    engine_config=EngineConfig(batch_size=batch_size))
     perturb(grid)
     result = grid.run(query_text, AdaptivityConfig.disabled())
     return result, grid
@@ -116,117 +97,9 @@ def measure(query_text, perturb, batch_size):
     }
 
 
-def _timed_run(query_text, perturb, batch_size, fast_path):
-    """One untraced wall-clock/allocation measurement."""
-    gc.collect()
-    blocks_before = sys.getallocatedblocks()
-    started = time.perf_counter()
-    result, grid = _execute(query_text, perturb, batch_size, fast_path)
-    wall_clock_s = time.perf_counter() - started
-    blocks_after = sys.getallocatedblocks()
-    return {
-        "wall_clock_s": round(wall_clock_s, 4),
-        "alloc_blocks_delta": blocks_after - blocks_before,
-        "des_events": grid.context.env.events_scheduled,
-        "sim_response_time_ms": round(result.response_time_ms, 3),
-        "result_rows": len(result.rows),
-    }
-
-
-def measure_kernel_overhead(query_text, perturb):
-    """Fast path vs legacy kernel at the default batch size.
-
-    The fast path must be a pure host-side optimisation: both modes
-    must agree exactly on DES events, simulated response time and row
-    count, so only the host-cost columns may differ.
-    """
-    fast = _timed_run(query_text, perturb, DEFAULT_BATCH_SIZE, True)
-    legacy = _timed_run(query_text, perturb, DEFAULT_BATCH_SIZE, False)
-    for key in ("des_events", "sim_response_time_ms", "result_rows"):
-        if fast[key] != legacy[key]:
-            raise AssertionError(
-                f"kernel fast path changed {key}: "
-                f"{fast[key]} (fast) != {legacy[key]} (legacy)")
-    return {
-        "batch_size": DEFAULT_BATCH_SIZE,
-        "fast": fast,
-        "legacy": legacy,
-        "wall_clock_ratio": round(
-            legacy["wall_clock_s"] / fast["wall_clock_s"], 3)
-            if fast["wall_clock_s"] else None,
-    }
-
-
-#: Morsel size and repeat count for the columnar comparison.  128 is
-#: where vectorization pays most; min-of-3 suppresses host noise.
-COLUMNAR_BATCH_SIZE = 128
-COLUMNAR_REPEATS = 3
-
-
-def _min_of_runs(query_text, perturb, batch_size, columnar, repeats):
-    """Best-of-N untraced wall clock for one mode.
-
-    Non-timing fields are deterministic across repeats; the first
-    run's values are asserted against every later run's.
-    """
-    best = None
-    for _ in range(repeats):
-        gc.collect()
-        started = time.perf_counter()
-        result, grid = _execute(query_text, perturb, batch_size,
-                                columnar=columnar)
-        wall_clock_s = time.perf_counter() - started
-        run = {
-            "wall_clock_s": round(wall_clock_s, 4),
-            "des_events": grid.context.env.events_scheduled,
-            "sim_response_time_ms": round(result.response_time_ms, 3),
-            "result_rows": len(result.rows),
-        }
-        if best is None:
-            best = run
-        else:
-            for key in ("des_events", "sim_response_time_ms",
-                        "result_rows"):
-                if run[key] != best[key]:
-                    raise AssertionError(
-                        f"non-deterministic {key} across repeats: "
-                        f"{run[key]} != {best[key]}")
-            best["wall_clock_s"] = min(best["wall_clock_s"],
-                                       run["wall_clock_s"])
-    return best
-
-
-def measure_columnar_speedup(query_text, perturb,
-                             batch_size=COLUMNAR_BATCH_SIZE,
-                             repeats=COLUMNAR_REPEATS):
-    """Columnar vs legacy row plane at the given morsel size.
-
-    Both modes must agree exactly on DES events, simulated response
-    time and row count; only wall clock may differ.
-    """
-    columnar = _min_of_runs(query_text, perturb, batch_size, True,
-                            repeats)
-    legacy = _min_of_runs(query_text, perturb, batch_size, False,
-                          repeats)
-    for key in ("des_events", "sim_response_time_ms", "result_rows"):
-        if columnar[key] != legacy[key]:
-            raise AssertionError(
-                f"columnar plane changed {key}: "
-                f"{columnar[key]} (columnar) != {legacy[key]} (legacy)")
-    return {
-        "batch_size": batch_size,
-        "columnar": columnar,
-        "legacy": legacy,
-        "wall_clock_ratio": round(
-            legacy["wall_clock_s"] / columnar["wall_clock_s"], 3)
-            if columnar["wall_clock_s"] else None,
-    }
-
-
 def run_benchmark():
     """Run every scenario at every batch size; returns the report dict."""
-    report = {"batch_sizes": list(BATCH_SIZES), "scenarios": {},
-              "kernel_overhead": {}, "columnar_speedup": {}}
+    report = {"batch_sizes": list(BATCH_SIZES), "scenarios": {}}
     for name, (query_text, perturb) in SCENARIOS.items():
         runs = [measure(query_text, perturb, batch_size)
                 for batch_size in BATCH_SIZES]
@@ -235,10 +108,6 @@ def run_benchmark():
             run["des_event_reduction_vs_bs1"] = round(
                 baseline["des_events"] / run["des_events"], 2)
         report["scenarios"][name] = runs
-        report["kernel_overhead"][name] = measure_kernel_overhead(
-            query_text, perturb)
-        report["columnar_speedup"][name] = measure_columnar_speedup(
-            query_text, perturb)
     return report
 
 
@@ -258,8 +127,8 @@ def write_report(report):
 def compute_deltas(previous, report):
     """Per-scenario/batch-size deltas against the previous report.
 
-    Returns ``{scenario: {batch_size: {...}}}`` with wall-clock and
-    allocation changes; stored in the report under
+    Returns ``{scenario: {batch_size: {...}}}`` with wall-clock,
+    allocation and DES-event changes; stored in the report under
     ``deltas_vs_previous`` so the committed file carries its own
     before/after record.
     """
@@ -280,6 +149,7 @@ def compute_deltas(previous, report):
                 "wall_clock_delta_pct": round(pct, 1),
                 "alloc_blocks_delta": (run["alloc_blocks_delta"]
                                        - old["alloc_blocks_delta"]),
+                "des_events_delta": run["des_events"] - old["des_events"],
             }
     return deltas
 
@@ -296,14 +166,15 @@ def print_deltas(deltas):
             print(f"  {name} bs={batch_size:<3} "
                   f"wall {delta['wall_clock_delta_s']:+.3f}s "
                   f"({delta['wall_clock_delta_pct']:+.1f}%)  "
-                  f"alloc blocks {delta['alloc_blocks_delta']:+d}")
+                  f"alloc blocks {delta['alloc_blocks_delta']:+d}  "
+                  f"DES events {delta['des_events_delta']:+d}")
 
 
 def smoke(scenario):
     """CI check: the scenario's DES event count must not regress.
 
-    Runs one fast-path execution at the default batch size and fails
-    if it schedules more DES events than the committed report's budget
+    Runs one execution at the default batch size and fails if it
+    schedules more DES events than the committed report's budget
     (events are deterministic, so any increase is a real regression).
     """
     previous = load_previous()
@@ -322,28 +193,6 @@ def smoke(scenario):
         print(f"FAIL: exceeds recorded budget by {observed - budget}",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def compare_columnar():
-    """CI check: the columnar plane is bit-invisible and not slower.
-
-    Runs every scenario in both data-plane modes at the columnar
-    comparison batch size; identity of DES events, simulated response
-    time and row counts is a hard failure (raised by
-    :func:`measure_columnar_speedup`).  Wall clock is reported for the
-    log but not gated — shared CI hosts are too noisy to gate on.
-    """
-    for name, (query_text, perturb) in SCENARIOS.items():
-        comparison = measure_columnar_speedup(query_text, perturb)
-        columnar = comparison["columnar"]
-        legacy = comparison["legacy"]
-        print(f"{name} bs={comparison['batch_size']}: "
-              f"columnar {columnar['wall_clock_s']:.3f}s / "
-              f"legacy {legacy['wall_clock_s']:.3f}s "
-              f"(ratio {comparison['wall_clock_ratio']}x)  "
-              f"[{columnar['des_events']} DES events, "
-              f"{columnar['result_rows']} rows, identical]")
     return 0
 
 
@@ -375,21 +224,15 @@ def test_batching_reduces_des_events():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Batch-granularity and kernel-overhead benchmark.")
+        description="Batch-granularity benchmark.")
     parser.add_argument("--smoke", metavar="SCENARIO",
                         choices=sorted(SCENARIOS),
                         help="fast CI check: fail if SCENARIO schedules "
                              "more DES events than the committed "
                              "BENCH_perf.json budget")
-    parser.add_argument("--compare-columnar", action="store_true",
-                        help="CI check: run every scenario with the "
-                             "columnar plane on and off and fail on any "
-                             "semantic difference")
     args = parser.parse_args(argv)
     if args.smoke:
         return smoke(args.smoke)
-    if args.compare_columnar:
-        return compare_columnar()
 
     previous = load_previous()
     report = run_benchmark()
@@ -410,25 +253,6 @@ def main(argv=None):
                   f"{run['alloc_blocks_delta']:>13} "
                   f"{run['tracemalloc_peak_bytes'] / 2**20:>9.1f}")
 
-    print(f"\nkernel overhead (fast path vs legacy, "
-          f"bs={DEFAULT_BATCH_SIZE})")
-    for name, overhead in report["kernel_overhead"].items():
-        fast, legacy = overhead["fast"], overhead["legacy"]
-        print(f"  {name}: fast {fast['wall_clock_s']:.3f}s / "
-              f"legacy {legacy['wall_clock_s']:.3f}s "
-              f"(ratio {overhead['wall_clock_ratio']}x)  "
-              f"alloc blocks {fast['alloc_blocks_delta']} vs "
-              f"{legacy['alloc_blocks_delta']}  "
-              f"[{fast['des_events']} DES events, identical]")
-
-    print(f"\ncolumnar speedup (columnar vs legacy row plane, "
-          f"bs={COLUMNAR_BATCH_SIZE}, min of {COLUMNAR_REPEATS})")
-    for name, comparison in report["columnar_speedup"].items():
-        columnar, legacy = comparison["columnar"], comparison["legacy"]
-        print(f"  {name}: columnar {columnar['wall_clock_s']:.3f}s / "
-              f"legacy {legacy['wall_clock_s']:.3f}s "
-              f"(ratio {comparison['wall_clock_ratio']}x)  "
-              f"[{columnar['des_events']} DES events, identical]")
     print_deltas(deltas)
     return 0
 

@@ -198,15 +198,6 @@ class FaultToleranceConfig:
     #: behaviour) recovers without limit; ``0`` fails on the first
     #: machine death.
     max_recoveries: int | None = None
-    #: Whether heartbeat monitoring coalesces every watched query into
-    #: one shared timer wheel per GDQS (one tick per interval for the
-    #: whole query population) instead of a dedicated per-query timer.
-    #: For non-overlapping queries the wheel is event-for-event the
-    #: per-query monitor; overlapping queries share the wheel's phase,
-    #: which can shift a detection by less than one heartbeat interval
-    #: (both modes are individually deterministic).  False keeps the
-    #: legacy per-query monitors as the A/B reference.
-    heartbeat_wheel: bool = True
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_ms <= 0:
@@ -366,21 +357,6 @@ class EngineConfig:
     #: Whether recovery logging is active.  Retrospective response
     #: requires it; it is the source of R1's extra overhead.
     logging_enabled: bool = True
-    #: Whether the DES kernel's allocation-avoiding fast path is
-    #: active (event pooling, same-slot coalescing, inline resumes).
-    #: Observably identical either way — same rows, timeline and
-    #: ``events_scheduled`` — so False exists purely as the A/B
-    #: reference for equivalence testing and overhead measurement.
-    kernel_fast_path: bool = True
-    #: Whether the columnar data plane is active: morsels travel as
-    #: column-backed :class:`~repro.data.batch.Batch` blocks (lazy
-    #: ``Row`` materialization) and exchange buffers ship whole blocks
-    #: instead of per-tuple wire entries.  Like ``kernel_fast_path``
-    #: this is a host-cost knob only — rows, timeline and
-    #: ``events_scheduled`` are identical either way — and
-    #: ``batch_size=1`` degrades the columnar path to the original
-    #: per-tuple semantics regardless of this flag.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         # The three sizes drive range() bounds and chunk arithmetic all

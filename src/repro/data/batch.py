@@ -8,16 +8,18 @@ Per-tuple provenance is untouched: a batch is a view over its rows,
 every row keeps its ``tid``, and recovery / dedup / repartitioning
 logic keeps operating on individual tuples.
 
-Since the columnar data plane (``EngineConfig.columnar``), a batch can
-be backed either by a row list (the original representation) or by
-parallel per-column value lists plus a tid column.  Vectorized
-operators read and write the column arrays directly; row-at-a-time
-consumers (``__iter__``, ``__getitem__``, recovery/dedup/repartition
-logic) are served by lazy ``Row`` materialization, so both backings
-expose the same API and the same ordering.  Plain stdlib lists are
-used for the columns — values are heterogeneous Python objects
-(strings, floats) so ``array``/numpy buffers would buy nothing here,
-and numpy stays an optional-off non-dependency.
+A batch is backed either by a row list or by parallel per-column
+value lists plus a tid column.  Scans emit column-backed batches and
+the vectorized operators keep them so; the per-tuple path
+(``batch_size == 1``), state channels and held join matches build
+row-backed ones.  Vectorized operators read and write the column
+arrays directly; row-at-a-time consumers (``__iter__``,
+``__getitem__``, recovery/dedup/repartition logic) are served by lazy
+``Row`` materialization, so both backings expose the same API and the
+same ordering.  Plain stdlib lists are used for the columns — values
+are heterogeneous Python objects (strings, floats) so ``array``/numpy
+buffers would buy nothing here, and numpy stays an optional-off
+non-dependency.
 
 ``EngineConfig.batch_size`` controls the morsel size; ``batch_size=1``
 degrades every ``next_batch`` path to the original per-tuple iterator

@@ -266,11 +266,7 @@ class GDQS(GridService):
         self.env.process(self._orchestrate(handle, runtime),
                          name=f"gdqs:orchestrate:{query_id}")
         if self.fault_tolerance.enabled:
-            if self.fault_tolerance.heartbeat_wheel:
-                self._watch(handle, runtime)
-            else:
-                self.env.process(self._monitor_failures(handle, runtime),
-                                 name=f"gdqs:monitor:{query_id}")
+            self._watch(handle, runtime)
         return handle
 
     def _orchestrate(self, handle: QueryHandle,
@@ -365,40 +361,17 @@ class GDQS(GridService):
 
     # -- failure detection and recovery ---------------------------------------
 
-    def _monitor_failures(self, handle: QueryHandle,
-                          runtime: QueryRuntime) -> typing.Generator:
-        """Per-query heartbeat monitor (legacy A/B reference path).
-
-        One timer process per fault-tolerant query; selected with
-        ``FaultToleranceConfig.heartbeat_wheel = False``.  The silence
-        grading itself lives in :meth:`_check_round`, shared with the
-        coalesced wheel, so the two paths cannot drift.
-        """
-        ft = self.fault_tolerance
-        started = self.env.now
-        suspected: dict[str, list[int]] = {}
-        while not handle.done.triggered:
-            yield self.env.timeout(ft.heartbeat_interval_ms)
-            if handle.done.triggered:
-                return
-            stop = yield from self._check_round(handle, runtime, started,
-                                                suspected)
-            if stop:
-                return
-
     def _watch(self, handle: QueryHandle, runtime: QueryRuntime) -> None:
         """Enrol a query with the shared heartbeat wheel.
 
-        The wheel coalesces every fault-tolerant query's monitor into
-        one tick process per GDQS: each tick is a single timer event
-        regardless of how many queries are in flight, where the legacy
-        path schedules one timer *per query* per interval.  For
-        non-overlapping queries the wheel is event-for-event identical
-        to the legacy monitor (same tick count, one process spawn per
-        idle-period activation); overlapping queries share the first
-        query's tick phase, which can shift failure detection by less
-        than one interval — still fully deterministic, and covered by
-        the resilience property suite's reproducibility checks.
+        One tick process per GDQS monitors every fault-tolerant
+        query: each tick is a single timer event regardless of how
+        many queries are in flight.  The wheel starts when a query
+        enrols while it is idle and stops once nothing is watched, so
+        a lone query is checked every ``heartbeat_interval_ms`` after
+        its own submission; a query enrolling while the wheel runs
+        shares the running tick phase, so its first check comes less
+        than one interval after submission.
         """
         self._watched[handle.query_id] = [handle, runtime, self.env.now,
                                           {}]
@@ -444,9 +417,9 @@ class GDQS(GridService):
         instead of rebuilt.
 
         Returns True when the query reached a terminal failure and the
-        caller should stop monitoring it; ``suspected`` is the caller's
+        wheel should stop watching it; ``suspected`` is the wheel's
         per-query bookkeeping, mutated in place so it survives between
-        rounds (including the wheel's).
+        rounds.
         """
         ft = self.fault_tolerance
         for gqes in list(runtime.all_gqes()):

@@ -111,28 +111,20 @@ class GQES(GridService):
 
     # -- data path ----------------------------------------------------------
 
-    # Ingest is a callback chain rather than a per-message process:
-    # each chain schedules the same events at the same positions as the
-    # old ingest-data/ingest-control process (kick event where the
-    # bootstrap was, with the CPU charge issued at the kick's dispatch
-    # exactly where the generator's first statement ran), and
-    # compensates the process completion event — a callback-less no-op
-    # dispatch — with ``env._seq += 1`` where the generator returned.
+    # Ingest is a callback chain per message.  The CPU charge is issued
+    # at the kick event's dispatch (not at on_data/on_control), which
+    # fixes the order same-instant messages enter the CPU queue.
     # ``_ingests_active`` is raised at the kick's dispatch and dropped
-    # just before the compensation, matching the old generator's
-    # try/finally, so quiescence detection observes the same windows.
+    # once the message is applied, so quiescence detection sees a
+    # message as in flight for exactly that window.
 
     def on_data(self, message: Message) -> None:
-        env = self.env
-
         def on_kick(_event) -> None:
             self._ingests_active += 1
             buffer: DataBuffer = message.payload
             serialization = self.context.serialization
-            # Per-column deserialization term: blocks on the columnar
-            # wire decode column-at-a-time (0 columns for per-row wire
-            # entries, and the per-column cost defaults to 0 anyway, so
-            # the default timeline is unchanged).
+            # Per-column deserialization term: wire blocks decode
+            # column-at-a-time (0 columns for per-row wire entries).
             column_count = 0
             for item in buffer.items:
                 if isinstance(item, Batch) and item.width > column_count:
@@ -156,7 +148,6 @@ class GQES(GridService):
                     fragment.wake()
                 finally:
                     self._ingests_active -= 1
-                env._seq += 1
 
             task.callbacks.append(on_deserialized)
 
@@ -167,8 +158,6 @@ class GQES(GridService):
     # -- control path ---------------------------------------------------------
 
     def on_control(self, message: Message) -> None:
-        env = self.env
-
         def on_kick(_event) -> None:
             self._ingests_active += 1
             task = self.machine.cpu.execute(self.cost.control_event_work,
@@ -179,7 +168,6 @@ class GQES(GridService):
                     self._apply_control(message)
                 finally:
                     self._ingests_active -= 1
-                env._seq += 1
 
             task.callbacks.append(on_charged)
 

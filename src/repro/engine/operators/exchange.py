@@ -85,15 +85,14 @@ class ExchangeProducer(UnaryOperator):
         #: the per-tuple path.
         self._log_work = (ctx.cost.log_append_work
                           + ctx.cost.log_append_work_per_byte * row_bytes)
-        #: Columnar plane: buffers and wire messages carry whole
-        #: :class:`Batch` blocks (chunked at the same checkpoint/flush
-        #: boundaries as the per-row wire) instead of individual rows.
-        #: Pure host-side packaging — block boundaries, events and the
-        #: rows delivered are identical — so state channels opt out:
-        #: their per-row wire entries feed the late-build drain's
-        #: one-row-per-get protocol, which blocks would repackage.
-        self._block_wire = (ctx.engine_config.columnar
-                            and ctx.engine_config.batch_size > 1
+        #: Buffers and wire messages carry whole :class:`Batch` blocks
+        #: (chunked at the same checkpoint/flush boundaries as the
+        #: per-row wire) instead of individual rows.  Pure host-side
+        #: packaging — block boundaries, events and the rows delivered
+        #: are identical — so state channels opt out: their per-row
+        #: wire entries feed the late-build drain's one-row-per-get
+        #: protocol, which blocks would repackage.
+        self._block_wire = (ctx.engine_config.batch_size > 1
                             and not state_channel)
         count = len(consumers)
         self._buffers: list[list] = [[] for _ in range(count)]

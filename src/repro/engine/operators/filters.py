@@ -1,11 +1,11 @@
 """Stateless per-tuple operators: selection and projection.
 
-Both carry vectorized columnar paths (``EngineConfig.columnar``):
-selection evaluates a :class:`~repro.data.tuples.ColumnPredicate`'s
-test directly over the column array and gathers surviving positions
-column-wise; projection is a column select that never touches rows.
-Opaque predicates and row-backed batches fall back to the row loop —
-either way the kept rows (and charged work) are identical.
+Both are vectorized over the batch's column arrays: selection
+evaluates a :class:`~repro.data.tuples.ColumnPredicate`'s test directly
+over the key column and gathers surviving positions column-wise;
+projection is a column select that never touches rows.  An opaque
+(plain callable) predicate is evaluated row by row — the kept rows and
+the charged work are the same either way.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class Select(UnaryOperator):
     def next_batch(self, max_rows: int) -> typing.Generator:
         if max_rows == 1:
             return (yield from Operator.next_batch(self, max_rows))
-        columnar = (self.ctx.engine_config.columnar
-                    and isinstance(self.predicate, ColumnPredicate))
+        columnar = isinstance(self.predicate, ColumnPredicate)
         # The predicate is charged per input row; empty post-filter
         # batches are retried so callers only ever see non-empty ones.
         while True:
@@ -106,10 +105,7 @@ class Project(UnaryOperator):
             return END
         yield from self.ctx.machine.work_batch(
             "project", self.ctx.cost.project_work, len(batch))
-        if self.ctx.engine_config.columnar:
-            # Column select: shares the kept column lists and the tid
-            # column; no per-row allocation.  Content matches
-            # row.project(positions) for every row.
-            return batch.select_columns(self.positions)
-        return batch.replace_rows(
-            [row.project(self.positions) for row in batch])
+        # Column select: shares the kept column lists and the tid
+        # column; no per-row allocation.  Content matches
+        # row.project(positions) for every row.
+        return batch.select_columns(self.positions)

@@ -13,12 +13,12 @@ from its build consumer before each probe step, so replays take effect
 immediately.  Exactly-once results are guaranteed by sink-side
 deduplication of the composed (probe tid, build tid) provenance.
 
-Held matches (``_pending``) are a FIFO: a probe tuple with a large
-match fan-out produces many outputs that drain across several
-``next``/``next_batch`` calls.  The queue is a ``collections.deque``
-(plus, on the columnar plane, a column-backed block with a cursor) —
-draining a list with ``pop(0)`` made skewed keys O(n²) in the
-fan-out.
+Held matches are a FIFO: a probe tuple with a large match fan-out
+produces many outputs that drain across several ``next``/``next_batch``
+calls.  Matches made by the per-tuple ``next`` queue in a
+``collections.deque`` (``_pending``), those made by ``next_batch`` in a
+column-backed block split from the front (``_pending_block``) —
+draining a list with ``pop(0)`` made skewed keys O(n²) in the fan-out.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class HashJoin(Operator):
         self._table: dict[typing.Any, list[Row]] = {}
         self._key_of_tid: dict[Tid, typing.Any] = {}
         self._pending: collections.deque[Row] = collections.deque()
-        # Column-backed held matches (columnar plane only).  At most
+        # Column-backed held matches of a ``next_batch`` probe.  At most
         # one of ``_pending`` / ``_pending_block`` is non-empty at any
         # time: matches are only produced when both are drained, so
         # output order is preserved across mixed next/next_batch calls.
@@ -155,7 +155,6 @@ class HashJoin(Operator):
     def next_batch(self, max_rows: int) -> typing.Generator:
         if max_rows == 1:
             return (yield from Operator.next_batch(self, max_rows))
-        columnar = self.ctx.engine_config.columnar
         while True:
             if self._pending:
                 # Ship held matches before pumping more input: the probe
@@ -185,17 +184,7 @@ class HashJoin(Operator):
             # move may have replayed build tuples these probes must see
             # (they were enqueued before the probes were sent).
             yield from self._drain_late_build()
-            if columnar:
-                self._match_columnar(probe)
-            else:
-                key_position = self.probe_key_position
-                table_get = self._table.get
-                pending_append = self._pending.append
-                for probe_row in probe:
-                    key = probe_row.values[key_position]
-                    for build_row in table_get(key, ()):
-                        pending_append(probe_row.extend(
-                            build_row.values, build_row.tid))
+            self._match_columnar(probe)
 
     def _match_columnar(self, probe: Batch) -> None:
         """Vectorized probe: matches land in a column-backed block.

@@ -73,8 +73,7 @@ class OperationCall(UnaryOperator):
         yield from self.ctx.machine.work_batch(
             self.operation.work_label, self.operation.base_work_ms,
             len(batch))
-        if (self.ctx.engine_config.columnar
-                and self.ctx.grid.chaos is None):
+        if self.ctx.grid.chaos is None:
             # Vectorized result column: invoke over the argument column
             # and append the results as a new column; tids carry over
             # unchanged (replace_values inherits provenance).  Gated on

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.data.batch import Batch
 from repro.engine.operators.base import END, EvalContext, Operator
 from repro.services.gds import GridDataService
 
@@ -46,20 +45,12 @@ class TableScan(Operator):
     def next_batch(self, max_rows: int) -> typing.Generator:
         if max_rows == 1:
             return (yield from Operator.next_batch(self, max_rows))
-        if self.ctx.engine_config.columnar:
-            # Columnar source: slice the relation's column store so the
-            # whole downstream plane stays columnar (same rows/tids as
-            # the row read).
-            batch = self.gds.read_block(self._cursor, max_rows)
-            count = len(batch)
-            if count == 0:
-                return END
-        else:
-            rows = self.gds.read(self._cursor, max_rows)
-            if not rows:
-                return END
-            count = len(rows)
-            batch = Batch(rows)
+        # Batches are born column-backed here (slices of the relation's
+        # column store) and stay so through the downstream plane.
+        batch = self.gds.read_block(self._cursor, max_rows)
+        count = len(batch)
+        if count == 0:
+            return END
         self._cursor += count
         work = (self.gds.access_work_per_tuple
                 + self.ctx.cost.scan_work_per_tuple)

@@ -55,38 +55,25 @@ class Link:
         self._transmit_queue.put((size_bytes, delivered, extra_delay_ms))
         if not self._pump_running:
             self._pump_running = True
-            # Replaces the pump process's bootstrap: one event at the
-            # same position whose dispatch starts the pump loop.
+            # The pump starts at the wake's dispatch, not here, so
+            # same-instant senders enqueue before the first transmit.
             wake = Event(self.env)
             wake.callbacks.append(self._on_pump_wake)
             wake.succeed(None)
         return delivered
 
-    # The pump is a callback state machine rather than a process: the
-    # historical per-burst pump process plus a per-delivery latency
-    # process cost a Process + generator + bootstrap/done dispatch per
-    # message, all pure host overhead.  Event accounting matches the
-    # process version exactly — the bootstrap is replaced by the wake
-    # event above, every StoreGet/timeout is issued at the same
-    # position, and each process's completion event (dispatched as a
-    # callback-less no-op that runs no user code) is compensated by a
-    # direct ``env._seq += 1`` at the position where the generator
-    # returned — so ``events_scheduled`` and all tie-breaking stay
-    # bit-identical.
+    # The pump is a callback state machine: one transfer occupies the
+    # link at a time, taken from the transmit queue in FIFO order.
 
     def _on_pump_wake(self, _event: Event) -> None:
         self._pump_step()
 
     def _pump_step(self) -> None:
         if self._transmit_queue.is_empty:
-            # Pump exits: consume the sequence number its process
-            # completion event used to take.
             self._pump_running = False
-            self.env._seq += 1
             return
-        # The item is buffered, so the get settles immediately and its
-        # dispatch (from the queue, like the generator's yield of an
-        # already-triggered event) hands it to _on_item.
+        # The item is buffered, so the get settles immediately; its
+        # dispatch hands the item to _on_item.
         request = self._transmit_queue.get()
         request.callbacks.append(self._on_item)
 
@@ -120,12 +107,10 @@ class Link:
 
                 def on_latency(_event: Event) -> None:
                     delivered.succeed(env.now)
-                    env._seq += 1
 
                 timeout.callbacks.append(on_latency)
             else:
                 delivered.succeed(env.now)
-                env._seq += 1
 
         kick = Event(env)
         kick.callbacks.append(on_kick)

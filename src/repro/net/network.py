@@ -148,15 +148,10 @@ class Network:
                         extra_delay_ms: float = 0.0) -> None:
         """Kick off one delivery as a callback chain.
 
-        Replaces the per-message net-local/net-remote processes.  Event
-        accounting matches them exactly: the kick event stands in for
-        the process bootstrap (one event, and the link transfer is
-        initiated at the kick's *dispatch*, exactly where the old
-        generator's first statement ran); the loopback timeout and the
-        transfer's delivered event fire at the same positions; and the
-        process completion event — a callback-less no-op dispatch —
-        is compensated by ``env._seq += 1`` where the generator
-        returned, keeping every later heap key bit-identical.
+        The link transfer (or loopback timeout) starts at the kick
+        event's *dispatch*, not at the ``send`` call: messages sent at
+        the same instant enter a link's FIFO in the order their kicks
+        fire.
         """
         env = self.env
 
@@ -167,12 +162,10 @@ class Network:
 
                     def on_loopback(_event: Event) -> None:
                         self._finish_delivery(message, destination, done)
-                        env._seq += 1
 
                     timeout.callbacks.append(on_loopback)
                 else:
                     self._finish_delivery(message, destination, done)
-                    env._seq += 1
         else:
             def on_kick(_event: Event) -> None:
                 delivered = link.transfer(message.size_bytes, extra_delay_ms)
@@ -185,10 +178,8 @@ class Network:
                         # fires, so synchronous senders must pair it
                         # with a timeout (the retry wrappers do).
                         self.messages_dropped += 1
-                        env._seq += 1
                         return
                     self._finish_delivery(message, destination, done)
-                    env._seq += 1
 
                 delivered.callbacks.append(on_delivered)
 

@@ -26,11 +26,13 @@ import typing
 
 #: Bump on any change to the scenario space or the draw order: a
 #: corpus is only reproducible against the grammar that generated it.
-#: v2 added the ``columnar`` axis (columnar vs legacy row plane).
+#: v2 added a ``columnar`` axis (columnar vs row data plane).
 #: v3 added the ``crash`` chaos kind (permanent machine loss).
 #: v4 added the ``fleet`` axis (multi-site grids with lazy machines
 #: and a capped parallelism degree), drawn after chaos.
-GRAMMAR_VERSION = 4
+#: v5 dropped the ``columnar`` axis and its draw: the row plane was
+#: deleted, so there is one data plane and nothing to choose.
+GRAMMAR_VERSION = 5
 
 #: Adaptivity pacing profiles by name.  ``paper`` keeps the paper's
 #: conservative defaults (one adaptation per run); ``twitchy`` is the
@@ -121,7 +123,6 @@ class Scenario:
     batch_size: int
     policy: str
     pacing: str
-    columnar: bool = True
     perturbations: tuple = ()
     chaos: ChaosRule | None = None
     fault_tolerance: bool = False
@@ -165,6 +166,8 @@ class Scenario:
     @classmethod
     def from_json(cls, record: typing.Mapping) -> "Scenario":
         record = dict(record)
+        # v2-v4 records carry the data-plane axis that v5 dropped.
+        record.pop("columnar", None)
         record["perturbations"] = tuple(
             PerturbationRule(**p) for p in record.get("perturbations", ()))
         chaos = record.get("chaos")
@@ -203,7 +206,6 @@ _SIZES = (("small", (60, 90)), ("medium", (120, 180)),
 _WORLD_SEEDS = tuple((str(i), i) for i in range(4))
 _MACHINES = (("2", 2), ("3", 3))
 _BATCHES = (("1", 1), ("4", 4), ("32", 32))
-_COLUMNAR = (("on", True), ("off", False))
 _POLICIES = ((STATIC_POLICY, STATIC_POLICY),
              ("paper-A1R1", "paper-A1R1"), ("paper-A1R2", "paper-A1R2"),
              ("paper-A2R1", "paper-A2R1"), ("paper-A2R2", "paper-A2R2"),
@@ -239,9 +241,6 @@ _CHAOS_KINDS = {
 DEFAULT_WEIGHTS = {
     f"policy:{STATIC_POLICY}": 0.5,
     "chaos:none": 2.0,
-    # The legacy row plane is contractually bit-identical to the
-    # columnar one, so it needs coverage but not half the corpus.
-    "columnar:off": 0.5,
     # Fleet scenarios are slower (bigger grids); most of the corpus
     # stays on the small grids where the failure modes historically
     # live, with steady minority coverage of the site tier.
@@ -328,7 +327,6 @@ class ScenarioGrammar:
         world_seed = self._pick(rng, "world", _WORLD_SEEDS, chosen)
         machines = self._pick(rng, "machines", _MACHINES, chosen)
         batch = self._pick(rng, "batch", _BATCHES, chosen)
-        columnar = self._pick(rng, "columnar", _COLUMNAR, chosen)
         policy = self._pick(rng, "policy", _POLICIES, chosen)
         pacing = self._pick(rng, "pacing", _PACINGS, chosen)
         count = self._pick(rng, "perturbs", _PERTURB_COUNTS, chosen)
@@ -349,8 +347,7 @@ class ScenarioGrammar:
             grammar_version=self.version, seed=seed, query=query,
             sequences=sequences, interactions=interactions,
             world_seed=world_seed, compute_machines=machines,
-            batch_size=batch, columnar=columnar,
-            policy=policy, pacing=pacing,
+            batch_size=batch, policy=policy, pacing=pacing,
             perturbations=perturbations, chaos=chaos,
             fault_tolerance=fault_tolerance,
             sites=sites, lazy_machines=lazy, degree=degree,

@@ -78,7 +78,6 @@ def engine_config_for(scenario: Scenario,
     adaptivity = adaptivity_for(scenario)
     logging_enabled = adaptivity.enabled and adaptivity.retrospective
     return EngineConfig(batch_size=batch_size or scenario.batch_size,
-                        columnar=scenario.columnar,
                         logging_enabled=logging_enabled)
 
 

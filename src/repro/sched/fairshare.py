@@ -5,7 +5,7 @@ shares on every machine its subplans occupy (compute machines, data
 hosts and the coordinator alike — a scan feed contends for the data
 host exactly as a WS call contends for a compute node).  The shares
 are the scheduler's residency ledger: they steer new sessions toward
-the least-loaded machines (:meth:`FairShare.least_loaded_order`) and
+the least-loaded machines (:meth:`FairShare.placement_order`) and
 surface capacity pressure through
 :meth:`repro.grid.machine.Machine.contention_factor`.
 
@@ -28,13 +28,11 @@ Placement ordering is served by an incrementally-maintained
 :class:`~repro.sched.fleet.FleetIndex` (least-loaded site, then
 least-loaded machine within it), updated on the same admit/release
 deltas that charge the shares — never recomputed by walking the
-fleet.  :meth:`least_loaded_order` survives unchanged as the O(n log n)
-reference implementation the equivalence tests pin the index against.
+fleet.  ``tests/sched/test_fleet_index.py`` property-tests the index
+against a full stable sort of the pool by committed shares.
 """
 
 from __future__ import annotations
-
-import typing
 
 from repro.grid.registry import ResourceRegistry
 from repro.sched.fleet import FleetIndex
@@ -64,9 +62,8 @@ class FairShare:
     def _charge(self, name: str, session_id: str, weight: float) -> None:
         machine = self.registry.machine(name)
         machine.acquire_share(session_id, weight)
-        # Re-read the ledger sum rather than applying a delta: the
-        # index key is then the exact float the legacy sort reads,
-        # with no incremental drift.
+        # Re-read the ledger sum rather than applying a delta, so the
+        # index key has no incremental float drift.
         self.index.update(name, machine.committed_shares)
 
     def admit(self, session: QuerySession) -> None:
@@ -85,26 +82,15 @@ class FairShare:
         """Shares currently committed on ``machine_name``."""
         return self.registry.machine(machine_name).committed_shares
 
-    def least_loaded_order(self, candidates: typing.Sequence[str]
-                           ) -> list[str]:
-        """Candidates sorted by committed shares, stably.
-
-        With uniform load (including the empty grid) this is the input
-        order, so placement preferences are a no-op until sessions
-        actually pile up somewhere — a property the concurrency-one
-        equivalence tests rely on.
-        """
-        indexed = list(enumerate(candidates))
-        indexed.sort(key=lambda pair: (self.load(pair[1]), pair[0]))
-        return [name for _index, name in indexed]
-
     def placement_order(self, limit: int | None = None) -> list[str]:
         """Index-backed placement preference over compute machines.
 
         Least-loaded site first, then least-loaded machine within each
         site; crashed machines are skipped.  With a single site this
-        is bit-identical to ``least_loaded_order`` over the
-        crash-filtered compute pool (the property suite pins it);
+        is the crash-filtered compute pool sorted stably by committed
+        shares — registration order at uniform load, so placement
+        preferences are a no-op until sessions actually pile up
+        somewhere (the concurrency-one equivalence tests rely on it).
         ``limit`` bounds the emitted candidates for large fleets.
         """
         return self.index.order(limit=limit)

@@ -1,9 +1,8 @@
 """Incremental two-tier load index for fleet-scale placement.
 
-The legacy placement path re-sorted every compute machine's committed
-shares on each dispatch (``FairShare.least_loaded_order``) — O(n log n)
-per placement over the whole fleet.  This module replaces the sort
-with ordered structures maintained *incrementally* on share deltas:
+Sorting every compute machine's committed shares on each dispatch is
+O(n log n) per placement over the whole fleet.  This module keeps the
+same order in structures maintained *incrementally* on share deltas:
 
 * :class:`LoadIndex` — one tier's least-loaded order, a bisect-kept
   sorted list keyed ``(load, registration_index, name)``.  Updating
@@ -18,17 +17,16 @@ with ordered structures maintained *incrementally* on share deltas:
   least-loaded machine within each site", optionally truncated to a
   candidate budget so emitting the order costs O(budget), not O(fleet).
 
-**Degenerate single-site bit-identity.**  With one site (every grid
-that never names sites) the site tier has one entry and the order is
-exactly the flat machine tier: machines sorted by
-``(committed_shares, registration_index)``.  The legacy reference
-sorted the crash-filtered compute pool stably by
-``(committed_shares, pool_position)``; since crash-filtering preserves
-relative order, position in the filtered pool is monotone in
-registration index and the two keys induce the same order.  Loads are
-re-read as ``sum(machine._shares.values())`` at update time — the
-exact float the legacy sort computed — so there is no incremental
-drift.  The property suite pins this equivalence.
+**Degenerate single site.**  With one site (every grid that never
+names sites) the site tier has one entry and the order is exactly the
+flat machine tier: machines sorted by
+``(committed_shares, registration_index)``, i.e. a stable sort of the
+crash-filtered compute pool by committed shares (crash-filtering
+preserves relative order, so pool position is monotone in registration
+index).  Loads are re-read as ``sum(machine._shares.values())`` at
+update time, so there is no incremental drift.
+``tests/sched/test_fleet_index.py`` property-tests the index against
+that sort.
 
 Crashed machines are removed lazily: enumeration skips (and drops)
 members whose machine object reports ``is_crashed``.  A machine that

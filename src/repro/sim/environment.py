@@ -10,52 +10,10 @@ compose (``result = yield env.process(sub())``).
 The simulation is fully deterministic: ties in time are broken by
 scheduling priority, then by insertion order.
 
-Kernel fast path
-----------------
-
-With :attr:`Environment.fast_path` enabled (the default), the kernel
-applies three allocation-avoiding optimisations that are **observably
-identical** to the straight implementation — same rows, same timeline,
-same :attr:`Environment.events_scheduled` count (property-tested in
-``tests/properties/test_kernel_fast_path.py``):
-
-* **Slim heap entries with same-timestamp coalescing.**  Heap entries
-  are ``[when, (priority << 48) | seq, payload]`` lists.  When a
-  normal-priority event is scheduled for a timestamp that already has
-  an open entry, it is appended to that entry's payload instead of
-  being pushed separately.  Coalescing is two-tier, matched to where
-  merges actually happen: immediate (``delay == 0``) schedules — the
-  bursts emitted by store settlement and batch completion, which are
-  the overwhelming majority of merges — hit a single *open entry at
-  now* register (one attribute test, no hashing), while future
-  timestamps (same-deadline heartbeat/monitor timeouts) go through a
-  small per-timestamp map consulted only on scheduling and closed the
-  moment the clock reaches the timestamp.  Merging is order-preserving
-  because heap order is lexicographic ``(when, priority, seq)`` and a
-  merged event's sequence number is by construction larger than
-  everything already in the entry and smaller than everything
-  scheduled later; nothing can sort *between* two occupants of the
-  same entry.  :meth:`step` drains a coalesced payload one event per
-  call, so ``run(until=event)`` still stops with exactly the events
-  the straight kernel would have processed.
-* **A free list for process resume events.**  The bootstrap/resume
-  events that drive generators are internal to the kernel — no user
-  code ever holds one — so they are recycled through a small pool
-  instead of being allocated per yield.
-* **An inline resume for already-processed targets.**  When a process
-  yields an event that has already been processed, the straight kernel
-  bounces through the queue (schedule a fresh resume event, pop it
-  next step).  If that bounce event would provably be the very next
-  event popped (no callbacks left in the current dispatch, no batch
-  being drained, no queue entry at the current instant), the fast path
-  consumes a sequence number for it and resumes the generator in
-  place — same event accounting, same order, one less allocation and
-  heap round trip.
-
-Every ``schedule()`` call increments the sequence counter exactly as
-before, so ``events_scheduled`` — the kernel's work measure reported
-by the perf benchmarks — is bit-identical with the fast path on or
-off.
+Heap entries are slim ``[when, (priority << 48) | seq, event]`` lists:
+one packed integer compares priority and insertion order at once.
+:attr:`Environment.events_scheduled` counts ``schedule()`` calls, i.e.
+events actually queued.
 """
 
 from __future__ import annotations
@@ -65,7 +23,6 @@ import typing
 
 from repro.errors import SimulationError
 from repro.sim.events import (
-    _UNSET,
     AllOf,
     AnyOf,
     Event,
@@ -80,22 +37,6 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 #: far beyond any simulation here (the largest benchmark schedules
 #: ~1e5 events).
 _SEQ_BITS = 48
-
-#: Upper bound on pooled resume events.  The pool only needs to cover
-#: the number of processes resumed between steps, which is small; the
-#: cap keeps a pathological spawn burst from pinning memory.
-_RESUME_POOL_LIMIT = 256
-
-
-class _ResumeEvent(Event):
-    """Internal pooled event that bootstraps/resumes a process.
-
-    Never visible to user code: it exists only to carry a value through
-    the queue into ``Process._resume``, after which the dispatcher
-    resets and recycles it.
-    """
-
-    __slots__ = ()
 
 
 class Process(Event):
@@ -117,11 +58,8 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
-        if env._fast_path:
-            bootstrap = env._acquire_resume(self._resume)
-        else:
-            bootstrap = Event(env)
-            bootstrap.callbacks.append(self._resume)
+        bootstrap = Event(env)
+        bootstrap.callbacks.append(self._resume)
         bootstrap.succeed(None)
 
     @property
@@ -132,53 +70,39 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the value of the fired event."""
         env = self.env
-        while True:
-            self._target = None
-            try:
-                if trigger.ok:
-                    target = self._generator.send(trigger.value)
-                else:
-                    target = self._generator.throw(trigger.value)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:
-                self.fail(exc)
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"process {self.name!r} yielded {target!r}, "
-                    "expected an Event")
-            if target.env is not env:
-                raise SimulationError(
-                    f"process {self.name!r} yielded an event from another "
-                    "environment")
-            self._target = target
-            if not target._processed:
-                target.callbacks.append(self._resume)
-                return
-            # The event already fired; resume through the kernel so the
-            # process never outruns the event queue.  The bounce always
-            # costs one scheduled event.
-            if env._fast_path:
-                if (not env._mid_dispatch and env._batch is None
-                        and (not env._queue
-                             or env._queue[0][0] > env._now)):
-                    # The bounce event would be the very next one
-                    # popped: consume its sequence number and resume in
-                    # place instead of a queue round trip.
-                    env._seq += 1
-                    trigger = target
-                    continue
-                resume = env._acquire_resume(self._resume)
+        self._target = None
+        try:
+            if trigger.ok:
+                target = self._generator.send(trigger.value)
             else:
-                resume = Event(env)
-                resume.callbacks.append(self._resume)
-            if target.ok:
-                resume.succeed(target.value)
-            else:
-                resume.fail(target.value)
+                target = self._generator.throw(trigger.value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
             return
+        except BaseException as exc:
+            self.fail(exc)
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}, "
+                "expected an Event")
+        if target.env is not env:
+            raise SimulationError(
+                f"process {self.name!r} yielded an event from another "
+                "environment")
+        self._target = target
+        if not target._processed:
+            target.callbacks.append(self._resume)
+            return
+        # The event already fired; resume through the kernel so the
+        # process never outruns the event queue.  The bounce always
+        # costs one scheduled event.
+        resume = Event(env)
+        resume.callbacks.append(self._resume)
+        if target.ok:
+            resume.succeed(target.value)
+        else:
+            resume.fail(target.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} alive={self.is_alive}>"
@@ -200,37 +124,11 @@ class Environment:
         assert env.now == 5.0 and proc.value == "done"
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 fast_path: bool = True) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Pending entries: ``[when, packed_key, payload]`` where the
-        #: payload is an Event or, for a coalesced entry, a list of
-        #: events in scheduling order.
+        #: Pending entries: ``[when, packed_key, event]``.
         self._queue: list[list] = []
         self._seq = 0
-        self._fast_path = bool(fast_path)
-        #: The open heap entry at the current instant — the merge
-        #: target for ``delay == 0`` normal-priority schedules.
-        #: Cleared when its entry is popped and whenever the clock
-        #: advances.  Always None with fast_path off.
-        self._open_now: list | None = None
-        #: Open heap entries at *future* timestamps, the merge targets
-        #: for ``delay > 0`` normal-priority schedules (same-deadline
-        #: heartbeat/monitor timeouts).  A timestamp's slot is closed
-        #: when the clock reaches it.  Only normal-priority events
-        #: coalesce — urgent ones are pushed individually, which is
-        #: order-safe because an urgent event sorts before every
-        #: occupant of a normal-priority entry at the same instant,
-        #: merged or not.  Always empty with fast_path off.
-        self._open: dict[float, list] = {}
-        #: Remainder of a coalesced payload being drained one event per
-        #: step() call, and the index of the next event in it.
-        self._batch: list | None = None
-        self._batch_index = 0
-        #: True while step() has callbacks left to run for the current
-        #: event (guards the inline-resume fast path).
-        self._mid_dispatch = False
-        self._resume_pool: list[_ResumeEvent] = []
 
     @property
     def now(self) -> float:
@@ -241,29 +139,10 @@ class Environment:
     def events_scheduled(self) -> int:
         """Total events ever queued — the kernel's work measure.
 
-        Batch-granular execution exists to shrink this number; the
-        perf benchmark reports it per run.  Invariant under
-        :attr:`fast_path`: coalesced and inline-resumed events are
-        counted exactly as if they had been pushed individually.
+        One per :meth:`schedule` call.  Batch-granular execution exists
+        to shrink this number; the perf benchmarks report it per run.
         """
         return self._seq
-
-    @property
-    def fast_path(self) -> bool:
-        """Whether the allocation-avoiding kernel paths are active."""
-        return self._fast_path
-
-    @fast_path.setter
-    def fast_path(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._fast_path:
-            return
-        self._fast_path = enabled
-        # Entries opened before the toggle must not absorb events
-        # scheduled after it: an event pushed separately while the flag
-        # was off sorts between the entry and a later merge candidate.
-        self._open_now = None
-        self._open.clear()
 
     # -- scheduling ----------------------------------------------------
 
@@ -273,45 +152,9 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq += 1
-        when = self._now + delay
-        if self._fast_path and priority == PRIORITY_NORMAL:
-            if when == self._now:
-                entry = self._open_now
-                if entry is not None:
-                    payload = entry[2]
-                    if type(payload) is list:
-                        payload.append(event)
-                    else:
-                        entry[2] = [payload, event]
-                    return
-                entry = [when,
-                         (PRIORITY_NORMAL << _SEQ_BITS) | self._seq, event]
-                self._open_now = entry
-            else:
-                open_entries = self._open
-                entry = open_entries.get(when)
-                if entry is not None:
-                    payload = entry[2]
-                    if type(payload) is list:
-                        payload.append(event)
-                    else:
-                        entry[2] = [payload, event]
-                    return
-                entry = [when,
-                         (PRIORITY_NORMAL << _SEQ_BITS) | self._seq, event]
-                open_entries[when] = entry
-            heapq.heappush(self._queue, entry)
-        else:
-            heapq.heappush(
-                self._queue,
-                [when, (priority << _SEQ_BITS) | self._seq, event])
-
-    def _acquire_resume(self, callback) -> _ResumeEvent:
-        """A fresh-or-recycled internal process resume event."""
-        pool = self._resume_pool
-        event = pool.pop() if pool else _ResumeEvent(self)
-        event.callbacks.append(callback)
-        return event
+        heapq.heappush(
+            self._queue,
+            [self._now + delay, (priority << _SEQ_BITS) | self._seq, event])
 
     # -- event factories ----------------------------------------------
 
@@ -340,92 +183,36 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._batch is not None:
-            return self._now
         if not self._queue:
             return float("inf")
         return self._queue[0][0]
 
     def step(self) -> None:
         """Process exactly one scheduled event."""
-        batch = self._batch
-        if batch is not None:
-            index = self._batch_index
-            event = batch[index]
-            index += 1
-            if index == len(batch):
-                self._batch = None
-                self._batch_index = 0
-            else:
-                self._batch_index = index
-            self._dispatch(event)
-            return
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        entry = heapq.heappop(self._queue)
-        when = entry[0]
-        if when > self._now:
-            # The clock advances: the reached timestamp is closed for
-            # merging on both tiers (even when the popped entry is not
-            # the open one — nothing can schedule at ``when`` with a
-            # positive delay anymore).
-            self._now = when
-            self._open_now = None
-            if self._open:
-                self._open.pop(when, None)
-        elif entry is self._open_now:
-            self._open_now = None
-        elif when < self._now:
+        when, _key, event = heapq.heappop(self._queue)
+        if when < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
-        payload = entry[2]
-        if type(payload) is list:
-            # Coalesced entry: dispatch its first event now and drain
-            # the rest one per subsequent step() call, exactly as if
-            # each had been popped individually.
-            self._batch = payload
-            self._batch_index = 1
-            self._dispatch(payload[0])
-            return
-        self._dispatch(payload)
+        self._now = when
+        self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:
         """Fire one event's callbacks and mark it processed.
 
-        The straight kernel swapped the callback list for a new one
-        before dispatch; every callback appended post-trigger is guarded
-        by a ``processed`` check (``Process._resume``, ``_observe``), so
-        iterating in place is equivalent and saves a list allocation per
-        event.
+        Callbacks are iterated in place: every callback appended after
+        the trigger is guarded by a ``processed`` check
+        (``Process._resume``, ``_observe``), so no copy is needed.
         """
         callbacks = event.callbacks
         event._processed = True
-        n = len(callbacks)
-        if n == 1:
-            self._mid_dispatch = False
-            callbacks[0](event)
-        elif n:
-            last = n - 1
-            self._mid_dispatch = True
-            for i in range(n):
-                if i == last:
-                    self._mid_dispatch = False
-                callbacks[i](event)
-        else:
-            self._mid_dispatch = False
-            if not event._ok:
-                # A failed event nobody waits on would silently swallow
-                # the error; surface it instead.
-                raise event._value
-        if type(event) is _ResumeEvent:
-            # Internal-only event: no user code holds a reference, so
-            # it can be reset and recycled.
-            callbacks.clear()
-            event._value = _UNSET
-            event._ok = None
-            event._processed = False
-            pool = self._resume_pool
-            if len(pool) < _RESUME_POOL_LIMIT:
-                pool.append(event)
+        if callbacks:
+            for callback in callbacks:
+                callback(event)
+        elif not event._ok:
+            # A failed event nobody waits on would silently swallow
+            # the error; surface it instead.
+            raise event._value
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the simulation.
@@ -437,7 +224,7 @@ class Environment:
         if isinstance(until, Event):
             stop_event = until
             while not stop_event._processed:
-                if self._batch is None and not self._queue:
+                if not self._queue:
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         "event fired (deadlock?)")
@@ -450,12 +237,10 @@ class Environment:
             if horizon < self._now:
                 raise SimulationError(
                     f"cannot run until {horizon} < now {self._now}")
-            while (self._batch is not None
-                   or (self._queue and self._queue[0][0] <= horizon)):
+            while self._queue and self._queue[0][0] <= horizon:
                 self.step()
             self._now = horizon
-            self._open_now = None
             return None
-        while self._batch is not None or self._queue:
+        while self._queue:
             self.step()
         return None

@@ -151,29 +151,9 @@ class Cpu:
     def _serve_step(self) -> None:
         """Advance the FIFO server as far as it can go without waiting.
 
-        The server is a callback state machine rather than a process:
-        the simulator's single hottest loop spent a Process + generator
-        + bootstrap/done event dispatch per burst plus a generator
-        resume per task, all of it pure host overhead.  Event
-        accounting is identical to the historical process-per-burst
-        server, so ``events_scheduled`` and the timeline are
-        bit-for-bit unchanged:
-
-        * burst start — the old server's Process bootstrap scheduled
-          one event; the wake event in :meth:`execute` schedules one
-          event at the same position, and its dispatch runs this step
-          exactly where the bootstrap's dispatch resumed the old
-          generator;
-        * freeze waits and task service — one timeout each, exactly as
-          the old generator yielded them, with completion bookkeeping
-          running at the timeout's dispatch either way;
-        * burst end — the old generator's return made the Process
-          event schedule itself (one event, dispatched later as a
-          callback-less no-op that runs no user code).  The park
-          consumes that sequence number directly (``env._seq += 1``).
-          Removing a no-op dispatch cannot reorder user callbacks, and
-          consuming its number keeps every later event's heap key —
-          and therefore all tie-breaking — unchanged.
+        Tasks start service in FIFO order, one at a time; a burst
+        begins at the dispatch of the wake event scheduled by
+        :meth:`execute` and ends when the queue drains.
         """
         env = self.env
         pending = self._pending
@@ -184,7 +164,6 @@ class Cpu:
                 return
             if not pending:
                 self._serving = False
-                env._seq += 1
                 return
             if self._frozen_until > env._now:
                 timeout = env.timeout(self._frozen_until - env._now)

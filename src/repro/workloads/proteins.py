@@ -132,7 +132,6 @@ class DemoGrid:
             network_config=network_config,
             serialization=serialization or SerializationModel(),
             metrics_enabled=metrics_enabled)
-        self.context.env.fast_path = self.engine_config.kernel_fast_path
         self.context.add_machine(COORDINATOR, compute=False)
         self.context.add_machine(DATA_HOST, compute=False)
         self.compute_machines = [

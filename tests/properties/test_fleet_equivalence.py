@@ -5,15 +5,16 @@ breaker set, heartbeat wheel, lazy machines) must not change a single
 bit of today's small-grid behaviour:
 
 * **Single implicit site degenerates.**  A grid that never names
-  sites gets one flat machine tier whose order equals the legacy
-  ``least_loaded_order`` sort (pinned in
+  sites gets one flat machine tier whose order equals a full stable
+  sort by committed shares (pinned in
   ``tests/sched/test_fleet_index.py``); the scheduler-equivalence
   suite then pins the whole timeline against the direct path.  Here
-  we pin the remaining A/B axes end to end: heartbeat wheel vs the
-  per-query legacy monitors, candidate budget vs the full order, and
-  lazy vs eager machine construction.
-* **Reproducible at fleet shape.**  Multi-site lazy grids driven
-  through the scheduler replay bit-for-bit under the same seed.
+  we pin the remaining A/B axis end to end: candidate budget vs the
+  full order.
+* **Reproducible at fleet shape.**  Overlapping fault-tolerant
+  queries sharing the heartbeat wheel, and multi-site lazy grids
+  driven through the scheduler, replay bit-for-bit under the same
+  seed.
 
 The grid seed honours ``REPRO_TEST_SEED`` so CI exercises these
 properties under more than one simulated world.
@@ -47,10 +48,8 @@ slow_settings = settings(max_examples=6, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
 
-def ft_config(wheel: bool) -> FaultToleranceConfig:
-    return FaultToleranceConfig(enabled=True, heartbeat_interval_ms=200.0,
-                                failure_timeout_ms=700.0, max_recoveries=2,
-                                heartbeat_wheel=wheel)
+FT = FaultToleranceConfig(enabled=True, heartbeat_interval_ms=200.0,
+                          failure_timeout_ms=700.0, max_recoveries=2)
 
 
 def timeline_of(grid):
@@ -59,60 +58,11 @@ def timeline_of(grid):
             for event in grid.context.tracer.events]
 
 
-def run_single_crashy(seed, wheel):
-    """One fault-tolerant query through a mid-run machine crash."""
-    chaos = ChaosConfig.lossy(crashes=(
-        MachineCrash("compute-2", at_ms=900.0),))
-    grid = DemoGrid(dataclasses.replace(SPEC, seed=seed,
-                                        spare_machines=1),
-                    fault_tolerance=ft_config(wheel), chaos=chaos)
-    result = grid.run(Q1, AdaptivityConfig.disabled())
-    return grid, result
-
-
-@given(seed=st.sampled_from([0, 1]))
-@slow_settings
-def test_wheel_identical_to_legacy_monitor_for_one_query(seed):
-    # With one fault-tolerant query in flight the wheel ticks exactly
-    # when the per-query monitor would: same timer events, same
-    # recovery timeline, same result.
-    wheel_grid, wheel_result = run_single_crashy(seed, wheel=True)
-    legacy_grid, legacy_result = run_single_crashy(seed, wheel=False)
-    assert (wheel_grid.context.env.events_scheduled
-            == legacy_grid.context.env.events_scheduled)
-    assert timeline_of(wheel_grid) == timeline_of(legacy_grid)
-    assert wheel_result.values() == legacy_result.values()
-    assert wheel_result.response_time_ms == legacy_result.response_time_ms
-
-
-def run_sequential(seed, wheel):
-    """Two fault-tolerant queries back to back (no overlap)."""
-    grid = DemoGrid(dataclasses.replace(SPEC, seed=seed),
-                    fault_tolerance=ft_config(wheel))
-    first = grid.run(Q1, AdaptivityConfig.disabled())
-    second = grid.run(Q2, AdaptivityConfig.disabled())
-    return grid, first, second
-
-
-@given(seed=st.sampled_from([0, 1]))
-@slow_settings
-def test_wheel_identical_for_sequential_queries(seed):
-    # The wheel drains between queries and respawns for the second
-    # one, reproducing the legacy one-process-per-query event count.
-    wheel = run_sequential(seed, wheel=True)
-    legacy = run_sequential(seed, wheel=False)
-    assert (wheel[0].context.env.events_scheduled
-            == legacy[0].context.env.events_scheduled)
-    assert timeline_of(wheel[0]) == timeline_of(legacy[0])
-    assert wheel[1].values() == legacy[1].values()
-    assert wheel[2].values() == legacy[2].values()
-
-
 def run_overlapping(seed):
     chaos = ChaosConfig.lossy(crashes=(
         MachineCrash("compute-2", at_ms=900.0),))
     grid = DemoGrid(dataclasses.replace(SPEC, seed=seed),
-                    fault_tolerance=ft_config(True), chaos=chaos)
+                    fault_tolerance=FT, chaos=chaos)
     scheduler = grid.scheduler(SchedulerConfig(max_concurrent=4,
                                                retry=RETRY))
     for query in (Q1, Q2, Q1, Q2):
@@ -125,9 +75,8 @@ def run_overlapping(seed):
 @given(seed=st.sampled_from([0, 1]))
 @slow_settings
 def test_wheel_overlapping_queries_replay_bit_for_bit(seed):
-    # Overlapping queries share the wheel's phase (a documented, still
-    # deterministic divergence from per-query timers), so the promise
-    # is exact reproducibility plus total terminal accounting.
+    # Overlapping queries share the wheel's tick phase; the promise is
+    # exact reproducibility plus total terminal accounting.
     first_grid, first = run_overlapping(seed)
     second_grid, second = run_overlapping(seed)
     assert (first_grid.context.env.events_scheduled

@@ -56,29 +56,15 @@ class TestGeneration:
         scenario = ScenarioGrammar().generate(0, 0)
         assert scenario.grammar_version == GRAMMAR_VERSION
 
-    def test_columnar_axis_drawn(self):
-        """Grammar v2 draws the data-plane axis and records its rule;
-        both planes appear in a modest corpus."""
-        grammar = ScenarioGrammar()
-        planes = set()
-        for index in range(40):
-            scenario = grammar.generate(0, index)
-            suffix = "on" if scenario.columnar else "off"
-            assert f"columnar:{suffix}" in scenario.rules
-            planes.add(scenario.columnar)
-        assert planes == {True, False}
-
-    def test_columnar_weight_steering(self):
-        grammar = ScenarioGrammar({"columnar:on": 0.0})
-        assert not any(grammar.generate(0, index).columnar
-                       for index in range(20))
-
-    def test_columnar_defaults_on_for_old_corpora(self):
-        """Pre-v2 corpus records (no ``columnar`` key) load with the
-        engine default, keeping shrunk repros valid."""
-        record = ScenarioGrammar().generate(0, 0).to_json()
-        del record["columnar"]
-        assert Scenario.from_json(record).columnar is True
+    def test_v4_record_with_columnar_key_loads(self):
+        """v2-v4 corpus records carry the data-plane axis v5 dropped;
+        they load with the key discarded, keeping committed corpora
+        and shrunk repros valid."""
+        scenario = ScenarioGrammar().generate(0, 0)
+        record = dict(scenario.to_json(), grammar_version=4,
+                      columnar=False)
+        assert (Scenario.from_json(record)
+                == scenario.replace(grammar_version=4))
 
     def test_freeze_chaos_implies_fault_tolerance(self):
         found_freeze = False

@@ -8,6 +8,8 @@ about a running query — not its M1 cadence, not its adaptation
 decisions — while an *active* neighbour slows it down for real.
 """
 
+import types
+
 import pytest
 
 from repro.config import AdaptivityConfig, SchedulerConfig
@@ -81,20 +83,19 @@ class TestFairSharePolicy:
         assert all(machine.committed_shares == 0.0
                    for machine in grid.context.registry.machines())
 
-    def test_least_loaded_order_is_stable_at_uniform_load(self):
+    def test_placement_order_is_stable_at_uniform_load(self):
         grid = DemoGrid(DemoGridSpec(compute_machines=3))
         policy = FairShare(grid.context.registry)
-        names = ["compute-1", "compute-2", "compute-3"]
-        assert policy.least_loaded_order(names) == names
+        assert policy.placement_order() == [
+            "compute-1", "compute-2", "compute-3"]
 
-    def test_least_loaded_order_prefers_idle_machines(self):
+    def test_placement_order_prefers_idle_machines(self):
         grid = DemoGrid(DemoGridSpec(compute_machines=3))
         policy = FairShare(grid.context.registry)
-        grid.context.machine("compute-1").acquire_share("s1")
-        grid.context.machine("compute-2").acquire_share("s1")
-        order = policy.least_loaded_order(
-            ["compute-1", "compute-2", "compute-3"])
-        assert order == ["compute-3", "compute-1", "compute-2"]
+        policy.admit(types.SimpleNamespace(
+            session_id="s1", machines=("compute-1", "compute-2")))
+        assert policy.placement_order() == [
+            "compute-3", "compute-1", "compute-2"]
 
     def test_fair_share_disabled_skips_the_ledger(self):
         grid = DemoGrid(SPEC)

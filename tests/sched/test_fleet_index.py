@@ -1,11 +1,11 @@
 """Tests for the incremental two-tier placement index.
 
-The contract under test (satellite of the fleet-scale PR): the
-index-backed ``FairShare.placement_order`` must equal the legacy
-``least_loaded_order`` full sort over the crash-filtered compute pool
-on every single-site grid — the sort survives in the code exactly so
-these tests can pin the equivalence — while multi-site grids order
-sites by mean committed shares before machines.
+The contract under test: the index-backed
+``FairShare.placement_order`` must equal a full stable sort of the
+crash-filtered compute pool by committed shares on every single-site
+grid (``least_loaded_order`` below is that sort, kept here as the
+test oracle), while multi-site grids order sites by mean committed
+shares before machines.
 """
 
 import dataclasses
@@ -22,6 +22,13 @@ from repro.workloads import DemoGrid, DemoGridSpec
 SPEC = DemoGridSpec(compute_machines=6,
                     sequences_cardinality=60, interactions_cardinality=90,
                     sequence_length=12)
+
+
+def least_loaded_order(fair, candidates):
+    """Oracle: candidates sorted by committed shares, stably."""
+    indexed = list(enumerate(candidates))
+    indexed.sort(key=lambda pair: (fair.load(pair[1]), pair[0]))
+    return [name for _index, name in indexed]
 
 
 @dataclasses.dataclass
@@ -77,7 +84,7 @@ class TestLoadIndex:
 
 
 class TestFleetIndexSingleSite:
-    def test_matches_legacy_sort_under_admit_release(self):
+    def test_matches_full_sort_under_admit_release(self):
         grid = DemoGrid(SPEC)
         fair = FairShare(grid.context.registry)
         assert isinstance(fair.index, FleetIndex)
@@ -89,9 +96,9 @@ class TestFleetIndexSingleSite:
         ]
         for session in sessions:
             fair.admit(session)
-            assert fair.placement_order() == fair.least_loaded_order(pool)
+            assert fair.placement_order() == least_loaded_order(fair, pool)
         fair.release(sessions[1])
-        assert fair.placement_order() == fair.least_loaded_order(pool)
+        assert fair.placement_order() == least_loaded_order(fair, pool)
 
     def test_limit_truncates_the_same_prefix(self):
         grid = DemoGrid(SPEC)
@@ -143,7 +150,7 @@ def admit_release_scripts(draw):
 class TestReferenceEquivalence:
     @given(script=admit_release_scripts())
     @settings(max_examples=60, deadline=None)
-    def test_placement_order_equals_legacy_sort(self, script):
+    def test_placement_order_equals_full_sort(self, script):
         grid = DemoGrid(SPEC)
         fair = FairShare(grid.context.registry)
         pool = grid.compute_machines
@@ -154,7 +161,7 @@ class TestReferenceEquivalence:
                 fair.admit(sessions[key])
             else:
                 fair.release(sessions.pop(key))
-            assert fair.placement_order() == fair.least_loaded_order(pool)
+            assert fair.placement_order() == least_loaded_order(fair, pool)
 
 
 class TestFleetIndexMultiSite:

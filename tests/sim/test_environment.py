@@ -181,3 +181,53 @@ def test_same_time_events_fire_in_schedule_order():
         env.process(body(env, name))
     env.run()
     assert trace == ["a", "b", "c"]
+
+
+def test_run_until_event_stops_between_same_time_events():
+    env = Environment()
+    first = env.timeout(2.0, value="a")
+    target = env.timeout(2.0, value="b")
+    last = env.timeout(2.0, value="c")
+    # All three share a timestamp; run() must stop exactly at the
+    # target, leaving the rest pending.
+    assert env.run(until=target) == "b"
+    assert first.processed and target.processed
+    assert not last.processed
+    env.run()
+    assert last.processed
+
+
+def test_peek_reports_now_while_same_time_events_pending():
+    env = Environment()
+
+    def body(env):
+        yield env.timeout(4.0)
+
+    env.process(body(env))
+    env.process(body(env))
+    env.run(until=1.0)
+    assert env.peek() == 4.0
+    env.step()  # fires the first timeout
+    assert env.now == 4.0
+    assert env.peek() == 4.0  # the second is still pending
+    env.run()
+    assert env.peek() == float("inf")
+
+
+def test_empty_all_of_succeeds_immediately():
+    env = Environment()
+    trace = []
+
+    def body(env):
+        value = yield env.all_of([])
+        trace.append((env.now, value))
+
+    env.process(body(env))
+    env.run()
+    assert trace == [(0.0, [])]
+
+
+def test_empty_any_of_rejected_at_construction():
+    env = Environment()
+    with pytest.raises(SimulationError, match="at least one event"):
+        env.any_of([])
