@@ -1,4 +1,4 @@
-"""Benchmark: batch-granular execution vs the per-tuple pipeline.
+"""Benchmark: batch-granular execution across morsel sizes.
 
 Runs Q1 (10x WS perturbation) and Q2 (join sleep) at batch sizes
 1/8/32/128 with adaptivity disabled, reporting per run:

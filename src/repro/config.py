@@ -345,9 +345,10 @@ class EngineConfig:
 
     #: Morsel size of the batch-granular execution core: operators move
     #: up to this many tuples per ``next_batch`` call, with per-tuple
-    #: CPU costs aggregated into one simulator event per batch.  1
-    #: degrades to the original per-tuple iterator pipeline (exact seed
-    #: semantics, used for A/B equivalence testing).
+    #: CPU costs aggregated into one simulator event per batch.  1 =
+    #: one-row morsels through the same code (the finest event
+    #: granularity; the batch-equivalence property tests compare
+    #: against it).
     batch_size: int = 32
     #: Tuples per exchange buffer (one M2 event per buffer sent).
     buffer_size: int = 50

@@ -83,27 +83,13 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
 
     # -- raw event intake (local calls from the engine) ---------------------
 
-    def submit_m1(self, event: M1Event) -> None:
-        """Ingest one M1 event from a local exchange producer."""
-        self.raw_events_received += 1
-        self._metric_raw_m1.inc()
-        self._charge_cpu()
-        key = f"m1|{event.instance_id}"
-        self._meta[key] = {
-            "kind": "m1",
-            "instance_id": event.instance_id,
-            "recipient_channel": None,
-            "subplan_id": event.subplan_id,
-        }
-        self._observe(key, event.cost_per_tuple_ms)
+    def submit_m1(self, event: M1Event, count: int = 1) -> None:
+        """Ingest ``count`` M1 events sharing one morsel's aggregate cost.
 
-    def submit_m1_batch(self, event: M1Event, count: int) -> None:
-        """Ingest ``count`` M1 events sharing one batch's aggregate cost.
-
-        Emitted when a morsel crosses several ``m1_interval``
-        boundaries: the sliding window receives ``count`` observations
-        (as many as the per-tuple pipeline would deliver) while the
-        detector's processing cost is charged as a single CPU burst.
+        ``count`` exceeds 1 when a morsel crosses several
+        ``m1_interval`` boundaries: the sliding window receives one
+        observation per boundary while the detector's processing cost
+        is charged as a single CPU burst.
         """
         if count <= 0:
             return

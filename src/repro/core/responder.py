@@ -351,12 +351,6 @@ class Responder(GridService, NotificationPublisher):
             return None
         return list(normalise_weights(masked))
 
-    def is_quarantined(self, subplan_id: str, instance_index: int) -> bool:
-        state = self._state.get(subplan_id)
-        return (state is not None
-                and 0 <= instance_index < len(state.quarantined)
-                and state.quarantined[instance_index])
-
     def quarantine(self, subplan_id: str,
                    instance_index: int) -> typing.Generator:
         """Drive a suspect clone's weight to zero (prospectively).

@@ -10,20 +10,20 @@ logic keeps operating on individual tuples.
 
 A batch is backed either by a row list or by parallel per-column
 value lists plus a tid column.  Scans emit column-backed batches and
-the vectorized operators keep them so; the per-tuple path
-(``batch_size == 1``), state channels and held join matches build
-row-backed ones.  Vectorized operators read and write the column
-arrays directly; row-at-a-time consumers (``__iter__``,
-``__getitem__``, recovery/dedup/repartition logic) are served by lazy
-``Row`` materialization, so both backings expose the same API and the
-same ordering.  Plain stdlib lists are used for the columns — values
-are heterogeneous Python objects (strings, floats) so ``array``/numpy
-buffers would buy nothing here, and numpy stays an optional-off
-non-dependency.
+the vectorized operators keep them so, held join matches included;
+state channels, opaque-predicate selection and the operation call
+under chaos build row-backed ones.  Vectorized operators read and
+write the column arrays directly; row-at-a-time consumers
+(``__iter__``, ``__getitem__``, recovery/dedup/repartition logic) are
+served by lazy ``Row`` materialization, so both backings expose the
+same API and the same ordering.  Plain stdlib lists are used for the
+columns — values are heterogeneous Python objects (strings, floats) so
+``array``/numpy buffers would buy nothing here, and numpy stays an
+optional-off non-dependency.
 
 ``EngineConfig.batch_size`` controls the morsel size; ``batch_size=1``
-degrades every ``next_batch`` path to the original per-tuple iterator
-semantics, which is what the equivalence property tests exploit.
+runs one-row morsels through the same operator code, which is the
+reference granularity of the equivalence property tests.
 """
 
 from __future__ import annotations

@@ -65,10 +65,6 @@ class GQES(GridService):
             self.env.process(self._heartbeat_loop(),
                              name=f"{self.name}:heartbeat")
 
-    @property
-    def is_adaptive(self) -> bool:
-        return self.detector is not None
-
     # -- fault tolerance -----------------------------------------------------
 
     def _heartbeat_loop(self) -> typing.Generator:

@@ -96,7 +96,7 @@ class DistributionPolicy(abc.ABC):
         credits) advance exactly as ``len(rows)`` :meth:`route` calls
         would — and returns ``(consumer_index, rows)`` groups in
         first-appearance order.  A batch under a changing weight vector
-        therefore splits identically to the per-tuple stream.
+        therefore splits identically to the same rows routed one by one.
 
         ``rows`` may be a :class:`~repro.data.batch.Batch`; a group's
         row container may likewise be a ``Batch`` (the single-consumer

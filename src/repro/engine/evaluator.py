@@ -84,14 +84,12 @@ class Fragment:
         # drains its whole build channel); discard whatever accumulated
         # so the first M1 batch only measures steady-state processing.
         self.ctx.metrics.drain_batch()
-        # The evaluator pumps morsels; at batch_size 1 every operator's
-        # next_batch degrades to exactly one per-tuple next() call.
         batch_size = self.ctx.engine_config.batch_size
         if self.ctx.monitor is not None and self.m1_interval > 0:
             # The monitoring cadence bounds the morsel: a morsel larger
             # than m1_interval would hold back M1 events until the whole
             # morsel's work is done, delaying perturbation detection by
-            # up to batch_size/m1_interval times the per-tuple schedule.
+            # up to batch_size/m1_interval monitoring periods.
             batch_size = max(1, min(batch_size, self.m1_interval))
         while not self.halted:
             iteration_start = self.env.now
@@ -127,9 +125,9 @@ class Fragment:
         """Emit the M1 events a morsel of ``produced`` tuples is due.
 
         A batch may cross several ``m1_interval`` boundaries; each
-        boundary contributes one M1 event (so the detector sees exactly
-        as many raw events as the per-tuple pipeline would), all
-        carrying the batch's aggregate per-tuple cost.
+        boundary contributes one M1 event (the raw-event count depends
+        on the rows produced, not on the morsel size), all carrying the
+        batch's aggregate per-tuple cost.
         """
         monitor = self.ctx.monitor
         if monitor is None or self.m1_interval <= 0:
@@ -154,10 +152,5 @@ class Fragment:
             selectivity=self.ctx.metrics.selectivity,
             produced_total=self.ctx.metrics.produced,
             timestamp=self.env.now)
-        submit_batch = getattr(monitor, "submit_m1_batch", None)
-        if emissions > 1 and submit_batch is not None:
-            submit_batch(event, emissions)
-        else:
-            for _ in range(emissions):
-                monitor.submit_m1(event)
+        monitor.submit_m1(event, emissions)
         self.m1_events_emitted += emissions

@@ -2,24 +2,23 @@
 
 OGSA-DQP "adopts the iterator pipelining model of execution" [13]:
 each subplan is driven by one evaluator thread pulling down an
-operator chain.  In the simulation an operator's ``open``/``next``/
+operator chain.  In the simulation an operator's ``open``/
 ``next_batch``/``close`` are *generators* so they can wait on
 simulated time (CPU bursts, queue waits, network sends); callers use
-``row = yield from op.next()`` or
 ``batch = yield from op.next_batch(n)``.
 
-``next`` returns a :class:`~repro.data.tuples.Row` or the :data:`END`
-sentinel; ``next_batch`` returns a non-empty
-:class:`~repro.data.batch.Batch` of up to ``max_rows`` rows, or END.
-The batch path is the hot path: vectorized operators aggregate their
-per-tuple CPU costs into one ``machine.work_batch`` call per batch,
-so the simulator schedules events per morsel instead of per tuple.
-``next_batch(1)`` degrades to exactly one ``next()`` call, preserving
-the original per-tuple semantics when ``EngineConfig.batch_size`` is 1.
+``next_batch`` is the one pull method: it returns a non-empty
+:class:`~repro.data.batch.Batch` of up to ``max_rows`` rows, or the
+:data:`END` sentinel.  Operators aggregate their per-tuple CPU costs
+into one ``machine.work_batch`` call per batch, so the simulator
+schedules events per morsel instead of per tuple.  ``max_rows=1``
+(``EngineConfig.batch_size=1``, or a producer one row short of a flush
+boundary) is a one-row morsel through the same code.
 
-After END, ``next``/``next_batch`` may be called again: exchange
-consumers can "reopen" when a retrospective repartition replays tuples
-to them, and all operators must tolerate that.
+END is a state, not a token: after END, ``next_batch`` may be called
+again — exchange consumers can "reopen" when a retrospective
+repartition replays tuples to them — and all operators must tolerate
+that.
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ import dataclasses
 import typing
 
 from repro.config import CostModel, EngineConfig
-from repro.data.batch import Batch
 from repro.engine.metrics import SubplanMetrics
 from repro.grid.container import GridContext
 from repro.grid.machine import Machine
 
 
 class _EndOfStream:
-    """Singleton sentinel returned by ``next`` when a stream ends."""
+    """Singleton sentinel returned by ``next_batch`` when a stream ends."""
 
     def __repr__(self) -> str:
         return "END"
@@ -73,30 +71,13 @@ class Operator:
         return
         yield  # pragma: no cover - generator form
 
-    def next(self) -> typing.Generator:
-        """Produce the next row, or END."""
-        raise NotImplementedError
-
     def next_batch(self, max_rows: int) -> typing.Generator:
         """Produce a non-empty batch of up to ``max_rows`` rows, or END.
 
-        The default bridges to the per-tuple path: it gathers rows by
-        calling :meth:`next` until the morsel is full or the stream
-        ends, returning a partial batch when rows precede END (END is a
-        state, not a token — the next call re-derives it).  With
-        ``max_rows=1`` this is exactly one ``next()`` call.  Vectorized
-        operators override it to aggregate per-tuple costs into one
-        simulator event per batch.
+        A partial batch is returned when rows precede END; the next
+        call re-derives END from the operator's state.
         """
-        rows = []
-        while len(rows) < max_rows:
-            row = yield from self.next()
-            if row is END:
-                break
-            rows.append(row)
-        if rows:
-            return Batch(rows)
-        return END
+        raise NotImplementedError
 
     def finish(self) -> typing.Generator:
         """Root-operator hook run by the evaluator after END.

@@ -82,18 +82,9 @@ class ExchangeProducer(UnaryOperator):
         self.service: typing.Any = None  # attached by the hosting GQES
         #: Per-tuple recovery-log cost, folded once: charged on every
         #: routed row, so the two-field lookup and multiply stay off
-        #: the per-tuple path.
+        #: the routing loop.
         self._log_work = (ctx.cost.log_append_work
                           + ctx.cost.log_append_work_per_byte * row_bytes)
-        #: Buffers and wire messages carry whole :class:`Batch` blocks
-        #: (chunked at the same checkpoint/flush boundaries as the
-        #: per-row wire) instead of individual rows.  Pure host-side
-        #: packaging — block boundaries, events and the rows delivered
-        #: are identical — so state channels opt out: their per-row
-        #: wire entries feed the late-build drain's one-row-per-get
-        #: protocol, which blocks would repackage.
-        self._block_wire = (ctx.engine_config.batch_size > 1
-                            and not state_channel)
         count = len(consumers)
         self._buffers: list[list] = [[] for _ in range(count)]
         self._buffer_rows: list[int] = [0] * count
@@ -106,7 +97,13 @@ class ExchangeProducer(UnaryOperator):
         #: row it routes (insertion order) and, whenever a bucket-map
         #: change moves buckets, copies the moved buckets' rows to
         #: their new consumers before the probe side is rerouted —
-        #: see :meth:`_replay_state_moves`.
+        #: see :meth:`_replay_state_moves`.  Every other channel buffers
+        #: and ships whole :class:`Batch` blocks, chunked at the
+        #: checkpoint/flush boundaries (pure host-side packaging:
+        #: boundaries, events and the rows delivered are those of a row
+        #: wire); state channels keep the row wire, whose per-row
+        #: entries feed the late-build drain's one-row-per-get protocol
+        #: (:meth:`ExchangeConsumer.try_next`).
         self.state_channel = state_channel
         self._retained: dict[Tid, Row] | None = (
             {} if state_channel else None)
@@ -179,41 +176,23 @@ class ExchangeProducer(UnaryOperator):
 
     # -- iterator protocol -------------------------------------------------
 
-    def next(self) -> typing.Generator:
-        row = yield from self.child.next()
-        if row is END:
-            return END
-        # A replay reopened the subplan after it had finished: clear the
-        # flag so termination detection waits for the new outputs to be
-        # flushed and re-announced.
-        self.finished = False
-        if self.ctx.monitor is not None:
-            yield from self.ctx.machine.work(
-                "instrument", self.ctx.cost.instrument_work_per_tuple)
-        index = self.policy.route(row)
-        yield from self._enqueue(index, row)
-        if self._multicast:
-            for extra in self._multicast_targets(row, index):
-                yield from self._enqueue(extra, row)
-        self.routed_total += 1
-        return row
-
     def next_batch(self, max_rows: int) -> typing.Generator:
         # Cap the morsel at the rows left until the fullest channel
         # buffer rotates: a morsel never straddles a flush boundary, so
-        # buffers ship as soon as their 50th row is produced — the same
-        # pipeline latency as the per-tuple path — instead of waiting
-        # for the whole morsel's upstream work.  Morsels re-align at
-        # each boundary (e.g. 32, 32, 18, 32, ... for buffer size 50).
+        # a buffer ships as soon as its last row is produced instead of
+        # waiting for the whole morsel's upstream work.  Morsels
+        # re-align at each boundary (e.g. 32, 18, 32, 18, ... for
+        # buffer size 50 on one channel).
         max_rows = max(1, min(
             max_rows,
             min(self.ctx.engine_config.buffer_size - filled
                 for filled in self._buffer_rows)))
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
+        # A replay reopened the subplan after it had finished: clear the
+        # flag so termination detection waits for the new outputs to be
+        # flushed and re-announced.
         self.finished = False
         if self.ctx.monitor is not None:
             yield from self.ctx.machine.work_batch(
@@ -221,10 +200,9 @@ class ExchangeProducer(UnaryOperator):
                 len(batch))
         # Route and place the whole batch synchronously (no simulated
         # time passes), so a distribution update arriving mid-batch
-        # sees every row in the buffers/logs — exactly as the per-tuple
-        # path, where routing and buffering are atomic per row.  The
-        # aggregated log cost and the rotated-out full buffers are paid
-        # and transmitted afterwards.
+        # sees every row in the buffers/logs: routing and buffering are
+        # atomic per morsel.  The aggregated log cost and the
+        # rotated-out full buffers are paid and transmitted afterwards.
         logged = 0
         sends: list[tuple[int, list, int]] = []
         extras: dict[int, list[Row]] = {}
@@ -252,47 +230,29 @@ class ExchangeProducer(UnaryOperator):
 
     # -- internals ----------------------------------------------------------
 
-    def _enqueue(self, index: int, row: Row) -> typing.Generator:
-        self._buffers[index].append(row)
-        self._buffer_rows[index] += 1
-        self._attributed[index].add(row.tid)
-        if self._retained is not None:
-            self._retained[row.tid] = row
-        log = self._logs[index]
-        if log is not None:
-            yield from self.ctx.machine.work("log-append", self._log_work)
-            log.append(row)
-        self._since_checkpoint[index] += 1
-        self._channel_sent_rows[index] += 1
-        if (log is not None
-                and self._since_checkpoint[index]
-                >= self.ctx.engine_config.checkpoint_interval):
-            self._insert_checkpoint(index)
-        if self._buffer_rows[index] >= self.ctx.engine_config.buffer_size:
-            yield from self._flush(index)
-
     def _place_batch(self, index: int, rows: typing.Sequence[Row]
                      ) -> tuple[int, list[tuple[int, list, int]]]:
         """Synchronously buffer and log ``rows`` on channel ``index``.
 
-        The batch-granular half of :meth:`_enqueue` that must not yield:
-        rows are chunked at exactly the per-tuple checkpoint and
-        buffer-flush boundaries, with full buffers rotated out for later
-        transmission.  Returns ``(logged_count, sends)`` where ``sends``
-        are rotated buffers as ``(index, items, row_count)``; the caller
-        charges the aggregated log-append work and transmits via
+        With :meth:`_settle_batch`, the one place a row becomes
+        buffered, attributed, retained, logged, checkpointed and
+        rotated.  This half must not yield: rows are chunked so that a
+        checkpoint marker follows every ``checkpoint_interval``-th row
+        and a buffer rotates out at its ``buffer_size``-th.  Returns
+        ``(logged_count, sends)`` where ``sends`` are rotated buffers
+        as ``(index, items, row_count)``; the caller charges the
+        aggregated log-append work and transmits via
         :meth:`_settle_batch`.
 
         ``rows`` may be a :class:`Batch` (the routing fast paths hand
         whole batches through).  On the block wire each chunk lands in
         the buffer as one ``Batch`` block — sliced column-wise when the
         source is column-backed, so no ``Row`` is materialized — with
-        checkpoint markers between blocks exactly where the per-row
-        wire would put them.
+        checkpoint markers between blocks.
         """
         log = self._logs[index]
         config = self.ctx.engine_config
-        block_wire = self._block_wire
+        block_wire = not self.state_channel
         is_batch = isinstance(rows, Batch)
         if is_batch and not block_wire:
             rows = rows.rows
@@ -665,22 +625,7 @@ class ExchangeProducer(UnaryOperator):
         if not replays:
             return
         self.state_replays += 1
-        if self.ctx.engine_config.batch_size == 1:
-            for target, replay_rows in replays.items():
-                for row in replay_rows:
-                    yield from self._enqueue(target, row)
-                    self.tuples_moved += 1
-        else:
-            logged = 0
-            sends: list[tuple[int, list, int]] = []
-            for target, replay_rows in replays.items():
-                target_logged, target_sends = self._place_batch(
-                    target, replay_rows)
-                logged += target_logged
-                sends.extend(target_sends)
-                self.tuples_moved += len(replay_rows)
-            yield from self._settle_batch(logged, sends)
-        yield from self._flush_all()
+        yield from self._replay_rows(replays)
 
     def _replay_moves(self, moves: dict[int, list[tuple[Row, int]]]
                       ) -> typing.Generator:
@@ -718,25 +663,25 @@ class ExchangeProducer(UnaryOperator):
         # Replay moved tuples on their new channels and confirm delivery
         # (synchronous flush): the receiving consumers observe replayed
         # state before any discard can tear the old copy down.
-        if self.ctx.engine_config.batch_size == 1:
-            for channel_moves in moves.values():
-                for row, target in channel_moves:
-                    yield from self._enqueue(target, row)
-                    self.tuples_moved += 1
-        else:
-            replays: dict[int, list[Row]] = {}
-            for channel_moves in moves.values():
-                for row, target in channel_moves:
-                    replays.setdefault(target, []).append(row)
-                    self.tuples_moved += 1
-            logged = 0
-            sends: list[tuple[int, list, int]] = []
-            for target, replay_rows in replays.items():
-                target_logged, target_sends = self._place_batch(
-                    target, replay_rows)
-                logged += target_logged
-                sends.extend(target_sends)
-            yield from self._settle_batch(logged, sends)
+        replays: dict[int, list[Row]] = {}
+        for channel_moves in moves.values():
+            for row, target in channel_moves:
+                replays.setdefault(target, []).append(row)
+        yield from self._replay_rows(replays)
+
+    def _replay_rows(self, replays: dict[int, list[Row]]
+                     ) -> typing.Generator:
+        """Place ``replays`` (target channel -> rows), pay, transmit and
+        flush: delivery is confirmed when this returns."""
+        logged = 0
+        sends: list[tuple[int, list, int]] = []
+        for target, replay_rows in replays.items():
+            target_logged, target_sends = self._place_batch(
+                target, replay_rows)
+            logged += target_logged
+            sends.extend(target_sends)
+            self.tuples_moved += len(replay_rows)
+        yield from self._settle_batch(logged, sends)
         yield from self._flush_all()
 
     def _buffered_rows(self, index: int) -> list[Row]:
@@ -841,7 +786,7 @@ class ExchangeConsumer(Operator):
 
         Retracted rows may sit in the queue as individual entries or
         inside wire blocks; blocks are filtered in place (an event-free
-        rebuild, like ``remove_if``).
+        :meth:`~repro.sim.stores.Store.remap`).
         """
         tids = discard.tids
         removed_rows = [0]
@@ -895,47 +840,6 @@ class ExchangeConsumer(Operator):
 
     # -- iterator protocol ----------------------------------------------------
 
-    def next(self) -> typing.Generator:
-        while True:
-            if self.aborted:
-                return END
-            # Drain whatever is already queued (rows return, control
-            # items — checkpoints, recheck sentinels — are absorbed)
-            # before judging completion, so sentinels never linger.
-            while len(self.queue) > 0:
-                producer_id, item = yield self.queue.get()
-                if isinstance(item, Batch):
-                    return self._split_block(producer_id, item)
-                row = yield from self._handle(producer_id, item)
-                if row is not None:
-                    return row
-            if self.is_complete():
-                return END
-            waited_from = self.env.now
-            producer_id, item = yield self.queue.get()
-            waited = self.env.now - waited_from
-            if waited > 0:
-                self.ctx.metrics.record_wait(waited)
-            if isinstance(item, Batch):
-                return self._split_block(producer_id, item)
-            row = yield from self._handle(producer_id, item)
-            if row is not None:
-                return row
-
-    def _split_block(self, producer_id: str, block: Batch) -> Row:
-        """Serve one row from a wire block on a per-tuple path.
-
-        The remainder goes back to the queue head, so the per-row get
-        cadence — one StoreGet per row served — matches the row wire
-        exactly even when a degenerate caller (``max_rows=1``) meets a
-        block.
-        """
-        head, rest = block.split_at(1)
-        if len(rest):
-            self.queue.put_back([(producer_id, rest)])
-        self._handle_block(producer_id, head)
-        return head[0]
-
     def _accept_block(self, producer_id: str, block: Batch,
                       need: int) -> Batch:
         """Absorb up to ``need`` rows of a wire block, re-queueing the
@@ -947,8 +851,6 @@ class ExchangeConsumer(Operator):
         return block
 
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         #: Accepted parts in arrival order: wire blocks (column-backed
         #: or row-backed) and individual rows, assembled into one batch
         #: at the end — a single whole block passes through untouched.
@@ -1017,11 +919,13 @@ class ExchangeConsumer(Operator):
                              else Batch([part]) for part in parts])
 
     def try_next(self) -> typing.Generator:
-        """Non-blocking variant: a Row, or None when the queue is idle."""
+        """Non-blocking variant: a Row, or None when the queue is idle.
+
+        Only for row-wire channels (a join's build consumer, fed by a
+        state channel): a wire block here is an unexpected queue item.
+        """
         while len(self.queue) > 0:
             producer_id, item = yield self.queue.get()
-            if isinstance(item, Batch):
-                return self._split_block(producer_id, item)
             row = yield from self._handle(producer_id, item)
             if row is not None:
                 return row

@@ -27,16 +27,6 @@ class Select(UnaryOperator):
         self.predicate = predicate
         self.description = description
 
-    def next(self) -> typing.Generator:
-        while True:
-            row = yield from self.child.next()
-            if row is END:
-                return END
-            yield from self.ctx.machine.work(
-                "select", self.ctx.cost.select_work)
-            if self.predicate(row):
-                return row
-
     def _filter_columnar(self, batch: Batch) -> Batch | None:
         """Vectorized filter; None when every row is dropped.
 
@@ -60,8 +50,6 @@ class Select(UnaryOperator):
             [tids[i] for i in keep])
 
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         columnar = isinstance(self.predicate, ColumnPredicate)
         # The predicate is charged per input row; empty post-filter
         # batches are retried so callers only ever see non-empty ones.
@@ -89,17 +77,7 @@ class Project(UnaryOperator):
         super().__init__(ctx, child)
         self.positions = list(positions)
 
-    def next(self) -> typing.Generator:
-        row = yield from self.child.next()
-        if row is END:
-            return END
-        yield from self.ctx.machine.work(
-            "project", self.ctx.cost.project_work)
-        return row.project(self.positions)
-
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END

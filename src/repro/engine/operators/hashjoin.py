@@ -13,17 +13,16 @@ from its build consumer before each probe step, so replays take effect
 immediately.  Exactly-once results are guaranteed by sink-side
 deduplication of the composed (probe tid, build tid) provenance.
 
-Held matches are a FIFO: a probe tuple with a large match fan-out
-produces many outputs that drain across several ``next``/``next_batch``
-calls.  Matches made by the per-tuple ``next`` queue in a
-``collections.deque`` (``_pending``), those made by ``next_batch`` in a
-column-backed block split from the front (``_pending_block``) —
-draining a list with ``pop(0)`` made skewed keys O(n²) in the fan-out.
+Held matches are a FIFO: a probe morsel with a large match fan-out
+produces many outputs that drain across several ``next_batch`` calls.
+They are held as one column-backed block plus an integer cursor; each
+pull slices ``max_rows`` rows at the cursor, so draining is linear in
+the fan-out however small the pulls are (re-slicing the remainder on
+every pull made skewed keys O(n²)).
 """
 
 from __future__ import annotations
 
-import collections
 import typing
 
 from repro.data.batch import Batch
@@ -49,12 +48,10 @@ class HashJoin(Operator):
         self.probe_key_position = probe_key_position
         self._table: dict[typing.Any, list[Row]] = {}
         self._key_of_tid: dict[Tid, typing.Any] = {}
-        self._pending: collections.deque[Row] = collections.deque()
-        # Column-backed held matches of a ``next_batch`` probe.  At most
-        # one of ``_pending`` / ``_pending_block`` is non-empty at any
-        # time: matches are only produced when both are drained, so
-        # output order is preserved across mixed next/next_batch calls.
+        # Held matches: rows [_pending_cursor:] of the block are still
+        # to be served.  Matches are only produced once it is drained.
         self._pending_block: Batch | None = None
+        self._pending_cursor = 0
         self.build_count = 0
         self.probe_count = 0
 
@@ -95,8 +92,6 @@ class HashJoin(Operator):
         yield from self.probe_child.open()
         # Blocking build phase: drain the build channel completely
         # before probing, so every probe sees the full (local) state.
-        # At batch_size 1 next_batch/work_batch degrade to exactly the
-        # per-tuple next/work calls.
         max_rows = self.ctx.engine_config.batch_size
         while True:
             batch = yield from self.build_child.next_batch(max_rows)
@@ -132,46 +127,21 @@ class HashJoin(Operator):
                 LABEL_BUILD, self.ctx.cost.join_build_work)
             self.insert_build_row(row)
 
-    def next(self) -> typing.Generator:
-        while True:
-            if self._pending:
-                return self._pending.popleft()
-            if self._pending_block is not None:
-                head, rest = self._pending_block.split_at(1)
-                self._pending_block = rest if len(rest) else None
-                return head[0]
-            yield from self._drain_late_build()
-            probe_row = yield from self.probe_child.next()
-            if probe_row is END:
-                return END
-            yield from self.ctx.machine.work(
-                LABEL_PROBE, self.ctx.cost.join_probe_work)
-            self.probe_count += 1
-            key = probe_row.values[self.probe_key_position]
-            for build_row in self._table.get(key, []):
-                self._pending.append(
-                    probe_row.extend(build_row.values, build_row.tid))
-
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         while True:
-            if self._pending:
+            block = self._pending_block
+            if block is not None:
                 # Ship held matches before pumping more input: the probe
                 # channel may acknowledge a checkpoint while being
                 # pumped, which asserts these outputs reached the next
                 # stage already.
-                take = min(max_rows, len(self._pending))
-                pending = self._pending
-                return Batch([pending.popleft() for _ in range(take)])
-            if self._pending_block is not None:
-                block = self._pending_block
-                if len(block) <= max_rows:
+                start = self._pending_cursor
+                self._pending_cursor = stop = start + max_rows
+                if stop >= len(block):
                     self._pending_block = None
-                    return block
-                head, rest = block.split_at(max_rows)
-                self._pending_block = rest
-                return head
+                    if start == 0:
+                        return block
+                return block.slice(start, stop)
             yield from self._drain_late_build()
             probe = yield from self.probe_child.next_batch(max_rows)
             if probe is END:
@@ -218,11 +188,11 @@ class HashJoin(Operator):
                 tids.append((probe_tid, build_row.tid))
         if tids:
             self._pending_block = Batch.from_columns(columns, tids)
+            self._pending_cursor = 0
 
     def close(self) -> typing.Generator:
         yield from self.build_child.close()
         yield from self.probe_child.close()
         self._table.clear()
         self._key_of_tid.clear()
-        self._pending.clear()
         self._pending_block = None

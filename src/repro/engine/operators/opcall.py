@@ -48,26 +48,11 @@ class OperationCall(UnaryOperator):
             yield from self.ctx.machine.work(
                 self.operation.work_label, self.operation.base_work_ms)
 
-    def next(self) -> typing.Generator:
-        row = yield from self.child.next()
-        if row is END:
-            return END
-        # Invocation plumbing plus the (perturbable) service work.
-        yield from self.ctx.machine.work(
-            "opcall", self.ctx.cost.opcall_overhead_work)
-        yield from self.ctx.machine.work(
-            self.operation.work_label, self.operation.base_work_ms)
-        yield from self._retry_transient_failures()
-        result = self.operation.invoke(row.values[self.arg_position])
-        self.calls_made += 1
-        return row.replace_values(row.values + (result,))
-
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
+        # Invocation plumbing plus the (perturbable) service work.
         yield from self.ctx.machine.work_batch(
             "opcall", self.ctx.cost.opcall_overhead_work, len(batch))
         yield from self.ctx.machine.work_batch(

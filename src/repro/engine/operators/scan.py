@@ -32,19 +32,7 @@ class TableScan(Operator):
         return
         yield  # pragma: no cover - generator form
 
-    def next(self) -> typing.Generator:
-        rows = self.gds.read(self._cursor, 1)
-        if not rows:
-            return END
-        self._cursor += 1
-        work = (self.gds.access_work_per_tuple
-                + self.ctx.cost.scan_work_per_tuple)
-        yield from self.ctx.machine.work(self.work_label, work)
-        return rows[0]
-
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         # Batches are born column-backed here (slices of the relation's
         # column store) and stay so through the downstream plane.
         batch = self.gds.read_block(self._cursor, max_rows)

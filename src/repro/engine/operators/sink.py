@@ -33,23 +33,7 @@ class ResultSink(UnaryOperator):
         #: reopen the result channel).
         self.completed_at: float | None = None
 
-    def next(self) -> typing.Generator:
-        row = yield from self.child.next()
-        if row is END:
-            return END
-        yield from self.ctx.machine.work("sink", self.ctx.cost.sink_work)
-        if row.tid in self._seen:
-            self.duplicates_dropped += 1
-        else:
-            self._seen.add(row.tid)
-            self.results.append(row)
-            if self.aggregator is not None:
-                self.aggregator.add(row)
-        return row
-
     def next_batch(self, max_rows: int) -> typing.Generator:
-        if max_rows == 1:
-            return (yield from Operator.next_batch(self, max_rows))
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END

@@ -174,9 +174,6 @@ class Machine:
         """Attach a perturbation model to this machine."""
         self.perturbations.append(perturbation)
 
-    def clear_perturbations(self) -> None:
-        self.perturbations.clear()
-
     def effect_of(self, label: str, work: float) -> WorkEffect:
         """Perturbed (cpu_work, delay) for ``work`` units of ``label``."""
         effect = WorkEffect(cpu_work=work)

@@ -74,10 +74,6 @@ class Network:
             endpoint_name, machine_name, mailbox)
         return mailbox
 
-    def unregister(self, endpoint_name: str) -> None:
-        """Remove an endpoint (e.g. when a service shuts down)."""
-        self._endpoints.pop(endpoint_name, None)
-
     def deactivate(self, endpoint_name: str) -> None:
         """Mark an endpoint crashed: future messages are blackholed."""
         endpoint = self._endpoints.get(endpoint_name)
@@ -89,15 +85,6 @@ class Network:
             return self._endpoints[name]
         except KeyError:
             raise NetworkError(f"unknown endpoint: {name}") from None
-
-    def machine_of(self, endpoint_name: str) -> str:
-        """Machine hosting ``endpoint_name``."""
-        return self.endpoint(endpoint_name).machine_name
-
-    def is_local(self, sender: str, recipient: str) -> bool:
-        """True when both endpoints live on the same machine."""
-        return (self.endpoint(sender).machine_name
-                == self.endpoint(recipient).machine_name)
 
     def link_between(self, src_machine: str, dst_machine: str) -> Link:
         """The (lazily created) link for an ordered machine pair."""

@@ -87,10 +87,6 @@ class LogicalPlan:
     def is_join_query(self) -> bool:
         return self.join is not None
 
-    @property
-    def is_aggregate_query(self) -> bool:
-        return self.aggregation is not None
-
 
 def _resolve(reference: ColumnRef,
              scans: typing.Sequence[LogicalScan]) -> tuple[LogicalScan, int]:

@@ -50,13 +50,8 @@ class RecoveryLog:
         return (sum(_segment_rows(seg) for seg in self._sealed.values())
                 + _segment_rows(self._open))
 
-    def append(self, row: Row) -> None:
-        """Log a tuple just sent on this channel."""
-        self._open.append(row)
-        self.appended_total += 1
-
     def append_batch(self, rows: typing.Sequence[Row]) -> None:
-        """Log a batch of tuples in order (one call per log segment).
+        """Log tuples just sent on this channel, in order.
 
         Callers segment batches at checkpoint boundaries, so a batch
         never spans a :meth:`seal`; per-tuple provenance is preserved

@@ -69,11 +69,6 @@ class GridService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def shutdown(self) -> None:
-        """Stop dispatching and release the endpoint."""
-        self._running = False
-        self.network.unregister(self.name)
-
     def crash(self) -> None:
         """Simulate a host failure taking this service down.
 

@@ -46,10 +46,7 @@ class GridDataService(GridService):
         }
         yield  # pragma: no cover - generator form required by dispatcher
 
-    def read(self, start: int, count: int) -> list:
-        """Local rows ``[start, start+count)`` (used by co-located scans)."""
-        return self.relation.rows[start:start + count]
-
     def read_block(self, start: int, count: int):
-        """Like :meth:`read` but as a columnar batch (same rows/tids)."""
+        """Local rows ``[start, start+count)`` as a columnar batch (used
+        by co-located scans)."""
         return self.relation.read_block(start, count)

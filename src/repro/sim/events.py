@@ -104,9 +104,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def _mark_processed(self) -> None:
-        self._processed = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending")

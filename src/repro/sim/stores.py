@@ -124,10 +124,6 @@ class Store:
             self.items.appendleft(item)
         self._settle()
 
-    def peek_all(self) -> list[typing.Any]:
-        """Snapshot of buffered items (used by recovery/introspection)."""
-        return list(self.items)
-
     def drain(self) -> list[typing.Any]:
         """Remove and return all buffered items without waking getters.
 
@@ -139,26 +135,12 @@ class Store:
         self._settle()
         return drained
 
-    def remove_if(self, predicate: typing.Callable[[typing.Any], bool]
-                  ) -> list[typing.Any]:
-        """Remove and return buffered items matching ``predicate``."""
-        kept: collections.deque[typing.Any] = collections.deque()
-        removed: list[typing.Any] = []
-        for item in self.items:
-            if predicate(item):
-                removed.append(item)
-            else:
-                kept.append(item)
-        self.items = kept
-        self._settle()
-        return removed
-
     def remap(self, mapper: typing.Callable[[typing.Any], typing.Any]
               ) -> None:
         """Rewrite buffered items in place: ``mapper(item)`` returns the
         replacement item, or ``None`` to drop it.  Order is preserved
-        and no events fire (the generalized ``remove_if``, used to
-        filter rows *inside* composite items such as wire blocks)."""
+        and no events fire (used to filter rows *inside* composite items
+        such as wire blocks)."""
         kept: collections.deque[typing.Any] = collections.deque()
         for item in self.items:
             replacement = mapper(item)

@@ -81,6 +81,14 @@ class TestDetectorThresholds:
         assert payload.kind == "m1"
         assert payload.average_value == pytest.approx(5.0)
 
+    def test_counted_submission_is_that_many_observations(self):
+        config = AdaptivityConfig(min_window_events=3)
+        context, detector, subscriber = make_detector(config)
+        detector.submit_m1(m1(5.0), count=3)
+        context.env.run()
+        assert detector.raw_events_received == 3
+        assert len(subscriber.received) == 1
+
     def test_stable_average_stays_silent(self):
         context, detector, subscriber = make_detector()
         for _ in range(20):

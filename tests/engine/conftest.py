@@ -48,10 +48,11 @@ def drain(env, operator):
         yield from operator.open()
         rows = []
         while True:
-            row = yield from operator.next()
-            if row is END:
+            batch = yield from operator.next_batch(
+                operator.ctx.engine_config.batch_size)
+            if batch is END:
                 break
-            rows.append(row)
+            rows.extend(batch)
         yield from operator.close()
         return rows
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import AdaptivityConfig, CostModel, EngineConfig
 from repro.core import M1Event, MonitoringEventDetector
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.evaluator import Fragment
 from repro.engine.metrics import SubplanMetrics
@@ -22,12 +23,12 @@ class TimedSource(Operator):
         self.finish_calls = 0
         self.closed = False
 
-    def next(self):
+    def next_batch(self, max_rows):
         if self._produced >= self.count:
             return END
         self._produced += 1
         yield from self.ctx.machine.work("source", self.work)
-        return Row((self._produced,), f"t#{self._produced}")
+        return Batch([Row((self._produced,), f"t#{self._produced}")])
 
     def finish(self):
         self.finish_calls += 1
@@ -138,8 +139,8 @@ class TestFragmentPump:
         captured = []
 
         class FakeDetector:
-            def submit_m1(self, event: M1Event):
-                captured.append(event)
+            def submit_m1(self, event: M1Event, count=1):
+                captured.extend([event] * count)
 
         ctx = EvalContext(
             grid=context, machine=context.machine("m1"),

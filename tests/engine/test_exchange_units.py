@@ -1,6 +1,7 @@
 """Direct unit tests for exchange producer/consumer internals."""
 
 from repro.config import CostModel, EngineConfig
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.control import (
     ChannelAnnouncement,
@@ -25,12 +26,12 @@ class ListSource(Operator):
         self.rows = list(rows)
         self._cursor = 0
 
-    def next(self):
-        if self._cursor >= len(self.rows):
+    def next_batch(self, max_rows):
+        rows = self.rows[self._cursor:self._cursor + max_rows]
+        if not rows:
             return END
-        row = self.rows[self._cursor]
-        self._cursor += 1
-        return row
+        self._cursor += len(rows)
+        return Batch(rows)
         yield  # pragma: no cover
 
 
@@ -50,8 +51,11 @@ class CapturingService:
         rows = []
         for rcpt, _kind, payload in self.sent:
             if rcpt == recipient and hasattr(payload, "items"):
-                rows.extend(i for i in payload.items
-                            if isinstance(i, Row))
+                for item in payload.items:
+                    if isinstance(item, Batch):  # a wire block
+                        rows.extend(item)
+                    elif isinstance(item, Row):
+                        rows.append(item)
         return rows
 
 
@@ -83,8 +87,9 @@ def make_world(policy=None, consumers=2, logging_enabled=True,
 def pump(context, producer):
     def body(env):
         while True:
-            row = yield from producer.next()
-            if row is END:
+            batch = yield from producer.next_batch(
+                producer.ctx.engine_config.batch_size)
+            if batch is END:
                 break
         yield from producer.finish()
 
@@ -102,6 +107,27 @@ class TestProducerInternals:
         sent = (service.data_rows_to("gqes-0")
                 + service.data_rows_to("gqes-1"))
         assert {r.tid for r in sent} == {r.tid for r in rows}
+
+    def test_morsel_is_capped_one_row_short_of_a_flush(self):
+        context, _ctx, producer, service, rows = make_world(
+            consumers=1, checkpoint_interval=4)
+
+        def body(env):
+            yield from producer.next_batch(3)
+            assert service.sent == []  # buffer_size - 1 rows buffered
+            return (yield from producer.next_batch(32))
+
+        process = context.env.process(body(context.env))
+        context.env.run(until=process)
+        assert [r.tid for r in process.value] == ["t#3"]
+        (_recipient, _kind, payload), = service.sent
+        assert payload.tuple_count == 4
+        assert ([r.tid for r in service.data_rows_to("gqes-0")]
+                == [r.tid for r in rows[:4]])
+        # The marker closes the buffer it checkpoints.
+        assert payload.items[-1] == Checkpoint(1, "xp:feed0:0", 4)
+        assert not any(isinstance(item, Checkpoint)
+                       for item in payload.items[:-1])
 
     def test_checkpoints_inserted_at_interval(self):
         context, _ctx, producer, service, _rows = make_world(
@@ -217,10 +243,10 @@ class TestConsumerInternals:
         def body(env):
             rows = []
             for _ in range(count):
-                row = yield from consumer.next()
-                if row is END:
+                batch = yield from consumer.next_batch(1)
+                if batch is END:
                     break
-                rows.append(row)
+                rows.extend(batch)
             return rows
 
         process = context.env.process(body(context.env))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.operators import (
     HashJoin,
@@ -24,12 +25,12 @@ class ListSource(Operator):
         self.rows = list(rows)
         self._cursor = 0
 
-    def next(self):
+    def next_batch(self, max_rows):
         if self._cursor >= len(self.rows):
             return END
         row = self.rows[self._cursor]
         self._cursor += 1
-        return row
+        return Batch([row])
         yield  # pragma: no cover
 
 
@@ -122,22 +123,12 @@ class TestOperationCall:
             100.0 + eval_ctx.cost.opcall_overhead_work)
 
 
-class FakeConsumer(Operator):
+class FakeConsumer(ListSource):
     """Stands in for an ExchangeConsumer feeding a join in unit tests."""
 
     def __init__(self, ctx, rows):
-        super().__init__(ctx)
-        self.rows = list(rows)
-        self._cursor = 0
+        super().__init__(ctx, rows)
         self.late_rows = []
-
-    def next(self):
-        if self._cursor >= len(self.rows):
-            return END
-        row = self.rows[self._cursor]
-        self._cursor += 1
-        return row
-        yield  # pragma: no cover
 
     def try_next(self):
         if self.late_rows:

@@ -22,10 +22,13 @@ Two groups of cells, both captured for the two CI grid seeds:
   the hash join's build channel became a state channel), selected
   through ``policy="paper-XY"`` so name-keyed creation is pinned too.
 * ``<scenario>|bs<k>|seed<n>`` — static, deterministic, stochastic and
-  stateful-join runs across the batch-size axis on a 150×220 world;
+  stateful-join runs across the batch-size axis on a 150×220 world
+  (``bs1`` = one-row morsels through the same operator code);
   captured on the last commit that still shipped the alternative
   kernel, row data plane and per-query failure monitor, where all of
-  those were property-tested bit-identical to what remains.
+  those were property-tested bit-identical to what remains.  The four
+  ``bs1`` R1 cells were recaptured when the per-tuple ``next()`` chain
+  was deleted (see the comment above them).
 
 To recapture after an *intended* behaviour change (prints the table
 for both seeds; paste it over ``GOLDEN``)::
@@ -146,10 +149,19 @@ GOLDEN = {
                                   4698.948061057615, 1),
     "Q1-stochastic|bs128|seed1": ("b61b751609a84919", "5bd6caf804b3caf0",
                                   4622.776550597969, 1),
-    "Q1-ws10|bs1|seed0": ("f456fc953f697d4d", "b1bbaa6d1bcd01b8",
-                          1682.1170399999887, 1),
-    "Q1-ws10|bs1|seed1": ("fcf1613b1ca323c0", "b1bbaa6d1bcd01b8",
-                          1682.1170399999887, 1),
+    # The four bs1 R1 cells (these two and Q2-sleep20|bs1) were
+    # recaptured when the per-tuple next() chain was deleted.  With only
+    # its dispatch branches removed all 46 cells matched unmodified;
+    # deleting the chain then moved exactly these, rows sha and
+    # adaptation count unchanged: an R1 replay at one-row morsels used
+    # to charge log-append per moved row and flush channel by channel,
+    # and now charges one burst and transmits after placing, as at
+    # every other batch size (Q1 response 1682.1170 -> 1684.3370 ms,
+    # +0.13 %; Q2 response identical, trace only).
+    "Q1-ws10|bs1|seed0": ("f456fc953f697d4d", "146d252ce9464584",
+                          1684.337039999993, 1),
+    "Q1-ws10|bs1|seed1": ("fcf1613b1ca323c0", "146d252ce9464584",
+                          1684.337039999993, 1),
     "Q1-ws10|bs32|seed0": ("1849920cc5eba574", "59958e7738d9b167",
                            1687.03704, 1),
     "Q1-ws10|bs32|seed1": ("c039493567ceb55d", "59958e7738d9b167",
@@ -158,9 +170,9 @@ GOLDEN = {
                             1687.03704, 1),
     "Q1-ws10|bs128|seed1": ("c039493567ceb55d", "59958e7738d9b167",
                             1687.03704, 1),
-    "Q2-sleep20|bs1|seed0": ("85b7c868a3018b1c", "ebadbe98a1c45ecd",
+    "Q2-sleep20|bs1|seed0": ("85b7c868a3018b1c", "7e0a4829e27cccb9",
                              2024.5981600000066, 1),
-    "Q2-sleep20|bs1|seed1": ("fa2c0eeaa728b7d6", "d2e4821e090c613d",
+    "Q2-sleep20|bs1|seed1": ("fa2c0eeaa728b7d6", "301f88db3ded90d1",
                              2031.1374400000093, 1),
     "Q2-sleep20|bs32|seed0": ("85b7c868a3018b1c", "97dfd731a8f4c7b5",
                               2042.4821600000014, 1),

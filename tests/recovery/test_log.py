@@ -17,10 +17,10 @@ class TestRecoveryLog:
     def test_outstanding_contains_all_unacked(self):
         log = RecoveryLog("ch")
         for row in rows(0, 5):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         for row in rows(5, 3):
-            log.append(row)
+            log.append_batch([row])
         assert [r.tid for r in log.outstanding()] == [
             f"t#{i}" for i in range(8)]
         assert len(log) == 8
@@ -28,10 +28,10 @@ class TestRecoveryLog:
     def test_acknowledge_prunes_up_to_checkpoint(self):
         log = RecoveryLog("ch")
         for row in rows(0, 4):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         for row in rows(4, 4):
-            log.append(row)
+            log.append_batch([row])
         log.seal(2)
         freed = log.acknowledge(1)
         assert freed == 4
@@ -42,14 +42,14 @@ class TestRecoveryLog:
         log = RecoveryLog("ch")
         for checkpoint in (1, 2, 3):
             for row in rows(checkpoint * 10, 2):
-                log.append(row)
+                log.append_batch([row])
             log.seal(checkpoint)
         assert log.acknowledge(2) == 4
         assert len(log) == 2
 
     def test_acknowledge_unknown_checkpoint_is_noop(self):
         log = RecoveryLog("ch")
-        log.append(rows(0, 1)[0])
+        log.append_batch(rows(0, 1))
         assert log.acknowledge(99) == 0  # open segment never pruned
         assert len(log) == 1
 
@@ -64,10 +64,10 @@ class TestRecoveryLog:
     def test_remove_extracts_moved_tuples(self):
         log = RecoveryLog("ch")
         for row in rows(0, 6):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         for row in rows(6, 2):
-            log.append(row)
+            log.append_batch([row])
         removed = log.remove({"t#1", "t#6"})
         assert sorted(r.tid for r in removed) == ["t#1", "t#6"]
         assert len(log) == 6
@@ -75,14 +75,14 @@ class TestRecoveryLog:
 
     def test_remove_unknown_tids_is_noop(self):
         log = RecoveryLog("ch")
-        log.append(rows(0, 1)[0])
+        log.append_batch(rows(0, 1))
         assert log.remove({"nope"}) == []
         assert len(log) == 1
 
     def test_clear(self):
         log = RecoveryLog("ch")
         for row in rows(0, 5):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         log.clear()
         assert len(log) == 0
@@ -91,7 +91,7 @@ class TestRecoveryLog:
     def test_counters(self):
         log = RecoveryLog("ch")
         for row in rows(0, 10):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         log.acknowledge(1)
         assert log.appended_total == 10
@@ -102,7 +102,7 @@ class TestRecoveryLogEdgeCases:
     def test_acknowledge_below_earliest_sealed_frees_nothing(self):
         log = RecoveryLog("ch")
         for row in rows(0, 3):
-            log.append(row)
+            log.append_batch([row])
         log.seal(5)
         assert log.acknowledge(4) == 0
         assert len(log) == 3
@@ -114,10 +114,10 @@ class TestRecoveryLogEdgeCases:
         # prunes every segment at or below it and nothing above.
         log = RecoveryLog("ch")
         for row in rows(0, 2):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         for row in rows(2, 2):
-            log.append(row)
+            log.append_batch([row])
         log.seal(3)
         assert log.acknowledge(2) == 2
         assert [r.tid for r in log.outstanding()] == ["t#2", "t#3"]
@@ -125,7 +125,7 @@ class TestRecoveryLogEdgeCases:
     def test_repeated_ack_is_idempotent(self):
         log = RecoveryLog("ch")
         for row in rows(0, 2):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         assert log.acknowledge(1) == 2
         assert log.acknowledge(1) == 0
@@ -139,7 +139,7 @@ class TestRecoveryLogEdgeCases:
         log.seal(1)
         assert len(log) == 0
         for row in rows(0, 3):
-            log.append(row)
+            log.append_batch([row])
         log.seal(2)
         assert log.acknowledge(1) == 0
         assert log.acknowledge(2) == 3
@@ -150,7 +150,7 @@ class TestRecoveryLogEdgeCases:
     def test_segment_emptied_by_remove_survives_ack(self):
         log = RecoveryLog("ch")
         for row in rows(0, 2):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         removed = log.remove({"t#0", "t#1"})
         assert len(removed) == 2
@@ -163,10 +163,10 @@ class TestRecoveryLogEdgeCases:
         # the tail of the open segment.
         log = RecoveryLog("ch")
         for row in rows(0, 4):
-            log.append(row)
+            log.append_batch([row])
         log.seal(1)
         for row in rows(4, 4):
-            log.append(row)
+            log.append_batch([row])
         log.seal(2)
         log.acknowledge(1)
         assert [r.tid for r in log.outstanding()] == [
@@ -193,7 +193,7 @@ def test_log_invariant_outstanding_equals_appended_minus_acked(script):
     pending_checkpoints = []
     for count, do_ack in script:
         for row in rows(appended, count):
-            log.append(row)
+            log.append_batch([row])
         appended += count
         checkpoint += 1
         log.seal(checkpoint)

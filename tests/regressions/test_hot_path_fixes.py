@@ -3,7 +3,8 @@
 Three quadratic hot paths were fixed together with the columnar data
 plane; each test here fails against the pre-fix code:
 
-* ``HashJoin._pending`` drained with ``list.pop(0)`` — O(n²) in the
+* ``HashJoin``'s held matches drained by re-slicing the remainder on
+  every pull (and, before that, with ``list.pop(0)``) — O(n²) in the
   match fan-out of a skewed probe key;
 * ``rebalance_outstanding`` popped drained receivers off the head of
   a list — O(n²) in the receiver count;
@@ -11,14 +12,15 @@ plane; each test here fails against the pre-fix code:
   full sorts per ``summary()`` call.
 
 Micro-benchmark note (1-vCPU CI-class host, N = 200 000): the pending
-drain took ~3.3 s with ``pop(0)`` and ~0.09 s with the deque;
-``rebalance_outstanding`` took ~3.4 s with the shifting receiver list
-and ~0.35 s with the cursor.  The 2 s limits below sit between the
-two regimes with an order-of-magnitude margin on either side.
+drain took ~330 s with ``split_at`` per pull and ~0.3 s with the
+block cursor; ``rebalance_outstanding`` took ~3.4 s with the shifting
+receiver list and ~0.35 s with the cursor.  The 2 s limits below sit
+between the two regimes with a wide margin on either side.
 """
 
 import time
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.distribution import rebalance_outstanding
 from repro.engine.operators.hashjoin import HashJoin
@@ -49,28 +51,36 @@ class _StubContext:
         self.engine_config = EngineConfig()
 
 
+def _held_block(count):
+    """A column-backed block of ``count`` held matches, as a probe
+    morsel with that fan-out leaves behind."""
+    return Batch.from_columns([list(range(count))],
+                              [("probe", i) for i in range(count)])
+
+
 class TestHashJoinPendingDrain:
     def test_skewed_fanout_drains_linearly(self):
-        """A huge held-match queue drains row-at-a-time in linear time,
+        """A huge held block drains one row per pull in linear time,
         preserving FIFO order."""
         join = HashJoin(_StubContext(), None, None, 0, 0)
-        rows = [Row((i,), ("probe", i)) for i in range(_SCALE)]
-        join._pending.extend(rows)
+        block = _held_block(_SCALE)
+        join._pending_block = block
         started = time.perf_counter()
-        drained = [_drive(join.next()) for _ in range(_SCALE)]
+        drained = [_drive(join.next_batch(1)) for _ in range(_SCALE)]
         elapsed = time.perf_counter() - started
-        assert drained == rows
-        assert not join._pending
+        assert join._pending_block is None
+        assert all(len(batch) == 1 for batch in drained)
+        assert [batch.tids()[0] for batch in drained] == block.tids()
         assert elapsed < _LIMIT_S, f"pending drain took {elapsed:.2f}s"
 
     def test_batch_drain_preserves_fifo_order(self):
         join = HashJoin(_StubContext(), None, None, 0, 0)
-        rows = [Row((i,), ("probe", i)) for i in range(100)]
-        join._pending.extend(rows)
+        block = _held_block(100)
+        join._pending_block = block
         drained = []
-        while join._pending:
+        while join._pending_block is not None:
             drained.extend(_drive(join.next_batch(7)))
-        assert drained == rows
+        assert drained == block.rows
 
 
 class TestRebalanceOutstandingDrain:

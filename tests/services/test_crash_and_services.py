@@ -100,10 +100,10 @@ class TestGridDataService:
     def test_read_window(self):
         context = make_context()
         gds = self.make_gds(context)
-        rows = gds.read(5, 3)
+        rows = gds.read_block(5, 3).rows
         assert [r.values[0] for r in rows] == [5, 6, 7]
-        assert gds.read(19, 10)[0].values[0] == 19
-        assert gds.read(50, 5) == []
+        assert gds.read_block(19, 10)[0].values[0] == 19
+        assert len(gds.read_block(50, 5)) == 0
 
     def test_metadata_operation(self):
         context = make_context()

@@ -102,7 +102,7 @@ def test_drain_removes_everything():
     assert len(store) == 0
 
 
-def test_remove_if_filters_buffered_items():
+def test_remap_filters_buffered_items():
     env = Environment()
     store = Store(env)
 
@@ -112,9 +112,8 @@ def test_remove_if_filters_buffered_items():
 
     env.process(body(env))
     env.run()
-    removed = store.remove_if(lambda i: i % 2 == 0)
-    assert removed == [0, 2, 4]
-    assert store.peek_all() == [1, 3, 5]
+    store.remap(lambda i: None if i % 2 == 0 else i)
+    assert store.drain() == [1, 3, 5]
 
 
 def test_zero_capacity_rejected():
