@@ -80,13 +80,19 @@ class Event:
             raise SimulationError("event value inspected before trigger")
         return self._value
 
-    def succeed(self, value: typing.Any = None) -> "Event":
-        """Trigger the event successfully with an optional payload."""
-        if self.triggered:
+    def succeed(self, value: typing.Any = None,
+                delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with an optional payload.
+
+        With ``delay`` the event is queued to fire that much later: a
+        completion or delivery whose time is known when the work starts
+        is its own queued event, not a timeout relayed into one.
+        """
+        if self._value is not _UNSET:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        self.env.schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

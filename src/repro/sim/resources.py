@@ -21,10 +21,12 @@ SpeedFunction = typing.Callable[[float], float]
 
 
 class CpuTask(Event):
-    """A queued unit of CPU work; fires when the work completes.
+    """A unit of CPU work and its own completion event.
 
-    The value is the service time actually consumed (useful for
-    self-monitoring operators, which report measured costs).
+    Queued on the heap when it starts service, to fire when the work
+    completes.  The value is the service time actually consumed
+    (useful for self-monitoring operators, which report measured
+    costs).
     """
 
     __slots__ = ("work", "label", "queued_at", "started_at")
@@ -56,12 +58,11 @@ class Cpu:
             constant = float(speed)
             self._speed_fn = lambda _t: constant
         self._pending: collections.deque[CpuTask] = collections.deque()
-        self._serving = False
-        #: The task currently in service and its computed duration,
-        #: carried between ``_serve_step`` scheduling the service
-        #: timeout and ``_on_task_done`` completing the task.
+        #: The task in service; it sits on the heap as its own
+        #: completion event.
         self._current: CpuTask | None = None
-        self._current_duration = 0.0
+        #: True while a freeze-wait timeout is armed.
+        self._thawing = False
         self._frozen_until = 0.0
         self._closed = False
         self.busy_time = 0.0
@@ -82,24 +83,25 @@ class Cpu:
     @property
     def queue_length(self) -> int:
         """Number of tasks waiting or in service."""
-        return len(self._pending) + (1 if self._serving else 0)
+        return len(self._pending) + (self._current is not None)
 
     def execute(self, work: float, label: str = "work") -> CpuTask:
-        """Submit ``work`` units; the returned event fires on completion."""
+        """Submit ``work`` units; the returned event fires on completion.
+
+        On an idle CPU the task starts service in this call, so
+        same-instant submissions are served in call order.
+        """
         if work < 0:
             raise SimulationError(f"negative cpu work: {work}")
         task = CpuTask(self.env, work, label)
+        # Registered first: at completion the CPU books the task and
+        # starts the next one before any waiter resumes.
+        task.callbacks.append(self._on_task_done)
         self._pending.append(task)
+        if self._current is None and not self._thawing:
+            self._start_next()
         if self.queue_sampler is not None:
             self.queue_sampler.sample(self.queue_length)
-        if not self._serving and not self._closed:
-            # Claim the server slot synchronously: the server only
-            # starts on the next kernel step, and a second execute()
-            # call in the meantime must not wake it twice.
-            self._serving = True
-            wake = Event(self.env)
-            wake.callbacks.append(self._on_wake)
-            wake.succeed(None)
         return task
 
     def freeze_until(self, until: float) -> None:
@@ -122,67 +124,47 @@ class Cpu:
         crucially *without* scheduling anything, which keeps
         ``env.run()`` terminating (an infinite ``freeze_until`` would
         park the server behind an unbounded timeout event instead).
-        The task already in service completes: its timeout is on the
-        heap and fail-stop is modelled at the service layer, where the
-        host's endpoints are already deactivated.
+        The task already in service completes: it is on the heap as
+        its own completion event, and fail-stop is modelled at the
+        service layer, where the host's endpoints are already
+        deactivated.
         """
         self._closed = True
 
-    def _on_wake(self, _event: Event) -> None:
-        """Burst start: the wake event scheduled by :meth:`execute` fired."""
-        self._serve_step()
-
     def _on_thaw(self, _event: Event) -> None:
         """A freeze-wait timeout expired; re-check and keep serving."""
-        self._serve_step()
+        self._thawing = False
+        self._start_next()
 
-    def _on_task_done(self, _event: Event) -> None:
-        """The in-service task's timeout fired: complete it, continue."""
-        task = self._current
-        duration = self._current_duration
+    def _on_task_done(self, task: Event) -> None:
+        """The in-service task fired: book it, start the next one."""
         self._current = None
-        self.busy_time += duration
+        self.busy_time += task._value
         self.tasks_completed += 1
         if self.queue_sampler is not None:
-            self.queue_sampler.sample(self.queue_length - 1)
-        task.succeed(duration)
-        self._serve_step()
+            self.queue_sampler.sample(self.queue_length)
+        self._start_next()
 
-    def _serve_step(self) -> None:
-        """Advance the FIFO server as far as it can go without waiting.
+    def _start_next(self) -> None:
+        """Put the head of the queue in service, if the gate allows.
 
-        Tasks start service in FIFO order, one at a time; a burst
-        begins at the dispatch of the wake event scheduled by
-        :meth:`execute` and ends when the queue drains.
+        The speed is sampled now and the task queued to fire
+        ``work / speed`` later — one event per task.  A frozen server
+        arms one timeout for the thaw instead; a closed one schedules
+        nothing, ever.
         """
-        env = self.env
-        pending = self._pending
-        while True:
-            if self._closed:
-                # Crashed: park forever without scheduling.  _serving
-                # stays True so no wake event is ever created again.
-                return
-            if not pending:
-                self._serving = False
-                return
-            if self._frozen_until > env._now:
-                timeout = env.timeout(self._frozen_until - env._now)
-                timeout.callbacks.append(self._on_thaw)
-                return
-            task = pending.popleft()
-            task.started_at = env._now
-            duration = task.work / self.speed_at(env._now)
-            if duration > 0:
-                self._current = task
-                self._current_duration = duration
-                timeout = env.timeout(duration)
-                timeout.callbacks.append(self._on_task_done)
-                return
-            self.busy_time += duration
-            self.tasks_completed += 1
-            if self.queue_sampler is not None:
-                self.queue_sampler.sample(self.queue_length - 1)
-            task.succeed(duration)
+        if self._closed or not self._pending:
+            return
+        now = self.env._now
+        if self._frozen_until > now:
+            self._thawing = True
+            self.env.timeout(self._frozen_until - now).callbacks.append(
+                self._on_thaw)
+            return
+        task = self._current = self._pending.popleft()
+        task.started_at = now
+        duration = task.work / self.speed_at(now)
+        task.succeed(duration, delay=duration)
 
     def utilisation(self, horizon: float | None = None) -> float:
         """Fraction of time busy over ``[0, horizon]`` (default: now)."""
