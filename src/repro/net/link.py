@@ -10,10 +10,12 @@ delivered in FIFO order, a property the recovery protocol relies on.
 
 from __future__ import annotations
 
+import collections
+import typing
+
 from repro.errors import ConfigurationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.stores import Store
 
 
 class Link:
@@ -29,12 +31,11 @@ class Link:
         self.env = env
         self.latency_ms = latency_ms
         self.bandwidth = bandwidth_bytes_per_ms
-        # The transmit queue guarantees FIFO occupancy of the link.
-        self._transmit_queue: Store = Store(env)
-        self._pump_running = False
-        #: The transfer currently occupying the link, carried between
-        #: the transmission timeout being scheduled and it firing.
-        self._current: tuple[int, Event, float] | None = None
+        #: Transfers waiting for the link, in FIFO order, as
+        #: ``(size_bytes, extra_delay_ms, delivered, value)``.
+        self._waiting: collections.deque[tuple] = collections.deque()
+        #: The transfer occupying the link, or None while it is idle.
+        self._in_flight: tuple | None = None
         self.bytes_sent = 0
         self.messages_sent = 0
         self.chaos_delay_ms = 0.0
@@ -43,75 +44,44 @@ class Link:
         """Time the link is occupied transmitting ``size_bytes``."""
         return size_bytes / self.bandwidth
 
-    def transfer(self, size_bytes: int,
-                 extra_delay_ms: float = 0.0) -> Event:
+    def transfer(self, size_bytes: int, extra_delay_ms: float = 0.0,
+                 delivered: Event | None = None,
+                 value: typing.Any = None) -> Event:
         """Send ``size_bytes``; the event fires at delivery time.
 
-        ``extra_delay_ms`` models chaos-injected congestion: it extends
-        this transfer's link occupancy, so later messages queue behind
-        it and FIFO delivery order is preserved.
+        On an idle link transmission starts in this call, so
+        same-instant transfers occupy the link in call order.
+        ``delivered`` (a fresh event by default) succeeds with
+        ``value`` at delivery.  ``extra_delay_ms`` models
+        chaos-injected congestion: it extends this transfer's link
+        occupancy, so later messages queue behind it and FIFO delivery
+        order is preserved.
         """
-        delivered = Event(self.env)
-        self._transmit_queue.put((size_bytes, delivered, extra_delay_ms))
-        if not self._pump_running:
-            self._pump_running = True
-            # The pump starts at the wake's dispatch, not here, so
-            # same-instant senders enqueue before the first transmit.
-            wake = Event(self.env)
-            wake.callbacks.append(self._on_pump_wake)
-            wake.succeed(None)
+        if delivered is None:
+            delivered = Event(self.env)
+        item = (size_bytes, extra_delay_ms, delivered, value)
+        if self._in_flight is None:
+            self._transmit(item)
+        else:
+            self._waiting.append(item)
         return delivered
 
-    # The pump is a callback state machine: one transfer occupies the
-    # link at a time, taken from the transmit queue in FIFO order.
-
-    def _on_pump_wake(self, _event: Event) -> None:
-        self._pump_step()
-
-    def _pump_step(self) -> None:
-        if self._transmit_queue.is_empty:
-            self._pump_running = False
-            return
-        # The item is buffered, so the get settles immediately; its
-        # dispatch hands the item to _on_item.
-        request = self._transmit_queue.get()
-        request.callbacks.append(self._on_item)
-
-    def _on_item(self, request: Event) -> None:
-        size_bytes, delivered, extra_delay_ms = request.value
-        self._current = (size_bytes, delivered, extra_delay_ms)
-        timeout = self.env.timeout(
-            self.transmission_time(size_bytes) + extra_delay_ms)
-        timeout.callbacks.append(self._on_transmitted)
+    def _transmit(self, item: tuple) -> None:
+        self._in_flight = item
+        self.env.timeout(
+            self.transmission_time(item[0]) + item[1]
+        ).callbacks.append(self._on_transmitted)
 
     def _on_transmitted(self, _event: Event) -> None:
-        size_bytes, delivered, extra_delay_ms = self._current
-        self._current = None
+        size_bytes, extra_delay_ms, delivered, value = self._in_flight
         self.bytes_sent += size_bytes
         self.messages_sent += 1
         if extra_delay_ms > 0:
             self.chaos_delay_ms += extra_delay_ms
-        # Propagation happens off-link: schedule delivery without
+        # Propagation happens off-link: delivery is queued without
         # blocking the next transmission.
-        self._start_latency(delivered)
-        self._pump_step()
-
-    def _start_latency(self, delivered: Event) -> None:
-        """Deliver after the propagation latency (may overlap the next
-        transmission, so the chain carries its context in a closure)."""
-        env = self.env
-
-        def on_kick(_event: Event) -> None:
-            if self.latency_ms > 0:
-                timeout = env.timeout(self.latency_ms)
-
-                def on_latency(_event: Event) -> None:
-                    delivered.succeed(env.now)
-
-                timeout.callbacks.append(on_latency)
-            else:
-                delivered.succeed(env.now)
-
-        kick = Event(env)
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
+        delivered.succeed(value, delay=self.latency_ms)
+        if self._waiting:
+            self._transmit(self._waiting.popleft())
+        else:
+            self._in_flight = None
