@@ -103,84 +103,58 @@ class Network:
 
         The caller may ignore the returned event for fire-and-forget
         notifications, or ``yield`` it to model a synchronous
-        (blocking, SOAP/HTTP-style) send.
+        (blocking, SOAP/HTTP-style) send.  The returned event is the
+        one the link (or the loopback delay) fires, and the arrival
+        bookkeeping is its first callback: a message is in its
+        recipient's mailbox before any waiter on the send resumes.
+        Messages sent at the same instant enter a link's FIFO in call
+        order.
         """
         source = self.endpoint(message.sender)
         destination = self.endpoint(message.recipient)
         message.sent_at = self.env.now
         done = Event(self.env)
         if source.machine_name == destination.machine_name:
-            self._start_delivery(message, destination, done, None)
+            done.callbacks.append(self._on_arrival)
+            return done.succeed(message, self.config.loopback_delay_ms)
+        link = self.link_between(
+            source.machine_name, destination.machine_name)
+        if self.chaos is None:
+            done.callbacks.append(self._on_arrival)
+            return link.transfer(message.size_bytes, 0.0, done, message)
+        fault = self.chaos.message_fault(
+            source.machine_name, destination.machine_name, message.kind)
+        if fault.drop:
+            # A chaos-dropped message occupies the link but is never
+            # delivered — the sender observes silence, like a lost
+            # datagram; ``done`` never fires, so synchronous senders
+            # must pair it with a timeout (the retry wrappers do).
+            lost = Event(self.env)
+            lost.callbacks.append(self._on_lost)
+            link.transfer(message.size_bytes, fault.extra_delay_ms, lost)
         else:
-            link = self.link_between(
-                source.machine_name, destination.machine_name)
-            if self.chaos is None:
-                self._start_delivery(message, destination, done, link)
-            else:
-                fault = self.chaos.message_fault(
-                    source.machine_name, destination.machine_name,
-                    message.kind)
-                self._start_delivery(message, destination, done, link,
-                                     drop=fault.drop,
-                                     extra_delay_ms=fault.extra_delay_ms)
-                if fault.duplicate:
-                    # The copy re-occupies the same link FIFO behind the
-                    # original; its delivery event is nobody's business.
-                    self._start_delivery(message, destination,
-                                         Event(self.env), link)
+            done.callbacks.append(self._on_arrival)
+            link.transfer(message.size_bytes, fault.extra_delay_ms, done,
+                          message)
+        if fault.duplicate:
+            # The copy re-occupies the same link FIFO behind the
+            # original; its delivery event is nobody's business.
+            copy = Event(self.env)
+            copy.callbacks.append(self._on_arrival)
+            link.transfer(message.size_bytes, 0.0, copy, message)
         return done
 
-    def _start_delivery(self, message: Message, destination: Endpoint,
-                        done: Event, link: Link | None, drop: bool = False,
-                        extra_delay_ms: float = 0.0) -> None:
-        """Kick off one delivery as a callback chain.
+    def _on_lost(self, _event: Event) -> None:
+        self.messages_dropped += 1
 
-        The link transfer (or loopback timeout) starts at the kick
-        event's *dispatch*, not at the ``send`` call: messages sent at
-        the same instant enter a link's FIFO in the order their kicks
-        fire.
-        """
-        env = self.env
-
-        if link is None:
-            def on_kick(_event: Event) -> None:
-                if self.config.loopback_delay_ms > 0:
-                    timeout = env.timeout(self.config.loopback_delay_ms)
-
-                    def on_loopback(_event: Event) -> None:
-                        self._finish_delivery(message, destination, done)
-
-                    timeout.callbacks.append(on_loopback)
-                else:
-                    self._finish_delivery(message, destination, done)
-        else:
-            def on_kick(_event: Event) -> None:
-                delivered = link.transfer(message.size_bytes, extra_delay_ms)
-
-                def on_delivered(_event: Event) -> None:
-                    if drop:
-                        # A chaos-dropped message occupies the link but
-                        # is never delivered — the sender observes
-                        # silence, like a lost datagram; ``done`` never
-                        # fires, so synchronous senders must pair it
-                        # with a timeout (the retry wrappers do).
-                        self.messages_dropped += 1
-                        return
-                    self._finish_delivery(message, destination, done)
-
-                delivered.callbacks.append(on_delivered)
-
-        kick = Event(env)
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
-
-    def _finish_delivery(self, message: Message, destination: Endpoint,
-                         done: Event) -> None:
+    def _on_arrival(self, event: Event) -> None:
+        """A delivery event fired: hand its message to the recipient."""
+        message: Message = event._value
+        destination = self._endpoints[message.recipient]
         message.delivered_at = self.env.now
         if destination.active:
             self.messages_delivered += 1
             self.bytes_delivered += message.size_bytes
-            destination.mailbox.put(message)
+            destination.mailbox.put_many((message,))
         else:
             self.messages_dropped += 1
-        done.succeed(message)
