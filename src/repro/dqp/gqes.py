@@ -107,69 +107,57 @@ class GQES(GridService):
 
     # -- data path ----------------------------------------------------------
 
-    # Ingest is a callback chain per message.  The CPU charge is issued
-    # at the kick event's dispatch (not at on_data/on_control), which
-    # fixes the order same-instant messages enter the CPU queue.
-    # ``_ingests_active`` is raised at the kick's dispatch and dropped
-    # once the message is applied, so quiescence detection sees a
-    # message as in flight for exactly that window.
+    # Ingest charges the CPU in on_data/on_control itself, so
+    # same-instant messages enter the CPU queue in routing order.
+    # ``_ingests_active`` is raised on receipt and dropped once the
+    # message is applied, so quiescence detection sees a message as in
+    # flight from the moment it leaves the mailbox.
 
     def on_data(self, message: Message) -> None:
-        def on_kick(_event) -> None:
-            self._ingests_active += 1
-            buffer: DataBuffer = message.payload
-            serialization = self.context.serialization
-            # Per-column deserialization term: wire blocks decode
-            # column-at-a-time (0 columns for per-row wire entries).
-            column_count = 0
-            for item in buffer.items:
-                if isinstance(item, Batch) and item.width > column_count:
-                    column_count = item.width
-            task = self.machine.cpu.execute(
-                serialization.deserialize_work(buffer.tuple_count,
-                                               column_count),
-                label="deserialize")
+        self._ingests_active += 1
+        buffer: DataBuffer = message.payload
+        # Per-column deserialization term: wire blocks decode
+        # column-at-a-time (0 columns for per-row wire entries).
+        column_count = 0
+        for item in buffer.items:
+            if isinstance(item, Batch) and item.width > column_count:
+                column_count = item.width
+        task = self.machine.cpu.execute(
+            self.context.serialization.deserialize_work(
+                buffer.tuple_count, column_count),
+            label="deserialize")
 
-            def on_deserialized(_event) -> None:
+        def on_deserialized(_event) -> None:
+            try:
                 try:
-                    try:
-                        consumer, fragment = self._consumers[
-                            buffer.channel_key]
-                    except KeyError:
-                        raise ServiceError(
-                            f"{self.name}: data for unknown channel "
-                            f"{buffer.channel_key}") from None
-                    consumer.deliver(buffer.producer_id, message.sender,
-                                     buffer.items)
-                    fragment.wake()
-                finally:
-                    self._ingests_active -= 1
+                    consumer, fragment = self._consumers[
+                        buffer.channel_key]
+                except KeyError:
+                    raise ServiceError(
+                        f"{self.name}: data for unknown channel "
+                        f"{buffer.channel_key}") from None
+                consumer.deliver(buffer.producer_id, message.sender,
+                                 buffer.items)
+                fragment.wake()
+            finally:
+                self._ingests_active -= 1
 
-            task.callbacks.append(on_deserialized)
-
-        kick = self.env.event()
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
+        task.callbacks.append(on_deserialized)
 
     # -- control path ---------------------------------------------------------
 
     def on_control(self, message: Message) -> None:
-        def on_kick(_event) -> None:
-            self._ingests_active += 1
-            task = self.machine.cpu.execute(self.cost.control_event_work,
-                                            label="control")
+        self._ingests_active += 1
+        task = self.machine.cpu.execute(self.cost.control_event_work,
+                                        label="control")
 
-            def on_charged(_event) -> None:
-                try:
-                    self._apply_control(message)
-                finally:
-                    self._ingests_active -= 1
+        def on_charged(_event) -> None:
+            try:
+                self._apply_control(message)
+            finally:
+                self._ingests_active -= 1
 
-            task.callbacks.append(on_charged)
-
-        kick = self.env.event()
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
+        task.callbacks.append(on_charged)
 
     def _apply_control(self, message: Message) -> None:
         payload = message.payload
