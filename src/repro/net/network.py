@@ -3,7 +3,7 @@
 Services register named endpoints bound to a machine.  Sending a
 message looks up the (source machine, destination machine) link,
 transfers the message and finally deposits it in the destination
-endpoint's mailbox, where the owning service's dispatch loop picks it
+endpoint's mailbox, where the owning service's dispatcher picks it
 up.  Local messages (same machine) bypass the link and are delivered
 after a small, configurable loopback delay.
 """
@@ -11,6 +11,7 @@ after a small, configurable loopback delay.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.errors import NetworkError
 from repro.net.link import Link
@@ -46,6 +47,9 @@ class Endpoint:
     machine_name: str
     mailbox: Store
     active: bool = True
+    #: Called after each message lands in the mailbox (a service's
+    #: dispatcher); None leaves the mailbox to whoever ``get``s it.
+    on_arrival: typing.Callable[[], None] | None = None
 
 
 class Network:
@@ -65,13 +69,15 @@ class Network:
 
     # -- registration ---------------------------------------------------
 
-    def register(self, endpoint_name: str, machine_name: str) -> Store:
+    def register(self, endpoint_name: str, machine_name: str,
+                 on_arrival: typing.Callable[[], None] | None = None
+                 ) -> Store:
         """Create an endpoint on ``machine_name``; returns its mailbox."""
         if endpoint_name in self._endpoints:
             raise NetworkError(f"endpoint already registered: {endpoint_name}")
         mailbox = Store(self.env)
         self._endpoints[endpoint_name] = Endpoint(
-            endpoint_name, machine_name, mailbox)
+            endpoint_name, machine_name, mailbox, on_arrival=on_arrival)
         return mailbox
 
     def deactivate(self, endpoint_name: str) -> None:
@@ -156,5 +162,7 @@ class Network:
             self.messages_delivered += 1
             self.bytes_delivered += message.size_bytes
             destination.mailbox.put_many((message,))
+            if destination.on_arrival is not None:
+                destination.on_arrival()
         else:
             self.messages_dropped += 1

@@ -50,7 +50,8 @@ class GridService:
         self.network = context.network
         self.name = name
         self.machine = context.registry.machine(machine_name)
-        self.mailbox = self.network.register(name, machine_name)
+        self.mailbox = self.network.register(
+            name, machine_name, on_arrival=self._drain_mailbox)
         self._pending_calls: dict[int, Event] = {}
         # Correlation ids of calls already settled (timed out, or
         # completed by a first reply): a reply arriving for one — a
@@ -61,10 +62,10 @@ class GridService:
         # Messages held while the host machine is frozen (chaos).
         self._frozen_outbox: list = []
         self._flusher_running = False
+        # True while a thaw timeout is armed to drain the mailbox.
+        self._thaw_armed = False
         self._running = True
         self.crashed = False
-        self._dispatcher = self.env.process(
-            self._dispatch_loop(), name=f"dispatch:{name}")
         context.track_service(self)
 
     # -- lifecycle -----------------------------------------------------------
@@ -203,15 +204,28 @@ class GridService:
 
     # -- incoming ---------------------------------------------------------
 
-    def _dispatch_loop(self) -> typing.Generator:
-        while self._running:
-            message = yield self.mailbox.get()
-            while self.machine.frozen_until > self.env.now:
-                # Frozen host: delivered messages sit in the mailbox's
-                # kernel buffer until the stall ends.
-                yield self.env.timeout(
-                    self.machine.frozen_until - self.env.now)
-            self._route(message)
+    def _drain_mailbox(self, _event: Event | None = None) -> None:
+        """Route every buffered message, in arrival order.
+
+        Called by the network on each arrival.  On a frozen host
+        delivered messages sit in the mailbox (its kernel buffer)
+        until the stall ends: one thaw timeout is armed and calls back
+        here.  A crashed service routes nothing.
+        """
+        if _event is not None:
+            self._thaw_armed = False
+        elif self._thaw_armed:
+            return
+        buffered = self.mailbox.items
+        while buffered and self._running:
+            frozen_until = self.machine.frozen_until
+            if frozen_until > self.env.now:
+                self._thaw_armed = True
+                self.env.timeout(
+                    frozen_until - self.env.now
+                ).callbacks.append(self._drain_mailbox)
+                return
+            self._route(buffered.popleft())
 
     def _route(self, message: Message) -> None:
         if message.kind == KIND_RESPONSE:
