@@ -779,7 +779,7 @@ class ExchangeConsumer(Operator):
 
     def inject_recheck(self) -> None:
         """Force the evaluator to re-evaluate channel completion."""
-        self.queue.put((None, RECHECK))
+        self.queue.put_many(((None, RECHECK),))
 
     def apply_discard(self, discard: DiscardTuples) -> int:
         """Drop retracted tuples still waiting in the queue.
