@@ -209,8 +209,8 @@ class Machine:
         cost factors draw from the RNG exactly as often as ``count``
         sequential :meth:`work` calls would, and sleep injections block
         once per item), but the summed blocking delay and CPU work are
-        charged as a single timeout plus a single CPU task — one or two
-        simulator events per batch instead of per tuple.  ``count=1``
+        charged as a single timeout plus a single CPU task — at most
+        two simulator events per batch instead of per tuple.  ``count=1``
         is exactly :meth:`work`.
 
         The matching-perturbation set is hoisted out of the item loop:

@@ -120,13 +120,12 @@ class Network:
         destination = self.endpoint(message.recipient)
         message.sent_at = self.env.now
         done = Event(self.env)
+        done.callbacks.append(self._on_arrival)
         if source.machine_name == destination.machine_name:
-            done.callbacks.append(self._on_arrival)
             return done.succeed(message, self.config.loopback_delay_ms)
         link = self.link_between(
             source.machine_name, destination.machine_name)
         if self.chaos is None:
-            done.callbacks.append(self._on_arrival)
             return link.transfer(message.size_bytes, 0.0, done, message)
         fault = self.chaos.message_fault(
             source.machine_name, destination.machine_name, message.kind)
@@ -139,7 +138,6 @@ class Network:
             lost.callbacks.append(self._on_lost)
             link.transfer(message.size_bytes, fault.extra_delay_ms, lost)
         else:
-            done.callbacks.append(self._on_arrival)
             link.transfer(message.size_bytes, fault.extra_delay_ms, done,
                           message)
         if fault.duplicate:

@@ -2,8 +2,8 @@
 
 Services are the paper's unit of deployment: loosely-coupled,
 machine-bound components that communicate asynchronously by message.
-A :class:`GridService` owns a network endpoint and a dispatch loop
-that routes incoming messages:
+A :class:`GridService` owns a network endpoint; each arrival is routed
+by callback, in arrival order:
 
 * ``request`` messages invoke ``op_<subject>`` generator methods and
   send the returned value back as a ``response``;
@@ -204,17 +204,15 @@ class GridService:
 
     # -- incoming ---------------------------------------------------------
 
-    def _drain_mailbox(self, _event: Event | None = None) -> None:
+    def _drain_mailbox(self) -> None:
         """Route every buffered message, in arrival order.
 
         Called by the network on each arrival.  On a frozen host
         delivered messages sit in the mailbox (its kernel buffer)
-        until the stall ends: one thaw timeout is armed and calls back
-        here.  A crashed service routes nothing.
+        until the stall ends: one thaw timeout is armed and drains
+        them when it fires.  A crashed service routes nothing.
         """
-        if _event is not None:
-            self._thaw_armed = False
-        elif self._thaw_armed:
+        if self._thaw_armed:
             return
         buffered = self.mailbox.items
         while buffered and self._running:
@@ -223,9 +221,13 @@ class GridService:
                 self._thaw_armed = True
                 self.env.timeout(
                     frozen_until - self.env.now
-                ).callbacks.append(self._drain_mailbox)
+                ).callbacks.append(self._on_thaw)
                 return
             self._route(buffered.popleft())
+
+    def _on_thaw(self, _event: Event) -> None:
+        self._thaw_armed = False
+        self._drain_mailbox()
 
     def _route(self, message: Message) -> None:
         if message.kind == KIND_RESPONSE:
@@ -250,7 +252,7 @@ class GridService:
             if message.correlation_id in self._settled_calls:
                 # Reply to a call that already timed out or was
                 # answered (duplicated response): discard it instead
-                # of misdelivering (or killing the dispatcher).
+                # of misdelivering (or aborting the run).
                 self.stale_replies_discarded += 1
                 return
             raise ServiceError(

@@ -3,15 +3,23 @@
 ``pyproject.toml`` sets ``timeout = 300``.  Where the plugin is
 installed (CI) it owns that key.  Where it is not, the key would be an
 unknown option and a non-terminating DES run would hang the suite, so
-this conftest registers the key itself and arms
-``faulthandler.dump_traceback_later(..., exit=True)`` around each test:
-a test that exceeds the ceiling gets every thread's traceback on the
-real stderr and the process exits.
+this conftest registers the key itself and arms a ``SIGALRM`` timer
+around each test (the plugin's own default method): a test that
+exceeds the ceiling gets every thread's traceback on the real stderr
+and the process exits.
+
+The dump runs in a Python signal handler, i.e. in the main thread
+between two bytecodes.  ``faulthandler.dump_traceback_later`` would
+walk the main thread's frames from a watchdog thread *without* the
+GIL, and a hung simulation pushes and pops frames at full speed: that
+walk reads freed frames now and then and the process dies of SIGSEGV
+mid-dump — killed, but without the traceback that says where.
 """
 
 import faulthandler
 import importlib.util
 import os
+import signal
 import sys
 
 import pytest
@@ -28,18 +36,24 @@ if importlib.util.find_spec("pytest_timeout") is None:
     def pytest_configure(config):
         # Output capture is suspended while plugins are configured, so
         # this duplicates the terminal's stderr, not a capture file.
-        config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+        stderr_fd = config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+        def on_alarm(_signum, _frame):
+            os.write(stderr_fd, b"Timeout!\n")
+            faulthandler.dump_traceback(file=stderr_fd, all_threads=True)
+            os._exit(1)
+
+        signal.signal(signal.SIGALRM, on_alarm)
 
     def pytest_unconfigure(config):
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
         os.close(config.stash[_STDERR_FD])
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(item):
-        seconds = float(item.config.getini("timeout"))
-        if seconds > 0:
-            faulthandler.dump_traceback_later(
-                seconds, exit=True, file=item.config.stash[_STDERR_FD])
+        signal.setitimer(signal.ITIMER_REAL,
+                         float(item.config.getini("timeout")))
         try:
             yield
         finally:
-            faulthandler.cancel_dump_traceback_later()
+            signal.setitimer(signal.ITIMER_REAL, 0)

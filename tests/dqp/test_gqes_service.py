@@ -106,6 +106,40 @@ class TestGqesDuringQuery:
         grid.context.env.run()
         assert all(g.is_quiescent() for g in runtime.all_gqes())
 
+    def test_arrived_data_is_never_invisible_to_quiescence(self, monkeypatch):
+        """From arrival to ``consumer.deliver`` a data message is either
+        in the mailbox or counted as an active ingest, at every kernel
+        step — the window ``_orchestrate``'s double-check relies on."""
+        grid, handle = self.deploy()
+        env = grid.context.env
+        network = grid.context.network
+        env.run(until=handle.done)
+        env.run()
+        gqes, channel_key, consumer = next(
+            (service, key, consumer)
+            for service in handle.runtime.all_gqes()
+            for key, (consumer, _fragment) in service._consumers.items())
+        sender = next(service for service in handle.runtime.all_gqes()
+                      if service.machine is not gqes.machine)
+        assert consumer.aborted and gqes.is_quiescent()
+        delivered = []
+        monkeypatch.setattr(consumer, "deliver",
+                            lambda *args: delivered.append(args))
+
+        arrivals = network.messages_delivered
+        sender.send(gqes.name, KIND_DATA,
+                    DataBuffer(channel_key, "xp:late", [], 0))
+        while network.messages_delivered == arrivals:
+            env.step()
+        steps = 0
+        while not delivered:
+            assert not gqes.is_quiescent(), f"invisible after step {steps}"
+            env.step()
+            steps += 1
+        assert steps > 0
+        env.run()
+        assert gqes.is_quiescent()
+
     def test_duplicate_fragment_deployment_rejected(self):
         grid, handle = self.deploy()
         runtime = handle.runtime

@@ -71,3 +71,49 @@ def test_invalid_link_parameters_rejected():
         Link(env, latency_ms=-1.0, bandwidth_bytes_per_ms=1.0)
     with pytest.raises(ConfigurationError):
         Link(env, latency_ms=0.0, bandwidth_bytes_per_ms=0.0)
+
+
+def test_transfer_on_an_idle_link_starts_in_the_call():
+    env = Environment()
+    link = Link(env, latency_ms=0.0, bandwidth_bytes_per_ms=100.0)
+    arrivals = []
+    for name, size in (("a", 300), ("b", 100), ("c", 200)):
+        link.transfer(size, value=name).callbacks.append(
+            lambda event: arrivals.append((event.value, env.now)))
+    # Same-instant transfers occupy the link in call order.
+    env.run()
+    assert arrivals == [("a", 3.0), ("b", 4.0), ("c", 6.0)]
+
+
+def test_extra_delay_extends_occupancy_and_delays_the_next_transfer():
+    env = Environment()
+    link = Link(env, latency_ms=1.0, bandwidth_bytes_per_ms=100.0)
+    arrivals = []
+    for name, extra in (("slow", 30.0), ("behind", 0.0)):
+        link.transfer(100, extra_delay_ms=extra, value=name
+                      ).callbacks.append(
+            lambda event: arrivals.append((event.value, env.now)))
+    env.run()
+    # 1 ms transmit + 30 ms congestion, then the second transmits.
+    assert arrivals == [("slow", 32.0), ("behind", 33.0)]
+    assert link.chaos_delay_ms == 30.0
+
+
+def test_latency_overlaps_the_next_transmission():
+    env = Environment()
+    link = Link(env, latency_ms=10.0, bandwidth_bytes_per_ms=100.0)
+    arrivals = []
+    for _ in range(3):
+        link.transfer(100).callbacks.append(
+            lambda _event: arrivals.append(env.now))
+    env.run()
+    assert arrivals == [11.0, 12.0, 13.0]
+
+
+def test_caller_supplied_delivery_event_is_the_one_fired():
+    env = Environment()
+    link = Link(env, latency_ms=2.0, bandwidth_bytes_per_ms=100.0)
+    mine = env.event()
+    assert link.transfer(100, delivered=mine, value="payload") is mine
+    env.run()
+    assert mine.processed and mine.value == "payload" and env.now == 3.0

@@ -179,3 +179,53 @@ def test_duplicate_subscription_ignored():
     assert publisher.subscribers_of("t") == ["x"]
     publisher.unsubscribe("t", "x")
     assert publisher.subscribers_of("t") == []
+
+
+def test_message_is_routed_in_the_delivery_step():
+    context = make_context()
+    a = EchoService(context, "svc-a", "m1")
+    b = EchoService(context, "svc-b", "m2")
+    seen = []
+    a.notify("svc-b", "t", 1).callbacks.append(
+        lambda _event: seen.append(list(b.notifications)))
+    context.env.run()
+    # Routed by the delivery event's first callback: the handler has
+    # run by the time anything waiting on the send resumes.
+    assert seen == [[("t", 1, "svc-a")]]
+    assert len(b.mailbox) == 0
+
+
+def test_frozen_service_routes_held_messages_in_order_at_the_thaw():
+    context = make_context()
+    a = EchoService(context, "svc-a", "m1")
+    b = EchoService(context, "svc-b", "m2")
+    routed_at = []
+    b.on_notification = lambda topic, _payload, _sender: routed_at.append(
+        (topic, context.env.now))
+    b.machine.freeze(50.0)
+    for topic in ("first", "second", "third"):
+        a.notify("svc-b", topic, None)
+    context.env.run(until=10.0)
+    # Delivered, held in the mailbox, one thaw timeout armed.
+    assert routed_at == [] and len(b.mailbox) == 3
+    b.machine.freeze(70.0)  # the stall is extended to t=80 meanwhile
+    a.notify("svc-b", "fourth", None)
+    context.env.run()
+    assert routed_at == [("first", 80.0), ("second", 80.0),
+                         ("third", 80.0), ("fourth", 80.0)]
+    assert len(b.mailbox) == 0
+
+
+def test_crashed_service_routes_nothing():
+    context = make_context()
+    a = EchoService(context, "svc-a", "m1")
+    b = EchoService(context, "svc-b", "m2")
+    b.machine.freeze(50.0)
+    a.notify("svc-b", "held", None)
+    context.env.run(until=10.0)
+    assert len(b.mailbox) == 1
+    b.crash()  # dies during the stall, with a message in its buffer
+    a.notify("svc-b", "blackholed", None)
+    context.env.run()
+    assert b.notifications == []
+    assert context.network.messages_dropped == 1

@@ -1,0 +1,134 @@
+"""Exact queued-event budgets per primitive.
+
+Every queued event is a point in simulated time at which something
+happens — a CPU service completion, the end of a link transmission, a
+delivery, a thaw — so each primitive has an exact
+``Environment.events_scheduled`` cost.  These pins fail when a relay
+event (a hop to the next kernel step at the same instant) comes back.
+"""
+
+import pytest
+
+from repro.config import AdaptivityConfig, CostModel, EngineConfig
+from repro.dqp.gqes import GQES
+from repro.engine.control import DataBuffer
+from repro.grid import GridContext
+from repro.net import KIND_DATA, Message, Network, NetworkConfig
+from repro.net.link import Link
+from repro.services.base import GridService
+from repro.sim import Cpu, Environment
+from repro.workloads import DemoGrid, DemoGridSpec, Q1, perturb_ws_cost
+
+
+def queued(env, action):
+    """Events queued by ``action()`` and everything it leads to."""
+    before = env.events_scheduled
+    action()
+    env.run()
+    return env.events_scheduled - before
+
+
+class TestCpu:
+    def test_one_task_on_an_idle_cpu(self):
+        env = Environment()
+        cpu = Cpu(env)
+        assert queued(env, lambda: cpu.execute(3.0)) == 1
+
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_tasks_submitted_at_one_instant(self, count):
+        env = Environment()
+        cpu = Cpu(env)
+        assert queued(env, lambda: [cpu.execute(1.0)
+                                    for _ in range(count)]) == count
+
+    def test_zero_work_task(self):
+        env = Environment()
+        cpu = Cpu(env)
+        assert queued(env, lambda: cpu.execute(0.0)) == 1
+
+    def test_task_submitted_during_a_freeze(self):
+        env = Environment()
+        cpu = Cpu(env)
+        cpu.freeze_until(5.0)
+        # The thaw timeout plus the task itself.
+        assert queued(env, lambda: cpu.execute(1.0)) == 2
+        assert env.now == 6.0
+
+
+class TestLink:
+    @pytest.mark.parametrize("latency", [0.0, 2.0])
+    def test_one_transfer(self, latency):
+        env = Environment()
+        link = Link(env, latency_ms=latency, bandwidth_bytes_per_ms=100.0)
+        # End of transmission, then delivery.
+        assert queued(env, lambda: link.transfer(500)) == 2
+
+    def test_back_to_back_transfers(self):
+        env = Environment()
+        link = Link(env, latency_ms=2.0, bandwidth_bytes_per_ms=100.0)
+        assert queued(env, lambda: [link.transfer(100)
+                                    for _ in range(5)]) == 10
+
+
+class TestNetwork:
+    def make(self):
+        context = GridContext(seed=0)
+        context.add_machine("m1")
+        context.add_machine("m2")
+        sender = GridService(context, "sender", "m1")
+        GridService(context, "local", "m1")
+        GridService(context, "remote", "m2")
+        context.env.run()
+        return context, sender
+
+    def test_remote_send_to_a_service(self):
+        context, sender = self.make()
+        # End of transmission, then the delivery that also routes it.
+        assert queued(context.env, lambda: sender.notify(
+            "remote", "topic", None)) == 2
+
+    def test_loopback_send_to_a_service(self):
+        context, sender = self.make()
+        assert queued(context.env, lambda: sender.notify(
+            "local", "topic", None)) == 1
+
+    def test_send_to_a_bare_mailbox(self):
+        env = Environment()
+        network = Network(env, NetworkConfig())
+        network.register("a", "m1")
+        mailbox = network.register("b", "m2")
+        assert queued(env, lambda: network.send(Message(
+            sender="a", recipient="b", kind=KIND_DATA, payload=None))) == 2
+        assert len(mailbox) == 1
+
+
+def test_gqes_data_ingest_is_one_cpu_task():
+    context = GridContext(seed=0)
+    context.add_machine("m1")
+    gqes = GQES(context, "qx", "m1", EngineConfig(), CostModel())
+    delivered = []
+
+    class Consumer:
+        def deliver(self, *args):
+            delivered.append(args)
+
+    class Fragment:
+        def wake(self):
+            pass
+
+    gqes._consumers["ch"] = (Consumer(), Fragment())
+    context.env.run()
+    message = Message(sender="peer", recipient=gqes.name, kind=KIND_DATA,
+                      payload=DataBuffer("ch", "xp", [], 4))
+    assert queued(context.env, lambda: gqes.on_data(message)) == 1
+    assert delivered == [("xp", "peer", [])]
+
+
+def test_headline_query_budget():
+    """Q1 under the 10x WS perturbation at the default batch size: the
+    budget CI's perf smoke reads from ``BENCH_perf.json``."""
+    grid = DemoGrid(DemoGridSpec(), engine_config=EngineConfig(batch_size=32))
+    perturb_ws_cost(grid, 10.0)
+    result = grid.run(Q1, AdaptivityConfig.disabled())
+    assert len(result.rows) == 3000
+    assert grid.context.env.events_scheduled == 2239

@@ -105,3 +105,91 @@ def test_queue_length_counts_waiting_and_running():
     proc = env.process(submit(env))
     env.run(until=proc)
     assert proc.value == 3
+
+
+def waiter(env, cpu, work, name, log):
+    yield cpu.execute(work)
+    log.append((name, env.now))
+
+
+def test_same_instant_submissions_are_served_in_call_order():
+    env = Environment()
+    cpu = Cpu(env)
+    tasks = [cpu.execute(work) for work in (3.0, 1.0, 2.0)]
+    # The first call found the CPU idle and started service in the call.
+    assert tasks[0].started_at == 0.0
+    assert tasks[1].started_at is None
+    env.run()
+    assert [task.started_at for task in tasks] == [0.0, 3.0, 4.0]
+    assert [task.value for task in tasks] == [3.0, 1.0, 2.0]
+
+
+def test_next_task_starts_before_the_finished_tasks_waiter_runs():
+    env = Environment()
+    cpu = Cpu(env)
+    first = cpu.execute(2.0)
+    second = cpu.execute(5.0)
+    seen = []
+    first.callbacks.append(lambda _event: seen.append(
+        (second.started_at, cpu.queue_length, cpu.tasks_completed)))
+    env.run(until=first)
+    # At the waiter's turn the CPU has booked `first` and is already
+    # serving `second`: a waiter that resubmits queues behind it.
+    assert seen == [(2.0, 1, 1)]
+
+
+def test_close_mid_service_fires_only_the_task_in_service():
+    env = Environment()
+    cpu = Cpu(env)
+    log = []
+    for name, work in (("in-service", 4.0), ("queued", 1.0)):
+        env.process(waiter(env, cpu, work, name, log))
+    env.run(until=1.0)
+    cpu.close()
+    env.process(waiter(env, cpu, 1.0, "later", log))
+    env.run()  # returns: nothing is left on the heap
+    assert log == [("in-service", 4.0)]
+    assert env.peek() == float("inf")
+    assert cpu.tasks_completed == 1 and cpu.busy_time == 4.0
+    # The two tasks that will never be served still count as waiting;
+    # nothing is "in service" once the last one completed.
+    assert cpu.queue_length == 2
+
+
+def test_close_on_an_idle_cpu_starts_nothing():
+    env = Environment()
+    cpu = Cpu(env)
+    cpu.close()
+    task = cpu.execute(1.0)
+    env.run()
+    assert not task.triggered and cpu.queue_length == 1
+
+
+def test_freeze_with_a_backlog_resumes_in_order_at_the_thaw():
+    env = Environment()
+    cpu = Cpu(env)
+    log = []
+    for name, work in (("a", 2.0), ("b", 1.0), ("c", 1.0)):
+        env.process(waiter(env, cpu, work, name, log))
+    env.run(until=1.0)
+    cpu.freeze_until(10.0)  # `a` is in service and completes; b, c wait
+    env.run(until=5.0)
+    cpu.freeze_until(12.0)  # extended while the thaw is armed
+    env.process(waiter(env, cpu, 1.0, "d", log))
+    env.run()
+    assert log == [("a", 2.0), ("b", 13.0), ("c", 14.0), ("d", 15.0)]
+
+
+def test_queue_sampler_sees_waiting_plus_in_service():
+    env = Environment()
+    cpu = Cpu(env)
+    samples = []
+
+    class Sampler:
+        sample = staticmethod(samples.append)
+
+    cpu.queue_sampler = Sampler
+    cpu.execute(1.0)
+    cpu.execute(1.0)
+    env.run()
+    assert samples == [1, 2, 1, 0]
