@@ -19,9 +19,9 @@ headline acceptance check: batch size 32 must schedule at least 5x
 fewer DES events than batch size 1 on the Q1 10x scenario.
 
 Run directly (``python benchmarks/bench_perf.py``) or via pytest
-(``pytest benchmarks/bench_perf.py``).  ``--smoke SCENARIO`` runs a
-single fast check that the scenario's DES event count has not
-regressed above the committed report's figure (used by CI).
+(``pytest benchmarks/bench_perf.py``).  The deterministic part — the
+bs 32 DES-event counts — is pinned exactly by the tier-1
+``tests/sim/test_event_budget.py``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ SCENARIOS = {
 }
 
 OUTPUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
-
-#: The default batch size, used by the smoke check.
-DEFAULT_BATCH_SIZE = 32
 
 
 def _execute(query_text, perturb, batch_size):
@@ -170,32 +166,6 @@ def print_deltas(deltas):
                   f"DES events {delta['des_events_delta']:+d}")
 
 
-def smoke(scenario):
-    """CI check: the scenario's DES event count must not regress.
-
-    Runs one execution at the default batch size and fails if it
-    schedules more DES events than the committed report's budget
-    (events are deterministic, so any increase is a real regression).
-    """
-    previous = load_previous()
-    if not previous:
-        print("BENCH_perf.json missing; cannot smoke-check", file=sys.stderr)
-        return 2
-    query_text, perturb = SCENARIOS[scenario]
-    recorded = {run["batch_size"]: run
-                for run in previous["scenarios"][scenario]}
-    budget = recorded[DEFAULT_BATCH_SIZE]["des_events"]
-    result, grid = _execute(query_text, perturb, DEFAULT_BATCH_SIZE)
-    observed = grid.context.env.events_scheduled
-    print(f"{scenario} bs={DEFAULT_BATCH_SIZE}: {observed} DES events "
-          f"(budget {budget}), {len(result.rows)} rows")
-    if observed > budget:
-        print(f"FAIL: exceeds recorded budget by {observed - budget}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def test_batching_reduces_des_events():
     report = run_benchmark()
     write_report(report)
@@ -223,17 +193,8 @@ def test_batching_reduces_des_events():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Batch-granularity benchmark.")
-    parser.add_argument("--smoke", metavar="SCENARIO",
-                        choices=sorted(SCENARIOS),
-                        help="fast CI check: fail if SCENARIO schedules "
-                             "more DES events than the committed "
-                             "BENCH_perf.json budget")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return smoke(args.smoke)
-
+    argparse.ArgumentParser(
+        description="Batch-granularity benchmark.").parse_args(argv)
     previous = load_previous()
     report = run_benchmark()
     deltas = compute_deltas(previous, report)

@@ -143,15 +143,7 @@ class Batch:
             return self._tids
         return [row.tid for row in self._rows]
 
-    def size_bytes(self, row_bytes: int) -> int:
-        """Approximate serialized payload size under a fixed row width."""
-        return row_bytes * len(self)
-
     # -- construction helpers ------------------------------------------
-
-    @classmethod
-    def of(cls, *rows: Row) -> "Batch":
-        return cls(list(rows))
 
     def replace_rows(self, rows: typing.Sequence[Row]) -> "Batch":
         """A new batch holding ``rows`` (used by transforming operators)."""
@@ -168,13 +160,6 @@ class Batch:
     def split_at(self, index: int) -> tuple["Batch", "Batch"]:
         """Split into ``(first index rows, rest)`` preserving order."""
         return self.slice(0, index), self.slice(index, len(self))
-
-    def chunks(self, max_rows: int) -> typing.Iterator["Batch"]:
-        """Yield consecutive sub-batches of at most ``max_rows`` rows."""
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1: {max_rows}")
-        for start in range(0, len(self), max_rows):
-            yield self.slice(start, start + max_rows)
 
     def select_columns(self, positions: typing.Sequence[int]) -> "Batch":
         """Vectorized projection: keep ``positions`` columns, share tids."""
@@ -215,9 +200,9 @@ class Batch:
         if any(part.is_columnar for part in live):
             widths = {part.width for part in live}
             if len(widths) == 1:
-                # Row-backed parts (typically stray single rows between
-                # wire blocks) convert column-wise at their own size, so
-                # the large columnar blocks are never row-materialized.
+                # Row-backed parts (replayed or resent blocks between
+                # scan blocks) convert column-wise at their own size, so
+                # the columnar blocks are never row-materialized.
                 columns = [[] for _ in range(widths.pop())]
                 tids: list[Tid] = []
                 for part in live:

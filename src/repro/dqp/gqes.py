@@ -22,7 +22,6 @@ import typing
 
 from repro.config import CostModel, EngineConfig, FaultToleranceConfig
 from repro.core.monitoring import MonitoringEventDetector
-from repro.data.batch import Batch
 from repro.engine.control import (
     ChannelAnnouncement,
     DataBuffer,
@@ -80,10 +79,7 @@ class GQES(GridService):
         for fragment in self.fragments.values():
             fragment.halted = True
             for consumer in fragment.consumers.values():
-                consumer.aborted = True
-                consumer.queue.drain()
-                if consumer.queue.waiting_getters:
-                    consumer.inject_recheck()
+                consumer.abort()
             fragment.wake()
 
     # -- deployment ------------------------------------------------------
@@ -116,15 +112,8 @@ class GQES(GridService):
     def on_data(self, message: Message) -> None:
         self._ingests_active += 1
         buffer: DataBuffer = message.payload
-        # Per-column deserialization term: wire blocks decode
-        # column-at-a-time (0 columns for per-row wire entries).
-        column_count = 0
-        for item in buffer.items:
-            if isinstance(item, Batch) and item.width > column_count:
-                column_count = item.width
         task = self.machine.cpu.execute(
-            self.context.serialization.deserialize_work(
-                buffer.tuple_count, column_count),
+            self.context.serialization.deserialize_work(buffer.tuple_count),
             label="deserialize")
 
         def on_deserialized(_event) -> None:
@@ -215,13 +204,7 @@ class GQES(GridService):
             self.query_complete.succeed(None)
         for fragment in self.fragments.values():
             for consumer in fragment.consumers.values():
-                consumer.aborted = True
-                consumer.queue.drain()
-                # Unblock an evaluator parked inside queue.get(); a
-                # parked-elsewhere evaluator is woken below instead, so
-                # no sentinel is left behind.
-                if consumer.queue.waiting_getters:
-                    consumer.inject_recheck()
+                consumer.abort()
             fragment.wake()
 
     # -- operations (request/response) ---------------------------------------

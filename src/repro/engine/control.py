@@ -15,8 +15,9 @@ import typing
 class DataBuffer:
     """Payload of a ``KIND_DATA`` message: a buffer of stream items.
 
-    ``items`` holds data rows interleaved with checkpoint markers, in
-    channel order.
+    ``items`` holds :class:`~repro.data.batch.Batch` blocks interleaved
+    with checkpoint markers, in channel order; ``tuple_count`` is the
+    blocks' total row count.
     """
 
     channel_key: str

@@ -111,11 +111,6 @@ class DistributionPolicy(abc.ABC):
     def update_weights(self, weights: typing.Sequence[float]) -> None:
         """Install a new workload vector."""
 
-    @property
-    def is_stateful_safe(self) -> bool:
-        """True when the policy keeps equal keys on equal consumers."""
-        return False
-
 
 class WeightedRoundRobin(DistributionPolicy):
     """Smooth weighted round-robin (as used by e.g. nginx).
@@ -215,10 +210,6 @@ class HashBucketPolicy(DistributionPolicy):
                 f"{self.bucket_count}")
         if any(not 0 <= b < self.consumer_count for b in self.bucket_map):
             raise AdaptationError("bucket map references unknown consumer")
-
-    @property
-    def is_stateful_safe(self) -> bool:
-        return True
 
     def bucket_of(self, row: Row) -> int:
         key = row.values[self.key_position]

@@ -15,6 +15,11 @@ OGSA-DQP encapsulates all data communication in an exchange operator
   completion via end-of-stream announcements, and applies tuple
   discards issued during retrospective moves.
 
+There is one wire format: the only data item ever buffered, logged,
+sent or queued is a :class:`~repro.data.batch.Batch` block, and the
+only other things in a buffer or a consumer queue are ``Checkpoint``
+markers and the ``RECHECK`` sentinel.
+
 Channel completion uses tid-set accounting: a producer announces the
 set of tuple ids attributed to the channel; the channel is complete
 when every announced tid has been settled (returned to the subplan or
@@ -97,13 +102,11 @@ class ExchangeProducer(UnaryOperator):
         #: row it routes (insertion order) and, whenever a bucket-map
         #: change moves buckets, copies the moved buckets' rows to
         #: their new consumers before the probe side is rerouted —
-        #: see :meth:`_replay_state_moves`.  Every other channel buffers
-        #: and ships whole :class:`Batch` blocks, chunked at the
-        #: checkpoint/flush boundaries (pure host-side packaging:
-        #: boundaries, events and the rows delivered are those of a row
-        #: wire); state channels keep the row wire, whose per-row
-        #: entries feed the late-build drain's one-row-per-get protocol
-        #: (:meth:`ExchangeConsumer.try_next`).
+        #: see :meth:`_replay_state_moves`.  Every channel buffers and
+        #: ships :class:`Batch` blocks chunked at the checkpoint/flush
+        #: boundaries; a state channel's blocks are row-backed, so the
+        #: log, ``_retained``, the consumer queue and the join's hash
+        #: table all share one ``Row`` object per tuple.
         self.state_channel = state_channel
         self._retained: dict[Tid, Row] | None = (
             {} if state_channel else None)
@@ -245,18 +248,17 @@ class ExchangeProducer(UnaryOperator):
         :meth:`_settle_batch`.
 
         ``rows`` may be a :class:`Batch` (the routing fast paths hand
-        whole batches through).  On the block wire each chunk lands in
-        the buffer as one ``Batch`` block — sliced column-wise when the
-        source is column-backed, so no ``Row`` is materialized — with
-        checkpoint markers between blocks.
+        whole batches through).  Each chunk lands in the buffer as one
+        ``Batch`` block — sliced column-wise when the source is
+        column-backed, so no ``Row`` is materialized — with checkpoint
+        markers between blocks.  A state channel retains the rows, so
+        its blocks are made row-backed up front.
         """
         log = self._logs[index]
         config = self.ctx.engine_config
-        block_wire = not self.state_channel
-        is_batch = isinstance(rows, Batch)
-        if is_batch and not block_wire:
-            rows = rows.rows
-            is_batch = False
+        if not isinstance(rows, Batch) or (self._retained is not None
+                                           and rows.is_columnar):
+            rows = Batch(rows)
         sends: list[tuple[int, list, int]] = []
         logged = 0
         position = 0
@@ -267,29 +269,17 @@ class ExchangeProducer(UnaryOperator):
                 take = min(take, config.checkpoint_interval
                            - self._since_checkpoint[index])
             take = min(take, config.buffer_size - self._buffer_rows[index])
-            if block_wire:
-                if is_batch:
-                    chunk = rows.slice(position, position + take)
-                else:
-                    chunk = Batch(rows[position:position + take])
-                position += take
-                chunk_rows = len(chunk)
-                self._buffers[index].append(chunk)
-                self._attributed[index].update(chunk.tids())
-                if log is not None:
-                    log.append_block(chunk)
-                    logged += chunk_rows
-            else:
-                chunk = rows[position:position + take]
-                position += take
-                chunk_rows = len(chunk)
-                self._buffers[index].extend(chunk)
-                self._attributed[index].update(row.tid for row in chunk)
-                if self._retained is not None:
-                    self._retained.update((row.tid, row) for row in chunk)
-                if log is not None:
-                    log.append_batch(chunk)
-                    logged += chunk_rows
+            chunk = rows.slice(position, position + take)
+            position += take
+            chunk_rows = len(chunk)
+            self._buffers[index].append(chunk)
+            tids = chunk.tids()
+            self._attributed[index].update(tids)
+            if self._retained is not None:
+                self._retained.update(zip(tids, chunk.rows))
+            if log is not None:
+                log.append_block(chunk)
+                logged += chunk_rows
             self._buffer_rows[index] += chunk_rows
             self._since_checkpoint[index] += chunk_rows
             self._channel_sent_rows[index] += chunk_rows
@@ -343,19 +333,11 @@ class ExchangeProducer(UnaryOperator):
         consumer = self.consumers[index]
         serialization = self.ctx.grid.serialization
         started = self.env.now
-        # Columnar payloads are charged the per-column serialization
-        # terms (0.0 by default, so the block wire stays cost-neutral).
-        column_count = 0
-        for item in items:
-            if isinstance(item, Batch):
-                column_count = max(column_count, item.width)
         yield from self.ctx.machine.work(
-            "serialize", serialization.serialize_work(row_count,
-                                                      column_count))
+            "serialize", serialization.serialize_work(row_count))
         payload = DataBuffer(consumer.channel_key, self.producer_id,
                              items, row_count)
-        wire_bytes = serialization.wire_size_batch(row_count, self.row_bytes,
-                                                   column_count)
+        wire_bytes = serialization.wire_size_batch(row_count, self.row_bytes)
         # Synchronous send: the SOAP/HTTP call returns at delivery.
         chaos = self.ctx.grid.chaos
         if chaos is None:
@@ -371,11 +353,8 @@ class ExchangeProducer(UnaryOperator):
         self._metric_bytes_sent.inc(wire_bytes)
         self._metric_occupancy.sample(sum(self._buffer_rows))
         on_wire = self._on_wire[index]
-        on_wire_add = on_wire.add
         for item in items:
-            if isinstance(item, Row):
-                on_wire_add(item.tid)
-            elif isinstance(item, Batch):
+            if isinstance(item, Batch):
                 on_wire.update(item.tids())
         if self.ctx.monitor is not None and row_count:
             yield from self.ctx.machine.work(
@@ -458,15 +437,16 @@ class ExchangeProducer(UnaryOperator):
                 yield from self.ctx.machine.work(
                     "log-extract",
                     self.ctx.cost.log_extract_work * max(1, len(log)))
+                # Still-buffered rows flush below anyway.
                 buffered_tids = {row.tid
                                  for row in self._buffered_rows(index)}
-                for row in log.outstanding():
-                    if row.tid in buffered_tids:
-                        continue  # still buffered; flushes below
+                resend = [row for row in log.outstanding()
+                          if row.tid not in buffered_tids]
+                if resend:
                     # Direct resend: already logged, must not re-log.
-                    self._buffers[index].append(row)
-                    self._buffer_rows[index] += 1
-                    self.tuples_replayed_for_recovery += 1
+                    self._buffers[index].append(Batch(resend))
+                    self._buffer_rows[index] += len(resend)
+                    self.tuples_replayed_for_recovery += len(resend)
             yield from self._flush(index)
             redirected += 1
         if self.finished and redirected:
@@ -574,8 +554,6 @@ class ExchangeProducer(UnaryOperator):
             yield from self._flush_all()
             self._announce_all()
         self.moving = False
-        return
-        yield  # pragma: no cover - kept a generator for uniform callers
 
     def _multicast_targets(self, row: Row, primary: int) -> tuple:
         """Former owners of ``row``'s bucket, beyond the current one.
@@ -636,18 +614,13 @@ class ExchangeProducer(UnaryOperator):
             moved_tids = {row.tid for row, _target in channel_moves}
             buffered_kept = []
             for item in self._buffers[index]:
-                if isinstance(item, Row):
-                    if item.tid in moved_tids:
-                        self._buffer_rows[index] -= 1
-                    else:
-                        buffered_kept.append(item)
-                elif isinstance(item, Batch):
+                if isinstance(item, Batch):
                     kept, removed = item.filter_tids(moved_tids)
                     self._buffer_rows[index] -= removed
                     if len(kept):
                         buffered_kept.append(kept)
                 else:
-                    buffered_kept.append(item)
+                    buffered_kept.append(item)  # checkpoint marker
             self._buffers[index] = buffered_kept
             log = self._logs[index]
             if log is not None:
@@ -689,9 +662,7 @@ class ExchangeProducer(UnaryOperator):
         (wire blocks expanded, checkpoint markers skipped)."""
         rows: list[Row] = []
         for item in self._buffers[index]:
-            if isinstance(item, Row):
-                rows.append(item)
-            elif isinstance(item, Batch):
+            if isinstance(item, Batch):
                 rows.extend(item.rows)
         return rows
 
@@ -766,14 +737,10 @@ class ExchangeConsumer(Operator):
                 items: typing.Sequence) -> None:
         """Enqueue a deserialized buffer (called by the hosting GQES)."""
         self._producer_endpoints[producer_id] = sender_endpoint
-        # One bulk enqueue per buffer: the unbounded queue never blocks
-        # puts, so this is the fire-and-forget per-item loop minus the
-        # per-item StorePut events.
+        # One bulk enqueue per buffer, no event per item.
         self.queue.put_many((producer_id, item) for item in items)
         for item in items:
-            if isinstance(item, Row):
-                self._queued_rows += 1
-            elif isinstance(item, Batch):
+            if isinstance(item, Batch):
                 self._queued_rows += len(item)
         self._metric_queue_depth.sample(self._queued_rows)
 
@@ -781,11 +748,23 @@ class ExchangeConsumer(Operator):
         """Force the evaluator to re-evaluate channel completion."""
         self.queue.put_many(((None, RECHECK),))
 
+    def abort(self) -> None:
+        """Stop consuming (host crash or query completion): drop
+        whatever is queued and release the evaluator."""
+        self.aborted = True
+        self.queue.drain()
+        self._queued_rows = 0
+        self._metric_queue_depth.sample(0)
+        # Unblock an evaluator parked inside queue.get(); one parked
+        # elsewhere is woken by the caller instead, so no sentinel is
+        # left behind.
+        if self.queue.waiting_getters:
+            self.inject_recheck()
+
     def apply_discard(self, discard: DiscardTuples) -> int:
         """Drop retracted tuples still waiting in the queue.
 
-        Retracted rows may sit in the queue as individual entries or
-        inside wire blocks; blocks are filtered in place (an event-free
+        Queued wire blocks are filtered in place (an event-free
         :meth:`~repro.sim.stores.Store.remap`).
         """
         tids = discard.tids
@@ -793,9 +772,6 @@ class ExchangeConsumer(Operator):
 
         def filter_entry(entry):
             producer_id, item = entry
-            if isinstance(item, Row) and item.tid in tids:
-                removed_rows[0] += 1
-                return None
             if isinstance(item, Batch):
                 kept, removed = item.filter_tids(tids)
                 if removed:
@@ -851,10 +827,10 @@ class ExchangeConsumer(Operator):
         return block
 
     def next_batch(self, max_rows: int) -> typing.Generator:
-        #: Accepted parts in arrival order: wire blocks (column-backed
-        #: or row-backed) and individual rows, assembled into one batch
-        #: at the end — a single whole block passes through untouched.
-        parts: list = []
+        #: Accepted wire blocks in arrival order, concatenated into one
+        #: batch at the end — a single whole block passes through
+        #: untouched.
+        parts: list[Batch] = []
         count = 0
         while count < max_rows:
             if self.aborted:
@@ -865,13 +841,7 @@ class ExchangeConsumer(Operator):
             taken = self.queue.take(1)
             if taken:
                 producer_id, item = taken[0]
-                if isinstance(item, Batch):
-                    block = self._accept_block(producer_id, item,
-                                               max_rows - count)
-                    parts.append(block)
-                    count += len(block)
-                    continue
-                if not isinstance(item, Row) and count:
+                if count and not isinstance(item, Batch):
                     # A control item behind data must wait until the
                     # rows have flowed through the subplan: e.g. a
                     # checkpoint ack asserts their outputs are
@@ -879,88 +849,61 @@ class ExchangeConsumer(Operator):
                     # partial batch.
                     self.queue.put_back(taken)
                     break
-                row = yield from self._handle(producer_id, item)
-                if row is not None:
-                    parts.append(row)
-                    count += 1
-                continue
-            if count:
+            elif count or self.is_complete():
                 # Don't block while holding rows: ship a partial batch.
                 break
-            if self.is_complete():
-                break
-            waited_from = self.env.now
-            producer_id, item = yield self.queue.get()
-            waited = self.env.now - waited_from
-            if waited > 0:
-                self.ctx.metrics.record_wait(waited)
+            else:
+                waited_from = self.env.now
+                producer_id, item = yield self.queue.get()
+                waited = self.env.now - waited_from
+                if waited > 0:
+                    self.ctx.metrics.record_wait(waited)
             if isinstance(item, Batch):
                 block = self._accept_block(producer_id, item,
                                            max_rows - count)
                 parts.append(block)
                 count += len(block)
             else:
-                row = yield from self._handle(producer_id, item)
-                if row is not None:
-                    parts.append(row)
-                    count += 1
+                yield from self._handle(item)
         if count:
-            return self._assemble(parts)
+            return Batch.concat(parts)
         return END
 
-    @staticmethod
-    def _assemble(parts: list) -> Batch:
-        """One batch from accepted rows and blocks, preserving order."""
-        if len(parts) == 1 and isinstance(parts[0], Batch):
-            return parts[0]
-        if all(isinstance(part, Row) for part in parts):
-            return Batch(parts)
-        return Batch.concat([part if isinstance(part, Batch)
-                             else Batch([part]) for part in parts])
-
     def try_next(self) -> typing.Generator:
-        """Non-blocking variant: a Row, or None when the queue is idle.
+        """Non-blocking variant: the next queued wire block, settled,
+        or None when the queue is idle.
 
-        Only for row-wire channels (a join's build consumer, fed by a
-        state channel): a wire block here is an unexpected queue item.
+        Control items ahead of the block are applied on the way.  Used
+        by a join to absorb build state replayed after its build phase.
         """
         while len(self.queue) > 0:
             producer_id, item = yield self.queue.get()
-            row = yield from self._handle(producer_id, item)
-            if row is not None:
-                return row
+            if isinstance(item, Batch):
+                self._handle_block(producer_id, item)
+                return item
+            yield from self._handle(item)
         return None
 
-    def _handle(self, producer_id: str, item: typing.Any
-                ) -> typing.Generator:
+    def _handle(self, item: typing.Any) -> typing.Generator:
+        """Apply a control item taken from the queue."""
         if item is RECHECK:
-            return None
+            return
         if isinstance(item, Checkpoint):
             yield from self.ctx.machine.work("ack", self.ctx.cost.ack_work)
             if not self.defer_acks:
                 if self.ack_flush_producer is not None:
                     yield from self.ack_flush_producer._flush_all()
                 self._send_ack(item)
-            return None
-        if isinstance(item, Row):
-            self.rows_received += 1
-            self._queued_rows -= 1
-            self._metric_rows_received.inc()
-            self.ctx.metrics.record_consumed()
-            settled = self._settled.setdefault(producer_id, set())
-            settled.add(item.tid)
-            return item
+            return
         raise ExecutionError(
             f"{self.channel_key}: unexpected queue item {item!r}")
 
     def _handle_block(self, producer_id: str, block: Batch) -> None:
-        """Bulk bookkeeping for an accepted wire block.
+        """Settle a wire block taken from the queue: the one data arm.
 
-        The vectorized counterpart of the ``Row`` arm of
-        :meth:`_handle`: one counter update and one settled-set union
-        per block instead of per row.  Pure bookkeeping — rows, unlike
-        checkpoints, charge no work and schedule no events in either
-        wire mode.
+        One counter update and one settled-set union per block.  Pure
+        bookkeeping — rows, unlike checkpoints, charge no work and
+        schedule no events.
         """
         count = len(block)
         self.rows_received += count

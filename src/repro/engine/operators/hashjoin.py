@@ -4,11 +4,11 @@ The build side is drained into an in-memory hash table during
 ``open``; probing is pipelined.  The join participates in
 retrospective (R1) state repartitioning:
 
-* :meth:`insert_build` adds late build tuples that were moved *to*
+* :meth:`insert_build_row` adds late build tuples that were moved *to*
   this instance (replayed from a producer's recovery log);
 * :meth:`remove_build` drops the state of buckets moved *away*.
 
-During the probe phase the join drains any newly arrived build tuples
+During the probe phase the join drains any newly arrived build blocks
 from its build consumer before each probe step, so replays take effect
 immediately.  Exactly-once results are guaranteed by sink-side
 deduplication of the composed (probe tid, build tid) provenance.
@@ -118,14 +118,20 @@ class HashJoin(Operator):
         self.build_count += inserted
 
     def _drain_late_build(self) -> typing.Generator:
-        """Absorb build tuples replayed after the build phase ended."""
+        """Absorb build tuples replayed after the build phase ended.
+
+        Charged and inserted one row at a time, in block order: fusing
+        the charges would change how they interleave with other
+        fragments on a shared CPU.
+        """
         while True:
-            row = yield from self.build_child.try_next()
-            if row is None or row is END:
+            block = yield from self.build_child.try_next()
+            if block is None:
                 return
-            yield from self.ctx.machine.work(
-                LABEL_BUILD, self.ctx.cost.join_build_work)
-            self.insert_build_row(row)
+            for row in block.rows:
+                yield from self.ctx.machine.work(
+                    LABEL_BUILD, self.ctx.cost.join_build_work)
+                self.insert_build_row(row)
 
     def next_batch(self, max_rows: int) -> typing.Generator:
         while True:

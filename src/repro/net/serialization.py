@@ -19,67 +19,45 @@ class SerializationModel:
     """CPU and size costs of encoding tuple buffers as messages.
 
     Work values are in CPU work units (milliseconds at machine speed
-    1.0); sizes are in bytes.
+    1.0); sizes are in bytes.  A buffer costs the same whether the
+    blocks in it are row- or column-backed.
     """
 
     serialize_per_message: float = 2.0
     serialize_per_tuple: float = 0.25
     deserialize_per_message: float = 1.0
     deserialize_per_tuple: float = 0.12
-    #: Per-column header cost of a columnar wire block (charged once
-    #: per column per message, on top of the per-tuple cost).  The
-    #: defaults are 0.0 so the columnar data plane is cost-neutral —
-    #: simulated times are identical to the row wire — but the terms
-    #: exist as ablation hooks for modelling column-chunked encodings.
-    serialize_per_column: float = 0.0
-    deserialize_per_column: float = 0.0
     envelope_bytes: int = 512
-    #: Per-column framing bytes of a columnar wire block (default 0,
-    #: same cost-neutrality argument as the per-column work terms).
-    column_overhead_bytes: int = 0
     #: XML markup inflation applied to raw tuple bytes.
     size_inflation: float = 2.5
 
     def __post_init__(self) -> None:
         values = (self.serialize_per_message, self.serialize_per_tuple,
                   self.deserialize_per_message, self.deserialize_per_tuple,
-                  self.serialize_per_column, self.deserialize_per_column,
-                  self.envelope_bytes, self.column_overhead_bytes,
-                  self.size_inflation)
+                  self.envelope_bytes, self.size_inflation)
         if any(v < 0 for v in values):
             raise ConfigurationError(
                 f"serialization model values must be non-negative: {self}")
 
-    def serialize_work(self, tuple_count: int,
-                       column_count: int = 0) -> float:
-        """CPU work to serialize a buffer of ``tuple_count`` tuples.
-
-        ``column_count`` is the number of columns of the (columnar)
-        payload; 0 for the row-at-a-time wire.
-        """
+    def serialize_work(self, tuple_count: int) -> float:
+        """CPU work to serialize a buffer of ``tuple_count`` tuples."""
         return (self.serialize_per_message
-                + self.serialize_per_tuple * tuple_count
-                + self.serialize_per_column * column_count)
+                + self.serialize_per_tuple * tuple_count)
 
-    def deserialize_work(self, tuple_count: int,
-                         column_count: int = 0) -> float:
+    def deserialize_work(self, tuple_count: int) -> float:
         """CPU work to deserialize a buffer of ``tuple_count`` tuples."""
         return (self.deserialize_per_message
-                + self.deserialize_per_tuple * tuple_count
-                + self.deserialize_per_column * column_count)
+                + self.deserialize_per_tuple * tuple_count)
 
     def wire_size(self, payload_bytes: int) -> int:
         """On-the-wire size of a message with ``payload_bytes`` of data."""
         return self.envelope_bytes + int(payload_bytes * self.size_inflation)
 
-    def wire_size_batch(self, tuple_count: int, row_bytes: int,
-                        column_count: int = 0) -> int:
+    def wire_size_batch(self, tuple_count: int, row_bytes: int) -> int:
         """On-the-wire size of a batch envelope of uniform-width rows.
 
-        One envelope amortised over the whole batch — the batched
-        exchange path ships ``tuple_count`` rows in a single message,
-        so the size equals ``wire_size`` of the concatenated payload
-        (plus per-column framing when the payload is columnar).
+        One envelope amortised over the whole batch — the exchange
+        ships ``tuple_count`` rows in a single message, so the size
+        equals ``wire_size`` of the concatenated payload.
         """
-        return (self.wire_size(tuple_count * row_bytes)
-                + self.column_overhead_bytes * column_count)
+        return self.wire_size(tuple_count * row_bytes)

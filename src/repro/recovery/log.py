@@ -22,19 +22,18 @@ from repro.data.tuples import Row, Tid
 from repro.errors import RecoveryError
 
 
-def _segment_rows(segment: list) -> int:
-    """Row count of a segment whose entries are Rows or Batch blocks."""
-    return sum(len(entry) if isinstance(entry, Batch) else 1
-               for entry in segment)
+def _segment_rows(segment: list[Batch]) -> int:
+    """Row count of a segment of logged blocks."""
+    return sum(len(block) for block in segment)
 
 
 class RecoveryLog:
     """Checkpoint-segmented log of unacknowledged tuples for a channel.
 
-    Segment entries are individual :class:`Row` objects or — on the
-    columnar plane — whole :class:`Batch` blocks kept column-backed,
-    so logging a block is O(1) and rows only materialize if an
-    adaptation actually inspects the log.
+    Segment entries are the :class:`Batch` blocks the producer
+    buffered, kept as they are (column- or row-backed), so logging a
+    block is O(1) and a column-backed block's rows only materialize if
+    an adaptation actually inspects the log.
     """
 
     def __init__(self, channel_key: str) -> None:
@@ -50,22 +49,11 @@ class RecoveryLog:
         return (sum(_segment_rows(seg) for seg in self._sealed.values())
                 + _segment_rows(self._open))
 
-    def append_batch(self, rows: typing.Sequence[Row]) -> None:
-        """Log tuples just sent on this channel, in order.
-
-        Callers segment batches at checkpoint boundaries, so a batch
-        never spans a :meth:`seal`; per-tuple provenance is preserved
-        because the log stores the individual rows.
-        """
-        self._open.extend(rows)
-        self.appended_total += len(rows)
-
     def append_block(self, block: Batch) -> None:
-        """Log a wire block without materializing its rows.
+        """Log a wire block just buffered on this channel.
 
-        The block is stored as-is; callers segment blocks at checkpoint
-        boundaries just as with :meth:`append_batch`, so a block never
-        spans a :meth:`seal`.
+        The block is stored as-is; callers chunk blocks at checkpoint
+        boundaries, so a block never spans a :meth:`seal`.
         """
         self._open.append(block)
         self.appended_total += len(block)
@@ -94,17 +82,9 @@ class RecoveryLog:
     def outstanding(self) -> list[Row]:
         """Every logged (sent but unacknowledged) tuple, oldest first."""
         rows: list[Row] = []
-        for segment in self._sealed.values():
-            for entry in segment:
-                if isinstance(entry, Batch):
-                    rows.extend(entry.rows)
-                else:
-                    rows.append(entry)
-        for entry in self._open:
-            if isinstance(entry, Batch):
-                rows.extend(entry.rows)
-            else:
-                rows.append(entry)
+        for segment in (*self._sealed.values(), self._open):
+            for block in segment:
+                rows.extend(block.rows)
         return rows
 
     def remove(self, tids: typing.AbstractSet[Tid]) -> list[Row]:
@@ -118,28 +98,18 @@ class RecoveryLog:
         """
         removed: list[Row] = []
 
-        def filter_segment(segment: list) -> list:
+        def filter_segment(segment: list[Batch]) -> list[Batch]:
             kept = []
-            for entry in segment:
-                if isinstance(entry, Batch):
-                    kept_block, dropped = entry.filter_tids(tids)
-                    if dropped:
-                        removed.extend(row for row in entry.rows
-                                       if row.tid in tids)
-                    if len(kept_block):
-                        kept.append(kept_block)
-                elif entry.tid in tids:
-                    removed.append(entry)
-                else:
-                    kept.append(entry)
+            for block in segment:
+                kept_block, dropped = block.filter_tids(tids)
+                if dropped:
+                    removed.extend(row for row in block.rows
+                                   if row.tid in tids)
+                if len(kept_block):
+                    kept.append(kept_block)
             return kept
 
         for sealed_id in list(self._sealed):
             self._sealed[sealed_id] = filter_segment(self._sealed[sealed_id])
         self._open = filter_segment(self._open)
         return removed
-
-    def clear(self) -> None:
-        """Drop everything (query complete)."""
-        self._sealed.clear()
-        self._open.clear()

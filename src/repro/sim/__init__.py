@@ -11,7 +11,7 @@ from repro.sim.environment import Environment, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Cpu, CpuTask
-from repro.sim.stores import Store, StoreGet, StorePut
+from repro.sim.stores import Store, StoreGet
 
 __all__ = [
     "AllOf",
@@ -24,6 +24,5 @@ __all__ = [
     "RandomStreams",
     "Store",
     "StoreGet",
-    "StorePut",
     "Timeout",
 ]

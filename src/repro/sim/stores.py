@@ -1,12 +1,10 @@
 """Queues for inter-process communication in the simulation.
 
-:class:`Store` is a FIFO buffer of arbitrary items with optional
-capacity.  Producers ``yield store.put(item)``; consumers
-``yield store.get()``.  Both sides block (in simulated time) when the
-store is full/empty.  The paper's exchange operators use unbounded
-stores ("the incoming queues within exchanges can fit the complete
-dataset", §3.2) but bounded stores are supported for back-pressure
-experiments.
+:class:`Store` is an unbounded FIFO buffer of arbitrary items ("the
+incoming queues within exchanges can fit the complete dataset", §3.2).
+Producers call ``store.put_many(items)``, which never blocks;
+consumers ``yield store.get()`` and block (in simulated time) while
+the store is empty, or ``take`` what is already buffered.
 """
 
 from __future__ import annotations
@@ -14,19 +12,8 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-
-
-class StorePut(Event):
-    """Pending put request; succeeds once the item is buffered."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: typing.Any) -> None:
-        super().__init__(store.env)
-        self.item = item
 
 
 class StoreGet(Event):
@@ -36,41 +23,25 @@ class StoreGet(Event):
 
 
 class Store:
-    """A FIFO item buffer with optional capacity.
+    """An unbounded FIFO item buffer.
 
-    Items are handed to getters strictly in arrival order, and blocked
-    putters are admitted in request order, so the store is fair and the
+    Items are handed to getters strictly in arrival order and getters
+    are served in request order, so the store is fair and the
     simulation stays deterministic.
     """
 
-    def __init__(self, env: Environment,
-                 capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"store capacity must be positive: {capacity}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: collections.deque[typing.Any] = collections.deque()
-        self._putters: collections.deque[StorePut] = collections.deque()
         self._getters: collections.deque[StoreGet] = collections.deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.items
-
-    @property
     def waiting_getters(self) -> int:
         """Number of get() requests currently blocked."""
         return len(self._getters)
-
-    def put(self, item: typing.Any) -> StorePut:
-        """Queue ``item``; the returned event fires once it is stored."""
-        request = StorePut(self, item)
-        self._putters.append(request)
-        self._settle()
-        return request
 
     def get(self) -> StoreGet:
         """Request the next item; the event's value is the item."""
@@ -79,23 +50,11 @@ class Store:
         self._settle()
         return request
 
-    def put_many(self, items: typing.Iterable[typing.Any]
-                 ) -> list[StorePut]:
-        """Buffer many items at once, without per-item put events.
-
-        Fire-and-forget equivalent of ``put`` for each item: when no
-        putter is blocked and capacity allows, the items are appended
-        directly (one ``_settle`` wakes any waiting getters).  When the
-        store could block, falls back to individual ``put`` calls so
-        bounded stores keep their back-pressure semantics; the blocked
-        requests are returned.
-        """
-        items = list(items)
-        if self._putters or len(self.items) + len(items) > self.capacity:
-            return [self.put(item) for item in items]
+    def put_many(self, items: typing.Iterable[typing.Any]) -> None:
+        """Buffer ``items`` in order, without an event per item; one
+        ``_settle`` wakes any waiting getters."""
         self.items.extend(items)
         self._settle()
-        return []
 
     def take(self, max_items: int) -> list[typing.Any]:
         """Synchronously dequeue up to ``max_items`` buffered items.
@@ -110,8 +69,6 @@ class Store:
         taken: list[typing.Any] = []
         while self.items and len(taken) < max_items:
             taken.append(self.items.popleft())
-        if taken:
-            self._settle()
         return taken
 
     def put_back(self, items: typing.Sequence[typing.Any]) -> None:
@@ -125,14 +82,9 @@ class Store:
         self._settle()
 
     def drain(self) -> list[typing.Any]:
-        """Remove and return all buffered items without waking getters.
-
-        Used by retrospective repartitioning to pull back tuples that
-        were queued but not yet consumed.
-        """
+        """Remove and return all buffered items (a consumer aborting)."""
         drained = list(self.items)
         self.items.clear()
-        self._settle()
         return drained
 
     def remap(self, mapper: typing.Callable[[typing.Any], typing.Any]
@@ -147,27 +99,14 @@ class Store:
             if replacement is not None:
                 kept.append(replacement)
         self.items = kept
-        self._settle()
 
     def _settle(self) -> None:
-        """Match buffered items with getters and admit blocked putters.
+        """Hand buffered items to waiting getters, in order.
 
-        Hot path: bursts of puts/gets settle at one timestamp, so the
-        loop binds its deques locally and exits without re-scanning
-        when a pass makes no progress.
+        A getter only ever waits on an empty store, so this runs where
+        items arrive or a getter does — never where items only leave.
         """
         items = self.items
-        putters = self._putters
         getters = self._getters
-        capacity = self.capacity
-        progressed = True
-        while progressed:
-            progressed = False
-            while putters and len(items) < capacity:
-                put = putters.popleft()
-                items.append(put.item)
-                put.succeed(None)
-                progressed = True
-            while getters and items:
-                getters.popleft().succeed(items.popleft())
-                progressed = True
+        while getters and items:
+            getters.popleft().succeed(items.popleft())

@@ -76,11 +76,6 @@ class TestTransforms:
         assert head.is_columnar and rest.is_columnar
         assert head.rows + rest.rows == _rows(6)
 
-    def test_chunks_cover_in_order(self):
-        chunks = list(_columnar(7).chunks(3))
-        assert [len(c) for c in chunks] == [3, 3, 1]
-        assert [row for c in chunks for row in c] == _rows(7)
-
     def test_select_columns(self):
         projected = _columnar(4).select_columns([2, 0])
         assert projected.is_columnar

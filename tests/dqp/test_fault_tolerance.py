@@ -8,12 +8,21 @@ doubling up), and the feed producers replay their recovery logs —
 with exactly-once results throughout.
 """
 
+import collections
 import math
 
 import pytest
 
-from repro.config import AdaptivityConfig, FaultToleranceConfig, RESPONSE_R1
+from repro.config import (
+    RESPONSE_R1,
+    RESPONSE_R2,
+    AdaptivityConfig,
+    FaultToleranceConfig,
+)
+from repro.data.batch import Batch
+from repro.dqp.gqes import GQES
 from repro.errors import ConfigurationError, ServiceError
+from repro.recovery import Checkpoint
 from repro.services.ws import shannon_entropy
 from repro.workloads import (
     DemoGrid,
@@ -251,6 +260,38 @@ class TestRecovery:
         # again once the retried recovery rebuilt them.
         assert result.stats.clones_quarantined >= 1
         assert result.stats.clones_reintegrated >= 1
+
+    @pytest.mark.parametrize("response", [None, RESPONSE_R2, RESPONSE_R1])
+    @pytest.mark.parametrize("query, at_ms, perturb, reference", [
+        (Q1, 1500.0, lambda g: perturb_ws_cost(g, 8.0), q1_reference),
+        (Q2, 2500.0, lambda g: perturb_join_sleep(g, 10.0), q2_reference),
+    ], ids=["Q1", "Q2"])
+    def test_only_blocks_and_checkpoints_reach_ingest(
+            self, monkeypatch, query, at_ms, perturb, reference, response):
+        """One wire: whatever the channel (stateless, build, probe),
+        the response and the recovery resends, a data buffer holds
+        ``Batch`` blocks and ``Checkpoint`` markers and nothing else."""
+        seen = collections.Counter()
+        on_data = GQES.on_data
+
+        def recording_on_data(gqes, message):
+            seen.update(type(item) for item in message.payload.items)
+            on_data(gqes, message)
+
+        monkeypatch.setattr(GQES, "on_data", recording_on_data)
+        adaptivity = (AdaptivityConfig.disabled() if response is None
+                      else AdaptivityConfig(response=response,
+                                            decision_latency_ms=200.0))
+        grid, result = self.run_with_failure(
+            query, at_ms=at_ms, perturb=perturb, adaptivity=adaptivity)
+        assert result.stats.machines_recovered == 1
+        assert result.stats.tuples_replayed_for_recovery > 0
+        if response is not None:
+            assert result.stats.adaptations_accepted > 0
+        got = sorted(v[0] for v in result.values())
+        assert (got == reference(grid) if query is Q2
+                else close_lists(got, reference(grid)))
+        assert set(seen) == {Batch, Checkpoint}
 
     def test_response_time_reflects_recovery_cost(self):
         grid_ok = DemoGrid(SPEC, fault_tolerance=FT)

@@ -209,10 +209,6 @@ class TestHashBucketPolicy:
         with pytest.raises(AdaptationError):
             HashBucketPolicy(10, 0, bucket_count=5)
 
-    def test_stateful_safety_flags(self):
-        assert HashBucketPolicy(2, 0).is_stateful_safe
-        assert not WeightedRoundRobin(2).is_stateful_safe
-
 
 class TestBucketAssignment:
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0),

@@ -10,12 +10,16 @@ from repro.engine.control import (
 )
 from repro.engine.distribution import HashBucketPolicy, WeightedRoundRobin
 from repro.engine.metrics import SubplanMetrics
+import pytest
+
 from repro.engine.operators import (
     ConsumerRef,
     ExchangeConsumer,
     ExchangeProducer,
+    HashJoin,
 )
 from repro.engine.operators.base import END, EvalContext, Operator
+from repro.errors import ExecutionError
 from repro.grid import GridContext
 from repro.recovery.checkpoint import Checkpoint
 
@@ -52,10 +56,8 @@ class CapturingService:
         for rcpt, _kind, payload in self.sent:
             if rcpt == recipient and hasattr(payload, "items"):
                 for item in payload.items:
-                    if isinstance(item, Batch):  # a wire block
+                    if isinstance(item, Batch):  # not a checkpoint marker
                         rows.extend(item)
-                    elif isinstance(item, Row):
-                        rows.append(item)
         return rows
 
 
@@ -225,6 +227,39 @@ class TestProducerInternals:
         assert report.tuples_sent == 16
         assert report.fraction_sent == 1.0
 
+    def test_redirect_resends_outstanding_rows_as_one_unlogged_block(self):
+        # 8 rows per channel at buffer size 3: two buffers sent, two
+        # rows and the checkpoint marker still buffered, nothing acked.
+        context, _ctx, producer, service, rows = make_world(
+            buffer_size=3)
+
+        def body(env):
+            while (yield from producer.next_batch(32)) is not END:
+                pass
+            return (yield from producer.redirect_instance(
+                "compute:1", "gqes-new"))
+
+        log = producer._logs[1]
+        process = context.env.process(body(context.env))
+        context.env.run(until=process)
+        assert process.value == 1
+        assert log.appended_total == 8  # the resend is not re-logged
+        assert producer.tuples_replayed_for_recovery == 6
+        (payload,) = [payload for recipient, _k, payload in service.sent
+                      if recipient == "gqes-new"]
+        assert payload.tuple_count == 8
+        # The still-buffered rows and their marker, then one block.
+        *buffered, marker, resend = payload.items
+        assert all(isinstance(item, Batch) for item in buffered)
+        assert sum(len(item) for item in buffered) == 2
+        assert marker == Checkpoint(1, "xp:feed0:0", 8)
+        assert isinstance(resend, Batch) and len(resend) == 6
+        # Every outstanding tid exactly once, buffered ones included.
+        received = [r.tid for r in service.data_rows_to("gqes-new")]
+        assert sorted(received) == sorted(
+            r.tid for r in log.outstanding())
+        assert len(received) == len(set(received)) == 8
+
 
 class TestConsumerInternals:
     def make_consumer(self, expected=("xp:feed0:0",), defer_acks=False):
@@ -253,6 +288,12 @@ class TestConsumerInternals:
         context.env.run(until=process)
         return process.value
 
+    @staticmethod
+    def queue_depth_samples(context):
+        series = context.metrics.find("series", "exchange_queue_depth",
+                                      channel="compute:0:0")
+        return [value for _time, value in series.samples]
+
     def test_incomplete_without_announcement(self):
         _context, consumer = self.make_consumer()
         assert not consumer.is_complete()
@@ -260,7 +301,7 @@ class TestConsumerInternals:
     def test_completion_requires_all_settled(self):
         context, consumer = self.make_consumer()
         rows = [Row((i,), f"t#{i}") for i in range(3)]
-        consumer.deliver("xp:feed0:0", "gqes-x", rows)
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows)])
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0",
             frozenset(r.tid for r in rows), 1))
@@ -279,19 +320,53 @@ class TestConsumerInternals:
         assert consumer._announcements["xp:feed0:0"] is newer
 
     def test_discard_removes_queued_rows(self):
-        context, consumer = self.make_consumer()
         rows = [Row((i,), f"t#{i}") for i in range(4)]
-        consumer.deliver("xp:feed0:0", "gqes-x", rows)
-        removed = consumer.apply_discard(DiscardTuples(
-            "compute:0:0", "xp:feed0:0", frozenset({"t#1", "t#3"})))
-        assert removed == 2
-        got = self.drain_rows(context, consumer, 2)
-        assert [r.tid for r in got] == ["t#0", "t#2"]
+        row_backed = Batch(rows)
+        column_backed = Batch.from_columns(
+            [[r.values[0] for r in rows]], [r.tid for r in rows])
+        for block in (row_backed, column_backed):
+            context, consumer = self.make_consumer()
+            consumer.deliver("xp:feed0:0", "gqes-x", [block])
+            removed = consumer.apply_discard(DiscardTuples(
+                "compute:0:0", "xp:feed0:0", frozenset({"t#1", "t#3"})))
+            assert removed == 2
+            assert consumer.rows_discarded == 2
+            assert self.queue_depth_samples(context) == [4, 2]
+            got = self.drain_rows(context, consumer, 2)
+            assert [(r.tid, r.values) for r in got] == [
+                ("t#0", (0,)), ("t#2", (2,))]
+
+    def test_abort_resets_the_sampled_queue_depth(self):
+        context, consumer = self.make_consumer()
+        rows = [Row((i,), f"t#{i}") for i in range(5)]
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows[:3])])
+        consumer.abort()
+        assert consumer.aborted and len(consumer.queue) == 0
+        # A chaos duplicate or retried buffer arriving after the abort
+        # must be sampled on its own, not on top of the dropped rows.
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows[3:])])
+        assert self.queue_depth_samples(context) == [3, 0, 2]
+
+    def test_abort_releases_a_parked_getter(self):
+        context, consumer = self.make_consumer()
+        process = context.env.process(consumer.next_batch(1))
+        context.env.run()
+        assert consumer.queue.waiting_getters == 1
+        consumer.abort()
+        context.env.run(until=process)
+        assert process.value is END
+        assert len(consumer.queue) == 0  # no sentinel left behind
+
+    def test_a_bare_row_on_the_wire_is_rejected(self):
+        context, consumer = self.make_consumer()
+        consumer.deliver("xp:feed0:0", "gqes-x", [Row((1,), "t#1")])
+        with pytest.raises(ExecutionError, match="unexpected queue item"):
+            self.drain_rows(context, consumer, 1)
 
     def test_eager_ack_sent_on_checkpoint(self):
         context, consumer = self.make_consumer()
         consumer.deliver("xp:feed0:0", "gqes-x",
-                         [Row((1,), "t#1"),
+                         [Batch([Row((1,), "t#1")]),
                           Checkpoint(1, "xp:feed0:0", 1)])
         self.drain_rows(context, consumer, 1)
         # Pull once more so the marker is handled (blocks afterwards).
@@ -303,7 +378,7 @@ class TestConsumerInternals:
     def test_deferred_acks_for_stateful_channels(self):
         context, consumer = self.make_consumer(defer_acks=True)
         consumer.deliver("xp:feed0:0", "gqes-x",
-                         [Row((1,), "t#1"),
+                         [Batch([Row((1,), "t#1")]),
                           Checkpoint(1, "xp:feed0:0", 1)])
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0", frozenset({"t#1"}), 1))
@@ -323,3 +398,45 @@ class TestConsumerInternals:
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:new:0", frozenset(), 1))
         assert "xp:new:0" in consumer.expected_producers
+
+    def test_replayed_block_is_state_before_the_next_probe(self):
+        """A multi-row build block replayed after the build phase, with
+        the checkpoint that follows it, on a ``defer_acks`` channel."""
+        context, build = self.make_consumer(defer_acks=True)
+        ctx = build.ctx
+        first = Row(("k0", 0), "b#0")
+        build.deliver("xp:feed0:0", "gqes-x", [Batch([first])])
+        build.apply_announcement(ChannelAnnouncement(
+            "compute:0:0", "xp:feed0:0", frozenset({first.tid}), 1))
+        probe = ListSource(ctx, [Row((f"k{i}", "p"), f"p#{i}")
+                                 for i in range(4)])
+        join = HashJoin(ctx, build, probe, 0, 0)
+        labels = []
+        execute = ctx.machine.cpu.execute
+
+        def recording_execute(work, label="work"):
+            labels.append(label)
+            return execute(work, label=label)
+
+        ctx.machine.cpu.execute = recording_execute
+        late = [Row((f"k{i}", i), f"b#{i}") for i in range(1, 4)]
+
+        def body(env):
+            yield from join.open()
+            assert join.state_size == 1
+            build.deliver("xp:feed0:0", "gqes-x",
+                          [Batch(late), Checkpoint(1, "xp:feed0:0", 4)])
+            return (yield from join.next_batch(32))
+
+        process = context.env.process(body(context.env))
+        context.env.run(until=process)
+        # All four probes match: the three late rows were inserted
+        # before the first probe morsel was matched.
+        assert [r.tid for r in process.value] == [
+            (f"p#{i}", f"b#{i}") for i in range(4)]
+        # One charge for the one-row build morsel, one per late row.
+        assert labels.count("join-build") == 1 + len(late)
+        assert labels.count("ack") == 1
+        assert build.acks_sent == 0
+        assert build.service.sent == []
+        assert len(build.queue) == 0

@@ -128,11 +128,11 @@ class FakeConsumer(ListSource):
 
     def __init__(self, ctx, rows):
         super().__init__(ctx, rows)
-        self.late_rows = []
+        self.late_blocks = []
 
     def try_next(self):
-        if self.late_rows:
-            return self.late_rows.pop(0)
+        if self.late_blocks:
+            return self.late_blocks.pop(0)
         return None
         yield  # pragma: no cover
 
@@ -193,7 +193,7 @@ class TestHashJoin:
         join = HashJoin(eval_ctx, build, probe, 0, 0)
         # A build tuple for k2 arrives after the build phase, as a
         # retrospective replay would deliver it.
-        build.late_rows.append(Row(("k2", 7), "b#late"))
+        build.late_blocks.append(Batch([Row(("k2", 7), "b#late")]))
         rows = drain(context.env, join)
         assert sorted(r.values[1] for r in rows) == ["x", "y"]
 

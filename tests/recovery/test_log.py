@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.errors import RecoveryError
 from repro.recovery import Acknowledgement, Checkpoint, RecoveryLog
@@ -13,25 +14,31 @@ def rows(start, count):
     return [Row((i,), f"t#{i}") for i in range(start, start + count)]
 
 
+def block(start, count):
+    return Batch(rows(start, count))
+
+
+def columnar_block(start, count):
+    return Batch.from_columns(
+        [list(range(start, start + count))],
+        [f"t#{i}" for i in range(start, start + count)])
+
+
 class TestRecoveryLog:
     def test_outstanding_contains_all_unacked(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 5):
-            log.append_batch([row])
+        log.append_block(block(0, 5))
         log.seal(1)
-        for row in rows(5, 3):
-            log.append_batch([row])
+        log.append_block(block(5, 3))
         assert [r.tid for r in log.outstanding()] == [
             f"t#{i}" for i in range(8)]
         assert len(log) == 8
 
     def test_acknowledge_prunes_up_to_checkpoint(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 4):
-            log.append_batch([row])
+        log.append_block(block(0, 4))
         log.seal(1)
-        for row in rows(4, 4):
-            log.append_batch([row])
+        log.append_block(block(4, 4))
         log.seal(2)
         freed = log.acknowledge(1)
         assert freed == 4
@@ -41,15 +48,14 @@ class TestRecoveryLog:
     def test_acknowledge_covers_multiple_segments(self):
         log = RecoveryLog("ch")
         for checkpoint in (1, 2, 3):
-            for row in rows(checkpoint * 10, 2):
-                log.append_batch([row])
+            log.append_block(block(checkpoint * 10, 2))
             log.seal(checkpoint)
         assert log.acknowledge(2) == 4
         assert len(log) == 2
 
     def test_acknowledge_unknown_checkpoint_is_noop(self):
         log = RecoveryLog("ch")
-        log.append_batch(rows(0, 1))
+        log.append_block(block(0, 1))
         assert log.acknowledge(99) == 0  # open segment never pruned
         assert len(log) == 1
 
@@ -63,11 +69,9 @@ class TestRecoveryLog:
 
     def test_remove_extracts_moved_tuples(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 6):
-            log.append_batch([row])
+        log.append_block(block(0, 6))
         log.seal(1)
-        for row in rows(6, 2):
-            log.append_batch([row])
+        log.append_block(block(6, 2))
         removed = log.remove({"t#1", "t#6"})
         assert sorted(r.tid for r in removed) == ["t#1", "t#6"]
         assert len(log) == 6
@@ -75,23 +79,29 @@ class TestRecoveryLog:
 
     def test_remove_unknown_tids_is_noop(self):
         log = RecoveryLog("ch")
-        log.append_batch(rows(0, 1))
+        log.append_block(block(0, 1))
         assert log.remove({"nope"}) == []
         assert len(log) == 1
 
-    def test_clear(self):
+    @pytest.mark.parametrize("make_block", [block, columnar_block])
+    def test_remove_on_block_straddling_kept_and_dropped(self, make_block):
+        # One logged block holding both moved and kept tids is filtered
+        # in place: the kept rows stay one block, in order, and the
+        # moved rows come back as Rows whatever the block's backing.
         log = RecoveryLog("ch")
-        for row in rows(0, 5):
-            log.append_batch([row])
+        log.append_block(make_block(0, 6))
         log.seal(1)
-        log.clear()
-        assert len(log) == 0
-        assert log.outstanding() == []
+        removed = log.remove({"t#1", "t#2", "t#5", "t#9"})
+        assert [(r.tid, r.values) for r in removed] == [
+            ("t#1", (1,)), ("t#2", (2,)), ("t#5", (5,))]
+        assert [r.tid for r in log.outstanding()] == ["t#0", "t#3", "t#4"]
+        assert len(log) == 3
+        assert log.appended_total == 6
+        assert log.acknowledge(1) == 3
 
     def test_counters(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 10):
-            log.append_batch([row])
+        log.append_block(block(0, 10))
         log.seal(1)
         log.acknowledge(1)
         assert log.appended_total == 10
@@ -101,8 +111,7 @@ class TestRecoveryLog:
 class TestRecoveryLogEdgeCases:
     def test_acknowledge_below_earliest_sealed_frees_nothing(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 3):
-            log.append_batch([row])
+        log.append_block(block(0, 3))
         log.seal(5)
         assert log.acknowledge(4) == 0
         assert len(log) == 3
@@ -113,19 +122,16 @@ class TestRecoveryLogEdgeCases:
         # checkpoint this producer never sealed); an intermediate id
         # prunes every segment at or below it and nothing above.
         log = RecoveryLog("ch")
-        for row in rows(0, 2):
-            log.append_batch([row])
+        log.append_block(block(0, 2))
         log.seal(1)
-        for row in rows(2, 2):
-            log.append_batch([row])
+        log.append_block(block(2, 2))
         log.seal(3)
         assert log.acknowledge(2) == 2
         assert [r.tid for r in log.outstanding()] == ["t#2", "t#3"]
 
     def test_repeated_ack_is_idempotent(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 2):
-            log.append_batch([row])
+        log.append_block(block(0, 2))
         log.seal(1)
         assert log.acknowledge(1) == 2
         assert log.acknowledge(1) == 0
@@ -138,8 +144,7 @@ class TestRecoveryLogEdgeCases:
         log = RecoveryLog("ch")
         log.seal(1)
         assert len(log) == 0
-        for row in rows(0, 3):
-            log.append_batch([row])
+        log.append_block(block(0, 3))
         log.seal(2)
         assert log.acknowledge(1) == 0
         assert log.acknowledge(2) == 3
@@ -149,8 +154,7 @@ class TestRecoveryLogEdgeCases:
 
     def test_segment_emptied_by_remove_survives_ack(self):
         log = RecoveryLog("ch")
-        for row in rows(0, 2):
-            log.append_batch([row])
+        log.append_block(block(0, 2))
         log.seal(1)
         removed = log.remove({"t#0", "t#1"})
         assert len(removed) == 2
@@ -162,11 +166,9 @@ class TestRecoveryLogEdgeCases:
         # unacknowledged; tuples re-logged after resending reappear at
         # the tail of the open segment.
         log = RecoveryLog("ch")
-        for row in rows(0, 4):
-            log.append_batch([row])
+        log.append_block(block(0, 4))
         log.seal(1)
-        for row in rows(4, 4):
-            log.append_batch([row])
+        log.append_block(block(4, 4))
         log.seal(2)
         log.acknowledge(1)
         assert [r.tid for r in log.outstanding()] == [
@@ -174,7 +176,7 @@ class TestRecoveryLogEdgeCases:
         moved = log.remove({"t#4", "t#5", "t#0"})  # t#0 already acked
         assert sorted(r.tid for r in moved) == ["t#4", "t#5"]
         assert [r.tid for r in log.outstanding()] == ["t#6", "t#7"]
-        log.append_batch(moved)  # re-logged on the new channel's resend
+        log.append_block(Batch(moved))  # re-logged on the new channel's resend
         assert [r.tid for r in log.outstanding()] == [
             "t#6", "t#7", "t#4", "t#5"]
         assert len(log) == 4
@@ -192,8 +194,7 @@ def test_log_invariant_outstanding_equals_appended_minus_acked(script):
     checkpoint = 0
     pending_checkpoints = []
     for count, do_ack in script:
-        for row in rows(appended, count):
-            log.append_batch([row])
+        log.append_block(block(appended, count))
         appended += count
         checkpoint += 1
         log.seal(checkpoint)

@@ -10,14 +10,26 @@ event (a hop to the next kernel step at the same instant) comes back.
 import pytest
 
 from repro.config import AdaptivityConfig, CostModel, EngineConfig
+from repro.data.batch import Batch
+from repro.data.tuples import Row
 from repro.dqp.gqes import GQES
 from repro.engine.control import DataBuffer
+from repro.engine.metrics import SubplanMetrics
+from repro.engine.operators import ExchangeConsumer, HashJoin
+from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
 from repro.net.link import Link
 from repro.services.base import GridService
 from repro.sim import Cpu, Environment
-from repro.workloads import DemoGrid, DemoGridSpec, Q1, perturb_ws_cost
+from repro.workloads import (
+    DemoGrid,
+    DemoGridSpec,
+    Q1,
+    Q2,
+    perturb_join_sleep,
+    perturb_ws_cost,
+)
 
 
 def queued(env, action):
@@ -124,11 +136,48 @@ def test_gqes_data_ingest_is_one_cpu_task():
     assert delivered == [("xp", "peer", [])]
 
 
+@pytest.mark.parametrize("count", [1, 5])
+def test_late_build_drain_of_one_queued_block(count):
+    """A join absorbing one replayed N-row build block: one ``StoreGet``
+    for the block, then one CPU completion per row."""
+    context = GridContext(seed=0)
+    context.add_machine("m1")
+    ctx = EvalContext(
+        grid=context, machine=context.machine("m1"),
+        metrics=SubplanMetrics("join:0"), cost=CostModel(),
+        engine_config=EngineConfig(), monitor=None)
+    build = ExchangeConsumer(ctx, "join:0:0", ["xp"], defer_acks=True)
+    join = HashJoin(ctx, build, build, 0, 0)
+
+    def drain():
+        context.env.process(join._drain_late_build())
+
+    idle = queued(context.env, drain)  # the process's own start and end
+    build.deliver("xp", "peer", [Batch(
+        [Row((f"k{i}",), f"b#{i}") for i in range(count)])])
+    assert queued(context.env, drain) - idle == count + 1
+    assert join.state_size == count
+
+
 def test_headline_query_budget():
-    """Q1 under the 10x WS perturbation at the default batch size: the
-    budget CI's perf smoke reads from ``BENCH_perf.json``."""
+    """Q1 under the 10x WS perturbation at the default batch size (the
+    ``Q1-ws10x`` bs 32 row of ``BENCH_perf.json``)."""
     grid = DemoGrid(DemoGridSpec(), engine_config=EngineConfig(batch_size=32))
     perturb_ws_cost(grid, 10.0)
     result = grid.run(Q1, AdaptivityConfig.disabled())
     assert len(result.rows) == 3000
     assert grid.context.env.events_scheduled == 2239
+
+
+@pytest.mark.parametrize("adaptivity, budget", [
+    (AdaptivityConfig.disabled(), 4766),
+    (AdaptivityConfig(assessment="A1", response="R1"), 13381),
+], ids=["static", "A1-R1"])
+def test_join_query_budget(adaptivity, budget):
+    """Q2 with the 12 ms join sleep at the default batch size; under
+    A1 + R1 one adaptation replays 2,811 build rows as late blocks."""
+    grid = DemoGrid(DemoGridSpec(), engine_config=EngineConfig(batch_size=32))
+    perturb_join_sleep(grid, 12.0)
+    result = grid.run(Q2, adaptivity)
+    assert len(result.rows) == 4700
+    assert grid.context.env.events_scheduled == budget

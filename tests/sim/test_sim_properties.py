@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Cpu, Environment, Store
+from repro.sim import Cpu, Environment
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0),
@@ -43,31 +43,6 @@ def test_fifo_cpu_serialises_work(works):
     assert completions == list(range(len(works)))
     assert env.now == pytest.approx(sum(works))
     assert cpu.busy_time == pytest.approx(sum(works))
-
-
-@given(st.lists(st.integers(min_value=0, max_value=999),
-                min_size=1, max_size=50),
-       st.integers(min_value=1, max_value=10))
-@settings(max_examples=60)
-def test_store_preserves_order_through_any_capacity(items, capacity):
-    env = Environment()
-    store = Store(env, capacity=capacity)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in range(len(items)):
-            item = yield store.get()
-            received.append(item)
-            yield env.timeout(0.1)  # slow consumer exercises blocking
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
 
 
 @given(st.integers(min_value=0, max_value=2**32),
