@@ -7,6 +7,11 @@ an events-per-row investigation starts from a table.  Changes nothing
 in ``src/``; the total equals the benchmark's ``des_events``.
 
     PYTHONPATH=src python benchmarks/event_sites.py q1_scan_static
+
+A morsel's operator charges are paid as one CPU task labelled
+``morsel``, so the event table no longer says what a task paid for.
+``--charges`` wraps ``EvalContext.charge`` / ``settle`` instead and
+prints the charges per label and how many charges each payment fused.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "layered"))
 
+from repro.engine.operators.base import EvalContext  # noqa: E402
 from repro.sim.environment import Environment  # noqa: E402
 
 from measure import drive  # noqa: E402
@@ -27,6 +33,56 @@ from workloads import WORKLOADS  # noqa: E402
 _KERNEL = {"succeed", "fail", "timeout", "event", "__init__"}
 
 
+class ChargeCounter:
+    """Counts ledger charges per label and charges fused per payment."""
+
+    def __init__(self) -> None:
+        #: label -> [charge calls, items, perturbed work owed].
+        self.labels: dict[str, list] = collections.defaultdict(
+            lambda: [0, 0, 0.0])
+        #: charges paid by one settle -> number of such settles.
+        self.fused: collections.Counter = collections.Counter()
+        self._unpaid: collections.Counter = collections.Counter()
+        self._charge = EvalContext.charge
+        self._settle = EvalContext.settle
+
+    def install(self) -> None:
+        def charge(ctx, label, work_per_item, count=1):
+            before = ctx.owed_work
+            self._charge(ctx, label, work_per_item, count)
+            entry = self.labels[label.split(":")[0]]
+            entry[0] += 1
+            entry[1] += count
+            entry[2] += ctx.owed_work - before
+            self._unpaid[id(ctx)] += 1
+
+        def settle(ctx):
+            self.fused[self._unpaid.pop(id(ctx), 0)] += 1
+            return self._settle(ctx)
+
+        EvalContext.charge = charge
+        EvalContext.settle = settle
+
+    def uninstall(self) -> None:
+        EvalContext.charge = self._charge
+        EvalContext.settle = self._settle
+
+    def report(self) -> None:
+        charges = sum(entry[0] for entry in self.labels.values())
+        paying = sum(n for fused, n in self.fused.items() if fused)
+        print(f"{charges} charges in {paying} payments "
+              f"({charges / max(1, paying):.2f} per payment; "
+              f"{self.fused[0]} settles owed no charge)")
+        print(f"{'charges':>9} {'items':>9} {'work ms':>12}  label")
+        for label, (calls, items, work) in sorted(
+                self.labels.items(), key=lambda kv: -kv[1][0]):
+            print(f"{calls:>9} {items:>9} {work:>12.1f}  {label}")
+        print(f"{'payments':>9}  charges fused")
+        for fused, n in sorted(self.fused.items()):
+            if fused:
+                print(f"{n:>9}  {fused}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -34,6 +90,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--depth", type=int, default=2,
                         help="caller frames per site (default 2)")
+    parser.add_argument("--charges", action="store_true",
+                        help="also print ledger charges per label and "
+                             "charges per settle")
     args = parser.parse_args(argv)
 
     sites: collections.Counter = collections.Counter()
@@ -54,16 +113,23 @@ def main(argv=None) -> int:
         schedule(env, event, *rest, **kwargs)
 
     scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
+    charges = ChargeCounter() if args.charges else None
     Environment.schedule = counting
+    if charges is not None:
+        charges.install()
     try:
         drive(scenario)
     finally:
         Environment.schedule = schedule
+        if charges is not None:
+            charges.uninstall()
     total = scenario.grid.context.env.events_scheduled
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{total} events queued")
     for site, count in sites.most_common():
         print(f"{count:>9} {100.0 * count / total:5.1f} %  {site}")
+    if charges is not None:
+        charges.report()
     return 0
 
 

@@ -13,8 +13,11 @@ receives raw, low-level monitoring events from the local query engine
   changes by the threshold ``thresM``.
 
 Raw events are delivered by local method call (the engine and detector
-share a machine), but their processing cost is charged to that
-machine's CPU; outgoing notifications travel over the network.
+share a machine), so the calling evaluator thread pays for the call:
+the detector queues no CPU work of its own, it names its processing
+cost (:meth:`MonitoringEventDetector.intake_work`) and the caller adds
+it to the fragment's charge ledger *after* the hand-over.  Outgoing
+notifications travel over the network.
 """
 
 from __future__ import annotations
@@ -69,7 +72,11 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         self.query_id = query_id
         self._windows: dict[str, collections.deque] = {}
         self._last_notified: dict[str, float] = {}
-        self._meta: dict[str, dict] = {}
+        #: Window key per M1 instance id / M2 (producer, channel) pair
+        #: and each key's notification fields: constant, so registered
+        #: on first sight instead of rebuilt per raw event.
+        self._keys: dict[typing.Any, str] = {}
+        self._meta: dict[str, tuple] = {}
         self.raw_events_received = 0
         self.cost_notifications_sent = 0
         metrics = context.metrics
@@ -88,22 +95,17 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
 
         ``count`` exceeds 1 when a morsel crosses several
         ``m1_interval`` boundaries: the sliding window receives one
-        observation per boundary while the detector's processing cost
-        is charged as a single CPU burst.
+        observation per boundary.
         """
         if count <= 0:
             return
         self.raw_events_received += count
         self._metric_raw_m1.inc(count)
-        self.machine.cpu.execute(self.cost.control_event_work * count,
-                                 label="detector")
-        key = f"m1|{event.instance_id}"
-        self._meta[key] = {
-            "kind": "m1",
-            "instance_id": event.instance_id,
-            "recipient_channel": None,
-            "subplan_id": event.subplan_id,
-        }
+        key = self._keys.get(event.instance_id)
+        if key is None:
+            key = self._register(
+                event.instance_id, f"m1|{event.instance_id}", "m1",
+                event.instance_id, None, event.subplan_id)
         for _ in range(count):
             self._observe(key, event.cost_per_tuple_ms)
 
@@ -122,25 +124,27 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
             return event
         self.raw_events_received += 1
         self._metric_raw_m2.inc()
-        self._charge_cpu()
-        key = f"m2|{producer_id}->{recipient_channel}"
-        self._meta[key] = {
-            "kind": "m2",
-            "instance_id": None,
-            "recipient_channel": recipient_channel,
-            "subplan_id": None,
-        }
+        key = self._keys.get((producer_id, recipient_channel))
+        if key is None:
+            key = self._register(
+                (producer_id, recipient_channel),
+                f"m2|{producer_id}->{recipient_channel}", "m2",
+                None, recipient_channel, None)
         self._observe(key, send_cost_ms / tuple_count)
         return event
 
-    # -- windowing and thresholding ------------------------------------------
+    def intake_work(self, count: int) -> float:
+        """CPU work of ingesting ``count`` raw events; the caller pays."""
+        return self.cost.control_event_work * count
 
-    def _charge_cpu(self) -> None:
-        # Fire-and-forget: detector processing occupies the machine's
-        # CPU (delaying co-located evaluators) without blocking the
-        # caller's control flow.
-        self.machine.cpu.execute(self.cost.control_event_work,
-                                 label="detector")
+    def _register(self, ident, key: str, *fields) -> str:
+        """First sight of a window: ``fields`` are its notifications'
+        (kind, instance id, recipient channel, subplan id)."""
+        self._keys[ident] = key
+        self._meta[key] = fields
+        return key
+
+    # -- windowing and thresholding ------------------------------------------
 
     def _observe(self, key: str, value: float) -> None:
         window = self._windows.get(key)
@@ -161,13 +165,13 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         self._emit(key, average, len(window))
 
     def _emit(self, key: str, average: float, window_length: int) -> None:
-        meta = self._meta[key]
+        kind, instance_id, recipient_channel, subplan_id = self._meta[key]
         notification = CostNotification(
-            kind=meta["kind"],
+            kind=kind,
             key=key,
-            instance_id=meta["instance_id"],
-            recipient_channel=meta["recipient_channel"],
-            subplan_id=meta["subplan_id"],
+            instance_id=instance_id,
+            recipient_channel=recipient_channel,
+            subplan_id=subplan_id,
             average_value=average,
             window_length=window_length,
             timestamp=self.env.now)

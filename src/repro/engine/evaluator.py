@@ -80,6 +80,7 @@ class Fragment:
 
     def run(self, query_complete: Event) -> typing.Generator:
         yield from self.root.open()
+        yield from self.ctx.settle()
         # Opening may block for a long time (a hash join's build phase
         # drains its whole build channel); discard whatever accumulated
         # so the first M1 batch only measures steady-state processing.
@@ -94,6 +95,8 @@ class Fragment:
         while not self.halted:
             iteration_start = self.env.now
             item = yield from self.root.next_batch(batch_size)
+            # One CPU task per morsel: what the chain charged.
+            yield from self.ctx.settle()
             if self.halted:
                 break
             if item is not END:
@@ -141,8 +144,6 @@ class Fragment:
             self.ctx.metrics.drain_batch())
         if window_produced == 0:
             return
-        yield from self.ctx.machine.work_batch(
-            "monitor", self.ctx.cost.monitor_event_work, emissions)
         event = M1Event(
             instance_id=self.instance_id,
             subplan_id=self.subplan_id,
@@ -154,3 +155,4 @@ class Fragment:
             timestamp=self.env.now)
         monitor.submit_m1(event, emissions)
         self.m1_events_emitted += emissions
+        yield from self.ctx.pay_handover(emissions)

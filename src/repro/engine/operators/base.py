@@ -9,11 +9,18 @@ simulated time (CPU bursts, queue waits, network sends); callers use
 
 ``next_batch`` is the one pull method: it returns a non-empty
 :class:`~repro.data.batch.Batch` of up to ``max_rows`` rows, or the
-:data:`END` sentinel.  Operators aggregate their per-tuple CPU costs
-into one ``machine.work_batch`` call per batch, so the simulator
-schedules events per morsel instead of per tuple.  ``max_rows=1``
-(``EngineConfig.batch_size=1``, or a producer one row short of a flush
-boundary) is a one-row morsel through the same code.
+:data:`END` sentinel.  ``max_rows=1`` (``EngineConfig.batch_size=1``,
+or a producer one row short of a flush boundary) is a one-row morsel
+through the same code.
+
+One thread does everything that happens to a morsel, so a morsel is
+one stretch of CPU: operators queue no CPU work, they *charge* their
+per-tuple costs to the fragment's ledger (:meth:`EvalContext.charge`,
+a plain call) and the evaluator pays the sum as one CPU task
+(:meth:`EvalContext.settle`).  A fragment settles before it waits for
+anything but its own payment, before anything leaves it (a buffer, an
+acknowledgement) and once per morsel pulled from a leaf, so the ledger
+is zero whenever the fragment is suspended anywhere but in ``settle``.
 
 END is a state, not a token: after END, ``next_batch`` may be called
 again — exchange consumers can "reopen" when a retrospective
@@ -53,10 +60,42 @@ class EvalContext:
     engine_config: EngineConfig
     #: Local MonitoringEventDetector hook (None when monitoring is off).
     monitor: typing.Any = None
+    #: The charge ledger: perturbed CPU work and blocking delay charged
+    #: by the operators and not yet paid by the evaluator.
+    owed_work: float = 0.0
+    owed_delay: float = 0.0
 
     @property
     def env(self):
         return self.grid.env
+
+    def charge(self, label: str, work_per_item: float,
+               count: int = 1) -> None:
+        """Owe ``count`` items of labelled work; perturbations (and
+        their RNG draws) are applied now, nothing is queued."""
+        work, delay = self.machine.effect_batch(label, work_per_item, count)
+        self.owed_work += work
+        self.owed_delay += delay
+
+    def settle(self) -> typing.Generator:
+        """Pay what is owed: the blocking delay, then one CPU task.
+        Zeroed before the first yield: a second process sharing this
+        context (a distribution update's replay) starts owing nothing."""
+        work, delay = self.owed_work, self.owed_delay
+        self.owed_work = self.owed_delay = 0.0
+        if delay > 0:
+            yield self.env.timeout(delay)
+        if work > 0:
+            yield self.machine.cpu.execute(work, label="morsel")
+
+    def pay_handover(self, count: int) -> typing.Generator:
+        """Pay for ``count`` raw events just handed to the detector:
+        emission work plus the detector's (unperturbed) intake, as one
+        task.  Paid *after* the hand-over, so the notifications it
+        triggers queue for the CPU ahead of the next morsel."""
+        self.charge("monitor", self.cost.monitor_event_work, count)
+        self.owed_work += self.monitor.intake_work(count)
+        yield from self.settle()
 
 
 class Operator:

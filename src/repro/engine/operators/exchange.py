@@ -198,14 +198,14 @@ class ExchangeProducer(UnaryOperator):
         # flushed and re-announced.
         self.finished = False
         if self.ctx.monitor is not None:
-            yield from self.ctx.machine.work_batch(
-                "instrument", self.ctx.cost.instrument_work_per_tuple,
-                len(batch))
+            self.ctx.charge("instrument",
+                            self.ctx.cost.instrument_work_per_tuple,
+                            len(batch))
         # Route and place the whole batch synchronously (no simulated
         # time passes), so a distribution update arriving mid-batch
         # sees every row in the buffers/logs: routing and buffering are
-        # atomic per morsel.  The aggregated log cost and the
-        # rotated-out full buffers are paid and transmitted afterwards.
+        # atomic per morsel.  The morsel's work is still owed here: it
+        # is paid before the first rotated-out buffer is transmitted.
         logged = 0
         sends: list[tuple[int, list, int]] = []
         extras: dict[int, list[Row]] = {}
@@ -297,10 +297,9 @@ class ExchangeProducer(UnaryOperator):
     def _settle_batch(self, logged: int,
                       sends: typing.Sequence[tuple[int, list, int]]
                       ) -> typing.Generator:
-        """Pay a placed batch's aggregated costs and transmit its sends."""
+        """Charge a placed batch's log cost and transmit its sends."""
         if logged:
-            yield from self.ctx.machine.work_batch(
-                "log-append", self._log_work, logged)
+            self.ctx.charge("log-append", self._log_work, logged)
         for index, items, row_count in sends:
             yield from self._transmit(index, items, row_count)
 
@@ -330,6 +329,8 @@ class ExchangeProducer(UnaryOperator):
     def _transmit(self, index: int, items: list, row_count: int
                   ) -> typing.Generator:
         """Serialize and send one (already rotated-out) buffer."""
+        # Paid before it leaves: the work that produced these rows.
+        yield from self.ctx.settle()
         consumer = self.consumers[index]
         serialization = self.ctx.grid.serialization
         started = self.env.now
@@ -357,13 +358,12 @@ class ExchangeProducer(UnaryOperator):
             if isinstance(item, Batch):
                 on_wire.update(item.tids())
         if self.ctx.monitor is not None and row_count:
-            yield from self.ctx.machine.work(
-                "monitor", self.ctx.cost.monitor_event_work)
             self.ctx.monitor.submit_m2(
                 producer_id=self.producer_id,
                 recipient_channel=consumer.channel_key,
                 send_cost_ms=send_cost,
                 tuple_count=row_count)
+            yield from self.ctx.pay_handover(1)
 
     def _send_with_retry(self, endpoint: str, payload, wire_bytes: int,
                          chaos) -> typing.Generator:
@@ -852,6 +852,11 @@ class ExchangeConsumer(Operator):
             elif count or self.is_complete():
                 # Don't block while holding rows: ship a partial batch.
                 break
+            elif self.ctx.owed_work or self.ctx.owed_delay:
+                # Paid before it waits, not booked as idle wait; then
+                # look again, since paying takes simulated time.
+                yield from self.ctx.settle()
+                continue
             else:
                 waited_from = self.env.now
                 producer_id, item = yield self.queue.get()
@@ -876,8 +881,8 @@ class ExchangeConsumer(Operator):
         Control items ahead of the block are applied on the way.  Used
         by a join to absorb build state replayed after its build phase.
         """
-        while len(self.queue) > 0:
-            producer_id, item = yield self.queue.get()
+        while taken := self.queue.take(1):
+            producer_id, item = taken[0]
             if isinstance(item, Batch):
                 self._handle_block(producer_id, item)
                 return item
@@ -889,10 +894,11 @@ class ExchangeConsumer(Operator):
         if item is RECHECK:
             return
         if isinstance(item, Checkpoint):
-            yield from self.ctx.machine.work("ack", self.ctx.cost.ack_work)
+            self.ctx.charge("ack", self.ctx.cost.ack_work)
             if not self.defer_acks:
                 if self.ack_flush_producer is not None:
                     yield from self.ack_flush_producer._flush_all()
+                yield from self.ctx.settle()
                 self._send_ack(item)
             return
         raise ExecutionError(

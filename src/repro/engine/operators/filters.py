@@ -57,16 +57,17 @@ class Select(UnaryOperator):
             batch = yield from self.child.next_batch(max_rows)
             if batch is END:
                 return END
-            yield from self.ctx.machine.work_batch(
-                "select", self.ctx.cost.select_work, len(batch))
+            self.ctx.charge("select", self.ctx.cost.select_work, len(batch))
             if columnar:
                 kept_batch = self._filter_columnar(batch)
                 if kept_batch is not None:
                     return kept_batch
-                continue
-            kept = [row for row in batch if self.predicate(row)]
-            if kept:
-                return batch.replace_rows(kept)
+            else:
+                kept = [row for row in batch if self.predicate(row)]
+                if kept:
+                    return batch.replace_rows(kept)
+            # One payment per morsel pulled, kept or not.
+            yield from self.ctx.settle()
 
 
 class Project(UnaryOperator):
@@ -81,8 +82,7 @@ class Project(UnaryOperator):
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
-        yield from self.ctx.machine.work_batch(
-            "project", self.ctx.cost.project_work, len(batch))
+        self.ctx.charge("project", self.ctx.cost.project_work, len(batch))
         # Column select: shares the kept column lists and the tid
         # column; no per-row allocation.  Content matches
         # row.project(positions) for every row.

@@ -4,8 +4,9 @@ The build side is drained into an in-memory hash table during
 ``open``; probing is pipelined.  The join participates in
 retrospective (R1) state repartitioning:
 
-* :meth:`insert_build_row` adds late build tuples that were moved *to*
-  this instance (replayed from a producer's recovery log);
+* :meth:`_drain_late_build` adds late build tuples that were moved
+  *to* this instance (replayed from a producer's retained state), one
+  charge, one payment and one tid-idempotent bulk insert per block;
 * :meth:`remove_build` drops the state of buckets moved *away*.
 
 During the probe phase the join drains any newly arrived build blocks
@@ -62,15 +63,6 @@ class HashJoin(Operator):
         """Number of build tuples currently held as state."""
         return len(self._key_of_tid)
 
-    def insert_build_row(self, row: Row) -> None:
-        """Add one build tuple to the hash table (idempotent by tid)."""
-        if row.tid in self._key_of_tid:
-            return
-        key = row.values[self.build_key_position]
-        self._table.setdefault(key, []).append(row)
-        self._key_of_tid[row.tid] = key
-        self.build_count += 1
-
     def remove_build(self, tids: typing.AbstractSet[Tid]) -> int:
         """Drop build tuples whose provenance is in ``tids``."""
         removed = 0
@@ -97,8 +89,9 @@ class HashJoin(Operator):
             batch = yield from self.build_child.next_batch(max_rows)
             if batch is END:
                 break
-            yield from self.ctx.machine.work_batch(
-                LABEL_BUILD, self.ctx.cost.join_build_work, len(batch))
+            self.ctx.charge(LABEL_BUILD, self.ctx.cost.join_build_work,
+                            len(batch))
+            yield from self.ctx.settle()
             self._insert_build_batch(batch)
 
     def _insert_build_batch(self, batch: Batch) -> None:
@@ -120,18 +113,18 @@ class HashJoin(Operator):
     def _drain_late_build(self) -> typing.Generator:
         """Absorb build tuples replayed after the build phase ended.
 
-        Charged and inserted one row at a time, in block order: fusing
-        the charges would change how they interleave with other
-        fragments on a shared CPU.
+        One charge and one payment per replayed block, then its bulk
+        insert: the debt stays bounded by a block, and the state is in
+        the table before the next probe is matched.
         """
         while True:
             block = yield from self.build_child.try_next()
             if block is None:
                 return
-            for row in block.rows:
-                yield from self.ctx.machine.work(
-                    LABEL_BUILD, self.ctx.cost.join_build_work)
-                self.insert_build_row(row)
+            self.ctx.charge(LABEL_BUILD, self.ctx.cost.join_build_work,
+                            len(block))
+            yield from self.ctx.settle()
+            self._insert_build_batch(block)
 
     def next_batch(self, max_rows: int) -> typing.Generator:
         while True:
@@ -152,8 +145,8 @@ class HashJoin(Operator):
             probe = yield from self.probe_child.next_batch(max_rows)
             if probe is END:
                 return END
-            yield from self.ctx.machine.work_batch(
-                LABEL_PROBE, self.ctx.cost.join_probe_work, len(probe))
+            self.ctx.charge(LABEL_PROBE, self.ctx.cost.join_probe_work,
+                            len(probe))
             self.probe_count += len(probe)
             # Re-drain before matching: fetching and working the probe
             # batch takes simulated time, during which a retrospective

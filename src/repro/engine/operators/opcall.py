@@ -2,8 +2,8 @@
 
 "Arbitrary Web Services can play the role of typed foreign functions
 and be invoked from queries (with the operation call operator being
-responsible for the execution)" (§2).  The call's CPU burst carries
-the operation's work label, which is what the paper's WS perturbations
+responsible for the execution)" (§2).  The call's charge carries the
+operation's work label, which is what the paper's WS perturbations
 (10x/20x/30x costlier) target.
 """
 
@@ -30,9 +30,10 @@ class OperationCall(UnaryOperator):
     def _retry_transient_failures(self) -> typing.Generator:
         """Re-attempt the call while chaos makes it fail transiently.
 
-        Each failed attempt already paid the operation's work (the
-        request reached the service and died there); the retry backs
-        off per the ``ws_retry`` policy and pays the work again.
+        Each failed attempt was already charged the operation's work
+        (the request reached the service and died there); the retry
+        pays it, backs off per the ``ws_retry`` policy and charges the
+        work again.
         """
         chaos = self.ctx.grid.chaos
         if chaos is None:
@@ -44,20 +45,20 @@ class OperationCall(UnaryOperator):
             chaos.count_retry("ws")
             backoff = chaos.retry_backoff_ms(chaos.config.ws_retry, attempt)
             if backoff > 0:
+                yield from self.ctx.settle()
                 yield self.env.timeout(backoff)
-            yield from self.ctx.machine.work(
-                self.operation.work_label, self.operation.base_work_ms)
+            self.ctx.charge(self.operation.work_label,
+                            self.operation.base_work_ms)
 
     def next_batch(self, max_rows: int) -> typing.Generator:
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
         # Invocation plumbing plus the (perturbable) service work.
-        yield from self.ctx.machine.work_batch(
-            "opcall", self.ctx.cost.opcall_overhead_work, len(batch))
-        yield from self.ctx.machine.work_batch(
-            self.operation.work_label, self.operation.base_work_ms,
-            len(batch))
+        self.ctx.charge("opcall", self.ctx.cost.opcall_overhead_work,
+                        len(batch))
+        self.ctx.charge(self.operation.work_label,
+                        self.operation.base_work_ms, len(batch))
         if self.ctx.grid.chaos is None:
             # Vectorized result column: invoke over the argument column
             # and append the results as a new column; tids carry over

@@ -42,6 +42,6 @@ class TableScan(Operator):
         self._cursor += count
         work = (self.gds.access_work_per_tuple
                 + self.ctx.cost.scan_work_per_tuple)
-        yield from self.ctx.machine.work_batch(
-            self.work_label, work, count)
+        self.ctx.charge(self.work_label, work, count)
         return batch
+        yield  # pragma: no cover - generator form

@@ -37,8 +37,7 @@ class ResultSink(UnaryOperator):
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
-        yield from self.ctx.machine.work_batch(
-            "sink", self.ctx.cost.sink_work, len(batch))
+        self.ctx.charge("sink", self.ctx.cost.sink_work, len(batch))
         if self.aggregator is None:
             # Bulk dedup: the overwhelmingly common case is a batch of
             # entirely-new tids (duplicates only appear under replays),

@@ -2,9 +2,10 @@
 
 A machine bundles a FIFO CPU, a relative speed factor, and a set of
 :class:`~repro.grid.perturbation.Perturbation` models.  Query operators
-execute labelled work through :meth:`Machine.work`, which applies
+price labelled work through :meth:`Machine.effect_batch`, which applies
 matching perturbations (cost inflation and/or thread-blocking sleeps)
-and charges the CPU.
+and queues nothing: an operator chain owes the effect on its fragment's
+ledger, control paths pay it at once through :meth:`Machine.work`.
 
 Machines also carry the capacity-share ledger of the multi-query
 scheduler (:mod:`repro.sched`): each admitted session charges shares
@@ -39,6 +40,8 @@ _REPEATED_ADD: dict[tuple[float, int], float] = {}
 
 
 def _repeated_add(work: float, count: int) -> float:
+    if count == 1:
+        return work  # control-path charges stay out of the table
     key = (work, count)
     total = _REPEATED_ADD.get(key)
     if total is None:
@@ -174,85 +177,65 @@ class Machine:
         """Attach a perturbation model to this machine."""
         self.perturbations.append(perturbation)
 
-    def effect_of(self, label: str, work: float) -> WorkEffect:
-        """Perturbed (cpu_work, delay) for ``work`` units of ``label``."""
-        effect = WorkEffect(cpu_work=work)
-        for perturbation in self.perturbations:
-            if perturbation.matches(label, self.env.now):
+    def effect_batch(self, label: str, work_per_item: float,
+                     count: int = 1) -> tuple[float, float]:
+        """Perturbed ``(cpu_work, blocking_delay)`` of ``count`` items.
+
+        The one place perturbations are applied; nothing is queued.
+        Effects are evaluated once per item (stochastic cost factors
+        draw from the RNG exactly ``count`` times, sleep injections
+        block once per item).  The matching-perturbation set is hoisted
+        out of the item loop: nothing here yields, so ``env.now`` — the
+        only input to ``matches`` besides the label — cannot change
+        mid-batch.  With no match the per-item accumulation degenerates
+        to repeated addition of ``work_per_item``; the repeated add is
+        kept (rather than one multiply) so the summed float is
+        bit-identical to the per-item effect loop, and memoized per
+        ``(work, count)`` since the result is a pure function of both.
+        """
+        if count <= 0:
+            return 0.0, 0.0
+        now = self.env.now
+        active = [perturbation for perturbation in self.perturbations
+                  if perturbation.matches(label, now)]
+        if not active:
+            return _repeated_add(work_per_item, count), 0.0
+        if all(perturbation.deterministic for perturbation in active):
+            # Every item's effect is identical and no RNG is drawn, so
+            # one apply plus the memoized repeated add matches the
+            # per-item loop bit-for-bit.
+            effect = WorkEffect(cpu_work=work_per_item)
+            for perturbation in active:
                 effect = perturbation.apply(effect, self._rng)
-        return effect
+            return (_repeated_add(effect.cpu_work, count),
+                    _repeated_add(effect.blocking_delay, count))
+        total_cpu = 0.0
+        total_delay = 0.0
+        rng = self._rng
+        for _ in range(count):
+            effect = WorkEffect(cpu_work=work_per_item)
+            for perturbation in active:
+                effect = perturbation.apply(effect, rng)
+            total_cpu += effect.cpu_work
+            total_delay += effect.blocking_delay
+        return total_cpu, total_delay
 
     def work(self, label: str, work: float
              ) -> typing.Generator[Event, typing.Any, float]:
-        """Execute labelled work; returns the elapsed time.
+        """Execute labelled work now; returns the elapsed time.
 
         Usage inside a process: ``elapsed = yield from machine.work(...)``.
         Blocking delays (sleep injections) occur before the CPU burst,
         mirroring the paper's "sleep() call before the processing of
-        each tuple".
+        each tuple".  For control paths: an operator chain charges
+        its fragment's ledger (``EvalContext.charge``) instead.
         """
         started = self.env.now
-        if self.perturbations:
-            effect = self.effect_of(label, work)
-            if effect.blocking_delay > 0:
-                yield self.env.timeout(effect.blocking_delay)
-            work = effect.cpu_work
-        if work > 0:
-            yield self.cpu.execute(work, label=label)
-        return self.env.now - started
-
-    def work_batch(self, label: str, work_per_item: float, count: int
-                   ) -> typing.Generator[Event, typing.Any, float]:
-        """Execute ``count`` items of labelled work as one CPU burst.
-
-        Perturbation effects are evaluated once per item (so stochastic
-        cost factors draw from the RNG exactly as often as ``count``
-        sequential :meth:`work` calls would, and sleep injections block
-        once per item), but the summed blocking delay and CPU work are
-        charged as a single timeout plus a single CPU task — at most
-        two simulator events per batch instead of per tuple.  ``count=1``
-        is exactly :meth:`work`.
-
-        The matching-perturbation set is hoisted out of the item loop:
-        the loop contains no yield, so ``env.now`` — the only input to
-        ``matches`` besides the label — cannot change mid-batch.  With
-        no match the per-item accumulation degenerates to repeated
-        addition of ``work_per_item``; the repeated add is kept (rather
-        than one multiply) so the summed float is bit-identical to the
-        per-item effect loop, and memoized per ``(work, count)`` since
-        the result is a pure function of both.
-        """
-        if count <= 0:
-            return 0.0
-        started = self.env.now
-        active = [perturbation for perturbation in self.perturbations
-                  if perturbation.matches(label, started)]
-        total_cpu = 0.0
-        total_delay = 0.0
-        if active:
-            if all(perturbation.deterministic for perturbation in active):
-                # Every item's effect is identical and no RNG is drawn,
-                # so one apply plus the memoized repeated add matches
-                # the per-item loop bit-for-bit.
-                effect = WorkEffect(cpu_work=work_per_item)
-                for perturbation in active:
-                    effect = perturbation.apply(effect, self._rng)
-                total_cpu = _repeated_add(effect.cpu_work, count)
-                total_delay = _repeated_add(effect.blocking_delay, count)
-            else:
-                rng = self._rng
-                for _ in range(count):
-                    effect = WorkEffect(cpu_work=work_per_item)
-                    for perturbation in active:
-                        effect = perturbation.apply(effect, rng)
-                    total_cpu += effect.cpu_work
-                    total_delay += effect.blocking_delay
-        else:
-            total_cpu = _repeated_add(work_per_item, count)
-        if total_delay > 0:
-            yield self.env.timeout(total_delay)
-        if total_cpu > 0:
-            yield self.cpu.execute(total_cpu, label=label)
+        cpu_work, delay = self.effect_batch(label, work)
+        if delay > 0:
+            yield self.env.timeout(delay)
+        if cpu_work > 0:
+            yield self.cpu.execute(cpu_work, label=label)
         return self.env.now - started
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import AdaptivityConfig, CostModel
+from repro.config import AdaptivityConfig, CostModel, EngineConfig
 from repro.core import (
     M1Event,
     MonitoringEventDetector,
     TOPIC_COST,
     trimmed_average,
 )
+from repro.engine.metrics import SubplanMetrics
+from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
 from repro.services import GridService
 
@@ -149,11 +151,28 @@ class TestDetectorThresholds:
         assert subscriber.received[-1][1].average_value == pytest.approx(1.0)
 
     def test_detector_charges_local_cpu(self):
+        """Raw events arrive by local call, so the emitting fragment's
+        thread pays for them: its CPU is busy for ``monitor + intake``
+        per event, and the detector queues nothing itself."""
         context, detector, _subscriber = make_detector()
-        for _ in range(10):
-            detector.submit_m1(m1(5.0))
-        context.env.run()
-        assert context.machine("m1").cpu.busy_time > 0
+        cost = CostModel()
+        cpu = context.machine("m1").cpu
+        ctx = EvalContext(
+            grid=context, machine=context.machine("m1"),
+            metrics=SubplanMetrics("compute:0"), cost=cost,
+            engine_config=EngineConfig(), monitor=detector)
+
+        def emit(env):
+            for _ in range(10):
+                detector.submit_m1(m1(5.0))
+                assert cpu.queue_length == 0
+                yield from ctx.pay_handover(1)
+
+        context.env.run(until=context.env.process(emit(context.env)))
+        assert detector.intake_work(3) == 3 * cost.control_event_work
+        assert cpu.busy_time == pytest.approx(
+            10 * (cost.monitor_event_work + cost.control_event_work))
+        assert cpu.tasks_completed == 10
 
     def test_counters(self):
         context, detector, _subscriber = make_detector()

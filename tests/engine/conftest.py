@@ -43,13 +43,17 @@ def small_gds(context, small_relation):
 
 
 def drain(env, operator):
-    """Run an operator to exhaustion; returns the produced rows."""
+    """Run an operator to exhaustion the way ``Fragment.run`` does —
+    settling the ledger after ``open`` and after every pull; returns
+    the produced rows."""
     def pump(env):
         yield from operator.open()
+        yield from operator.ctx.settle()
         rows = []
         while True:
             batch = yield from operator.next_batch(
                 operator.ctx.engine_config.batch_size)
+            yield from operator.ctx.settle()
             if batch is END:
                 break
             rows.extend(batch)

@@ -142,6 +142,9 @@ class TestFragmentPump:
             def submit_m1(self, event: M1Event, count=1):
                 captured.extend([event] * count)
 
+            def intake_work(self, count):
+                return 0.0
+
         ctx = EvalContext(
             grid=context, machine=context.machine("m1"),
             metrics=SubplanMetrics("compute:0"), cost=CostModel(),

@@ -412,13 +412,13 @@ class TestConsumerInternals:
                                  for i in range(4)])
         join = HashJoin(ctx, build, probe, 0, 0)
         labels = []
-        execute = ctx.machine.cpu.execute
+        charge = ctx.charge
 
-        def recording_execute(work, label="work"):
-            labels.append(label)
-            return execute(work, label=label)
+        def recording_charge(label, work_per_item, count=1):
+            labels.extend([label] * count)
+            charge(label, work_per_item, count)
 
-        ctx.machine.cpu.execute = recording_execute
+        ctx.charge = recording_charge
         late = [Row((f"k{i}", i), f"b#{i}") for i in range(1, 4)]
 
         def body(env):
@@ -434,7 +434,7 @@ class TestConsumerInternals:
         # before the first probe morsel was matched.
         assert [r.tid for r in process.value] == [
             (f"p#{i}", f"b#{i}") for i in range(4)]
-        # One charge for the one-row build morsel, one per late row.
+        # One row charged for the one-row build morsel, one per late row.
         assert labels.count("join-build") == 1 + len(late)
         assert labels.count("ack") == 1
         assert build.acks_sent == 0

@@ -172,14 +172,14 @@ class TestHashJoin:
     def test_insert_build_is_idempotent_by_tid(self, eval_ctx):
         join, _b, _p = self.build_join(eval_ctx, [], [])
         row = Row(("k", 1), "b#9")
-        join.insert_build_row(row)
-        join.insert_build_row(row)
+        join._insert_build_batch(Batch([row]))
+        join._insert_build_batch(Batch([row, row]))
         assert join.state_size == 1
 
     def test_remove_build_drops_state(self, eval_ctx):
         join, _b, _p = self.build_join(eval_ctx, [], [])
-        join.insert_build_row(Row(("k", 1), "b#1"))
-        join.insert_build_row(Row(("k", 2), "b#2"))
+        join._insert_build_batch(Batch([Row(("k", 1), "b#1"),
+                                        Row(("k", 2), "b#2")]))
         assert join.remove_build({"b#1"}) == 1
         assert join.state_size == 1
         assert join.remove_build({"b#1"}) == 0  # already gone

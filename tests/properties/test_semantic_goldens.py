@@ -7,8 +7,11 @@ the paper's experiments observe:
 * the full trace timeline (timestamp/category/source/description of
   every event — any reordered or re-timed control decision changes
   this),
-* the simulated response time, and
-* the number of adaptations deployed.
+* the simulated response time,
+* the number of adaptations deployed, and
+* the result *multiset* (an order-free hash of the sorted rows): an
+  intended behaviour change may move everything above, never this one
+  or the adaptation count.
 
 Host-side quantities (DES events queued, allocations, wall clock) are
 deliberately *not* part of the contract: a refactor may queue fewer
@@ -29,6 +32,13 @@ Two groups of cells, both captured for the two CI grid seeds:
   those were property-tested bit-identical to what remains.  The four
   ``bs1`` R1 cells were recaptured when the per-tuple ``next()`` chain
   was deleted (see the comment above them).
+
+Every cell was recaptured when a morsel's operator charges became one
+CPU task (DESIGN.md decision 26 lists old -> new per cell): the
+multiset hash — added and captured on the commit before — and the
+adaptation count of all 46 cells did not move, responses moved by
+-1.48 ... +0.96 %, the arrival order in six cells, the trace (its
+timestamps) in all.
 
 To recapture after an *intended* behaviour change (prints the table
 for both seeds; paste it over ``GOLDEN``)::
@@ -81,24 +91,25 @@ BATCH_SCENARIOS = {
 }
 BATCH_SIZES = (1, 32, 128)
 
-#: key -> (rows sha, trace sha, response_ms, adaptations accepted).
+#: key -> (rows sha, trace sha, response_ms, adaptations accepted,
+#: order-free result-multiset sha).
 GOLDEN = {
-    "Q1-ws10|A1R1|seed0": ("260d2403bcd62319", "9555e62173ad650c",
-                           5948.63551999999, 1),
-    "Q1-ws10|A1R1|seed1": ("afa4d010a63af86b", "9555e62173ad650c",
-                           5948.63551999999, 1),
-    "Q1-ws10|A1R2|seed0": ("63d5b0518482a56f", "53c5c363f7e4aaaa",
-                           14868.38032, 1),
-    "Q1-ws10|A1R2|seed1": ("d3d46eed8a15f59b", "53c5c363f7e4aaaa",
-                           14868.38032, 1),
-    "Q1-ws10|A2R1|seed0": ("260d2403bcd62319", "5817e1115e45d012",
-                           5935.240319999991, 1),
-    "Q1-ws10|A2R1|seed1": ("afa4d010a63af86b", "5817e1115e45d012",
-                           5935.240319999991, 1),
-    "Q1-ws10|A2R2|seed0": ("63d5b0518482a56f", "53c5c363f7e4aaaa",
-                           14868.38032, 1),
-    "Q1-ws10|A2R2|seed1": ("d3d46eed8a15f59b", "53c5c363f7e4aaaa",
-                           14868.38032, 1),
+    "Q1-ws10|A1R1|seed0": ("260d2403bcd62319", "d645c9271b1ef6f0",
+                           5945.63552000001, 1, "04e44edd0fc574dd"),
+    "Q1-ws10|A1R1|seed1": ("afa4d010a63af86b", "d645c9271b1ef6f0",
+                           5945.63552000001, 1, "187cb59db2242347"),
+    "Q1-ws10|A1R2|seed0": ("63d5b0518482a56f", "c633e4cc994dcf5a",
+                           14868.880320000007, 1, "04e44edd0fc574dd"),
+    "Q1-ws10|A1R2|seed1": ("d3d46eed8a15f59b", "c633e4cc994dcf5a",
+                           14868.880320000007, 1, "187cb59db2242347"),
+    "Q1-ws10|A2R1|seed0": ("260d2403bcd62319", "da6bf5cdc72d2c86",
+                           5932.24032000001, 1, "04e44edd0fc574dd"),
+    "Q1-ws10|A2R1|seed1": ("afa4d010a63af86b", "da6bf5cdc72d2c86",
+                           5932.24032000001, 1, "187cb59db2242347"),
+    "Q1-ws10|A2R2|seed0": ("63d5b0518482a56f", "c633e4cc994dcf5a",
+                           14868.880320000007, 1, "04e44edd0fc574dd"),
+    "Q1-ws10|A2R2|seed1": ("d3d46eed8a15f59b", "c633e4cc994dcf5a",
+                           14868.880320000007, 1, "187cb59db2242347"),
     # The Q2 fingerprints were recaptured when the hash join's build
     # channel became a state channel (the producer retains routed rows
     # and copy-replays moved buckets on *every* bucket-map change, not
@@ -108,47 +119,47 @@ GOLDEN = {
     # bit-identical to the previous capture — the state replay is off
     # the critical path — and the result multiset was verified against
     # the static plan before recapturing.
-    "Q2-sleep20|A1R1|seed0": ("d42954e95661552e", "07c7f3e25ab74981",
-                              10349.951840000007, 1),
-    "Q2-sleep20|A1R1|seed1": ("b43ead367341c463", "6c12fece9e8ae643",
-                              10327.11816, 1),
-    "Q2-sleep20|A1R2|seed0": ("08752dd6285e1250", "e3510693aa45c0ec",
-                              15005.757439999994, 1),
-    "Q2-sleep20|A1R2|seed1": ("9c9bae50fd80fa62", "2009cd22b977053e",
-                              15325.052159999994, 1),
-    "Q2-sleep20|A2R1|seed0": ("cc7f60e30985a8fa", "2bc8ca32cf48a179",
-                              10902.454240000001, 1),
-    "Q2-sleep20|A2R1|seed1": ("ec0834e7b784cec8", "eb37719660c54855",
-                              10560.734559999999, 1),
-    "Q2-sleep20|A2R2|seed0": ("08752dd6285e1250", "bc4a3da2cb0187b9",
-                              15005.757439999994, 1),
-    "Q2-sleep20|A2R2|seed1": ("9c9bae50fd80fa62", "fd5aca34782d4721",
-                              15325.052159999994, 1),
+    "Q2-sleep20|A1R1|seed0": ("7a8aaf2ddc6cfd7e", "4c1f5b9d0cbe471d",
+                              10310.49968, 1, "6f218a4121709f4d"),
+    "Q2-sleep20|A1R1|seed1": ("93270bf2d4a0a1ae", "09316f3d9182c845",
+                              10174.3324, 1, "802e00fa9feff43e"),
+    "Q2-sleep20|A1R2|seed0": ("08752dd6285e1250", "17b21422325d3eb7",
+                              14973.635279999995, 1, "6f218a4121709f4d"),
+    "Q2-sleep20|A1R2|seed1": ("9c9bae50fd80fa62", "40222fd2b1636329",
+                              15308.199359999993, 1, "802e00fa9feff43e"),
+    "Q2-sleep20|A2R1|seed0": ("1c2b38cadcb63178", "b9b7db4536b17000",
+                              10799.924879999999, 1, "6f218a4121709f4d"),
+    "Q2-sleep20|A2R1|seed1": ("ec0834e7b784cec8", "0fec2b6fbe0e4d33",
+                              10536.603199999994, 1, "802e00fa9feff43e"),
+    "Q2-sleep20|A2R2|seed0": ("08752dd6285e1250", "93756e84b428fd59",
+                              14973.635279999995, 1, "6f218a4121709f4d"),
+    "Q2-sleep20|A2R2|seed1": ("9c9bae50fd80fa62", "6a3e49fcc8b05e1a",
+                              15308.199359999993, 1, "802e00fa9feff43e"),
     # Batch-size axis (150×220 world).
-    "Q1-static|bs1|seed0": ("f57269dfb2edadfd", "a906a7298f64a8fa",
-                            1131.8848000000007, 0),
-    "Q1-static|bs1|seed1": ("e90821cf7d4fa884", "a906a7298f64a8fa",
-                            1131.8848000000007, 0),
-    "Q1-static|bs32|seed0": ("f57269dfb2edadfd", "15f332d09cbbcaf8",
-                             1131.8847999999998, 0),
-    "Q1-static|bs32|seed1": ("e90821cf7d4fa884", "15f332d09cbbcaf8",
-                             1131.8847999999998, 0),
-    "Q1-static|bs128|seed0": ("f57269dfb2edadfd", "79766fbefda951fe",
-                              1131.8848, 0),
-    "Q1-static|bs128|seed1": ("e90821cf7d4fa884", "79766fbefda951fe",
-                              1131.8848, 0),
-    "Q1-stochastic|bs1|seed0": ("4e77e8522f892bc7", "b6bb5693c2e0cae0",
-                                4698.9480610576165, 1),
-    "Q1-stochastic|bs1|seed1": ("b61b751609a84919", "929d9d396127705a",
-                                4622.776550597968, 1),
-    "Q1-stochastic|bs32|seed0": ("4e77e8522f892bc7", "9eaa746be4c2011e",
-                                 4698.948061057615, 1),
-    "Q1-stochastic|bs32|seed1": ("b61b751609a84919", "5bd6caf804b3caf0",
-                                 4622.776550597969, 1),
-    "Q1-stochastic|bs128|seed0": ("4e77e8522f892bc7", "9eaa746be4c2011e",
-                                  4698.948061057615, 1),
-    "Q1-stochastic|bs128|seed1": ("b61b751609a84919", "5bd6caf804b3caf0",
-                                  4622.776550597969, 1),
+    "Q1-static|bs1|seed0": ("f57269dfb2edadfd", "b1f9ff67cb7c9dfa",
+                            1131.8848000000025, 0, "1c330218dd630c34"),
+    "Q1-static|bs1|seed1": ("e90821cf7d4fa884", "b1f9ff67cb7c9dfa",
+                            1131.8848000000025, 0, "73f22bbdfda6de8b"),
+    "Q1-static|bs32|seed0": ("f57269dfb2edadfd", "52b9ec2077d5287a",
+                             1131.8847999999996, 0, "1c330218dd630c34"),
+    "Q1-static|bs32|seed1": ("e90821cf7d4fa884", "52b9ec2077d5287a",
+                             1131.8847999999996, 0, "73f22bbdfda6de8b"),
+    "Q1-static|bs128|seed0": ("f57269dfb2edadfd", "384748dc0d15f9ff",
+                              1131.8848000000003, 0, "1c330218dd630c34"),
+    "Q1-static|bs128|seed1": ("e90821cf7d4fa884", "384748dc0d15f9ff",
+                              1131.8848000000003, 0, "73f22bbdfda6de8b"),
+    "Q1-stochastic|bs1|seed0": ("4e77e8522f892bc7", "3a44c270281bd689",
+                                4698.948061057619, 1, "1c330218dd630c34"),
+    "Q1-stochastic|bs1|seed1": ("b61b751609a84919", "ffd930a7c7e5616e",
+                                4622.776550597971, 1, "73f22bbdfda6de8b"),
+    "Q1-stochastic|bs32|seed0": ("4e77e8522f892bc7", "cbbf28f7bc9ce6d9",
+                                 4698.948061057616, 1, "1c330218dd630c34"),
+    "Q1-stochastic|bs32|seed1": ("b61b751609a84919", "46380b480652bd62",
+                                 4622.776550597969, 1, "73f22bbdfda6de8b"),
+    "Q1-stochastic|bs128|seed0": ("4e77e8522f892bc7", "cbbf28f7bc9ce6d9",
+                                  4698.948061057616, 1, "1c330218dd630c34"),
+    "Q1-stochastic|bs128|seed1": ("b61b751609a84919", "46380b480652bd62",
+                                  4622.776550597969, 1, "73f22bbdfda6de8b"),
     # The four bs1 R1 cells (these two and Q2-sleep20|bs1) were
     # recaptured when the per-tuple next() chain was deleted.  With only
     # its dispatch branches removed all 46 cells matched unmodified;
@@ -158,42 +169,42 @@ GOLDEN = {
     # and now charges one burst and transmits after placing, as at
     # every other batch size (Q1 response 1682.1170 -> 1684.3370 ms,
     # +0.13 %; Q2 response identical, trace only).
-    "Q1-ws10|bs1|seed0": ("f456fc953f697d4d", "146d252ce9464584",
-                          1684.337039999993, 1),
-    "Q1-ws10|bs1|seed1": ("fcf1613b1ca323c0", "146d252ce9464584",
-                          1684.337039999993, 1),
-    "Q1-ws10|bs32|seed0": ("1849920cc5eba574", "59958e7738d9b167",
-                           1687.03704, 1),
-    "Q1-ws10|bs32|seed1": ("c039493567ceb55d", "59958e7738d9b167",
-                           1687.03704, 1),
-    "Q1-ws10|bs128|seed0": ("1849920cc5eba574", "59958e7738d9b167",
-                            1687.03704, 1),
-    "Q1-ws10|bs128|seed1": ("c039493567ceb55d", "59958e7738d9b167",
-                            1687.03704, 1),
-    "Q2-sleep20|bs1|seed0": ("85b7c868a3018b1c", "7e0a4829e27cccb9",
-                             2024.5981600000066, 1),
-    "Q2-sleep20|bs1|seed1": ("fa2c0eeaa728b7d6", "301f88db3ded90d1",
-                             2031.1374400000093, 1),
-    "Q2-sleep20|bs32|seed0": ("85b7c868a3018b1c", "97dfd731a8f4c7b5",
-                              2042.4821600000014, 1),
-    "Q2-sleep20|bs32|seed1": ("fa2c0eeaa728b7d6", "14481a2bb0440a29",
-                              2053.282560000001, 1),
-    "Q2-sleep20|bs128|seed0": ("85b7c868a3018b1c", "97dfd731a8f4c7b5",
-                               2042.4821600000014, 1),
-    "Q2-sleep20|bs128|seed1": ("fa2c0eeaa728b7d6", "14481a2bb0440a29",
-                               2053.282560000001, 1),
-    "Q2-static|bs1|seed0": ("5e9bcc50391d8879", "c0d0155757174e3c",
-                            1323.062079999998, 0),
-    "Q2-static|bs1|seed1": ("298fa11a2cff5c54", "c970a02987615e48",
-                            1317.5068799999974, 0),
-    "Q2-static|bs32|seed0": ("5e9bcc50391d8879", "8f99fcb08fc4c8fc",
-                             1327.5842399999992, 0),
-    "Q2-static|bs32|seed1": ("7ac61e1c86413c3b", "fae95dc827c4fc54",
-                             1334.7850399999993, 0),
-    "Q2-static|bs128|seed0": ("5e9bcc50391d8879", "5f84bdb1d66a8eb5",
-                              1323.0002399999998, 0),
-    "Q2-static|bs128|seed1": ("4f5375d6b7fc5fa4", "4e615ffda018e450",
-                              1328.4154399999993, 0),
+    "Q1-ws10|bs1|seed0": ("43360fa6f31cf51f", "93156b4daf7cb5a0",
+                          1684.037039999989, 1, "1c330218dd630c34"),
+    "Q1-ws10|bs1|seed1": ("b935e40cc5e13be6", "93156b4daf7cb5a0",
+                          1684.037039999989, 1, "73f22bbdfda6de8b"),
+    "Q1-ws10|bs32|seed0": ("1849920cc5eba574", "df2075745d5ab907",
+                           1684.0370399999995, 1, "1c330218dd630c34"),
+    "Q1-ws10|bs32|seed1": ("c039493567ceb55d", "df2075745d5ab907",
+                           1684.0370399999995, 1, "73f22bbdfda6de8b"),
+    "Q1-ws10|bs128|seed0": ("1849920cc5eba574", "df2075745d5ab907",
+                            1684.0370399999995, 1, "1c330218dd630c34"),
+    "Q1-ws10|bs128|seed1": ("c039493567ceb55d", "df2075745d5ab907",
+                            1684.0370399999995, 1, "73f22bbdfda6de8b"),
+    "Q2-sleep20|bs1|seed0": ("85b7c868a3018b1c", "f26cb74e384f3611",
+                             2029.9418400000068, 1, "4352196afd664299"),
+    "Q2-sleep20|bs1|seed1": ("fa2c0eeaa728b7d6", "2537bb987ee22662",
+                             2033.1374400000072, 1, "9f8dd266dd8b427d"),
+    "Q2-sleep20|bs32|seed0": ("85b7c868a3018b1c", "6102342fc13c57da",
+                              2047.6509600000002, 1, "4352196afd664299"),
+    "Q2-sleep20|bs32|seed1": ("fa2c0eeaa728b7d6", "a11f4ed8bef602e5",
+                              2060.6665599999997, 1, "9f8dd266dd8b427d"),
+    "Q2-sleep20|bs128|seed0": ("85b7c868a3018b1c", "6102342fc13c57da",
+                               2047.6509600000002, 1, "4352196afd664299"),
+    "Q2-sleep20|bs128|seed1": ("fa2c0eeaa728b7d6", "a11f4ed8bef602e5",
+                               2060.6665599999997, 1, "9f8dd266dd8b427d"),
+    "Q2-static|bs1|seed0": ("5e9bcc50391d8879", "5b2eb6fcf3d028c7",
+                            1323.0620799999997, 0, "4352196afd664299"),
+    "Q2-static|bs1|seed1": ("298fa11a2cff5c54", "414f3d6d1a92f9d6",
+                            1317.506879999999, 0, "9f8dd266dd8b427d"),
+    "Q2-static|bs32|seed0": ("5e9bcc50391d8879", "33819b40d4c80e95",
+                             1327.914639999999, 0, "4352196afd664299"),
+    "Q2-static|bs32|seed1": ("7ac61e1c86413c3b", "bd01f147efbf2617",
+                             1337.3610399999989, 0, "9f8dd266dd8b427d"),
+    "Q2-static|bs128|seed0": ("5e9bcc50391d8879", "3c867de237715ead",
+                              1324.66104, 0, "4352196afd664299"),
+    "Q2-static|bs128|seed1": ("7ac61e1c86413c3b", "2ce057338e2c7010",
+                              1341.1146399999998, 0, "9f8dd266dd8b427d"),
 }
 
 
@@ -208,8 +219,11 @@ def _fingerprint(grid, query, perturb, adaptivity):
         "\n".join(repr(row) for row in result.rows)
         .encode()).hexdigest()[:16]
     trace_sha = hashlib.sha256(repr(timeline).encode()).hexdigest()[:16]
+    multiset_sha = hashlib.sha256(
+        "\n".join(sorted(repr(row) for row in result.rows))
+        .encode()).hexdigest()[:16]
     return (rows_sha, trace_sha, result.response_time_ms,
-            result.stats.adaptations_accepted)
+            result.stats.adaptations_accepted, multiset_sha)
 
 
 def policy_fingerprint(scenario, combo, seed):

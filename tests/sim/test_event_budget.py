@@ -10,17 +10,28 @@ event (a hop to the next kernel step at the same instant) comes back.
 import pytest
 
 from repro.config import AdaptivityConfig, CostModel, EngineConfig
+from repro.core import MonitoringEventDetector
 from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.dqp.gqes import GQES
 from repro.engine.control import DataBuffer
+from repro.engine.distribution import WeightedRoundRobin
+from repro.engine.evaluator import Fragment
 from repro.engine.metrics import SubplanMetrics
-from repro.engine.operators import ExchangeConsumer, HashJoin
+from repro.engine.operators import (
+    ConsumerRef,
+    ExchangeConsumer,
+    ExchangeProducer,
+    HashJoin,
+    OperationCall,
+    Project,
+)
 from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
 from repro.net.link import Link
 from repro.services.base import GridService
+from repro.services.ws import WebServiceOperation
 from repro.sim import Cpu, Environment
 from repro.workloads import (
     DemoGrid,
@@ -138,8 +149,9 @@ def test_gqes_data_ingest_is_one_cpu_task():
 
 @pytest.mark.parametrize("count", [1, 5])
 def test_late_build_drain_of_one_queued_block(count):
-    """A join absorbing one replayed N-row build block: one ``StoreGet``
-    for the block, then one CPU completion per row."""
+    """A join absorbing one replayed N-row build block: the block is
+    taken synchronously (no ``StoreGet``) and paid as one CPU
+    completion, however many rows it holds."""
     context = GridContext(seed=0)
     context.add_machine("m1")
     ctx = EvalContext(
@@ -155,8 +167,69 @@ def test_late_build_drain_of_one_queued_block(count):
     idle = queued(context.env, drain)  # the process's own start and end
     build.deliver("xp", "peer", [Batch(
         [Row((f"k{i}",), f"b#{i}") for i in range(count)])])
-    assert queued(context.env, drain) - idle == count + 1
+    assert queued(context.env, drain) - idle == 1
     assert join.state_size == count
+    assert ctx.owed_work == 0.0
+
+
+def compute_fragment_events(morsels, monitoring, rotate):
+    """Events queued by a Q1 compute fragment (consumer -> op-call ->
+    project -> producer, one remote consumer downstream) that is handed
+    ``morsels`` blocks of exactly one morsel each and runs until it
+    parks on its empty queue."""
+    size = 8
+    context = GridContext(seed=0)
+    context.add_machine("m1")
+    context.add_machine("m2")
+
+    class Downstream(GridService):
+        def on_data(self, message):
+            pass
+
+    Downstream(context, "downstream", "m2")
+    cost = CostModel()
+    detector = MonitoringEventDetector(
+        context, "m1", AdaptivityConfig(), cost) if monitoring else None
+    ctx = EvalContext(
+        grid=context, machine=context.machine("m1"),
+        metrics=SubplanMetrics("compute:0"), cost=cost,
+        engine_config=EngineConfig(
+            batch_size=size, buffer_size=size if rotate else 10_000,
+            checkpoint_interval=10_000),
+        monitor=detector)
+    consumer = ExchangeConsumer(ctx, "compute:0:0", ["xp"])
+    chain = Project(ctx, OperationCall(
+        ctx, consumer, WebServiceOperation("Length", len, 5.0), 0), [0, 1])
+    producer = ExchangeProducer(
+        ctx, chain, "xp:compute:0", "root",
+        [ConsumerRef("downstream", "root:0:0", "root:0", "m2")],
+        WeightedRoundRobin(1), row_bytes=32, estimated_total=size * morsels)
+    fragment = Fragment(ctx, "compute", 0, producer,
+                        {"compute:0:0": consumer}, [producer],
+                        m1_interval=size)
+    fragment.attach_service(GridService(context, "gqes", "m1"))
+    consumer.deliver("xp", "peer", [
+        Batch([Row((f"seq{m}-{i}",), f"t#{m}-{i}") for i in range(size)])
+        for m in range(morsels)])
+    context.env.process(fragment.run(context.env.event()))
+    context.env.run()
+    assert producer.routed_total == size * morsels
+    assert ctx.owed_work == 0.0 and ctx.owed_delay == 0.0
+    return context.env.events_scheduled
+
+
+@pytest.mark.parametrize("monitoring, rotate, budget", [
+    (False, False, 1),   # the morsel
+    (True, False, 2),    # + the M1 hand-over
+    (False, True, 4),    # + serialize, end of transmission, delivery
+    (True, True, 6),     # + the M2 hand-over
+], ids=["plain", "monitored", "rotating", "monitored-rotating"])
+def test_compute_morsel_budget(monitoring, rotate, budget):
+    """One more morsel through a Q1 compute fragment is one more CPU
+    completion, whatever the length of the operator chain; monitoring
+    adds one per hand-over and a rotated-out buffer its own send."""
+    assert (compute_fragment_events(3, monitoring, rotate)
+            - compute_fragment_events(2, monitoring, rotate)) == budget
 
 
 def test_headline_query_budget():
@@ -166,12 +239,12 @@ def test_headline_query_budget():
     perturb_ws_cost(grid, 10.0)
     result = grid.run(Q1, AdaptivityConfig.disabled())
     assert len(result.rows) == 3000
-    assert grid.context.env.events_scheduled == 2239
+    assert grid.context.env.events_scheduled == 1609
 
 
 @pytest.mark.parametrize("adaptivity, budget", [
-    (AdaptivityConfig.disabled(), 4766),
-    (AdaptivityConfig(assessment="A1", response="R1"), 13381),
+    (AdaptivityConfig.disabled(), 3500),
+    (AdaptivityConfig(assessment="A1", response="R1"), 6632),
 ], ids=["static", "A1-R1"])
 def test_join_query_budget(adaptivity, budget):
     """Q2 with the 12 ms join sleep at the default batch size; under
