@@ -17,7 +17,7 @@ Host-side quantities (DES events queued, allocations, wall clock) are
 deliberately *not* part of the contract: a refactor may queue fewer
 events as long as every simulated observable above is unchanged.
 
-Two groups of cells, both captured for the two CI grid seeds:
+Three groups of cells, all captured for the two CI grid seeds:
 
 * ``<scenario>|<AxRy>|seed<n>`` — the paper's A×R policy grid on a
   600×900 world at the default batch size; captured on the commit
@@ -32,10 +32,15 @@ Two groups of cells, both captured for the two CI grid seeds:
   those were property-tested bit-identical to what remains.  The four
   ``bs1`` R1 cells were recaptured when the per-tuple ``next()`` chain
   was deleted (see the comment above them).
+* ``<scenario>|fault|seed<n>`` — the redistribution protocol's rare
+  branches, which neither group above reaches: channel redirect after a
+  crash (Q1, Q2), quarantine and reintegration of a frozen clone, the
+  roll-forward of an update orphaned by the Responder's death (Q1, Q2)
+  and multicast of build rows to a bucket's former owners.
 
-Every cell was recaptured when a morsel's operator charges became one
-CPU task (DESIGN.md decision 26 lists old -> new per cell): the
-multiset hash — added and captured on the commit before — and the
+The first two groups were recaptured when a morsel's operator charges
+became one CPU task (DESIGN.md decision 26 lists old -> new per cell):
+the multiset hash — added and captured on the commit before — and the
 adaptation count of all 46 cells did not move, responses moved by
 -1.48 ... +0.96 %, the arrival order in six cells, the trace (its
 timestamps) in all.
@@ -51,7 +56,8 @@ import os
 
 import pytest
 
-from repro.config import AdaptivityConfig, EngineConfig
+from repro.chaos import ChaosConfig, FaultSchedule, MachineFreeze
+from repro.config import AdaptivityConfig, EngineConfig, FaultToleranceConfig
 from repro.workloads import (
     DemoGrid,
     DemoGridSpec,
@@ -90,6 +96,87 @@ BATCH_SCENARIOS = {
                                     decision_latency_ms=50.0)),
 }
 BATCH_SIZES = (1, 32, 128)
+
+#: Heartbeat pacing of the crash worlds (tests/dqp/test_fault_tolerance).
+CRASH_FT = FaultToleranceConfig(enabled=True, heartbeat_interval_ms=200.0,
+                                failure_timeout_ms=700.0)
+
+
+def _crash_world(seed, machine, at_ms, perturb):
+    grid = DemoGrid(DemoGridSpec(sequences_cardinality=300,
+                                 interactions_cardinality=400,
+                                 sequence_length=24, spare_machines=1,
+                                 seed=seed),
+                    fault_tolerance=CRASH_FT)
+    perturb(grid)
+    grid.fail_machine_at(machine, at_ms=at_ms)
+    return grid
+
+
+def _freeze_world(seed):
+    """The transient-stall world of test_chaos_properties."""
+    ft = FaultToleranceConfig(enabled=True, heartbeat_interval_ms=200.0,
+                              suspect_timeout_ms=500.0,
+                              failure_timeout_ms=5000.0)
+    chaos = ChaosConfig(enabled=True, schedule=FaultSchedule(
+        freezes=(MachineFreeze("compute-2", at_ms=600.0,
+                               duration_ms=1500.0),)))
+    return DemoGrid(DemoGridSpec(sequences_cardinality=400,
+                                 interactions_cardinality=500, seed=seed),
+                    fault_tolerance=ft, chaos=chaos)
+
+
+def _multicast_world(seed):
+    """The shrunk fuzzer scenario f3069968e00a (a Q2 run) on world
+    ``seed``."""
+    from repro.scengen import runner
+    from repro.scengen.grammar import Scenario
+    from tests.regressions.test_shrunk_f3069968e00a import SCENARIO
+
+    scenario = Scenario.from_json(dict(SCENARIO, world_seed=seed))
+    grid = DemoGrid(runner.grid_spec(scenario),
+                    engine_config=runner.engine_config_for(scenario),
+                    fault_tolerance=runner.fault_tolerance_for(scenario),
+                    chaos=runner.chaos_config_for(scenario))
+    runner.apply_perturbations(grid, scenario)
+    return grid, Q2, runner.adaptivity_for(scenario)
+
+
+R1 = dict(assessment="A1", response="R1")
+
+#: Fault-path cells: each reaches a branch of the redistribution
+#: protocol that no policy or batch cell reaches.  scenario -> seed ->
+#: (grid, query, adaptivity).
+FAULT_SCENARIOS = {
+    # compute-2 crashes mid-run: the feed producers redirect its
+    # channels to the spare and resend their recovery logs.
+    "Q1-crash": lambda seed: (
+        _crash_world(seed, "compute-2", 1500.0,
+                     lambda grid: perturb_ws_cost(grid, factor=8.0)),
+        Q1, AdaptivityConfig(decision_latency_ms=200.0, **R1)),
+    "Q2-crash": lambda seed: (
+        _crash_world(seed, "compute-2", 2500.0,
+                     lambda grid: perturb_join_sleep(grid, sleep_ms=10.0)),
+        Q2, AdaptivityConfig(decision_latency_ms=200.0, **R1)),
+    # compute-1 (the Responder's host) dies inside an update's replay
+    # phase: the GDQS rolls the orphaned update forward — Q1's one feed
+    # only needs its discard phase; Q2's build feed has replayed, its
+    # probe feed has not, so the roll-forward replays the probe feed
+    # and skips the build feed.
+    "Q1-responder-crash": lambda seed: (
+        _crash_world(seed, "compute-1", 1200.0,
+                     lambda grid: perturb_ws_cost(grid, factor=6.0)),
+        Q1, AdaptivityConfig(decision_latency_ms=100.0, **R1)),
+    "Q2-responder-crash": lambda seed: (
+        _crash_world(seed, "compute-1", 2850.0,
+                     lambda grid: perturb_join_sleep(grid, sleep_ms=10.0)),
+        Q2, AdaptivityConfig(decision_latency_ms=100.0, **R1)),
+    # A frozen clone is quarantined, then reintegrated.
+    "Q1-freeze": lambda seed: (_freeze_world(seed), Q1, AdaptivityConfig()),
+    # A quarantined join clone's buckets move and move back: build rows
+    # are multicast to every owner a bucket ever had.
+    "Q2-multicast": _multicast_world,
+}
 
 #: key -> (rows sha, trace sha, response_ms, adaptations accepted,
 #: order-free result-multiset sha).
@@ -205,6 +292,36 @@ GOLDEN = {
                               1324.66104, 0, "4352196afd664299"),
     "Q2-static|bs128|seed1": ("7ac61e1c86413c3b", "2ce057338e2c7010",
                               1341.1146399999998, 0, "9f8dd266dd8b427d"),
+    # Fault paths, captured on the commit before the redistribution
+    # protocol left the exchange producer (DESIGN.md decision 27).
+    "Q1-crash|fault|seed0": ("f1c9de8c064cb865", "5b3ec8d8c59cc460",
+                             3605.231199999997, 1, "1169c78f6346ac40"),
+    "Q1-crash|fault|seed1": ("b9d2e1b99fc39833", "5b3ec8d8c59cc460",
+                             3605.231199999997, 1, "b088ef159de76019"),
+    "Q1-freeze|fault|seed0": ("ab6b3eeb2abfdbd2", "4a68ac7495a8554f",
+                              3076.463440000003, 0, "e05b1e4476dab139"),
+    "Q1-freeze|fault|seed1": ("6d8f73cb2bd0133b", "4a68ac7495a8554f",
+                              3076.463440000003, 0, "ee99c88c6cc82b0c"),
+    "Q1-responder-crash|fault|seed0": (
+        "db4a5c32bae7b2ef", "a40470304e1cd472", 2415.4741599999998, 0,
+        "1169c78f6346ac40"),
+    "Q1-responder-crash|fault|seed1": (
+        "978675a2d48da5fe", "a40470304e1cd472", 2415.4741599999998, 0,
+        "b088ef159de76019"),
+    "Q2-crash|fault|seed0": ("1217614983cba5ee", "f166cc0ea87a40a3",
+                             4190.86896, 1, "86ac80e6dd9e795e"),
+    "Q2-crash|fault|seed1": ("d37bc6355df30142", "bba17112fb257412",
+                             4146.535199999998, 1, "f05b50a247e25951"),
+    "Q2-multicast|fault|seed0": ("0cc22a720675a08c", "0357f270a3f22474",
+                                 2575.544719999984, 0, "d73dd0b10e6c1428"),
+    "Q2-multicast|fault|seed1": ("1a0de5471785d7f6", "b3d2a2b5c89d0a94",
+                                 2580.5919199999844, 0, "06fc170c3b6aebf0"),
+    "Q2-responder-crash|fault|seed0": (
+        "ff3c97f6f41bfd08", "65922aa073e27924", 4182.607359999998, 0,
+        "86ac80e6dd9e795e"),
+    "Q2-responder-crash|fault|seed1": (
+        "afef7c9d160770f8", "7b5b95412314a362", 4137.2149599999975, 0,
+        "f05b50a247e25951"),
 }
 
 
@@ -244,6 +361,11 @@ def batch_fingerprint(scenario, batch_size, seed):
     return _fingerprint(grid, query, perturb, adaptivity)
 
 
+def fault_fingerprint(scenario, seed):
+    grid, query, adaptivity = FAULT_SCENARIOS[scenario](seed)
+    return _fingerprint(grid, query, None, adaptivity)
+
+
 def _golden(key):
     if key not in GOLDEN:
         pytest.skip(f"no golden captured for seed {SEED}")
@@ -262,6 +384,12 @@ def test_paper_policy_matches_golden(scenario, combo):
 def test_batch_axis_matches_golden(scenario, batch_size):
     assert (batch_fingerprint(scenario, batch_size, SEED)
             == _golden(f"{scenario}|bs{batch_size}|seed{SEED}"))
+
+
+@pytest.mark.parametrize("scenario", sorted(FAULT_SCENARIOS))
+def test_fault_path_matches_golden(scenario):
+    assert (fault_fingerprint(scenario, SEED)
+            == _golden(f"{scenario}|fault|seed{SEED}"))
 
 
 def test_axes_config_and_named_policy_share_one_controller():
@@ -289,6 +417,10 @@ def _capture():
             for seed in CI_SEEDS:
                 print(f'    "{scenario}|bs{batch_size}|seed{seed}": '
                       f"{batch_fingerprint(scenario, batch_size, seed)!r},")
+    for scenario in sorted(FAULT_SCENARIOS):
+        for seed in CI_SEEDS:
+            print(f'    "{scenario}|fault|seed{seed}": '
+                  f"{fault_fingerprint(scenario, seed)!r},")
     print("}")
 
 
