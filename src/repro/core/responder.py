@@ -8,6 +8,10 @@ completion the adaptation is skipped.  Otherwise it notifies the
 producers that must change their distribution policy — prospectively
 (R2) or retrospectively (R1, redistributing the recovery logs) — and
 the Diagnosers that must update the current distribution (W <- W').
+
+Every deployment (an accepted proposal, a clone's quarantine or
+reintegration) and the GDQS's roll-forward of an orphaned one go
+through :func:`deploy_update`, the two-phase replay/discard calls.
 """
 
 from __future__ import annotations
@@ -169,8 +173,7 @@ class Responder(GridService, NotificationPublisher):
         if state is None:
             return
         if state.busy:
-            self.skipped_busy += 1
-            self._metric_skips["busy"].inc()
+            self._count_skip("busy")
             return
         state.busy = True
         try:
@@ -294,14 +297,7 @@ class Responder(GridService, NotificationPublisher):
 
     def _deploy_weights(self, state: _SubplanState, proposed: list,
                         retrospective: bool) -> typing.Generator:
-        """Push a weight vector to every producer; True on success.
-
-        Two-phase deployment: replays first in port order (the build
-        side of a join before its probe side, so replayed state is
-        observed before the tuples that probe it), then discards in
-        reverse port order (old probe tuples leave before the state
-        they need is torn down).  Each phase is an acknowledged call.
-        """
+        """Push a weight vector to every producer; True on success."""
         state.epoch += 1
         bucket_map: tuple | None = None
         if state.bucket_map is not None:
@@ -313,19 +309,10 @@ class Responder(GridService, NotificationPublisher):
             bucket_map=bucket_map,
             retrospective=retrospective,
             epoch=state.epoch)
-        retry = self.context.call_retry_policy()
-        by_port = sorted(state.producers, key=lambda p: p[2])
         try:
-            for producer_id, endpoint, _port in by_port:
-                yield from self.call(endpoint, "update_distribution", {
-                    "update": update, "producer_id": producer_id,
-                    "phase": "replay"}, timeout_ms=self.call_timeout_ms,
-                    retry=retry)
-            for producer_id, endpoint, _port in reversed(by_port):
-                yield from self.call(endpoint, "update_distribution", {
-                    "update": update, "producer_id": producer_id,
-                    "phase": "discard"}, timeout_ms=self.call_timeout_ms,
-                    retry=retry)
+            yield from deploy_update(self, state.producers, update,
+                                     self.call_timeout_ms,
+                                     self.context.call_retry_policy())
         except ServiceError:
             return False
         state.weights = list(proposed)
@@ -351,45 +338,49 @@ class Responder(GridService, NotificationPublisher):
             return None
         return list(normalise_weights(masked))
 
-    def quarantine(self, subplan_id: str,
-                   instance_index: int) -> typing.Generator:
-        """Drive a suspect clone's weight to zero (prospectively).
-
-        The clone's recovery log and in-flight state are retained —
-        unlike failure recovery nothing is rebuilt; new work simply
-        stops flowing to it.  Spawned as a process by the GDQS monitor.
-        """
+    def set_quarantined(self, subplan_id: str, instance_index: int,
+                        quarantined: bool) -> typing.Generator:
+        """Quarantine a suspect clone (``True``: weight to zero, recovery
+        log and in-flight state retained) or reintegrate a recovered one
+        (``False``: its pre-quarantine share returns), prospectively;
+        the flip is undone if nothing could be deployed.  Spawned as a
+        process by the GDQS monitor when heartbeats stop or resume."""
         state = self._state.get(subplan_id)
         if (state is None or self.crashed
                 or not 0 <= instance_index < len(state.quarantined)
-                or state.quarantined[instance_index]):
+                or state.quarantined[instance_index] == quarantined):
             return
         while state.busy:
             yield self.env.timeout(25.0)
         state.busy = True
         try:
-            if state.pre_quarantine_weights is None:
+            if quarantined and state.pre_quarantine_weights is None:
                 state.pre_quarantine_weights = list(state.weights)
-            state.quarantined[instance_index] = True
+            state.quarantined[instance_index] = quarantined
+            # None: every clone suspect, nowhere to shift work to.
             proposed = self._weights_excluding_quarantined(state)
-            if proposed is None:
-                # Every clone suspect: nowhere to shift work to.
-                state.quarantined[instance_index] = False
+            if proposed is None or not (yield from self._deploy_weights(
+                    state, proposed, retrospective=False)):
+                state.quarantined[instance_index] = not quarantined
                 return
-            deployed = yield from self._deploy_weights(
-                state, proposed, retrospective=False)
-            if not deployed:
-                state.quarantined[instance_index] = False
-                return
-            self.quarantines += 1
-            self._metric_quarantines.inc()
             # A fault-driven move breaks the adaptation sequence for
             # oscillation purposes; the policy may want to know too.
             state.prev_delta = None
-            self.policy.on_quarantine(subplan_id, instance_index,
-                                      self.env.now)
+            if quarantined:
+                self.quarantines += 1
+                self._metric_quarantines.inc()
+                self.policy.on_quarantine(subplan_id, instance_index,
+                                          self.env.now)
+            else:
+                self.reintegrations += 1
+                self._metric_reintegrations.inc()
+                self.policy.on_reintegration(subplan_id, instance_index,
+                                             self.env.now)
+                if not any(state.quarantined):
+                    state.pre_quarantine_weights = None
             self.context.tracer.record(
-                "response", self.name, "clone quarantined",
+                "response", self.name,
+                "clone quarantined" if quarantined else "clone reintegrated",
                 subplan=subplan_id, instance=instance_index,
                 epoch=state.epoch,
                 weights=tuple(round(w, 3) for w in proposed))
@@ -399,48 +390,29 @@ class Responder(GridService, NotificationPublisher):
         finally:
             state.busy = False
 
-    def reintegrate(self, subplan_id: str,
-                    instance_index: int) -> typing.Generator:
-        """Restore a recovered clone's share of the workload.
 
-        Re-installs the clone's pre-quarantine share and publishes the
-        new vector, from which the Diagnoser re-proposes as live costs
-        come in.  Spawned as a process by the GDQS monitor when the
-        clone's heartbeats resume.
-        """
-        state = self._state.get(subplan_id)
-        if (state is None or self.crashed
-                or not 0 <= instance_index < len(state.quarantined)
-                or not state.quarantined[instance_index]):
-            return
-        while state.busy:
-            yield self.env.timeout(25.0)
-        state.busy = True
-        try:
-            state.quarantined[instance_index] = False
-            proposed = self._weights_excluding_quarantined(state)
-            if proposed is None:
-                state.quarantined[instance_index] = True
-                return
-            deployed = yield from self._deploy_weights(
-                state, proposed, retrospective=False)
-            if not deployed:
-                state.quarantined[instance_index] = True
-                return
-            self.reintegrations += 1
-            self._metric_reintegrations.inc()
-            state.prev_delta = None
-            self.policy.on_reintegration(subplan_id, instance_index,
-                                         self.env.now)
-            if not any(state.quarantined):
-                state.pre_quarantine_weights = None
-            self.context.tracer.record(
-                "response", self.name, "clone reintegrated",
-                subplan=subplan_id, instance=instance_index,
-                epoch=state.epoch,
-                weights=tuple(round(w, 3) for w in proposed))
-            self.publish(TOPIC_WEIGHTS, WeightsInstalled(
-                subplan_id=subplan_id, weights=tuple(proposed),
-                epoch=state.epoch, timestamp=self.env.now))
-        finally:
-            state.busy = False
+def deploy_update(service: GridService,
+                  producers: typing.Sequence[typing.Sequence],
+                  update: DistributionUpdate | None, timeout_ms: float,
+                  retry, skip_replay: typing.Container[str] = ()
+                  ) -> typing.Generator:
+    """Drive both phases of a distribution update from ``service``.
+
+    The replay phase goes to the ``(producer_id, endpoint, port)``
+    entries in port order (a join's build side before its probe side,
+    so replayed state is observed before the tuples that probe it),
+    then the discard phase in reverse (old probe tuples leave before
+    the state they need is torn down), skipping the replays of
+    ``skip_replay``.  Every call is acknowledged; a failed one raises
+    :class:`~repro.errors.ServiceError`.
+    """
+    by_port = sorted(producers, key=lambda p: p[2])
+    for producer_id, endpoint, _port in by_port:
+        if producer_id not in skip_replay:
+            yield from service.call(endpoint, "update_distribution", {
+                "update": update, "producer_id": producer_id,
+                "phase": "replay"}, timeout_ms=timeout_ms, retry=retry)
+    for producer_id, endpoint, _port in reversed(by_port):
+        yield from service.call(endpoint, "update_distribution", {
+            "update": update, "producer_id": producer_id,
+            "phase": "discard"}, timeout_ms=timeout_ms, retry=retry)

@@ -21,6 +21,7 @@ from repro.config import (
 )
 from repro.core.monitoring import MonitoringEventDetector
 from repro.core.notifications import TOPIC_COST
+from repro.core.responder import deploy_update
 from repro.data.schema import Schema
 from repro.dqp.deployment import (
     QueryRuntime,
@@ -469,7 +470,8 @@ class GDQS(GridService):
                 # The replacement starts healthy: lift any
                 # quarantine the suspect phase imposed, else the
                 # rebuilt clones would never receive work.
-                self._reintegrate_clones(runtime, quarantined)
+                self._quarantine_clones(runtime, quarantined, False,
+                                      "reintegrate")
                 continue
             if (ft.suspect_timeout_ms is None
                     or runtime.responder is None
@@ -491,10 +493,8 @@ class GDQS(GridService):
                     "failure", self.name, "gqes suspect",
                     gqes=gqes.name, silent_ms=round(silent_ms, 1),
                     instances=indices)
-                for index in indices:
-                    self.env.process(
-                        runtime.responder.quarantine(compute_id, index),
-                        name=f"gdqs:quarantine:{gqes.name}:{index}")
+                self._quarantine_clones(runtime, indices, True,
+                                      f"quarantine:{gqes.name}")
             elif gqes.name in suspected:
                 # Heartbeats resumed before the failure deadline.
                 indices = suspected.pop(gqes.name)
@@ -502,19 +502,23 @@ class GDQS(GridService):
                 self.context.tracer.record(
                     "failure", self.name, "gqes recovered from suspect",
                     gqes=gqes.name, instances=indices)
-                self._reintegrate_clones(runtime, indices)
+                self._quarantine_clones(runtime, indices, False, "reintegrate")
         return False
 
-    def _reintegrate_clones(self, runtime: QueryRuntime,
-                            indices: typing.Sequence[int]) -> None:
+    def _quarantine_clones(self, runtime: QueryRuntime,
+                           indices: typing.Sequence[int], quarantined: bool,
+                           label: str) -> None:
+        """Spawn the Responder's quarantine (or reintegration) of the
+        compute clones ``indices``."""
         if (not indices or runtime.responder is None
                 or runtime.responder.crashed):
             return
         compute_id = runtime.plan.compute.subplan_id
         for index in indices:
             self.env.process(
-                runtime.responder.reintegrate(compute_id, index),
-                name=f"gdqs:reintegrate:{index}")
+                runtime.responder.set_quarantined(compute_id, index,
+                                                  quarantined),
+                name=f"gdqs:{label}:{index}")
 
     def _pick_replacement(self, runtime: QueryRuntime,
                           failed_machine: str) -> str:
@@ -633,11 +637,11 @@ class GDQS(GridService):
                                    ) -> typing.Generator:
         """Complete a two-phase distribution update whose Responder died.
 
-        Rolls the update *forward*: any producer still behind the
-        highest applied epoch receives the stored update's replay phase
-        (so a join's build and probe sides agree on the bucket map),
-        then every producer's pending discards are issued in reverse
-        port order — the same ordering discipline the Responder uses.
+        Rolls the update *forward* through the Responder's own
+        :func:`~repro.core.responder.deploy_update`: any producer still
+        behind the highest applied epoch receives the stored update's
+        replay phase (so a join's build and probe sides agree on the
+        bucket map), then every producer gets the discard phase.
         """
         task = runtime.balancing_task
         if task is None:
@@ -657,23 +661,18 @@ class GDQS(GridService):
                       for entry in status_by_producer.values()
                       if entry["last_update"] is not None),
                      key=lambda update: update.epoch, default=None)
-        by_port = sorted(task.producers, key=lambda p: p[2])
-        if newest is not None:
-            for producer_id, endpoint, _port in by_port:
-                entry = status_by_producer.get(producer_id)
-                if entry is None or entry["applied_epoch"] >= newest.epoch:
-                    continue
-                yield from self.call(endpoint, "update_distribution", {
-                    "update": newest, "producer_id": producer_id,
-                    "phase": "replay"},
-                    timeout_ms=self.fault_tolerance.call_timeout_ms,
-                    retry=self.context.call_retry_policy())
-        for producer_id, endpoint, _port in reversed(by_port):
-            yield from self.call(endpoint, "update_distribution", {
-                "update": newest, "producer_id": producer_id,
-                "phase": "discard"},
-                timeout_ms=self.fault_tolerance.call_timeout_ms,
-                retry=self.context.call_retry_policy())
+        # Producers that did not report, or already applied the newest
+        # update, only need its discard phase.
+        current = {
+            producer_id for producer_id, _endpoint, _port in task.producers
+            if newest is None
+            or producer_id not in status_by_producer
+            or status_by_producer[producer_id]["applied_epoch"]
+            >= newest.epoch}
+        yield from deploy_update(self, task.producers, newest,
+                                 self.fault_tolerance.call_timeout_ms,
+                                 self.context.call_retry_policy(),
+                                 skip_replay=current)
         self.context.tracer.record(
             "failure", self.name, "orphaned update finalized",
             subplan=task.subplan_id)

@@ -222,12 +222,11 @@ class GQES(GridService):
                                sender: str) -> typing.Generator:
         """Apply one phase of a distribution update to one producer.
 
-        The Responder drives this as an acknowledged, two-phase
-        protocol — replays first across all producers of the subplan
-        (build side before probe side), then discards in reverse order
-        — so a join instance always observes replayed build state
-        before the matching probe tuples, and old state is only torn
-        down after the moved probe tuples left the old consumer.
+        The callee of :func:`repro.core.responder.deploy_update`, which
+        sends every producer of the subplan its replay (build side
+        first), then its discard in reverse order — so a join instance
+        observes replayed build state before the matching probe tuples,
+        and old state is torn down only after they left.
         """
         if self.query_complete.triggered:
             return "query-complete"
@@ -260,7 +259,7 @@ class GQES(GridService):
 
     def op_update_status(self, payload: dict,
                          sender: str) -> typing.Generator:
-        """Two-phase-update state of local producers for a subplan.
+        """Local producers' epoch machines for a subplan, as plain values.
 
         Used by the GDQS to roll an orphaned update forward after the
         Responder crashed between the replay and discard phases.
@@ -271,9 +270,9 @@ class GQES(GridService):
                 continue
             status.append({
                 "producer_id": producer.producer_id,
-                "applied_epoch": producer.applied_epoch,
-                "moving": producer.moving,
-                "last_update": producer.last_update,
+                "applied_epoch": producer.protocol.applied_epoch,
+                "moving": producer.protocol.moving,
+                "last_update": producer.protocol.last_update,
             })
         return status
         yield  # pragma: no cover - generator form required by dispatcher
@@ -307,6 +306,6 @@ class GQES(GridService):
                 if not (consumer.aborted or consumer.is_complete()):
                     return False
             for producer in fragment.producers:
-                if not producer.finished or producer.moving:
+                if not producer.finished or producer.protocol.moving:
                     return False
         return True

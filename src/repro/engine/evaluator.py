@@ -15,7 +15,8 @@ import typing
 
 from repro.core.notifications import M1Event
 from repro.engine.operators.base import END, EvalContext, Operator
-from repro.engine.operators.exchange import ExchangeConsumer, ExchangeProducer
+from repro.engine.operators.exchange import ExchangeProducer
+from repro.engine.operators.exchange_consumer import ExchangeConsumer
 from repro.engine.operators.hashjoin import HashJoin
 from repro.sim.events import Event
 

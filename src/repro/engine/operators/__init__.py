@@ -1,10 +1,10 @@
 """Physical operators of the iterator-model engine."""
 
 from repro.engine.operators.base import END, EvalContext, Operator, UnaryOperator
-from repro.engine.operators.exchange import (
+from repro.engine.operators.exchange import ExchangeProducer
+from repro.engine.operators.exchange_consumer import (
     ConsumerRef,
     ExchangeConsumer,
-    ExchangeProducer,
 )
 from repro.engine.operators.filters import Project, Select
 from repro.engine.operators.hashjoin import HashJoin

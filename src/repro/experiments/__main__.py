@@ -71,12 +71,12 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             set_metrics_sink(previous)
         print(render(report))
+        # Metrics path and wall time go to stderr: stdout must be
+        # byte-identical for any --jobs and --metrics-dir (CI diffs it).
         if sink is not None and sink.records:
             path = pathlib.Path(args.metrics_dir) / f"METRICS_{name}.jsonl"
             count = sink.write_jsonl(path)
-            print(f"[metrics: {count} records -> {path}]")
-        # Wall time goes to stderr: stdout must be byte-identical for
-        # any --jobs value (the property tests diff it).
+            print(f"[metrics: {count} records -> {path}]", file=sys.stderr)
         print(f"[{name} completed in {time.time() - started:.1f}s wall]",
               file=sys.stderr)
         print()

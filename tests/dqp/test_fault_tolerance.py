@@ -224,7 +224,7 @@ class TestRecovery:
         assert result.stats.machines_recovered == 1
         # No feed producer is left mid-move.
         for _endpoint, producer in handle.runtime.feed_producers:
-            assert not producer.moving
+            assert not producer.protocol.moving
 
     def test_suspect_quarantine_survives_failed_recovery(self, monkeypatch):
         """Regression: when a recovery attempt aborted with a

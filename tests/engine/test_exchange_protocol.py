@@ -121,14 +121,14 @@ class TestRetrospectiveProtocol:
         feed = runtime.feed_producers[0][1]
         assert feed.tuples_moved > 0
         # Attribution is disjoint across channels.
-        attributed = [set(tids) for tids in feed._attributed]
+        attributed = [set(tids) for tids in feed.protocol.attributed]
         assert not (attributed[0] & attributed[1])
 
     def test_announcement_revisions_increase_on_reattribution(self):
         _grid, runtime, _result = self.run_r1(
             Q1, lambda g: perturb_ws_cost(g, 12.0))
         feed = runtime.feed_producers[0][1]
-        assert max(feed._revision) >= 1
+        assert max(feed.protocol.revision) >= 1
 
     def test_join_state_moves_with_buckets(self):
         _grid, runtime, _result = self.run_r1(
@@ -147,7 +147,7 @@ class TestRetrospectiveProtocol:
         _grid, runtime, _result = self.run_r1(
             Q1, lambda g: perturb_ws_cost(g, 12.0))
         feed = runtime.feed_producers[0][1]
-        assert feed.applied_epoch == feed.adaptations_applied
+        assert feed.protocol.applied_epoch == feed.adaptations_applied
 
     def test_quiescent_after_adaptive_run(self):
         _grid, runtime, _result = self.run_r1(

@@ -190,9 +190,9 @@ class TestProducerInternals:
 
         def apply(env):
             yield from producer.apply_update_replay(update)
-            assert producer.moving
+            assert producer.protocol.moving
             yield from producer.apply_update_discard()
-            assert not producer.moving
+            assert not producer.protocol.moving
 
         process = context.env.process(apply(context.env))
         context.env.run(until=process)
