@@ -235,29 +235,24 @@ class SchedulerConfig:
     The scheduler runs at most ``max_concurrent`` queries at once,
     holds up to ``max_queued`` more in a FIFO admission queue, and
     refuses further submissions with
-    :class:`~repro.errors.AdmissionRejected`.  When ``fair_share`` is
-    on, each running session charges ``session_weight`` shares against
-    every machine its subplans occupy; the share ledger steers new
-    sessions toward the least-loaded machines and reports capacity
-    pressure where committed shares exceed ``machine_capacity`` (see
+    :class:`~repro.errors.AdmissionRejected`.  Each running session
+    charges ``session_weight`` shares against every machine its
+    subplans occupy; the share ledger steers new sessions toward the
+    least-loaded machines and reports capacity pressure where
+    committed shares exceed ``machine_capacity`` (see
     :meth:`repro.grid.machine.Machine.contention_factor`).  The
     contention itself comes from co-resident sessions queueing at
-    each machine's FIFO CPU, with or without the ledger.
+    each machine's FIFO CPU, not from the ledger.
     """
 
     #: Sessions allowed to execute simultaneously.
     max_concurrent: int = 4
     #: Bounded FIFO admission queue behind the running set.
     max_queued: int = 16
-    #: Whether sessions charge capacity shares on their machines.
-    fair_share: bool = True
     #: Shares one running session charges on each machine it uses.
     session_weight: float = 1.0
     #: Shares a machine absorbs before reporting capacity pressure.
     machine_capacity: float = 1.0
-    #: Prefer the least-loaded compute machines when a session's
-    #: parallelism degree does not need the whole pool.
-    load_aware_placement: bool = True
     #: Per-query deadline (per attempt): a session executing longer
     #: than this is aborted with a typed ``deadline-exceeded`` failure
     #: and its FairShare capacity released.  ``None`` (default) never
@@ -285,9 +280,8 @@ class SchedulerConfig:
     #: the optimizer only the ``placement_candidates`` least-loaded
     #: machines (plus any breaker-tripped stragglers) instead of the
     #: whole fleet's ordering.  ``None`` (default) emits the full
-    #: order — bit-identical to the legacy sort-everything path; an
-    #: integer bounds per-placement work for fleet-scale grids and
-    #: must cover the largest parallelism degree submitted.
+    #: order; an integer bounds per-placement work for fleet-scale
+    #: grids and must cover the largest parallelism degree submitted.
     placement_candidates: int | None = None
 
     def __post_init__(self) -> None:

@@ -38,50 +38,20 @@ from repro.planner.physical import (
 _query_ids = itertools.count(1)
 
 
-def _bounded_pick(registry: ResourceRegistry,
-                  data_hosts: set[str], coordinator: str, degree: int,
-                  machine_order: typing.Sequence[str],
-                  exclude: typing.Container[str]) -> list[str] | None:
-    """Bounded walk: the first ``degree`` valid preferred machines.
-
-    Walks ``machine_order`` collecting names that survive every filter
-    of the reference path below — registered compute, not crashed, not
-    excluded, not a data host or the coordinator.  If ``degree`` names
-    are collected the result equals the reference result exactly:
-
-    * the reference ranks listed machines first, in list order, and
-      unlisted ones after them, so its first ``degree`` entries are
-      the first ``degree`` listed survivors — precisely this walk;
-    * every collected name is in the reference's ``preferred`` (and
-      ``spared``) subsets, so neither of its emptiness fallbacks (use
-      all candidates / waive the blacklist) can have fired.
-
-    Returns None — caller falls back to the reference path — whenever
-    the walk cannot prove equivalence: too few listed survivors, or a
-    duplicated name (the reference ranks duplicates by their *last*
-    occurrence).  Cost is O(walked prefix), independent of fleet size,
-    and crash checks use :meth:`~ResourceRegistry.peek` so the walk
-    never materializes a lazy machine it then rejects.
-    """
-    chosen: list[str] = []
-    seen: set[str] = set()
-    for name in machine_order:
-        if name in seen:
-            return None
-        seen.add(name)
-        if not registry.is_compute(name):
-            continue
-        machine = registry.peek(name)
-        if machine is not None and machine.is_crashed:
-            continue
-        if name in exclude:
-            continue
-        if name in data_hosts or name == coordinator:
-            continue
-        chosen.append(name)
-        if len(chosen) == degree:
-            return chosen
-    return None
+def _rank_order(registry: ResourceRegistry,
+                machine_order: typing.Sequence[str] | None
+                ) -> typing.Iterator[str]:
+    """Compute machines, most preferred first: the listed ones in the
+    given order (first occurrence wins), then the unlisted ones in
+    registry order.  Lazy, so a walk that stops early reads a prefix."""
+    listed: set[str] = set()
+    for name in machine_order or ():
+        if registry.is_compute(name) and name not in listed:
+            listed.add(name)
+            yield name
+    for name in registry.compute_machines():
+        if name not in listed:
+            yield name
 
 
 def _pick_compute_machines(registry: ResourceRegistry,
@@ -90,51 +60,40 @@ def _pick_compute_machines(registry: ResourceRegistry,
                            machine_order: typing.Sequence[str] | None = None,
                            exclude: typing.Container[str] = ()
                            ) -> list[str]:
-    if degree is not None and degree >= 1:
-        # With no caller preference the reference path keeps registry
-        # order, so the walk over ``compute_machines()`` is the same
-        # prefix — lazy fleets then materialize only the ``degree``
-        # machines actually placed.
-        walk = (machine_order if machine_order is not None
-                else registry.compute_machines())
-        fast = _bounded_pick(registry, data_hosts, coordinator, degree,
-                             walk, exclude)
-        if fast is not None:
-            return fast
-    # Permanently crashed machines are not resources: deploying a
-    # fragment there would park its dispatch behind a closed CPU gate
-    # forever.  ``exclude`` additionally blacklists machines the
-    # caller distrusts (the scheduler's retry path names the machine
-    # that failed the previous attempt); unlike a crash the blacklist
-    # is advisory — if honouring it would empty the pool, it yields.
-    candidates = [name for name in registry.compute_machines()
-                  if not registry.machine(name).is_crashed]
-    if exclude:
-        spared = [name for name in candidates if name not in exclude]
-        if spared:
-            candidates = spared
-    preferred = [name for name in candidates
-                 if name not in data_hosts and name != coordinator]
-    chosen = preferred or candidates
-    if machine_order is not None:
-        # Stable preference reorder: listed machines first in the given
-        # order, unlisted ones after in registry order.  With no degree
-        # cap every machine still participates, so a preference that
-        # lists the pool in registry order is a no-op by construction.
-        rank = {name: position
-                for position, name in enumerate(machine_order)}
-        chosen = sorted(chosen,
-                        key=lambda name: rank.get(name, len(rank)))
-    if degree is not None:
-        if degree < 1:
-            raise PlanningError(f"degree must be >= 1: {degree}")
-        if degree > len(chosen):
-            raise PlanningError(
-                f"degree {degree} exceeds available machines {len(chosen)}")
-        chosen = chosen[:degree]
+    """The first ``degree`` (default: all) machines of the strictest
+    non-empty tier, in rank order.
+
+    Permanently crashed machines are never picked: a fragment deployed
+    there would park its dispatch behind a closed CPU gate forever.
+    The tiers relax two preferences in turn, each only when every
+    stricter tier is empty: keep off the data hosts and the
+    coordinator, then honour ``exclude`` (the scheduler's retry path
+    blacklists the machine that failed the previous attempt; unlike a
+    crash the blacklist is advisory).  The walk stops as soon as the
+    strictest tier holds ``degree`` machines, so its cost is the walked
+    prefix, not the fleet, and crash checks use
+    :meth:`~ResourceRegistry.peek` (a machine never built cannot have
+    crashed) so no lazy machine is built here.
+    """
+    if degree is not None and degree < 1:
+        raise PlanningError(f"degree must be >= 1: {degree}")
+    tiers: tuple[list[str], ...] = ([], [], [], [])
+    for name in _rank_order(registry, machine_order):
+        machine = registry.peek(name)
+        if machine is not None and machine.is_crashed:
+            continue
+        tier = tiers[2 * (name in exclude)
+                     + (name in data_hosts or name == coordinator)]
+        tier.append(name)
+        if tier is tiers[0] and len(tier) == degree:
+            return tier
+    chosen = next((tier for tier in tiers if tier), [])
+    if degree is not None and degree > len(chosen):
+        raise PlanningError(
+            f"degree {degree} exceeds available machines {len(chosen)}")
     if not chosen:
         raise PlanningError("no compute machines available")
-    return chosen
+    return chosen[:degree]
 
 
 def _initial_weights(registry: ResourceRegistry,

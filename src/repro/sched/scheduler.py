@@ -88,12 +88,10 @@ class QueryScheduler:
         self.env = self.context.env
         self.config = config or SchedulerConfig()
         self.name = f"sched:{gdqs.machine.name}"
-        self.fair_share: FairShare | None = None
-        if self.config.fair_share:
-            self.fair_share = FairShare(
-                self.context.registry,
-                session_weight=self.config.session_weight,
-                machine_capacity=self.config.machine_capacity)
+        self.fair_share = FairShare(
+            self.context.registry,
+            session_weight=self.config.session_weight,
+            machine_capacity=self.config.machine_capacity)
         self.health: MachineHealth | None = None
         if self.config.breaker_threshold > 0:
             # Pure bookkeeping (no simulator events): safe always-on.
@@ -213,9 +211,7 @@ class QueryScheduler:
         terminal = completed + self.queries_failed
         return completed / terminal if terminal else 1.0
 
-    def _machine_order(self) -> list[str] | None:
-        if self.fair_share is None or not self.config.load_aware_placement:
-            return None
+    def _machine_order(self) -> list[str]:
         # The fleet index maintains the least-loaded (site, machine)
         # order incrementally on admit/release deltas, so emitting the
         # preference costs O(candidates), not a per-placement sort of
@@ -265,11 +261,10 @@ class QueryScheduler:
         if first_attempt:
             self._metric_queue_wait.observe(session.queue_wait_ms)
         self._running[session.session_id] = session
-        if self.fair_share is not None:
-            # Shares are charged in the same simulated instant as the
-            # deployment, so a second submission at the same time
-            # already sees this session's residency when placing.
-            self.fair_share.admit(session)
+        # Shares are charged in the same simulated instant as the
+        # deployment, so a second submission at the same time already
+        # sees this session's residency when placing.
+        self.fair_share.admit(session)
         if self.health is not None:
             self.health.note_placement(session.machines)
         if session.done is None:
@@ -311,8 +306,7 @@ class QueryScheduler:
                 # scheduler-level mean-time-to-repair contribution.
                 self._metric_mttr.observe(
                     self.env.now - session.first_failed_at)
-        if self.fair_share is not None:
-            self.fair_share.release(session)
+        self.fair_share.release(session)
         del self._running[session.session_id]
         self.context.tracer.record(
             CATEGORY_SCHEDULER, self.name, "query completed",
@@ -371,8 +365,7 @@ class QueryScheduler:
         self.wasted_work_ms += failure.elapsed_ms
         if self.health is not None and failure.failed_machine:
             self.health.record_failure(failure.failed_machine)
-        if self.fair_share is not None:
-            self.fair_share.release(session)
+        self.fair_share.release(session)
         del self._running[session.session_id]
         if self._should_retry(session, failure):
             session.mark_retrying(self.env.now, failure)

@@ -1,11 +1,9 @@
-"""Slow sweep test for the ``chaos`` experiment (run with ``-m slow``)."""
-
-import pytest
+"""The published ``chaos`` table: faults become latency, never loss."""
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.chaos import FAULT_RATES
 
 
-@pytest.mark.slow
 def test_chaos_experiment_rows_are_complete_at_every_fault_rate():
     report = EXPERIMENTS["chaos"]()
     assert report.experiment_id == "chaos"
@@ -16,6 +14,15 @@ def test_chaos_experiment_rows_are_complete_at_every_fault_rate():
     for label in ("Q1", "Q2"):
         counts = {row["results"] for row in by_query[label]}
         assert len(counts) == 1, counts
+        top = [row for row in by_query[label]
+               if row["fault rate"] == f"{max(FAULT_RATES):.2f}"]
+        assert len(top) == 2  # adaptivity on and off
+        # The top rate really injects link faults ...
+        assert all(row["drops"] + row["dups"] > 0 for row in top), top
+        # ... and every dropped buffer is re-sent, never abandoned.
+        for row in by_query[label]:
+            if row["drops"] > 0:
+                assert row["retries"] > 0, row
     # The freeze scenario quarantined (and the run still completed).
     (freeze_row,) = by_query["Q1+freeze"]
     assert freeze_row["quarantined"] >= 1

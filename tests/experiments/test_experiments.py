@@ -5,7 +5,14 @@ import dataclasses
 import pytest
 
 from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
-from repro.experiments import EXPERIMENTS, engine_config_for, execute, render
+from repro.experiments import (
+    EXPERIMENTS,
+    engine_config_for,
+    execute,
+    multiquery,
+    render,
+    resilience,
+)
 from repro.experiments.harness import BaselineCache, ExperimentReport
 from repro.workloads import DemoGridSpec, perturb_ws_cost
 
@@ -121,3 +128,42 @@ class TestTournament:
         assert entry["mean"] == entry["fig2-ws10"]
         assert entry["adaptations"] >= 1
         assert entry["complete"] == "yes"
+
+
+class TestResilienceExperiment:
+    """The published ``resilience`` table: a crash costs availability,
+    never a terminal outcome."""
+
+    def test_crashes_degrade_availability_without_hangs(self):
+        rows = resilience.run().row_dicts()
+        for row in rows:
+            assert row["admitted"] == row["succeeded"] + row["failed"], row
+            if row["crashes"] == 0:
+                assert (row["failed"], row["retried"],
+                        row["wasted_s"]) == (0, 0, 0.0), row
+        # The crashed rows exercise the retry/failure path at all.
+        assert any(row["retried"] > 0 or row["failed"] > 0
+                   for row in rows if row["crashes"] > 0)
+        for limit in resilience.CONCURRENCY_LIMITS:
+            curve = [row["availability"] for row in rows
+                     if row["max_conc"] == limit]
+            assert len(curve) == len(resilience.CRASH_COUNTS)
+            assert curve == sorted(curve, reverse=True), curve
+
+
+class TestMultiqueryExperiment:
+    """The published ``multiquery`` table's runs, one ``drive`` each."""
+
+    def test_concurrency_shrinks_queue_wait(self):
+        reports = {(limit, rate): multiquery.drive(rate, limit)
+                   for limit in multiquery.CONCURRENCY_LIMITS
+                   for rate in multiquery.ARRIVAL_RATES_QPS}
+        for report in reports.values():
+            assert report.completed == report.admitted
+            assert report.offered == report.admitted + report.rejected
+        # Concurrency trades queue wait for shared-CPU contention: with
+        # more sessions admitted at once, nobody waits as long to start.
+        heaviest = max(multiquery.ARRIVAL_RATES_QPS)
+        serial = reports[1, heaviest].queue_wait_p95_ms
+        for limit in multiquery.CONCURRENCY_LIMITS[1:]:
+            assert reports[limit, heaviest].queue_wait_p95_ms < serial

@@ -47,8 +47,6 @@ scheduler_configs = st.builds(
     SchedulerConfig,
     max_concurrent=st.just(1),
     max_queued=st.sampled_from([0, 4]),
-    fair_share=st.booleans(),
-    load_aware_placement=st.booleans(),
 )
 
 

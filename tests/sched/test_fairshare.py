@@ -97,15 +97,6 @@ class TestFairSharePolicy:
         assert policy.placement_order() == [
             "compute-3", "compute-1", "compute-2"]
 
-    def test_fair_share_disabled_skips_the_ledger(self):
-        grid = DemoGrid(SPEC)
-        scheduler = grid.scheduler(SchedulerConfig(
-            max_concurrent=2, fair_share=False))
-        scheduler.submit(Q1, adaptivity=STATIC)
-        assert all(machine.committed_shares == 0.0
-                   for machine in grid.context.registry.machines())
-        scheduler.drain()
-
 
 def adaptivity_events(tracer, query_id):
     """The full (timestamped) adaptivity timeline of one query."""

@@ -232,25 +232,67 @@ def test_compute_morsel_budget(monitoring, rotate, budget):
             - compute_fragment_events(2, monitoring, rotate)) == budget
 
 
-def test_headline_query_budget():
-    """Q1 under the 10x WS perturbation at the default batch size (the
-    ``Q1-ws10x`` bs 32 row of ``BENCH_perf.json``)."""
-    grid = DemoGrid(DemoGridSpec(), engine_config=EngineConfig(batch_size=32))
-    perturb_ws_cost(grid, 10.0)
-    result = grid.run(Q1, AdaptivityConfig.disabled())
+BATCH_SIZES = (1, 8, 32, 128)
+
+#: Q1 under the 10x WS perturbation, static, per batch size:
+#: (queued events, simulated response ms).
+HEADLINE = {1: (10099, 71014.903), 8: (2419, 71014.903),
+            32: (1609, 71014.903), 128: (1459, 71014.903)}
+
+#: Q2 with the 12 ms join sleep, per (policy, batch size); under A1 +
+#: R1 one adaptation replays 2,811 build rows as late blocks.
+JOIN = {("static", 1): (24401, 54127.193),
+        ("static", 8): (5445, 54247.087),
+        ("static", 32): (3500, 54492.555),
+        ("static", 128): (3190, 54498.186),
+        ("A1-R1", 32): (6632, 36586.284)}
+JOIN_POLICIES = {"static": AdaptivityConfig.disabled(),
+                 "A1-R1": AdaptivityConfig(assessment="A1", response="R1")}
+
+
+def run_demo(query, perturb, batch_size, adaptivity):
+    grid = DemoGrid(DemoGridSpec(),
+                    engine_config=EngineConfig(batch_size=batch_size))
+    perturb(grid)
+    return grid, grid.run(query, adaptivity)
+
+
+def assert_budget(grid, result, budget):
+    events, response_ms = budget
+    assert grid.context.env.events_scheduled == events
+    assert result.response_time_ms == pytest.approx(response_ms, abs=1e-3)
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES,
+                         ids=[f"bs{size}" for size in BATCH_SIZES])
+def test_headline_query_budget(batch_size):
+    grid, result = run_demo(Q1, lambda grid: perturb_ws_cost(grid, 10.0),
+                            batch_size, AdaptivityConfig.disabled())
     assert len(result.rows) == 3000
-    assert grid.context.env.events_scheduled == 1609
+    assert_budget(grid, result, HEADLINE[batch_size])
 
 
-@pytest.mark.parametrize("adaptivity, budget", [
-    (AdaptivityConfig.disabled(), 3500),
-    (AdaptivityConfig(assessment="A1", response="R1"), 6632),
-], ids=["static", "A1-R1"])
-def test_join_query_budget(adaptivity, budget):
-    """Q2 with the 12 ms join sleep at the default batch size; under
-    A1 + R1 one adaptation replays 2,811 build rows as late blocks."""
-    grid = DemoGrid(DemoGridSpec(), engine_config=EngineConfig(batch_size=32))
-    perturb_join_sleep(grid, 12.0)
-    result = grid.run(Q2, adaptivity)
+@pytest.mark.parametrize("policy, batch_size", list(JOIN),
+                         ids=[f"static-bs{size}" for size in BATCH_SIZES]
+                         + ["A1-R1"])
+def test_join_query_budget(policy, batch_size):
+    grid, result = run_demo(Q2, lambda grid: perturb_join_sleep(grid, 12.0),
+                            batch_size, JOIN_POLICIES[policy])
     assert len(result.rows) == 4700
-    assert grid.context.env.events_scheduled == budget
+    assert_budget(grid, result, JOIN[policy, batch_size])
+
+
+def test_morsels_cut_events_not_simulated_time():
+    """What the pins above must keep saying when they are recaptured:
+    every larger morsel queues strictly fewer events, bs 32 at least 5x
+    fewer than bs 1 on the headline query, and the simulated response
+    stays within 2 % of bs 1 — batching changes how contiguously the
+    simulated costs are scheduled, never the costs."""
+    static_join = {size: JOIN["static", size] for size in BATCH_SIZES}
+    for table in (HEADLINE, static_join):
+        events = [table[size][0] for size in BATCH_SIZES]
+        assert all(more > fewer for more, fewer in zip(events, events[1:]))
+        reference_ms = table[1][1]
+        for _events, response_ms in table.values():
+            assert abs(response_ms - reference_ms) <= 0.02 * reference_ms
+    assert HEADLINE[1][0] >= 5 * HEADLINE[32][0]
