@@ -12,14 +12,22 @@ A morsel's operator charges are paid as one CPU task labelled
 ``morsel``, so the event table no longer says what a task paid for.
 ``--charges`` wraps ``EvalContext.charge`` / ``settle`` instead and
 prints the charges per label and how many charges each payment fused.
+
+``--heap`` reports what the run costs the cycle collector: per GC
+generation the collections, their pause seconds and the objects they
+collected (from ``gc.callbacks``), each generation-2 pass with the
+number of queries finished by then, and the GC-tracked objects still
+alive after the run by type, against the freshly built grid.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "layered"))
 
@@ -83,6 +91,55 @@ class ChargeCounter:
                 print(f"{n:>9}  {fused}")
 
 
+def tracked_by_type() -> collections.Counter:
+    """GC-tracked objects alive now (after a full collection), by type."""
+    gc.collect()
+    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
+class HeapCounter:
+    """Collections, pause time and collected objects per GC generation."""
+
+    def __init__(self, finished) -> None:
+        #: generation -> [collections, pause seconds, objects collected].
+        self.generations = {generation: [0, 0.0, 0]
+                            for generation in range(3)}
+        #: Each generation-2 pass: (queries finished, pause s, collected).
+        self.full_passes: list[tuple[int, float, int]] = []
+        self._finished = finished
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause = time.perf_counter() - self._started
+        entry = self.generations[info["generation"]]
+        entry[0] += 1
+        entry[1] += pause
+        entry[2] += info["collected"]
+        if info["generation"] == 2:
+            self.full_passes.append((self._finished(), pause,
+                                     info["collected"]))
+
+    def report(self, fresh: collections.Counter,
+               after: collections.Counter) -> None:
+        print(f"{'gen':>3} {'collections':>11} {'pause s':>9} "
+              f"{'collected':>9}")
+        for generation, (count, pause, collected) in (
+                self.generations.items()):
+            print(f"{generation:>3} {count:>11} {pause:>9.3f} "
+                  f"{collected:>9}")
+        for finished, pause, collected in self.full_passes:
+            print(f"  gen-2 pass after {finished} finished queries: "
+                  f"{pause * 1000:.1f} ms, {collected} collected")
+        print(f"GC-tracked objects alive: {sum(fresh.values())} in the "
+              f"fresh grid, {sum(after.values())} after the run")
+        print(f"{'after':>9} {'fresh':>9}  type")
+        for name, count in after.most_common(15):
+            print(f"{count:>9} {fresh[name]:>9}  {name}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -93,6 +150,9 @@ def main(argv=None) -> int:
     parser.add_argument("--charges", action="store_true",
                         help="also print ledger charges per label and "
                              "charges per settle")
+    parser.add_argument("--heap", action="store_true",
+                        help="also print GC passes per generation and the "
+                             "objects alive after the run by type")
     args = parser.parse_args(argv)
 
     sites: collections.Counter = collections.Counter()
@@ -114,6 +174,13 @@ def main(argv=None) -> int:
 
     scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
     charges = ChargeCounter() if args.charges else None
+    heap = None
+    if args.heap:
+        fresh = tracked_by_type()
+        heap = HeapCounter(lambda: sum(
+            1 for session in scenario.scheduler.sessions
+            if session.completed_at is not None))
+        gc.callbacks.append(heap)
     Environment.schedule = counting
     if charges is not None:
         charges.install()
@@ -123,6 +190,8 @@ def main(argv=None) -> int:
         Environment.schedule = schedule
         if charges is not None:
             charges.uninstall()
+        if heap is not None:
+            gc.callbacks.remove(heap)
     total = scenario.grid.context.env.events_scheduled
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{total} events queued")
@@ -130,6 +199,8 @@ def main(argv=None) -> int:
         print(f"{count:>9} {100.0 * count / total:5.1f} %  {site}")
     if charges is not None:
         charges.report()
+    if heap is not None:
+        heap.report(fresh, tracked_by_type())
     return 0
 
 

@@ -163,8 +163,9 @@ class Responder(GridService, NotificationPublisher):
             return
         self.proposals_received += 1
         self._metric_proposals.inc()
-        self.env.process(self._handle(payload),
-                         name=f"{self.name}:proposal")
+        # A decision in progress keeps the Responder from retiring: its
+        # calls' replies must find it.
+        self.spawn(self._handle(payload), name=f"{self.name}:proposal")
 
     def _handle(self, proposal: ImbalanceProposal) -> typing.Generator:
         yield self.machine.cpu.execute(self.cost.control_event_work,
@@ -343,8 +344,9 @@ class Responder(GridService, NotificationPublisher):
         """Quarantine a suspect clone (``True``: weight to zero, recovery
         log and in-flight state retained) or reintegrate a recovered one
         (``False``: its pre-quarantine share returns), prospectively;
-        the flip is undone if nothing could be deployed.  Spawned as a
-        process by the GDQS monitor when heartbeats stop or resume."""
+        the flip is undone if nothing could be deployed.  Spawned by the
+        GDQS monitor, through :meth:`spawn`, when heartbeats stop or
+        resume."""
         state = self._state.get(subplan_id)
         if (state is None or self.crashed
                 or not 0 <= instance_index < len(state.quarantined)

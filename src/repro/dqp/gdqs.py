@@ -151,6 +151,10 @@ class QueryHandle:
     the result was collected.  Response time as experienced by the
     submitter is ``completed_at - submitted_at``; the execution-only
     figure the paper reports is ``completed_at - started_at``.
+
+    ``runtime`` is what was deployed for the query; the GDQS clears it
+    at the terminal outcome, so whoever inspects a finished query's
+    engine keeps the reference it took at submit.
     """
 
     def __init__(self, query_id: str, done: Event) -> None:
@@ -264,20 +268,23 @@ class GDQS(GridService):
             for name in plan.machines_used()}
         handle.submitted_at = self.env.now
         handle.started_at = self.env.now
-        self.env.process(self._orchestrate(handle, runtime),
+        self.env.process(self._orchestrate(handle),
                          name=f"gdqs:orchestrate:{query_id}")
         if self.fault_tolerance.enabled:
             self._watch(handle, runtime)
         return handle
 
-    def _orchestrate(self, handle: QueryHandle,
-                     runtime: QueryRuntime) -> typing.Generator:
+    def _orchestrate(self, handle: QueryHandle) -> typing.Generator:
         submitted_at = self.env.now
-        yield runtime.sink.done
+        # Only the handle is held across this wait: if the query fails
+        # instead, ``handle.runtime`` is cleared and this process is
+        # reachable from nothing but the retired sink.
+        yield handle.runtime.sink.done
         if handle.done.triggered:
             # The query was aborted or failed while the sink raced to
             # the finish line; the typed outcome already went out.
             return
+        runtime = handle.runtime
         # Termination double-check: trust the sink's completion only
         # once every GQES is quiescent, so an adaptation racing the
         # finish line (replays in flight to an already-finished
@@ -312,6 +319,24 @@ class GDQS(GridService):
             query_id=handle.query_id,
             response_ms=round(response_time, 1))
         handle.done.succeed(handle.result)
+        self._retire(handle)
+
+    def _retire(self, handle: QueryHandle) -> None:
+        """Release everything deployed for a query at its terminal
+        outcome: each service retires once idle (``GridService.retire``)
+        and the handle forgets the runtime, so nothing the grid owns
+        keeps a finished query's services or operators alive."""
+        runtime, handle.runtime = handle.runtime, None
+        for service in (*runtime.detectors.values(), runtime.diagnoser):
+            if service is not None:
+                service.retire()
+        if runtime.responder is None:
+            for gqes in runtime.all_gqes():
+                gqes.retire()
+        else:
+            # A decision still in progress asks the GQESs for progress,
+            # so they retire after the Responder.
+            runtime.responder.retire(then=runtime.all_gqes())
 
     def _fail_query(self, handle: QueryHandle, runtime: QueryRuntime,
                     cause: str, failed_machine: str | None) -> None:
@@ -345,6 +370,7 @@ class GDQS(GridService):
             failed_machine=failed_machine or "",
             elapsed_ms=round(elapsed, 1), recoveries=runtime.recoveries)
         handle.done.succeed(failure)
+        self._retire(handle)
 
     def abort(self, handle: QueryHandle, cause: str,
               failed_machine: str | None = None) -> bool:
@@ -514,10 +540,10 @@ class GDQS(GridService):
                 or runtime.responder.crashed):
             return
         compute_id = runtime.plan.compute.subplan_id
+        responder = runtime.responder
         for index in indices:
-            self.env.process(
-                runtime.responder.set_quarantined(compute_id, index,
-                                                  quarantined),
+            responder.spawn(
+                responder.set_quarantined(compute_id, index, quarantined),
                 name=f"gdqs:{label}:{index}")
 
     def _pick_replacement(self, runtime: QueryRuntime,

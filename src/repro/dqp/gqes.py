@@ -14,6 +14,10 @@ The GQES owns the machine-side halves of every engine protocol:
   distribution updates, query completion) are applied in arrival
   order — both paths serialise through the machine's FIFO CPU, which
   preserves the per-link FIFO guarantees the recovery protocol needs.
+
+A GQES lives as long as its query: it retires once the query has
+ended, query completion has been applied here and every evaluator has
+stopped, leaving a :class:`LateArrivals` tombstone behind.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.engine.control import (
 from repro.engine.evaluator import Fragment
 from repro.errors import ServiceError
 from repro.grid.container import GridContext
-from repro.net.message import Message
+from repro.net.message import KIND_CONTROL, KIND_DATA, Message
 from repro.recovery.checkpoint import Acknowledgement
 from repro.services.base import GridService
 
@@ -58,7 +62,6 @@ class GQES(GridService):
         self._consumers: dict[str, tuple] = {}   # channel_key -> (xc, frag)
         self._producers: dict[str, tuple] = {}   # producer_id -> (xp, frag)
         self.query_complete = self.env.event()
-        self._evaluators: list = []
         self._ingests_active = 0
         if self.fault_tolerance.enabled and gdqs_endpoint is not None:
             self.env.process(self._heartbeat_loop(),
@@ -96,10 +99,24 @@ class GQES(GridService):
             self._consumers[channel_key] = (consumer, fragment)
         for producer in fragment.producers:
             self._producers[producer.producer_id] = (producer, fragment)
-        evaluator = self.env.process(
-            fragment.run(self.query_complete),
-            name=f"eval:{fragment.instance_id}")
-        self._evaluators.append(evaluator)
+        self.spawn(fragment.run(self.query_complete),
+                   name=f"eval:{fragment.instance_id}")
+
+    # -- retirement ----------------------------------------------------------
+
+    def _done(self) -> bool:
+        # Crashed or not, the evaluators must have stopped before
+        # ``_on_retire`` detaches their operators.
+        return (not self._busy
+                and (self.query_complete.triggered or self.crashed))
+
+    def _on_retire(self) -> None:
+        # What is left must be a tree, which reference counting frees.
+        for fragment in self.fragments.values():
+            fragment.detach()
+
+    def _late_handler(self) -> "LateArrivals":
+        return LateArrivals(self)
 
     # -- data path ----------------------------------------------------------
 
@@ -206,6 +223,7 @@ class GQES(GridService):
             for consumer in fragment.consumers.values():
                 consumer.abort()
             fragment.wake()
+        self._retire_if_idle()
 
     # -- operations (request/response) ---------------------------------------
 
@@ -309,3 +327,30 @@ class GQES(GridService):
                 if not producer.finished or producer.protocol.moving:
                     return False
         return True
+
+
+class LateArrivals:
+    """The tombstone of a retired GQES: what a late message still costs.
+
+    Data and control pay the ingest work a live GQES charges on arrival
+    (``deserialize`` and ``control``), then go nowhere: no enqueue, no
+    queue-depth sample, no wake-up of a finished fragment.  Anything
+    else is dropped: no request arrives this late, since the query's
+    Responder, the one service still asking a GQES anything once the
+    query has ended, retires first.  Holds grid-owned objects and plain
+    values only, never the service.
+    """
+
+    __slots__ = ("cpu", "serialization", "control_work")
+
+    def __init__(self, gqes: GQES) -> None:
+        self.cpu = gqes.machine.cpu
+        self.serialization = gqes.context.serialization
+        self.control_work = gqes.cost.control_event_work
+
+    def __call__(self, message: Message) -> None:
+        if message.kind == KIND_DATA:
+            self.cpu.execute(self.serialization.deserialize_work(
+                message.payload.tuple_count), label="deserialize")
+        elif message.kind == KIND_CONTROL:
+            self.cpu.execute(self.control_work, label="control")

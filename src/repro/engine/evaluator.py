@@ -64,6 +64,14 @@ class Fragment:
         for consumer in self.consumers.values():
             consumer.service = service
 
+    def detach(self) -> None:
+        """Cut the links that point back up the tree — to the hosting
+        service and to the root producer acks flush — once the
+        evaluator has stopped for good."""
+        self.attach_service(None)
+        for consumer in self.consumers.values():
+            consumer.ack_flush_producer = None
+
     def wake(self) -> None:
         """Signal the evaluator that new input or control arrived."""
         if not self.reactivated.triggered:

@@ -52,11 +52,13 @@ class Redistribution:
         #: ``(channel, tids)`` retractions for the discard phase.
         self.pending_discards: list[tuple[int, frozenset]] = []
         #: State channels (a join's build side): every consumer that ever
-        #: owned each bucket — old owners keep their copy and may still
-        #: be probed, so later state rows reach them too (multicast).
-        self.bucket_owners: list[set[int]] | None = None
+        #: owned a bucket that has moved — old owners keep their copy
+        #: and may still be probed, so later state rows reach them too
+        #: (multicast).  A bucket that never moved is absent: its only
+        #: owner is the one ``policy.bucket_map`` names.
+        self.bucket_owners: dict[int, set[int]] | None = None
         if state_channel and isinstance(policy, HashBucketPolicy):
-            self.bucket_owners = [{owner} for owner in policy.bucket_map]
+            self.bucket_owners = {}
         #: Stays False until a bucket first has a second owner.
         self.multicast = False
         #: State channels: bucket -> new owner, of the last update.
@@ -84,8 +86,8 @@ class Redistribution:
 
     def multicast_targets(self, row: Row, primary: int) -> tuple:
         """Former owners of ``row``'s bucket, beyond ``primary``."""
-        owners = self.bucket_owners[self.policy.bucket_of(row)]
-        if len(owners) == 1:
+        owners = self.bucket_owners.get(self.policy.bucket_of(row))
+        if owners is None:
             return ()
         return tuple(sorted(owners - {primary}))
 
@@ -122,11 +124,10 @@ class Redistribution:
                 bucket: new_map[bucket]
                 for bucket, owner in enumerate(old_map)
                 if new_map[bucket] != owner}
-            for bucket, owner in enumerate(new_map):
-                owners = self.bucket_owners[bucket]
-                owners.add(owner)
-                if len(owners) > 1:
-                    self.multicast = True
+            for bucket, owner in self.moved_buckets.items():
+                self.bucket_owners.setdefault(
+                    bucket, {old_map[bucket]}).add(owner)
+                self.multicast = True
         return True
 
     def plan_moves(self, outstanding: typing.Mapping[int, list[Row]]

@@ -35,7 +35,9 @@ class GridContext:
         self.serialization = serialization or SerializationModel()
         self.tracer = Tracer(self.env, max_events=trace_max_events)
         self.metrics = MetricsRegistry(self.env, enabled=metrics_enabled)
-        self._services: list = []
+        #: Live services by name, in creation order; a retired one
+        #: leaves (see ``GridService.retire``).
+        self._services: dict = {}
         #: Installed fault injector; None leaves every chaos hook on
         #: its zero-cost fast path (no events, no draws, no streams).
         self.chaos = None
@@ -67,11 +69,15 @@ class GridContext:
 
     def track_service(self, service) -> None:
         """Record a service for machine-level failure injection."""
-        self._services.append(service)
+        self._services[service.name] = service
+
+    def untrack_service(self, service) -> None:
+        """Forget a retired service: a later crash cannot touch it."""
+        self._services.pop(service.name, None)
 
     def services_on(self, machine_name: str) -> list:
         """All live services hosted on ``machine_name``."""
-        return [service for service in self._services
+        return [service for service in self._services.values()
                 if service.machine.name == machine_name
                 and not service.crashed]
 

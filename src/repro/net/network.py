@@ -34,22 +34,28 @@ class NetworkConfig:
     loopback_delay_ms: float = 0.01
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Endpoint:
     """A named, machine-bound message destination.
 
     An inactive endpoint models a crashed host whose network stack is
     gone: messages addressed to it are transported and then dropped,
     which is what a sender on a LAN observes (no error, no reply).
+
+    A *tombstone* (``mailbox`` None) is what :meth:`Network.retire`
+    leaves of a retired service: the name still routes, and a message
+    that arrives late goes to ``on_late`` instead of a mailbox.
     """
 
     name: str
     machine_name: str
-    mailbox: Store
+    mailbox: Store | None
     active: bool = True
     #: Called after each message lands in the mailbox (a service's
     #: dispatcher); None leaves the mailbox to whoever ``get``s it.
     on_arrival: typing.Callable[[], None] | None = None
+    #: A tombstone's handler for a late message; None drops it.
+    on_late: typing.Callable[[Message], None] | None = None
 
 
 class Network:
@@ -85,6 +91,21 @@ class Network:
         endpoint = self._endpoints.get(endpoint_name)
         if endpoint is not None:
             endpoint.active = False
+
+    def retire(self, endpoint_name: str,
+               on_late: typing.Callable[[Message], None] | None = None
+               ) -> None:
+        """Leave a tombstone of a retired service's endpoint.
+
+        The mailbox and dispatcher are let go, so the endpoint no
+        longer keeps its service alive; the name keeps routing (a
+        sender may still address it, and a retired service may still
+        send from it), and a late arrival goes to ``on_late``.
+        """
+        endpoint = self.endpoint(endpoint_name)
+        endpoint.mailbox = None
+        endpoint.on_arrival = None
+        endpoint.on_late = on_late
 
     def endpoint(self, name: str) -> Endpoint:
         try:
@@ -156,11 +177,16 @@ class Network:
         message: Message = event._value
         destination = self._endpoints[message.recipient]
         message.delivered_at = self.env.now
-        if destination.active:
-            self.messages_delivered += 1
-            self.bytes_delivered += message.size_bytes
-            destination.mailbox.put_many((message,))
-            if destination.on_arrival is not None:
-                destination.on_arrival()
-        else:
+        if not destination.active:
             self.messages_dropped += 1
+            return
+        self.messages_delivered += 1
+        self.bytes_delivered += message.size_bytes
+        mailbox = destination.mailbox
+        if mailbox is None:
+            if destination.on_late is not None:
+                destination.on_late(message)
+            return
+        mailbox.put_many((message,))
+        if destination.on_arrival is not None:
+            destination.on_arrival()

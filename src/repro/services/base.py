@@ -15,6 +15,10 @@ The synchronous-looking :meth:`call` helper performs a full
 request/response round trip over the simulated network, so control
 interactions (e.g. the Responder polling producers for progress) pay
 realistic latency.
+
+A service created for one query is told to :meth:`~GridService.retire`
+when the query ends; once idle it lets go of everything the grid owns
+that pointed at it, leaving a tombstone endpoint behind.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.net.message import (
     KIND_RESPONSE,
     Message,
 )
+from repro.sim.environment import Process
 from repro.sim.events import Event
 
 #: Wire size assumed for small control/notification payloads.
@@ -66,9 +71,70 @@ class GridService:
         self._thaw_armed = False
         self._running = True
         self.crashed = False
+        #: Processes started through :meth:`spawn` still running.
+        self._busy = 0
+        self._retiring = False
+        self._then_retire: typing.Sequence[GridService] = ()
+        self.retired = False
         context.track_service(self)
 
     # -- lifecycle -----------------------------------------------------------
+
+    def spawn(self, body: typing.Generator, name: str) -> Process:
+        """Run ``body`` as a process doing this service's work, which
+        nothing waits on: the service does not retire while one is in
+        progress, and a failure surfaces from the simulation loop."""
+        self._busy += 1
+        process = self.env.process(body, name=name)
+        process.callbacks.append(self._spawned_done)
+        return process
+
+    def _spawned_done(self, process: Process) -> None:
+        if not process.ok:
+            raise process.value
+        self._busy -= 1
+        self._retire_if_idle()
+
+    def retire(self, then: typing.Sequence["GridService"] = ()) -> None:
+        """The query this service was created for has ended.
+
+        The service retires as soon as it is idle — nothing spawned
+        still running and nothing waiting in its mailbox, unless it
+        crashed — and :meth:`_done`, which can be at once; then it
+        asks the services ``then`` to retire.  A retired service
+        leaves the context's service list (a later crash of its host
+        cannot touch it) and its endpoint becomes a tombstone, so no
+        grid-owned reference keeps it, or what it references, alive.
+        """
+        self._retiring = True
+        self._then_retire = then
+        self._retire_if_idle()
+
+    def _done(self) -> bool:
+        """Whether the service has wound down (default: at once)."""
+        return True
+
+    def _retire_if_idle(self) -> None:
+        if not self._retiring or self.retired:
+            return
+        if not self.crashed and (self._busy or self.mailbox):
+            return
+        if not self._done():
+            return
+        self.retired = True
+        self.context.untrack_service(self)
+        self.network.retire(self.name, self._late_handler())
+        self._on_retire()
+        then, self._then_retire = self._then_retire, ()
+        for service in then:
+            service.retire()
+
+    def _late_handler(self):
+        """What the tombstone does with a late message (default: drop)."""
+        return None
+
+    def _on_retire(self) -> None:
+        """Subclass hook run once the service has retired."""
 
     def crash(self) -> None:
         """Simulate a host failure taking this service down.
@@ -84,6 +150,7 @@ class GridService:
         self._running = False
         self.network.deactivate(self.name)
         self.on_crash()
+        self._retire_if_idle()
 
     def on_crash(self) -> None:
         """Subclass hook run when the service crashes (default: none)."""
@@ -224,6 +291,8 @@ class GridService:
                 ).callbacks.append(self._on_thaw)
                 return
             self._route(buffered.popleft())
+        if self._retiring:
+            self._retire_if_idle()
 
     def _on_thaw(self, _event: Event) -> None:
         self._thaw_armed = False
@@ -233,8 +302,8 @@ class GridService:
         if message.kind == KIND_RESPONSE:
             self._complete_call(message)
         elif message.kind == KIND_REQUEST:
-            self.env.process(self._serve_request(message),
-                             name=f"{self.name}:op:{message.subject}")
+            self.spawn(self._serve_request(message),
+                       name=f"{self.name}:op:{message.subject}")
         elif message.kind == KIND_NOTIFY:
             self.on_notification(message.subject, message.payload,
                                  message.sender)

@@ -203,12 +203,16 @@ class Environment:
         Callbacks are iterated in place: every callback appended after
         the trigger is guarded by a ``processed`` check
         (``Process._resume``, ``_observe``), so no copy is needed.
+        They are one-shot, so the list is emptied afterwards: an event
+        kept as a value (an :class:`~repro.sim.events.AnyOf` winner)
+        must not keep its waiters alive.
         """
         callbacks = event.callbacks
         event._processed = True
         if callbacks:
             for callback in callbacks:
                 callback(event)
+            callbacks.clear()
         elif not event._ok:
             # A failed event nobody waits on would silently swallow
             # the error; surface it instead.

@@ -179,6 +179,11 @@ class AnyOf(Event):
     a race with no contestants can never produce a winner, so waiting
     on one would deadlock the process — better to fail loudly at
     construction time.
+
+    Once it fires, the race lets go of its children and withdraws from
+    the losers' callbacks: a loser that stays pending (a timeout, a
+    query-complete event raced on every wake-up) neither keeps the
+    race alive nor accumulates one dead callback per race.
     """
 
     __slots__ = ("_children",)
@@ -193,6 +198,8 @@ class AnyOf(Event):
                 "winner and would wait forever")
         for child in self._children:
             _observe(child, self._on_child)
+            if self.triggered:
+                break  # an already-processed child won
 
     def _on_child(self, child: Event) -> None:
         if self.triggered:
@@ -201,6 +208,14 @@ class AnyOf(Event):
             self.succeed((child, child.value))
         else:
             self.fail(child.value)
+        on_child = self._on_child
+        for loser in self._children:
+            if loser is not child and not loser._processed:
+                try:
+                    loser.callbacks.remove(on_child)
+                except ValueError:
+                    pass  # not observed yet: the race was decided first
+        self._children = ()
 
 
 def _observe(event: Event, callback: typing.Callable[[Event], None]) -> None:

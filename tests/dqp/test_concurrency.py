@@ -22,6 +22,8 @@ class TestConcurrentQueries:
         adaptivity = adaptivity or AdaptivityConfig.disabled()
         first = grid.processor.gdqs.submit(Q1, adaptivity)
         second = grid.processor.gdqs.submit(Q2, adaptivity)
+        # Taken at submit: a handle lets go of its runtime at the outcome.
+        self.runtimes = (first.runtime, second.runtime)
         env = grid.context.env
         env.run(until=first.done)
         env.run(until=second.done)
@@ -60,9 +62,10 @@ class TestConcurrentQueries:
 
     def test_queries_get_distinct_service_names(self):
         grid = DemoGrid(SPEC)
-        first, second = self.submit_both(grid)
-        names_1 = {g.name for g in first.runtime.all_gqes()}
-        names_2 = {g.name for g in second.runtime.all_gqes()}
+        self.submit_both(grid)
+        first, second = self.runtimes
+        names_1 = {g.name for g in first.all_gqes()}
+        names_2 = {g.name for g in second.all_gqes()}
         assert not names_1 & names_2
 
 

@@ -77,7 +77,7 @@ class TestCrashMechanics:
         grid = DemoGrid(SPEC, fault_tolerance=FT)
         grid.fail_machine_at("compute-2", at_ms=100.0)
         grid.context.env.run(until=200.0)
-        services = [s for s in grid.context._services
+        services = [s for s in grid.context._services.values()
                     if s.machine.name == "compute-2"]
         # No query yet: only tracked services on that machine crash.
         assert all(s.crashed for s in services) or not services
@@ -216,6 +216,7 @@ class TestRecovery:
         handle = grid.processor.gdqs.submit(
             Q1, AdaptivityConfig(response=RESPONSE_R1,
                                  decision_latency_ms=100.0))
+        runtime = handle.runtime  # released at the outcome
         grid.context.env.run(until=handle.done)
         grid.context.env.run()
         result = handle.result
@@ -223,7 +224,7 @@ class TestRecovery:
                            q1_reference(grid))
         assert result.stats.machines_recovered == 1
         # No feed producer is left mid-move.
-        for _endpoint, producer in handle.runtime.feed_producers:
+        for _endpoint, producer in runtime.feed_producers:
             assert not producer.protocol.moving
 
     def test_suspect_quarantine_survives_failed_recovery(self, monkeypatch):

@@ -109,17 +109,21 @@ class TestGqesDuringQuery:
     def test_arrived_data_is_never_invisible_to_quiescence(self, monkeypatch):
         """From arrival to ``consumer.deliver`` a data message is either
         in the mailbox or counted as an active ingest, at every kernel
-        step — the window ``_orchestrate``'s double-check relies on."""
+        step — the window ``_orchestrate``'s double-check relies on.
+        The finished query's GQESs are kept live (not retired) so the
+        message reaches one after its query, from a quiescent start."""
+        monkeypatch.setattr(GQES, "retire", lambda self: None)
         grid, handle = self.deploy()
+        runtime = handle.runtime
         env = grid.context.env
         network = grid.context.network
         env.run(until=handle.done)
         env.run()
         gqes, channel_key, consumer = next(
             (service, key, consumer)
-            for service in handle.runtime.all_gqes()
+            for service in runtime.all_gqes()
             for key, (consumer, _fragment) in service._consumers.items())
-        sender = next(service for service in handle.runtime.all_gqes()
+        sender = next(service for service in runtime.all_gqes()
                       if service.machine is not gqes.machine)
         assert consumer.aborted and gqes.is_quiescent()
         delivered = []

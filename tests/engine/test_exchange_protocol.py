@@ -24,9 +24,10 @@ def deploy_and_run(query, adaptivity, perturb=None, spec=SPEC):
     if perturb:
         perturb(grid)
     handle = grid.processor.gdqs.submit(query, adaptivity)
+    runtime = handle.runtime  # the handle lets go at the outcome
     grid.context.env.run(until=handle.done)
     grid.context.env.run()
-    return grid, handle.runtime, handle.result
+    return grid, runtime, handle.result
 
 
 class TestStaticProtocol:
@@ -62,9 +63,10 @@ class TestStaticProtocol:
                                       decision_latency_ms=100.0)
         grid = DemoGrid(SPEC, engine_config=engine_config_for(adaptivity))
         handle = grid.processor.gdqs.submit(Q1, adaptivity)
+        runtime = handle.runtime
         grid.context.env.run(until=handle.done)
         grid.context.env.run()
-        feed = handle.runtime.feed_producers[0][1]
+        feed = runtime.feed_producers[0][1]
         logs = feed._logs
         for consumer_index, log in enumerate(logs):
             assert log is not None
@@ -78,11 +80,12 @@ class TestStaticProtocol:
                                       decision_latency_ms=100.0)
         grid = DemoGrid(SPEC, engine_config=engine_config_for(adaptivity))
         handle = grid.processor.gdqs.submit(Q1, adaptivity)
+        runtime = handle.runtime
         grid.context.env.run(until=handle.done)
         grid.context.env.run()
         total_acks = sum(
             consumer.acks_sent
-            for fragment in handle.runtime.compute_fragments
+            for fragment in runtime.compute_fragments
             for consumer in fragment.consumers.values())
         # 75 tuples per channel with checkpoint interval 50 -> 1 ack each.
         assert total_acks == 2

@@ -10,7 +10,6 @@ and a hand-over to the detector is paid after it was made.
 import pytest
 
 from repro.config import AdaptivityConfig, CostModel, EngineConfig
-from repro.dqp.gqes import GQES
 from repro.engine.metrics import SubplanMetrics
 from repro.engine.operators import ExchangeConsumer
 from repro.engine.operators.base import EvalContext
@@ -177,12 +176,14 @@ def test_work_is_paid_before_anything_leaves_the_fragment(
     grid = DemoGrid(DemoGridSpec(sequences_cardinality=600,
                                  interactions_cardinality=900))
     perturb(grid)
-    grid.run(query, AdaptivityConfig.disabled() if policy is None
-             else AdaptivityConfig(policy=policy))
+    handle = grid.processor.gdqs.submit(
+        query, AdaptivityConfig.disabled() if policy is None
+        else AdaptivityConfig(policy=policy))
+    runtime = handle.runtime  # released at the outcome
+    grid.context.env.run(until=handle.done)
     grid.context.env.run()
     assert checked["buffers"] > 10 and checked["acks"] > 0
-    fragments = [fragment for service in grid.context._services
-                 if isinstance(service, GQES)
+    fragments = [fragment for service in runtime.all_gqes()
                  for fragment in service.fragments.values()]
     assert len(fragments) >= 4
     for fragment in fragments:

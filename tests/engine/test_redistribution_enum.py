@@ -260,11 +260,11 @@ class Redirect:
 
 
 def clone(obj):
-    """A copy of ``obj`` sharing nothing mutable with it: lists (of
-    lists or sets, one level deeper), sets and dicts are copied; rows,
-    tuples and updates are immutable, and a list of tuples is never
-    mutated in place.  An order's prefix runs once and is branched by
-    cloning, far cheaper than ``copy.deepcopy``."""
+    """A copy of ``obj`` sharing nothing mutable with it: lists and
+    dicts (of lists or sets, one level deeper) and sets are copied;
+    rows, tuples and updates are immutable, and a list of tuples is
+    never mutated in place.  An order's prefix runs once and is
+    branched by cloning, far cheaper than ``copy.deepcopy``."""
     state = {}
     for name, value in obj.__dict__.items():
         kind = type(value)
@@ -272,7 +272,12 @@ def clone(obj):
             value = ([item.copy() for item in value]
                      if value and type(value[0]) in (list, set)
                      else value.copy())
-        elif kind is set or kind is dict:
+        elif kind is dict:
+            value = ({key: item.copy() for key, item in value.items()}
+                     if value and type(next(iter(value.values())))
+                     in (list, set)
+                     else value.copy())
+        elif kind is set:
             value = value.copy()
         state[name] = value
     new = object.__new__(type(obj))
@@ -528,7 +533,8 @@ class World:
             *sets, protocol.applied_epoch, protocol.settled_epoch,
             protocol.moving, tuple(protocol.pending_discards),
             None if protocol.bucket_owners is None
-            else tuple(map(frozenset, protocol.bucket_owners)),
+            else tuple(sorted((bucket, frozenset(owners)) for bucket, owners
+                              in protocol.bucket_owners.items())),
             protocol.multicast, tuple(protocol.moved_buckets.items()),
             tuple(policy.weights), tuple(getattr(policy, "bucket_map", ())),
             tuple(getattr(policy, "_credit", ())),

@@ -1,9 +1,13 @@
 """Unit tests for the DES environment and process model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
+from repro.sim.events import AnyOf
 
 
 def test_timeout_advances_clock():
@@ -161,6 +165,36 @@ def test_any_of_returns_first_winner():
     env.run(until=proc)
     assert proc.value == "fast"
     assert env.now == 1.0
+
+
+def test_fired_any_of_is_freed_while_its_loser_is_pending():
+    """Once it fires, a race holds neither its children nor a place in
+    a loser's callbacks: reference counting alone frees it although the
+    loser (an event nobody ever triggers) stays pending."""
+
+    class Race(AnyOf):
+        __slots__ = ("__weakref__",)
+
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        loser = env.event()
+        race = Race(env, [loser, env.timeout(1.0, "won")])
+        freed = weakref.ref(race)
+
+        def body(race):
+            _winner, value = yield race
+            return value
+
+        proc = env.process(body(race))
+        del race
+        env.run()
+        assert proc.value == "won"
+        assert not loser.triggered and loser.callbacks == []
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_step_on_empty_queue_raises():
