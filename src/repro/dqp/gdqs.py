@@ -5,7 +5,8 @@ partitioned physical plan), creates the (A)GQESs and fragments through
 :mod:`repro.dqp.deployment`, waits for the result sink to complete,
 then broadcasts query completion and gathers statistics.  Per §2, it
 plays *no* role during adaptations — the AGQESs and the adaptivity
-services handle rebalancing among themselves.
+services handle rebalancing among themselves.  Failure detection and
+recovery under fault tolerance live in :mod:`repro.dqp.failover`.
 """
 
 from __future__ import annotations
@@ -19,23 +20,9 @@ from repro.config import (
     EngineConfig,
     FaultToleranceConfig,
 )
-from repro.core.monitoring import MonitoringEventDetector
-from repro.core.notifications import TOPIC_COST
-from repro.core.responder import deploy_update
 from repro.data.schema import Schema
-from repro.dqp.deployment import (
-    QueryRuntime,
-    build_compute_fragment,
-    channel_key_for,
-    deploy_query,
-    producer_id_for,
-)
-from repro.dqp.gqes import GQES
-from repro.engine.control import QueryComplete, ResetProducer
-from repro.engine.metrics import SubplanMetrics
-from repro.engine.operators.base import EvalContext
-from repro.errors import PlanningError, ServiceError
-from repro.planner.physical import ROOT_SUBPLAN
+from repro.dqp.deployment import QueryRuntime, deploy_query
+from repro.engine.control import QueryComplete
 from repro.grid.container import GridContext
 from repro.net.message import KIND_CONTROL
 from repro.planner.logical import build_logical_plan
@@ -182,7 +169,11 @@ class QueryHandle:
 
 
 class GDQS(GridService):
-    """Coordinator service: compile, deploy, collect."""
+    """Coordinator service: compile, deploy, collect.
+
+    Failure detection and recovery of fault-tolerant queries are the
+    :class:`~repro.dqp.failover.Failover` it owns.
+    """
 
     def __init__(self, context: GridContext, machine_name: str,
                  gds_map: typing.Mapping[str, GridDataService],
@@ -197,25 +188,15 @@ class GDQS(GridService):
         self.engine_config = engine_config or EngineConfig()
         self.cost = cost or CostModel()
         self.fault_tolerance = fault_tolerance or FaultToleranceConfig()
+        from repro.dqp.failover import Failover  # it imports this module
+        self.failover = Failover(self)
         self._query_counter = 0
-        self._heartbeats: dict[str, float] = {}
-        #: Heartbeat wheel state: queries under watch (query_id ->
-        #: [handle, runtime, started, suspected]) and whether the one
-        #: shared tick process is live.  The wheel exits whenever the
-        #: watch list drains and is respawned by the next FT submit,
-        #: so an idle GDQS schedules no timer events at all.
-        self._watched: dict[str, list] = {}
-        self._wheel_running = False
-        self._wheel_activations = 0
-        self.failures_recovered = 0
-        self.clones_quarantined = 0
-        self.clones_reintegrated = 0
         self.queries_failed = 0
 
     def on_notification(self, topic: str, payload: typing.Any,
                         sender: str) -> None:
         if topic == "gqes.heartbeat":
-            self._heartbeats[sender] = self.env.now
+            self.failover.on_heartbeat(payload, sender)
 
     def submit(self, query_text: str,
                adaptivity: AdaptivityConfig | None = None,
@@ -271,11 +252,10 @@ class GDQS(GridService):
         self.env.process(self._orchestrate(handle),
                          name=f"gdqs:orchestrate:{query_id}")
         if self.fault_tolerance.enabled:
-            self._watch(handle, runtime)
+            self.failover.watch(handle)
         return handle
 
     def _orchestrate(self, handle: QueryHandle) -> typing.Generator:
-        submitted_at = self.env.now
         # Only the handle is held across this wait: if the query fails
         # instead, ``handle.runtime`` is cleared and this process is
         # reachable from nothing but the retired sink.
@@ -305,20 +285,43 @@ class GDQS(GridService):
             yield self.env.timeout(5.0)
             if handle.done.triggered:
                 return
-        response_time = runtime.sink.completed_at - submitted_at
+        self._settle(handle)
+
+    def _settle(self, handle: QueryHandle,
+                failure: QueryFailed | None = None) -> None:
+        """The one terminal path: a result without ``failure``, else the
+        typed failure.
+
+        The outcome travels as the *value* of the succeeded ``done``
+        event, so synchronous waiters and callback listeners both see a
+        clean settlement — never an unhandled exception inside the
+        simulation loop.  Every participant gets the same QueryComplete
+        broadcast either way, so heartbeats, detectors and evaluators
+        wind down identically, and the query's services retire.
+        """
+        runtime = handle.runtime
         # Broadcast completion so evaluators and detectors wind down.
         for gqes in runtime.all_gqes():
             self.send(gqes.name, KIND_CONTROL,
                       QueryComplete(handle.query_id))
         handle.completed_at = self.env.now
-        handle.result = self._collect(handle.query_id, runtime,
-                                      response_time,
-                                      handle.cpu_baseline)
-        self.context.tracer.record(
-            "query", self.name, "query completed",
-            query_id=handle.query_id,
-            response_ms=round(response_time, 1))
-        handle.done.succeed(handle.result)
+        if failure is None:
+            response_time = runtime.sink.completed_at - handle.started_at
+            outcome = handle.result = self._collect(handle, response_time)
+            self.context.tracer.record(
+                "query", self.name, "query completed",
+                query_id=handle.query_id,
+                response_ms=round(response_time, 1))
+        else:
+            outcome = handle.failure = failure
+            self.queries_failed += 1
+            self.context.tracer.record(
+                "query", self.name, "query failed",
+                query_id=handle.query_id, cause=failure.cause,
+                failed_machine=failure.failed_machine or "",
+                elapsed_ms=round(failure.elapsed_ms, 1),
+                recoveries=failure.recoveries)
+        handle.done.succeed(outcome)
         self._retire(handle)
 
     def _retire(self, handle: QueryHandle) -> None:
@@ -338,377 +341,33 @@ class GDQS(GridService):
             # so they retire after the Responder.
             runtime.responder.retire(then=runtime.all_gqes())
 
-    def _fail_query(self, handle: QueryHandle, runtime: QueryRuntime,
-                    cause: str, failed_machine: str | None) -> None:
-        """Terminate a query with a typed failure outcome.
-
-        The failure travels as the *value* of the succeeded ``done``
-        event, so synchronous waiters and callback listeners both see a
-        clean settlement — never an unhandled exception inside the
-        simulation loop.  All participants get the same QueryComplete
-        broadcast a success would send, so heartbeats, detectors and
-        evaluators wind down identically.
-        """
-        if handle.done.triggered:
-            return
-        handle.completed_at = self.env.now
-        elapsed = self.env.now - handle.started_at
-        failure = QueryFailed(
-            query_id=handle.query_id,
-            cause=cause,
-            failed_machine=failed_machine,
-            elapsed_ms=elapsed,
-            recoveries=runtime.recoveries)
-        handle.failure = failure
-        self.queries_failed += 1
-        for gqes in runtime.all_gqes():
-            self.send(gqes.name, KIND_CONTROL,
-                      QueryComplete(handle.query_id))
-        self.context.tracer.record(
-            "query", self.name, "query failed",
-            query_id=handle.query_id, cause=cause,
-            failed_machine=failed_machine or "",
-            elapsed_ms=round(elapsed, 1), recoveries=runtime.recoveries)
-        handle.done.succeed(failure)
-        self._retire(handle)
-
     def abort(self, handle: QueryHandle, cause: str,
               failed_machine: str | None = None) -> bool:
-        """Abort a running query (scheduler deadline enforcement).
+        """End a running query with a typed failure (scheduler
+        deadlines, and losses recovery cannot repair).
 
         Returns True if this call terminated the query, False if the
         query had already settled (success or failure) — aborting a
         finished query is a harmless no-op so expired deadline timers
         never race the completion path.
         """
-        if handle.runtime is None or handle.done.triggered:
+        runtime = handle.runtime
+        if runtime is None or handle.done.triggered:
             return False
-        self._fail_query(handle, handle.runtime, cause, failed_machine)
+        self._settle(handle, QueryFailed(
+            query_id=handle.query_id,
+            cause=cause,
+            failed_machine=failed_machine,
+            elapsed_ms=self.env.now - handle.started_at,
+            recoveries=runtime.recoveries))
         return True
 
-    # -- failure detection and recovery ---------------------------------------
-
-    def _watch(self, handle: QueryHandle, runtime: QueryRuntime) -> None:
-        """Enrol a query with the shared heartbeat wheel.
-
-        One tick process per GDQS monitors every fault-tolerant
-        query: each tick is a single timer event regardless of how
-        many queries are in flight.  The wheel starts when a query
-        enrols while it is idle and stops once nothing is watched, so
-        a lone query is checked every ``heartbeat_interval_ms`` after
-        its own submission; a query enrolling while the wheel runs
-        shares the running tick phase, so its first check comes less
-        than one interval after submission.
-        """
-        self._watched[handle.query_id] = [handle, runtime, self.env.now,
-                                          {}]
-        if not self._wheel_running:
-            self._wheel_running = True
-            self._wheel_activations += 1
-            self.env.process(
-                self._run_wheel(),
-                name=f"gdqs:wheel:{self._wheel_activations}")
-
-    def _run_wheel(self) -> typing.Generator:
-        """The shared tick process: one timeout per interval, all
-        watched queries checked in enrolment order."""
-        ft = self.fault_tolerance
-        while self._watched:
-            yield self.env.timeout(ft.heartbeat_interval_ms)
-            for query_id in list(self._watched):
-                entry = self._watched.get(query_id)
-                if entry is None:
-                    continue
-                handle, runtime, started, suspected = entry
-                if handle.done.triggered:
-                    self._watched.pop(query_id, None)
-                    continue
-                stop = yield from self._check_round(handle, runtime,
-                                                    started, suspected)
-                if stop or handle.done.triggered:
-                    self._watched.pop(query_id, None)
-        self._wheel_running = False
-
-    def _check_round(self, handle: QueryHandle, runtime: QueryRuntime,
-                     started: float,
-                     suspected: dict[str, list[int]]) -> typing.Generator:
-        """Grade every participant's heartbeat silence once.
-
-        A GQES silent beyond ``failure_timeout_ms`` is dead — its
-        evaluators are re-created elsewhere (the pre-existing path).
-        With ``suspect_timeout_ms`` set, the shorter silence window
-        first marks the GQES *suspect*: its compute clones are
-        quarantined (Responder drives their weights to zero while the
-        feed producers' recovery logs are retained), and if heartbeats
-        resume before the failure deadline the clones are reintegrated
-        instead of rebuilt.
-
-        Returns True when the query reached a terminal failure and the
-        wheel should stop watching it; ``suspected`` is the wheel's
-        per-query bookkeeping, mutated in place so it survives between
-        rounds.
-        """
-        ft = self.fault_tolerance
-        for gqes in list(runtime.all_gqes()):
-            if (gqes.name in runtime.failures_handled
-                    or gqes.name == self.name):
-                continue
-            last_seen = self._heartbeats.get(gqes.name, started)
-            silent_ms = self.env.now - last_seen
-            if silent_ms > ft.failure_timeout_ms:
-                quarantined = suspected.pop(gqes.name, [])
-                if (ft.max_recoveries is not None
-                        and runtime.recoveries >= ft.max_recoveries):
-                    self._fail_query(handle, runtime, CAUSE_BUDGET,
-                                     gqes.machine.name)
-                    return True
-                runtime.failures_handled.add(gqes.name)
-                try:
-                    recovered = yield from self._recover(runtime, gqes)
-                except ServiceError:
-                    # A control peer was unreachable mid-recovery;
-                    # retry on a later monitor tick.  The suspect
-                    # bookkeeping must survive the retry, or the
-                    # quarantined clone indices would be lost and
-                    # the eventual recovery would leave the rebuilt
-                    # clones starved at weight zero.
-                    runtime.failures_handled.discard(gqes.name)
-                    if quarantined:
-                        suspected[gqes.name] = quarantined
-                    self.context.tracer.record(
-                        "failure", self.name,
-                        "recovery attempt failed; will retry",
-                        failed=gqes.name)
-                    continue
-                except PlanningError:
-                    self._fail_query(handle, runtime,
-                                     CAUSE_NO_REPLACEMENT,
-                                     gqes.machine.name)
-                    return True
-                if not recovered:
-                    # A data host or the coordinator died: their
-                    # state is not reconstructible from recovery
-                    # logs, so the query cannot make progress.
-                    self._fail_query(handle, runtime,
-                                     CAUSE_UNRECOVERABLE,
-                                     gqes.machine.name)
-                    return True
-                # The replacement starts healthy: lift any
-                # quarantine the suspect phase imposed, else the
-                # rebuilt clones would never receive work.
-                self._quarantine_clones(runtime, quarantined, False,
-                                      "reintegrate")
-                continue
-            if (ft.suspect_timeout_ms is None
-                    or runtime.responder is None
-                    or runtime.responder.crashed):
-                continue
-            compute_id = runtime.plan.compute.subplan_id
-            if silent_ms > ft.suspect_timeout_ms:
-                if gqes.name in suspected:
-                    continue
-                indices = sorted(
-                    fragment.instance_index
-                    for fragment in gqes.fragments.values()
-                    if fragment.subplan_id == compute_id)
-                if not indices:
-                    continue
-                suspected[gqes.name] = indices
-                self.clones_quarantined += len(indices)
-                self.context.tracer.record(
-                    "failure", self.name, "gqes suspect",
-                    gqes=gqes.name, silent_ms=round(silent_ms, 1),
-                    instances=indices)
-                self._quarantine_clones(runtime, indices, True,
-                                      f"quarantine:{gqes.name}")
-            elif gqes.name in suspected:
-                # Heartbeats resumed before the failure deadline.
-                indices = suspected.pop(gqes.name)
-                self.clones_reintegrated += len(indices)
-                self.context.tracer.record(
-                    "failure", self.name, "gqes recovered from suspect",
-                    gqes=gqes.name, instances=indices)
-                self._quarantine_clones(runtime, indices, False, "reintegrate")
-        return False
-
-    def _quarantine_clones(self, runtime: QueryRuntime,
-                           indices: typing.Sequence[int], quarantined: bool,
-                           label: str) -> None:
-        """Spawn the Responder's quarantine (or reintegration) of the
-        compute clones ``indices``."""
-        if (not indices or runtime.responder is None
-                or runtime.responder.crashed):
-            return
-        compute_id = runtime.plan.compute.subplan_id
-        responder = runtime.responder
-        for index in indices:
-            responder.spawn(
-                responder.set_quarantined(compute_id, index, quarantined),
-                name=f"gdqs:{label}:{index}")
-
-    def _pick_replacement(self, runtime: QueryRuntime,
-                          failed_machine: str) -> str:
-        registry = self.context.registry
-        in_use = set(runtime.gqes_by_machine)
-
-        def alive(name: str) -> bool:
-            return not registry.machine(name).is_crashed
-
-        for name in registry.spare_machines():
-            if name not in in_use and alive(name):
-                return name
-        for name in registry.compute_machines():
-            if name not in in_use and name != failed_machine and alive(name):
-                return name
-        # Last resort: double up on a surviving compute machine.
-        for name in runtime.plan.compute.machine_names:
-            if name != failed_machine and alive(name):
-                return name
-        raise PlanningError(
-            f"no replacement machine available for {failed_machine}")
-
-    def _recover(self, runtime: QueryRuntime,
-                 failed: GQES) -> typing.Generator:
-        """Re-create the failed machine's compute instances elsewhere.
-
-        Only compute-subplan instances are recoverable: their inputs
-        live in the feed producers' recovery logs.  The replacement
-        gets the same instance ids and channel keys, the coordinator
-        forgets the dead incarnation's announcements, and the feed
-        producers redirect and replay — re-deliveries deduplicate by
-        provenance downstream.
-        """
-        plan = runtime.plan
-        compute_id = plan.compute.subplan_id
-        lost = [fragment for fragment in failed.fragments.values()
-                if fragment.subplan_id == compute_id]
-        if not lost:
-            # A data host or the coordinator died: unrecoverable.
-            return False
-        replacement = self._pick_replacement(runtime, failed.machine.name)
-        adaptivity = runtime.adaptivity
-        monitoring_on = adaptivity.enabled and adaptivity.m1_interval > 0
-
-        detector = runtime.detectors.get(replacement)
-        if monitoring_on and detector is None:
-            detector = MonitoringEventDetector(
-                self.context, replacement, adaptivity, self.cost,
-                query_id=plan.query_id, policy=runtime.policy)
-            runtime.detectors[replacement] = detector
-            if runtime.diagnoser is not None:
-                detector.subscribe(TOPIC_COST, runtime.diagnoser.name)
-
-        new_gqes = runtime.gqes_by_machine.get(replacement)
-        if new_gqes is None:
-            new_gqes = GQES(self.context, plan.query_id, replacement,
-                            failed.engine_config, self.cost,
-                            detector=detector,
-                            fault_tolerance=self.fault_tolerance,
-                            gdqs_endpoint=self.name)
-            runtime.gqes_by_machine[replacement] = new_gqes
-
-        coordinator_endpoint = runtime.gqes_by_machine[
-            plan.coordinator_machine].name
-        m1_interval = adaptivity.m1_interval if monitoring_on else 0
-        sink_channel = channel_key_for(ROOT_SUBPLAN, 0, 0)
-        for old_fragment in lost:
-            index = old_fragment.instance_index
-            ctx = EvalContext(
-                grid=self.context,
-                machine=self.context.registry.machine(replacement),
-                metrics=SubplanMetrics(old_fragment.instance_id),
-                cost=self.cost,
-                engine_config=failed.engine_config,
-                monitor=detector)
-            new_fragment = build_compute_fragment(
-                ctx, plan, index, self.operations, coordinator_endpoint,
-                m1_interval)
-            new_gqes.deploy(new_fragment)
-            # Swap runtime records so statistics reflect the live world.
-            position = next(
-                i for i, fragment in enumerate(runtime.compute_fragments)
-                if fragment.instance_id == old_fragment.instance_id)
-            runtime.compute_fragments[position] = new_fragment
-            runtime.compute_producers[position] = new_fragment.producers[0]
-            # The coordinator forgets the dead incarnation's result
-            # announcement; the replacement re-announces from scratch.
-            self.send(coordinator_endpoint, KIND_CONTROL, ResetProducer(
-                sink_channel, producer_id_for(compute_id, index)))
-            # Feed producers redirect and replay their recovery logs.
-            for endpoint in dict.fromkeys(
-                    ep for ep, _xp in runtime.feed_producers):
-                yield from self.call(
-                    endpoint, "redirect_channels",
-                    {"subplan_id": compute_id,
-                     "instance_id": old_fragment.instance_id,
-                     "endpoint": new_gqes.name},
-                    timeout_ms=self.fault_tolerance.call_timeout_ms,
-                    retry=self.context.call_retry_policy())
-        if runtime.responder is not None:
-            runtime.responder.replace_endpoint(failed.name, new_gqes.name)
-            if runtime.responder.crashed:
-                # The Responder died, possibly between the replay and
-                # discard phases of an update: roll it forward so no
-                # producer is left mid-move.
-                yield from self._finalize_orphaned_updates(runtime)
-        self.failures_recovered += 1
-        runtime.recoveries += 1
-        self.context.tracer.record(
-            "failure", self.name, "evaluators recovered",
-            failed_machine=failed.machine.name, replacement=replacement,
-            instances=len(lost))
-        return True
-
-    def _finalize_orphaned_updates(self, runtime: QueryRuntime
-                                   ) -> typing.Generator:
-        """Complete a two-phase distribution update whose Responder died.
-
-        Rolls the update *forward* through the Responder's own
-        :func:`~repro.core.responder.deploy_update`: any producer still
-        behind the highest applied epoch receives the stored update's
-        replay phase (so a join's build and probe sides agree on the
-        bucket map), then every producer gets the discard phase.
-        """
-        task = runtime.balancing_task
-        if task is None:
-            return
-        endpoints = list(dict.fromkeys(
-            endpoint for endpoint, _xp in runtime.feed_producers))
-        status_by_producer: dict = {}
-        for endpoint in endpoints:
-            entries = yield from self.call(
-                endpoint, "update_status", {"subplan_id": task.subplan_id},
-                timeout_ms=self.fault_tolerance.call_timeout_ms)
-            for entry in entries:
-                status_by_producer[entry["producer_id"]] = entry
-        if not any(entry["moving"] for entry in status_by_producer.values()):
-            return
-        newest = max((entry["last_update"]
-                      for entry in status_by_producer.values()
-                      if entry["last_update"] is not None),
-                     key=lambda update: update.epoch, default=None)
-        # Producers that did not report, or already applied the newest
-        # update, only need its discard phase.
-        current = {
-            producer_id for producer_id, _endpoint, _port in task.producers
-            if newest is None
-            or producer_id not in status_by_producer
-            or status_by_producer[producer_id]["applied_epoch"]
-            >= newest.epoch}
-        yield from deploy_update(self, task.producers, newest,
-                                 self.fault_tolerance.call_timeout_ms,
-                                 self.context.call_retry_policy(),
-                                 skip_replay=current)
-        self.context.tracer.record(
-            "failure", self.name, "orphaned update finalized",
-            subplan=task.subplan_id)
-
-    def _collect(self, query_id: str, runtime: QueryRuntime,
-                 response_time: float,
-                 cpu_baseline: dict | None = None) -> QueryResult:
+    def _collect(self, handle: QueryHandle,
+                 response_time: float) -> QueryResult:
+        query_id, runtime = handle.query_id, handle.runtime
         machine_utilisation = {}
-        if cpu_baseline and response_time > 0:
-            for name, baseline in cpu_baseline.items():
+        if response_time > 0:
+            for name, baseline in handle.cpu_baseline.items():
                 cpu = self.context.registry.machine(name).cpu
                 machine_utilisation[name] = min(
                     1.0, (cpu.busy_time - baseline) / response_time)
@@ -745,7 +404,7 @@ class GDQS(GridService):
             skipped_below_threshold=(
                 runtime.responder.skipped_below_threshold
                 if runtime.responder else 0),
-            machines_recovered=self.failures_recovered,
+            machines_recovered=runtime.recoveries,
             machine_utilisation=machine_utilisation,
             tuples_replayed_for_recovery=sum(
                 p.tuples_replayed_for_recovery for p in feed_xps),

@@ -74,7 +74,8 @@ class GQES(GridService):
         interval = self.fault_tolerance.heartbeat_interval_ms
         while not self.crashed and not self.query_complete.triggered:
             self.notify(self.gdqs_endpoint, "gqes.heartbeat",
-                        {"machine": self.machine.name, "gqes": self.name})
+                        {"machine": self.machine.name, "gqes": self.name,
+                         "query_id": self.query_id})
             yield self.env.timeout(interval)
 
     def on_crash(self) -> None:

@@ -196,14 +196,26 @@ class QueryScheduler:
             # Queued sessions need a completion event of their own
             # before the underlying handle exists.
             session.done = self.env.event()
-            self._queue.append(session)
-            self.peak_queue_depth = max(self.peak_queue_depth,
-                                        len(self._queue))
-            self._metric_queue_depth.sample(len(self._queue))
+            self._enqueue(session)
             self.context.tracer.record(
                 CATEGORY_SCHEDULER, self.name, "query queued",
                 session=session.session_id, depth=len(self._queue))
         return session
+
+    def _enqueue(self, session: QuerySession, front: bool = False) -> None:
+        (self._queue.appendleft if front else self._queue.append)(session)
+        self.peak_queue_depth = max(self.peak_queue_depth, len(self._queue))
+        self._metric_queue_depth.sample(len(self._queue))
+
+    def _dispatch_queued(self) -> None:
+        """Start queued sessions while slots are free."""
+        dispatched = False
+        while (self._queue
+               and len(self._running) < self.config.max_concurrent):
+            self._start(self._queue.popleft())
+            dispatched = True
+        if dispatched:
+            self._metric_queue_depth.sample(len(self._queue))
 
     def _availability(self) -> float:
         completed = sum(1 for session in self.sessions
@@ -314,13 +326,7 @@ class QueryScheduler:
             queue_wait_ms=round(session.queue_wait_ms, 1),
             execution_ms=round(session.execution_ms, 1),
             response_ms=round(session.response_ms, 1))
-        dispatched = False
-        while (self._queue
-               and len(self._running) < self.config.max_concurrent):
-            self._start(self._queue.popleft())
-            dispatched = True
-        if dispatched:
-            self._metric_queue_depth.sample(len(self._queue))
+        self._dispatch_queued()
         if session.done is not event:
             # A formerly-queued session: forward the handle's outcome
             # to the placeholder event its submitter is waiting on.
@@ -337,16 +343,25 @@ class QueryScheduler:
             failed_machine=None,
             elapsed_ms=self.env.now - session.submitted_at,
             recoveries=0)
-        session.mark_failed(self.env.now, failure)
-        self.queries_failed += 1
-        self._metric_failed.inc()
-        self.context.tracer.record(
-            CATEGORY_SCHEDULER, self.name, "query failed",
-            session=session.session_id, cause=failure.cause,
-            failed_machine="", attempts=session.attempts)
+        self._mark_failed(session, failure)
         if session.done is None:
             session.done = self.env.event()
         session.done.succeed(failure)
+
+    def _mark_failed(self, session: QuerySession,
+                     failure: QueryFailed) -> None:
+        """Terminal-failure accounting for one session."""
+        session.mark_failed(self.env.now, failure)
+        self.queries_failed += 1
+        self._metric_failed.inc()
+        if failure.cause == CAUSE_DEADLINE:
+            self.queries_timed_out += 1
+            self._metric_timed_out.inc()
+        self.context.tracer.record(
+            CATEGORY_SCHEDULER, self.name, "query failed",
+            session=session.session_id, cause=failure.cause,
+            failed_machine=failure.failed_machine or "",
+            attempts=session.attempts)
 
     def _should_retry(self, session: QuerySession,
                       failure: QueryFailed) -> bool:
@@ -382,24 +397,8 @@ class QueryScheduler:
                 name=f"sched:retry:{session.session_id}"
                      f":a{session.attempts}")
         else:
-            session.mark_failed(self.env.now, failure)
-            self.queries_failed += 1
-            self._metric_failed.inc()
-            if failure.cause == CAUSE_DEADLINE:
-                self.queries_timed_out += 1
-                self._metric_timed_out.inc()
-            self.context.tracer.record(
-                CATEGORY_SCHEDULER, self.name, "query failed",
-                session=session.session_id, cause=failure.cause,
-                failed_machine=failure.failed_machine or "",
-                attempts=session.attempts)
-        dispatched = False
-        while (self._queue
-               and len(self._running) < self.config.max_concurrent):
-            self._start(self._queue.popleft())
-            dispatched = True
-        if dispatched:
-            self._metric_queue_depth.sample(len(self._queue))
+            self._mark_failed(session, failure)
+        self._dispatch_queued()
         if session.state in TERMINAL_STATES and session.done is not event:
             session.done.succeed(failure)
 
@@ -411,10 +410,7 @@ class QueryScheduler:
         else:
             # All slots refilled during the backoff: rejoin at the
             # front of the queue (the retry has waited longest).
-            self._queue.appendleft(session)
-            self.peak_queue_depth = max(self.peak_queue_depth,
-                                        len(self._queue))
-            self._metric_queue_depth.sample(len(self._queue))
+            self._enqueue(session, front=True)
 
     # -- draining and statistics -----------------------------------------
 

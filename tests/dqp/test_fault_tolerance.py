@@ -132,14 +132,13 @@ class TestRecovery:
         assert result.stats.tuples_replayed_for_recovery > 100
 
     def test_replacement_prefers_spare_machine(self):
-        grid, result = self.run_with_failure(Q1, at_ms=900.0)
-        used = {c for c in result.stats.tuples_per_consumer if c > 0}
-        assert result.stats.machines_recovered == 1
-        spare_gqes = [
-            gqes for gqes in
-            grid.processor.gdqs._heartbeats  # heartbeats observed
-            if "spare-1" in gqes]
-        assert spare_gqes
+        grid = DemoGrid(SPEC, fault_tolerance=FT)
+        grid.fail_machine_at("compute-2", at_ms=900.0)
+        handle = grid.processor.gdqs.submit(Q1, AdaptivityConfig.disabled())
+        runtime = handle.runtime  # released at the outcome
+        grid.context.env.run(until=handle.done)
+        assert handle.result.stats.machines_recovered == 1
+        assert "spare-1" in runtime.gqes_by_machine
 
     def test_without_spare_doubles_up_on_survivor(self):
         import dataclasses
@@ -176,9 +175,37 @@ class TestRecovery:
 
     def test_heartbeats_observed_by_gdqs(self):
         grid = DemoGrid(SPEC, fault_tolerance=FT)
-        grid.run(Q1, AdaptivityConfig.disabled())
-        beats = grid.processor.gdqs._heartbeats
+        env = grid.context.env
+        failover = grid.processor.gdqs.failover
+        handle = grid.processor.gdqs.submit(Q1, AdaptivityConfig.disabled())
+        env.run(until=500.0)
+        beats = failover.watched[handle.query_id].heartbeats
         assert any("compute-1" in name for name in beats)
+        env.run(until=handle.done)
+        env.run()
+        # The query's failure state goes with its watch.
+        assert not failover.watched
+
+    def test_machines_recovered_counts_this_query_only(self):
+        grid = DemoGrid(SPEC, fault_tolerance=FT)
+        grid.fail_machine_at("compute-2", at_ms=900.0)
+        recovered = [
+            grid.run(Q1, AdaptivityConfig.disabled()).stats.machines_recovered
+            for _ in range(3)]
+        assert recovered == [1, 0, 0]
+
+    def test_wheel_stops_when_idle_and_restarts_on_submit(self):
+        grid = DemoGrid(SPEC, fault_tolerance=FT)
+        env = grid.context.env
+        grid.run(Q1, AdaptivityConfig.disabled())
+        # The drained grid holds no timer: the wheel exited with its
+        # last watched query.
+        assert env.peek() == math.inf
+        grid.fail_machine_at("compute-2", at_ms=env.now + 900.0)
+        result = grid.run(Q1, AdaptivityConfig.disabled())
+        assert result.stats.machines_recovered == 1
+        assert close_lists(sorted(v[0] for v in result.values()),
+                           q1_reference(grid))
 
     def test_ft_forces_recovery_logging(self):
         from repro.config import EngineConfig
@@ -240,8 +267,8 @@ class TestRecovery:
                                   failure_timeout_ms=1000.0)
         grid = DemoGrid(SPEC, fault_tolerance=ft)
         grid.fail_machine_at("compute-2", at_ms=900.0)
-        gdqs = grid.processor.gdqs
-        real = gdqs._recover
+        failover = grid.processor.gdqs.failover
+        real = failover.recover
         attempts = []
 
         def flaky(runtime, gqes):
@@ -250,7 +277,7 @@ class TestRecovery:
                 raise ServiceError("injected: control peer unreachable")
             return (yield from real(runtime, gqes))
 
-        monkeypatch.setattr(gdqs, "_recover", flaky)
+        monkeypatch.setattr(failover, "recover", flaky)
         result = grid.run(Q1, AdaptivityConfig())
         assert len(attempts) >= 2  # first attempt failed, then retried
         assert close_lists(sorted(v[0] for v in result.values()),

@@ -13,7 +13,11 @@ import weakref
 
 import pytest
 
-from repro.config import AdaptivityConfig, SchedulerConfig
+from repro.config import (
+    AdaptivityConfig,
+    FaultToleranceConfig,
+    SchedulerConfig,
+)
 from repro.dqp.gdqs import GDQS
 from repro.engine.control import ChannelAnnouncement, DataBuffer
 from repro.net.message import KIND_CONTROL, KIND_DATA
@@ -24,6 +28,8 @@ SPEC = DemoGridSpec(sequences_cardinality=60, interactions_cardinality=90,
 STATIC = AdaptivityConfig.disabled()
 A1R1 = AdaptivityConfig(assessment="A1", response="R1",
                         decision_latency_ms=100.0)
+FT = FaultToleranceConfig(enabled=True, heartbeat_interval_ms=200.0,
+                          failure_timeout_ms=700.0)
 
 
 @pytest.fixture
@@ -91,21 +97,38 @@ def test_finished_queries_are_freed_by_reference_counting(
     assert grid.context.services_on("compute-1") == []
 
 
-def test_live_heap_is_bounded_by_queries_in_flight(no_cycle_collector):
+def container_lengths(gdqs):
+    """Total length of the dict / set / list attributes of the GDQS
+    and of its failover object."""
+    owners = (gdqs, vars(gdqs).get("failover"))
+    return sum(len(value) for owner in owners if owner is not None
+               for value in vars(owner).values()
+               if isinstance(value, (dict, set, list)))
+
+
+@pytest.mark.parametrize("fault_tolerance", [None, FT],
+                         ids=["static", "fault-tolerant"])
+def test_live_heap_is_bounded_by_queries_in_flight(no_cycle_collector,
+                                                   fault_tolerance):
     """Thirty more finished queries keep only what a finished query
     keeps on purpose — its result rows, session, handle, statistics,
     trace records and a small tombstone per service: about 130 objects
-    each here, against about 720 when the services were never let go."""
-    _grid, scheduler = mixed_grid(
+    each here, against about 720 when the services were never let go.
+    The GDQS itself keeps nothing per finished query, heartbeats
+    included."""
+    grid, scheduler = mixed_grid(
         40, spec=DemoGridSpec(sequences_cardinality=20,
                               interactions_cardinality=30,
                               sequence_length=16),
-        metrics_enabled=False)
+        metrics_enabled=False, fault_tolerance=fault_tolerance)
+    gdqs = grid.processor.gdqs
     drain_mixed(scheduler, 10)
     ten = len(gc.get_objects())
+    held = container_lengths(gdqs)
     drain_mixed(scheduler, 30)
     forty = len(gc.get_objects())
     assert forty - ten < 30 * 200, (ten, forty)
+    assert container_lengths(gdqs) == held
 
 
 def test_late_messages_pay_ingest_and_raise_nothing():
