@@ -24,14 +24,14 @@ from repro.experiments import (
     tournament,
 )
 from repro.experiments.harness import (
-    BaselineCache,
     ExperimentReport,
     engine_config_for,
     execute,
 )
 from repro.experiments.report import render
 
-#: Registry of runnable experiments: id -> zero-argument callable.
+#: Registry of runnable experiments: id -> ``run(jobs=1)``, which sweeps
+#: through ``SweepRunner`` and reports under ``experiment_id`` == id.
 EXPERIMENTS = {
     "table1": table1.run,
     "fig2a": fig2.run_fig2a,
@@ -51,7 +51,6 @@ EXPERIMENTS = {
 }
 
 __all__ = [
-    "BaselineCache",
     "EXPERIMENTS",
     "ExperimentReport",
     "engine_config_for",

@@ -30,7 +30,7 @@ from repro.experiments.harness import (
     SweepCell,
     SweepRunner,
     baseline_cell,
-    execute,
+    stats_cell,
 )
 from repro.workloads.scenarios import perturb_ws_cost
 
@@ -38,6 +38,9 @@ PERTURBATION_FACTORS = (10.0, 20.0, 30.0)
 
 #: Paper series (read off Fig. 2a): disabled / enabled.
 PAPER_FIG2A = {10.0: (3.53, 1.45), 20.0: (6.66, 2.48), 30.0: (9.76, 3.79)}
+
+#: Fig. 2(a)'s adaptive runs (its static runs pass no config).
+PROSPECTIVE = AdaptivityConfig(response=RESPONSE_R2)
 
 #: Fig. 2(b)'s policy matrix.
 POLICIES = (
@@ -47,42 +50,28 @@ POLICIES = (
 )
 
 
-def _fig2a_cell(factor: float, enabled: bool) -> float:
-    """One Fig. 2(a) run: Q1, WS ``factor``x costlier."""
-    adaptivity = (AdaptivityConfig(response=RESPONSE_R2) if enabled
-                  else AdaptivityConfig.disabled())
-    result = execute("Q1", adaptivity,
-                     perturb=functools.partial(perturb_ws_cost,
-                                               factor=factor))
-    return result.response_time_ms
-
-
-def _fig2b_cell(factor: float, assessment: str, response: str) -> float:
-    """One Fig. 2(b) run: Q1 under one policy combination."""
-    result = execute(
-        "Q1", AdaptivityConfig(assessment=assessment, response=response),
-        perturb=functools.partial(perturb_ws_cost, factor=factor))
-    return result.response_time_ms
-
-
 def fig2a_cells() -> list[SweepCell]:
     cells = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
     for factor in PERTURBATION_FACTORS:
+        perturb = functools.partial(perturb_ws_cost, factor=factor)
         for enabled in (False, True):
             cells.append(SweepCell(
                 f"Q1:{factor:g}x:{'adaptive' if enabled else 'static'}",
-                _fig2a_cell, {"factor": factor, "enabled": enabled}))
+                stats_cell, {"query_key": "Q1", "perturb": perturb,
+                           "adaptivity": PROSPECTIVE if enabled else None}))
     return cells
 
 
 def fig2b_cells() -> list[SweepCell]:
     cells = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
     for factor in PERTURBATION_FACTORS:
+        perturb = functools.partial(perturb_ws_cost, factor=factor)
         for name, assessment, response in POLICIES:
             cells.append(SweepCell(
-                f"Q1:{factor:g}x:{name}", _fig2b_cell,
-                {"factor": factor, "assessment": assessment,
-                 "response": response}))
+                f"Q1:{factor:g}x:{name}", stats_cell,
+                {"query_key": "Q1", "perturb": perturb,
+                 "adaptivity": AdaptivityConfig(assessment=assessment,
+                                                response=response)}))
     return cells
 
 
@@ -92,8 +81,8 @@ def run_fig2a(jobs: int = 1) -> ExperimentReport:
     baseline_ms, points = values[0], iter(values[1:])
     rows = []
     for factor in PERTURBATION_FACTORS:
-        disabled = next(points) / baseline_ms
-        enabled = next(points) / baseline_ms
+        disabled = next(points).response_time_ms / baseline_ms
+        enabled = next(points).response_time_ms / baseline_ms
         paper_disabled, paper_enabled = PAPER_FIG2A[factor]
         rows.append([f"{factor:.0f} times", disabled, enabled,
                      paper_disabled, paper_enabled])
@@ -111,7 +100,8 @@ def run_fig2b(jobs: int = 1) -> ExperimentReport:
     baseline_ms, points = values[0], iter(values[1:])
     rows = []
     for factor in PERTURBATION_FACTORS:
-        policy_values = [next(points) / baseline_ms for _policy in POLICIES]
+        policy_values = [next(points).response_time_ms / baseline_ms
+                         for _policy in POLICIES]
         rows.append([f"{factor:.0f} times"] + policy_values)
     return ExperimentReport(
         experiment_id="fig2b",

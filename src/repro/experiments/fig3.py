@@ -7,9 +7,10 @@ with a doubled dataset.
 * Fig. 3(b): Q1 with 6000 instead of 3000 tuples, prospective
   adaptations, WS 10x/20x/30x costlier.  With more data the adaptation
   happens relatively earlier, so prospective results approach the
-  retrospective ones.
+  retrospective ones.  Its comparator column reruns Fig. 2(a)'s
+  3000-tuple prospective points.
 
-Both sweeps are declared as :class:`SweepCell` data (a baseline cell
+Both sweeps are declared as :class:`SweepCell` data (baseline cells
 plus one cell per measured point) for the parallel sweep runner.
 """
 
@@ -18,13 +19,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
+from repro.config import AdaptivityConfig, RESPONSE_R1
+from repro.experiments.fig2 import PROSPECTIVE
 from repro.experiments.harness import (
     ExperimentReport,
     SweepCell,
     SweepRunner,
     baseline_cell,
-    execute,
+    stats_cell,
 )
 from repro.workloads.proteins import DemoGridSpec
 from repro.workloads.scenarios import perturb_join_sleep, perturb_ws_cost
@@ -32,52 +34,38 @@ from repro.workloads.scenarios import perturb_join_sleep, perturb_ws_cost
 SLEEP_MS = (10.0, 50.0, 100.0)
 FACTORS = (10.0, 20.0, 30.0)
 
-#: Fig. 2(a)'s enabled series, the comparison point for Fig. 3(b).
-PAPER_FIG3B_SINGLE_SIZE = {10.0: 1.45, 20.0: 2.48, 30.0: 3.79}
-
 #: Fig. 3(b)'s double-size dataset.
 FIG3B_SPEC = dataclasses.replace(DemoGridSpec(), sequences_cardinality=6000)
-
-
-def _fig3a_cell(sleep_ms: float, enabled: bool) -> float:
-    """One Fig. 3(a) run: Q2 with a per-tuple join sleep."""
-    adaptivity = (AdaptivityConfig(response=RESPONSE_R1) if enabled
-                  else AdaptivityConfig.disabled())
-    result = execute("Q2", adaptivity,
-                     perturb=functools.partial(perturb_join_sleep,
-                                               sleep_ms=sleep_ms))
-    return result.response_time_ms
-
-
-def _fig3b_cell(factor: float, enabled: bool) -> float:
-    """One Fig. 3(b) run: double-size Q1, WS ``factor``x costlier."""
-    adaptivity = (AdaptivityConfig(response=RESPONSE_R2) if enabled
-                  else AdaptivityConfig.disabled())
-    result = execute("Q1", adaptivity,
-                     perturb=functools.partial(perturb_ws_cost,
-                                               factor=factor),
-                     spec=FIG3B_SPEC)
-    return result.response_time_ms
 
 
 def fig3a_cells() -> list[SweepCell]:
     cells = [SweepCell("Q2:baseline", baseline_cell, {"query_key": "Q2"})]
     for sleep_ms in SLEEP_MS:
+        perturb = functools.partial(perturb_join_sleep, sleep_ms=sleep_ms)
         for enabled in (False, True):
             cells.append(SweepCell(
                 f"Q2:{sleep_ms:g}ms:{'adaptive' if enabled else 'static'}",
-                _fig3a_cell, {"sleep_ms": sleep_ms, "enabled": enabled}))
+                stats_cell,
+                {"query_key": "Q2", "perturb": perturb,
+                 "adaptivity": (AdaptivityConfig(response=RESPONSE_R1)
+                                if enabled else None)}))
     return cells
 
 
 def fig3b_cells() -> list[SweepCell]:
     cells = [SweepCell("Q1x2:baseline", baseline_cell,
-                       {"query_key": "Q1", "spec": FIG3B_SPEC})]
+                       {"query_key": "Q1", "spec": FIG3B_SPEC}),
+             SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
     for factor in FACTORS:
-        for enabled in (False, True):
-            cells.append(SweepCell(
-                f"Q1x2:{factor:g}x:{'adaptive' if enabled else 'static'}",
-                _fig3b_cell, {"factor": factor, "enabled": enabled}))
+        run = {"query_key": "Q1",
+               "perturb": functools.partial(perturb_ws_cost, factor=factor)}
+        cells.append(SweepCell(f"Q1x2:{factor:g}x:static", stats_cell,
+                               dict(run, spec=FIG3B_SPEC)))
+        cells.append(SweepCell(f"Q1x2:{factor:g}x:adaptive", stats_cell,
+                               dict(run, spec=FIG3B_SPEC,
+                                    adaptivity=PROSPECTIVE)))
+        cells.append(SweepCell(f"Q1:{factor:g}x:adaptive", stats_cell,
+                               dict(run, adaptivity=PROSPECTIVE)))
     return cells
 
 
@@ -87,8 +75,8 @@ def run_fig3a(jobs: int = 1) -> ExperimentReport:
     baseline_ms, points = values[0], iter(values[1:])
     rows = []
     for sleep_ms in SLEEP_MS:
-        disabled = next(points) / baseline_ms
-        enabled = next(points) / baseline_ms
+        disabled = next(points).response_time_ms / baseline_ms
+        enabled = next(points).response_time_ms / baseline_ms
         rows.append([f"{sleep_ms:.0f}msec", disabled, enabled])
     return ExperimentReport(
         experiment_id="fig3a",
@@ -103,13 +91,13 @@ def run_fig3a(jobs: int = 1) -> ExperimentReport:
 def run_fig3b(jobs: int = 1) -> ExperimentReport:
     """Fig. 3(b): Q1 at double data size, prospective adaptations."""
     values = SweepRunner(jobs).run(fig3b_cells())
-    baseline_ms, points = values[0], iter(values[1:])
+    doubled_ms, single_ms, points = values[0], values[1], iter(values[2:])
     rows = []
     for factor in FACTORS:
-        disabled = next(points) / baseline_ms
-        enabled = next(points) / baseline_ms
-        rows.append([f"{factor:.0f} times", disabled, enabled,
-                     PAPER_FIG3B_SINGLE_SIZE[factor]])
+        disabled = next(points).response_time_ms / doubled_ms
+        enabled = next(points).response_time_ms / doubled_ms
+        single_size = next(points).response_time_ms / single_ms
+        rows.append([f"{factor:.0f} times", disabled, enabled, single_size])
     return ExperimentReport(
         experiment_id="fig3b",
         title="Q1 with double data size, prospective (Fig. 3b)",

@@ -22,7 +22,7 @@ from repro.experiments.harness import (
     SweepCell,
     SweepRunner,
     baseline_cell,
-    execute,
+    stats_cell,
 )
 from repro.workloads.proteins import DemoGridSpec
 from repro.workloads.scenarios import perturb_ws_cost
@@ -34,29 +34,21 @@ PERTURBED_COUNTS = (0, 1, 2, 3)
 FIG4_SPEC = dataclasses.replace(DemoGridSpec(), compute_machines=3)
 
 
-def _fig4_cell(factor: float, count: int, enabled: bool) -> float:
-    """One Fig. 4 run: ``count`` machines perturbed ``factor``x."""
-    adaptivity = (AdaptivityConfig(response=RESPONSE_R1) if enabled
-                  else AdaptivityConfig.disabled())
-    result = execute("Q1", adaptivity,
-                     perturb=functools.partial(perturb_ws_cost,
-                                               factor=factor,
-                                               machines=count),
-                     spec=FIG4_SPEC)
-    return result.response_time_ms
-
-
 def cells() -> list[SweepCell]:
     sweep = [SweepCell("Q1x3:baseline", baseline_cell,
                        {"query_key": "Q1", "spec": FIG4_SPEC})]
     for factor in FACTORS:
         for count in PERTURBED_COUNTS:
+            perturb = functools.partial(perturb_ws_cost, factor=factor,
+                                        machines=count)
             for enabled in (False, True):
                 sweep.append(SweepCell(
                     f"Q1x3:{factor:g}x:{count}pert:"
                     f"{'adaptive' if enabled else 'static'}",
-                    _fig4_cell,
-                    {"factor": factor, "count": count, "enabled": enabled}))
+                    stats_cell,
+                    {"query_key": "Q1", "perturb": perturb, "spec": FIG4_SPEC,
+                     "adaptivity": (AdaptivityConfig(response=RESPONSE_R1)
+                                    if enabled else None)}))
     return sweep
 
 
@@ -67,8 +59,8 @@ def run(jobs: int = 1) -> ExperimentReport:
     rows = []
     for factor in FACTORS:
         for count in PERTURBED_COUNTS:
-            disabled = next(points) / baseline_ms
-            enabled = next(points) / baseline_ms
+            disabled = next(points).response_time_ms / baseline_ms
+            enabled = next(points).response_time_ms / baseline_ms
             rows.append([f"{factor:.0f} times", count, disabled, enabled])
     return ExperimentReport(
         experiment_id="fig4",

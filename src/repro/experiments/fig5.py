@@ -23,28 +23,23 @@ from repro.experiments.harness import (
     SweepCell,
     SweepRunner,
     baseline_cell,
-    execute,
+    stats_cell,
 )
 from repro.workloads.scenarios import perturb_ws_cost_varying
 
 RANGES = ((30.0, 30.0), (25.0, 35.0), (20.0, 40.0), (1.0, 60.0))
 
 
-def _fig5_cell(low: float, high: float, response: str) -> float:
-    """One Fig. 5 run: WS cost varying in [low, high] per tuple."""
-    result = execute("Q1", AdaptivityConfig(response=response),
-                     perturb=functools.partial(perturb_ws_cost_varying,
-                                               low=low, high=high))
-    return result.response_time_ms
-
-
 def cells() -> list[SweepCell]:
     sweep = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
     for low, high in RANGES:
+        perturb = functools.partial(perturb_ws_cost_varying,
+                                    low=low, high=high)
         for response in (RESPONSE_R2, RESPONSE_R1):
             sweep.append(SweepCell(
-                f"Q1:[{low:g},{high:g}]:{response}", _fig5_cell,
-                {"low": low, "high": high, "response": response}))
+                f"Q1:[{low:g},{high:g}]:{response}", stats_cell,
+                {"query_key": "Q1", "perturb": perturb,
+                 "adaptivity": AdaptivityConfig(response=response)}))
     return sweep
 
 
@@ -54,8 +49,8 @@ def run(jobs: int = 1) -> ExperimentReport:
     baseline_ms, points = values[0], iter(values[1:])
     rows = []
     for low, high in RANGES:
-        prospective = next(points) / baseline_ms
-        retrospective = next(points) / baseline_ms
+        prospective = next(points).response_time_ms / baseline_ms
+        retrospective = next(points).response_time_ms / baseline_ms
         rows.append([f"[{low:.0f},{high:.0f}]", prospective, retrospective])
     return ExperimentReport(
         experiment_id="fig5",

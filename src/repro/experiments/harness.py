@@ -5,7 +5,8 @@ fresh demo grids, normalised to the *no adaptivity / no imbalance* run
 of the same query and data size.  This module provides the run
 plumbing: grid construction (with recovery logging enabled exactly
 when the response policy is retrospective, mirroring the paper's
-configurations), perturbation application and result caching.
+configurations), perturbation application, metrics collection and the
+sweep runner every experiment declares its runs for.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ import json
 import multiprocessing
 import typing
 
-from repro.config import AdaptivityConfig, EngineConfig, RESPONSE_R1
-from repro.dqp.gdqs import QueryResult
+from repro.config import (
+    AdaptivityConfig,
+    EngineConfig,
+    FaultToleranceConfig,
+    RESPONSE_R1,
+)
+from repro.dqp.gdqs import QueryResult, QueryStatistics
 from repro.workloads.proteins import DemoGrid, DemoGridSpec
 from repro.workloads.queries import Q1, Q2
 
@@ -40,14 +46,17 @@ def execute(query_key: str,
             perturb: typing.Callable[[DemoGrid], None] | None = None,
             spec: DemoGridSpec | None = None,
             degree: int | None = None,
-            engine_config: EngineConfig | None = None) -> QueryResult:
+            engine_config: EngineConfig | None = None,
+            fault_tolerance: FaultToleranceConfig | None = None
+            ) -> QueryResult:
     """One full query run on a fresh grid."""
     if query_key not in QUERIES:
         raise ValueError(f"unknown query {query_key!r}; have Q1, Q2")
     adaptivity = adaptivity or AdaptivityConfig.disabled()
     if engine_config is None:
         engine_config = engine_config_for(adaptivity)
-    grid = DemoGrid(spec=spec, engine_config=engine_config)
+    grid = DemoGrid(spec=spec, engine_config=engine_config,
+                    fault_tolerance=fault_tolerance)
     if perturb is not None:
         perturb(grid)
     result = grid.run(QUERIES[query_key], adaptivity, degree=degree)
@@ -101,37 +110,16 @@ def collect_metrics(grid: DemoGrid, **run_label) -> None:
         _metrics_sink.collect(grid, run_label)
 
 
-class BaselineCache:
-    """Caches the no-ad/no-imb response time per (query, spec)."""
-
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
-    def baseline_ms(self, query_key: str,
-                    spec: DemoGridSpec | None = None) -> float:
-        key = (query_key, spec)
-        if key not in self._cache:
-            result = execute(query_key, AdaptivityConfig.disabled(),
-                             spec=spec)
-            self._cache[key] = result.response_time_ms
-        return self._cache[key]
-
-    def normalised(self, result: QueryResult, query_key: str,
-                   spec: DemoGridSpec | None = None) -> float:
-        """Response time in paper units (baseline = 1.0)."""
-        return result.response_time_ms / self.baseline_ms(query_key, spec)
-
-
 @dataclasses.dataclass(frozen=True)
 class SweepCell:
     """One independent unit of an experiment sweep, declared as data.
 
     ``fn`` must be a module-level callable and ``kwargs`` built from
-    picklable values (primitives, frozen dataclasses), so a cell can
-    cross a ``multiprocessing`` fork boundary unchanged.  Every cell
-    builds its own fresh grids, so cells share no mutable state and
-    can run in any order — the runner still *reports* them in
-    declaration order.
+    picklable values (primitives, frozen dataclasses, partials of
+    module-level functions), so a cell can cross a ``multiprocessing``
+    fork boundary unchanged.  Every cell builds its own fresh grids, so
+    cells share no mutable state and can run in any order — the runner
+    still *reports* them in declaration order.
     """
 
     label: str
@@ -208,10 +196,15 @@ class SweepRunner:
         return values
 
 
+def stats_cell(query_key: str, **run) -> QueryStatistics:
+    """Sweep cell: one :func:`execute` run, reduced to its statistics
+    (the rows stay in the worker)."""
+    return execute(query_key, **run).stats
+
+
 def baseline_cell(query_key: str, spec: DemoGridSpec | None = None) -> float:
     """Sweep cell: the no-adaptivity/no-imbalance response time (ms)."""
-    result = execute(query_key, AdaptivityConfig.disabled(), spec=spec)
-    return result.response_time_ms
+    return stats_cell(query_key, spec=spec).response_time_ms
 
 
 @dataclasses.dataclass

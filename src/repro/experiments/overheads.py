@@ -13,6 +13,9 @@ Three parts:
 3. **Notification funnel** — raw engine events (100-300) vs detector ->
    diagnoser notifications (~10) vs actual rebalancings (1-3): the
    components filter effectively and no message flooding occurs.
+
+Both sweeps are declared as :class:`SweepCell` data (a baseline cell
+plus one cell per measured run) for the parallel sweep runner.
 """
 
 from __future__ import annotations
@@ -20,38 +23,52 @@ from __future__ import annotations
 import functools
 
 from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
-from repro.experiments.harness import BaselineCache, ExperimentReport, execute
+from repro.experiments.harness import (
+    ExperimentReport,
+    SweepCell,
+    SweepRunner,
+    baseline_cell,
+    stats_cell,
+)
 from repro.workloads.scenarios import perturb_transient_load, perturb_ws_cost
 
 M1_INTERVALS = (0, 10, 20, 30)
 
+#: Overhead rows: (name, response policy, paper time, paper ratio).
+RESPONSES = (("prospective", RESPONSE_R2, 1.062, 1.21),
+             ("retrospective", RESPONSE_R1, 1.15, 1.01))
+
+#: (environment, perturbation of the nominally equal services).
+ENVIRONMENTS = (("stable", None), ("fluctuating", perturb_transient_load))
+
+BASELINE = SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})
+
 
 def run_overheads(jobs: int = 1) -> ExperimentReport:
     """Unperturbed Q1: adaptivity overhead and final tuple ratio.
-
-    ``jobs`` is accepted for CLI uniformity and ignored: the sweep's
-    runs share one BaselineCache and stay serial.
 
     Two variants per response type: a perfectly stable environment
     (no redistribution ever triggers) and one with per-call noise,
     where the system may adapt even though the services are nominally
     identical — the paper's "unnecessary adaptivity" case.
     """
-    baselines = BaselineCache()
+    cells = [BASELINE]
+    for name, response, _paper, _paper_ratio in RESPONSES:
+        for environment, perturb in ENVIRONMENTS:
+            cells.append(SweepCell(
+                f"Q1:{name}:{environment}", stats_cell,
+                {"query_key": "Q1", "perturb": perturb,
+                 "adaptivity": AdaptivityConfig(response=response)}))
+    baseline_ms, *runs = SweepRunner(jobs).run(cells)
+    runs = iter(runs)
     rows = []
-    for name, config, paper, paper_ratio in (
-            ("prospective", AdaptivityConfig(response=RESPONSE_R2),
-             1.062, 1.21),
-            ("retrospective", AdaptivityConfig(response=RESPONSE_R1),
-             1.15, 1.01)):
-        for environment, perturb in (("stable", None),
-                                     ("fluctuating",
-                                      perturb_transient_load)):
-            result = execute("Q1", config, perturb=perturb)
+    for name, _response, paper, paper_ratio in RESPONSES:
+        for environment, _perturb in ENVIRONMENTS:
+            run = next(runs)
             rows.append([name, environment,
-                         baselines.normalised(result, "Q1"), paper,
-                         result.stats.consumer_imbalance_ratio, paper_ratio,
-                         result.stats.adaptations_accepted])
+                         run.response_time_ms / baseline_ms, paper,
+                         run.consumer_imbalance_ratio, paper_ratio,
+                         run.adaptations_accepted])
     return ExperimentReport(
         experiment_id="overheads",
         title="Q1 adaptivity overhead without imbalance (§3.2)",
@@ -64,28 +81,22 @@ def run_overheads(jobs: int = 1) -> ExperimentReport:
 
 
 def run_monitoring_frequency(jobs: int = 1) -> ExperimentReport:
-    """Q1 with 10x perturbation under different monitoring rates.
-
-    ``jobs`` is accepted for CLI uniformity and ignored (serial sweep).
-    """
-    baselines = BaselineCache()
+    """Q1 with 10x perturbation under different monitoring rates."""
     perturb = functools.partial(perturb_ws_cost, factor=10.0)
+    baseline_ms, *runs = SweepRunner(jobs).run([BASELINE] + [
+        SweepCell(f"Q1:10x:m1/{interval}", stats_cell,
+                  {"query_key": "Q1", "perturb": perturb,
+                   "adaptivity": (AdaptivityConfig(m1_interval=interval)
+                                  if interval else None)})
+        for interval in M1_INTERVALS])
     rows = []
-    for interval in M1_INTERVALS:
-        if interval == 0:
-            config = AdaptivityConfig.disabled()
-            label = "off"
-        else:
-            config = AdaptivityConfig(m1_interval=interval)
-            label = f"1 per {interval} tuples"
-        result = execute("Q1", config, perturb=perturb)
-        rows.append([label,
-                     baselines.normalised(result, "Q1"),
-                     result.stats.raw_monitoring_events,
-                     result.stats.cost_notifications,
-                     result.stats.adaptations_accepted])
+    for interval, run in zip(M1_INTERVALS, runs):
+        rows.append([f"1 per {interval} tuples" if interval else "off",
+                     run.response_time_ms / baseline_ms,
+                     run.raw_monitoring_events, run.cost_notifications,
+                     run.adaptations_accepted])
     return ExperimentReport(
-        experiment_id="monitoring-frequency",
+        experiment_id="monitoring",
         title="Q1 @10x under different monitoring frequencies (§3.2)",
         columns=["monitoring", "normalised time", "raw events",
                  "detector notifications", "rebalances"],

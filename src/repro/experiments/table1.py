@@ -22,7 +22,7 @@ from repro.experiments.harness import (
     SweepCell,
     SweepRunner,
     baseline_cell,
-    execute,
+    stats_cell,
 )
 from repro.workloads.scenarios import perturb_join_sleep, perturb_ws_cost
 
@@ -44,16 +44,6 @@ def _perturb_for(query_key: str):
     return functools.partial(perturb_join_sleep, sleep_ms=10.0)
 
 
-def _table1_cell(query_key: str, response: str, adaptive: bool,
-                 imbalance: bool) -> float:
-    """One Table 1 run."""
-    adaptivity = (AdaptivityConfig(response=response) if adaptive
-                  else AdaptivityConfig.disabled())
-    perturb = _perturb_for(query_key) if imbalance else None
-    result = execute(query_key, adaptivity, perturb=perturb)
-    return result.response_time_ms
-
-
 def cells() -> list[SweepCell]:
     sweep = [
         SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"}),
@@ -66,9 +56,11 @@ def cells() -> list[SweepCell]:
                 f"{query_key}:{response}:"
                 f"{'ad' if adaptive else 'no-ad'}/"
                 f"{'imb' if imbalance else 'no-imb'}",
-                _table1_cell,
-                {"query_key": query_key, "response": response,
-                 "adaptive": adaptive, "imbalance": imbalance}))
+                stats_cell,
+                {"query_key": query_key,
+                 "adaptivity": (AdaptivityConfig(response=response)
+                                if adaptive else None),
+                 "perturb": _perturb_for(query_key) if imbalance else None}))
     return sweep
 
 
@@ -80,9 +72,8 @@ def run(jobs: int = 1) -> ExperimentReport:
     rows = []
     for query_key, response in CONFIGURATIONS:
         baseline_ms = baselines[query_key]
-        ad_no_imb = next(points) / baseline_ms
-        no_ad_imb = next(points) / baseline_ms
-        ad_imb = next(points) / baseline_ms
+        ad_no_imb, no_ad_imb, ad_imb = (
+            next(points).response_time_ms / baseline_ms for _ in range(3))
         paper = PAPER_VALUES[(query_key, response)]
         rows.append([f"{query_key} - {response}",
                      1.0, ad_no_imb, no_ad_imb, ad_imb,

@@ -1,5 +1,11 @@
-"""Per-test hang guard for environments without ``pytest-timeout``.
+"""Suite-wide fixtures and the per-test hang guard.
 
+The ``experiments`` fixture runs each registered experiment at most
+once per session, through its real ``run()``, so a table is simulated
+once however many claims (``tests/paper/``, ``tests/experiments/``)
+read it.
+
+The hang guard is for environments without ``pytest-timeout``.
 ``pyproject.toml`` sets ``timeout = 300``.  Where the plugin is
 installed (CI) it owns that key.  Where it is not, the key would be an
 unknown option and a non-terminating DES run would hang the suite, so
@@ -23,6 +29,38 @@ import signal
 import sys
 
 import pytest
+
+from repro.experiments import EXPERIMENTS
+from repro.experiments.harness import MetricsSink, set_metrics_sink
+
+
+class ExperimentRuns:
+    """Registered experiments, each run once: report and metrics records."""
+
+    def __init__(self) -> None:
+        self._runs = {}
+
+    def _run(self, key):
+        if key not in self._runs:
+            sink = MetricsSink()
+            previous = set_metrics_sink(sink)
+            try:
+                self._runs[key] = EXPERIMENTS[key](), sink.records
+            finally:
+                set_metrics_sink(previous)
+        return self._runs[key]
+
+    def report(self, key):
+        return self._run(key)[0]
+
+    def records(self, key):
+        return self._run(key)[1]
+
+
+@pytest.fixture(scope="session")
+def experiments():
+    return ExperimentRuns()
+
 
 if importlib.util.find_spec("pytest_timeout") is None:
     _STDERR_FD = pytest.StashKey[int]()

@@ -13,7 +13,7 @@ from repro.experiments import (
     render,
     resilience,
 )
-from repro.experiments.harness import BaselineCache, ExperimentReport
+from repro.experiments.harness import ExperimentReport, baseline_cell
 from repro.workloads import DemoGridSpec, perturb_ws_cost
 
 TINY = DemoGridSpec(sequences_cardinality=60, interactions_cardinality=80,
@@ -54,18 +54,17 @@ class TestExecute:
         assert perturbed > baseline * 1.5
 
 
-class TestBaselineCache:
-    def test_baseline_cached_per_query_and_spec(self):
-        cache = BaselineCache()
-        first = cache.baseline_ms("Q1", TINY)
-        assert cache.baseline_ms("Q1", TINY) == first
+class TestBaselineCell:
+    def test_baseline_is_the_static_run_of_its_spec(self):
+        first = baseline_cell("Q1", TINY)
+        assert first == execute("Q1", spec=TINY).response_time_ms
         other_spec = dataclasses.replace(TINY, sequences_cardinality=80)
-        assert cache.baseline_ms("Q1", other_spec) != first
+        assert baseline_cell("Q1", other_spec) != first
 
     def test_normalised_baseline_is_one(self):
-        cache = BaselineCache()
         result = execute("Q1", spec=TINY)
-        assert cache.normalised(result, "Q1", TINY) == pytest.approx(1.0)
+        assert (result.response_time_ms / baseline_cell("Q1", TINY)
+                == pytest.approx(1.0))
 
 
 class TestRegistryAndReport:
@@ -74,6 +73,14 @@ class TestRegistryAndReport:
             "table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5",
             "overheads", "monitoring", "recovery", "multiquery", "chaos",
             "resilience", "tournament", "tournament-smoke"}
+
+    @pytest.mark.parametrize("key", [
+        "table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5",
+        "overheads", "monitoring", "recovery"])
+    def test_report_id_is_its_registry_key(self, experiments, key):
+        # The CLI names the metrics file after the key, the report
+        # header after the id: one experiment, one name.
+        assert experiments.report(key).experiment_id == key
 
     def test_render_produces_aligned_table(self):
         report = ExperimentReport(
@@ -149,6 +156,25 @@ class TestResilienceExperiment:
                      if row["max_conc"] == limit]
             assert len(curve) == len(resilience.CRASH_COUNTS)
             assert curve == sorted(curve, reverse=True), curve
+
+
+class TestRecoveryExperiment:
+    """The published ``recovery`` table: losing an evaluation machine
+    mid-query never loses a result and, with a spare standing by and
+    detection overlapping the data feed, costs little."""
+
+    def test_every_failure_time_recovers_exactly_once(self, experiments):
+        for row in experiments.report("recovery").rows:
+            _when, normalised, recovered, replayed, results = row
+            assert results == 3000, row     # exactly-once, always
+            assert recovered == 1, row
+            assert replayed > 0, row
+            assert normalised < 1.5, row    # modest cost with a spare
+
+    def test_runs_report_to_the_metrics_sink(self, experiments):
+        records = experiments.records("recovery")
+        assert records
+        assert {record["run"]["query"] for record in records} == {"Q1"}
 
 
 class TestMultiqueryExperiment:

@@ -9,7 +9,7 @@ order, never completion order.
 import pytest
 
 from repro.experiments import __main__ as experiments_main
-from repro.experiments import harness
+from repro.experiments import harness, overheads
 from repro.experiments.harness import (
     MetricsSink,
     SweepCell,
@@ -80,6 +80,10 @@ class TestSweepRunner:
                  SweepCell("bad", _boom)]
         with pytest.raises(RuntimeError, match="cell exploded"):
             SweepRunner(jobs).run(cells)
+
+    def test_overheads_rows_are_jobs_invariant(self, experiments):
+        assert (overheads.run_overheads(jobs=2).rows
+                == experiments.report("overheads").rows)
 
 
 class TestExperimentsCliJobs:
