@@ -46,17 +46,9 @@ class AdaptivityConfig:
     m1_interval: int = 10
     #: Sliding-window length in the MonitoringEventDetector.
     window_size: int = 25
-    #: Events needed before the detector's first notification.
-    min_window_events: int = 1
     #: Relative change of the windowed average that triggers a
     #: detector -> diagnoser notification (thresM).
     thres_m: float = 0.20
-    #: Absolute change (ms/tuple) below which an average measured
-    #: against a zero baseline counts as unchanged.  A relative gate
-    #: is undefined at zero — e.g. a co-located channel whose send
-    #: cost is zero — so without this floor any nonzero wobble would
-    #: re-notify regardless of ``thres_m``.
-    thres_m_floor: float = 1e-6
     #: Relative per-element weight change that triggers a
     #: diagnoser -> responder proposal (thresA).
     thres_a: float = 0.20
@@ -124,15 +116,8 @@ class AdaptivityConfig:
             raise ConfigurationError(
                 f"window_size must be >= 3 for trimmed averaging: "
                 f"{self.window_size}")
-        if not 0 < self.min_window_events <= self.window_size:
-            raise ConfigurationError(
-                f"min_window_events must be in (0, window_size]: "
-                f"{self.min_window_events}")
         if self.thres_m < 0 or self.thres_a < 0:
             raise ConfigurationError("thresholds must be non-negative")
-        if self.thres_m_floor < 0:
-            raise ConfigurationError(
-                f"thres_m_floor must be non-negative: {self.thres_m_floor}")
         if not 0 < self.progress_cutoff <= 1:
             raise ConfigurationError(
                 f"progress_cutoff must be in (0, 1]: {self.progress_cutoff}")
@@ -188,9 +173,6 @@ class FaultToleranceConfig:
     #: suspect state entirely (clones go straight from alive to dead,
     #: exactly the pre-chaos behaviour).
     suspect_timeout_ms: float | None = None
-    #: Timeout for the Responder's/GDQS's service calls so a crashed
-    #: peer cannot hang a control interaction forever.
-    call_timeout_ms: float = 5000.0
     #: Recovery budget per query: after this many successful machine
     #: recoveries a further failure terminates the query with a typed
     #: :class:`~repro.dqp.gdqs.QueryFailed` outcome instead of
@@ -216,9 +198,6 @@ class FaultToleranceConfig:
                     f"{self.heartbeat_interval_ms} < "
                     f"{self.suspect_timeout_ms} < "
                     f"{self.failure_timeout_ms} does not hold")
-        if self.call_timeout_ms <= 0:
-            raise ConfigurationError(
-                f"call timeout must be positive: {self.call_timeout_ms}")
         if self.max_recoveries is not None and self.max_recoveries < 0:
             raise ConfigurationError(
                 f"max_recoveries must be >= 0 or None: "
@@ -236,23 +215,17 @@ class SchedulerConfig:
     holds up to ``max_queued`` more in a FIFO admission queue, and
     refuses further submissions with
     :class:`~repro.errors.AdmissionRejected`.  Each running session
-    charges ``session_weight`` shares against every machine its
-    subplans occupy; the share ledger steers new sessions toward the
-    least-loaded machines and reports capacity pressure where
-    committed shares exceed ``machine_capacity`` (see
-    :meth:`repro.grid.machine.Machine.contention_factor`).  The
-    contention itself comes from co-resident sessions queueing at
-    each machine's FIFO CPU, not from the ledger.
+    charges one share against every machine its subplans occupy (see
+    :mod:`repro.sched.fairshare`); the share ledger steers new
+    sessions toward the least-loaded machines.  The contention itself
+    comes from co-resident sessions queueing at each machine's FIFO
+    CPU, not from the ledger.
     """
 
     #: Sessions allowed to execute simultaneously.
     max_concurrent: int = 4
     #: Bounded FIFO admission queue behind the running set.
     max_queued: int = 16
-    #: Shares one running session charges on each machine it uses.
-    session_weight: float = 1.0
-    #: Shares a machine absorbs before reporting capacity pressure.
-    machine_capacity: float = 1.0
     #: Per-query deadline (per attempt): a session executing longer
     #: than this is aborted with a typed ``deadline-exceeded`` failure
     #: and its FairShare capacity released.  ``None`` (default) never
@@ -267,15 +240,6 @@ class SchedulerConfig:
     #: retries; deadline timeouts are terminal regardless (retrying a
     #: query that already spent its SLA only doubles the damage).
     retry: RetryPolicy | None = None
-    #: Circuit breaker: consecutive-window failure count that opens a
-    #: machine's breaker (placement steers away until a cooled-down
-    #: half-open probe succeeds).  0 disables the health ledger.
-    breaker_threshold: int = 3
-    #: Sliding window over which failures accumulate toward the
-    #: threshold.
-    breaker_window_ms: float = 30000.0
-    #: Time an open breaker waits before half-opening one probe.
-    breaker_cooldown_ms: float = 60000.0
     #: Candidate budget for load-aware placement: the scheduler hands
     #: the optimizer only the ``placement_candidates`` least-loaded
     #: machines (plus any breaker-tripped stragglers) instead of the
@@ -291,13 +255,6 @@ class SchedulerConfig:
         if self.max_queued < 0:
             raise ConfigurationError(
                 f"max_queued must be >= 0: {self.max_queued}")
-        if self.session_weight <= 0:
-            raise ConfigurationError(
-                f"session_weight must be positive: {self.session_weight}")
-        if self.machine_capacity <= 0:
-            raise ConfigurationError(
-                f"machine_capacity must be positive: "
-                f"{self.machine_capacity}")
         if self.query_timeout_ms is not None and self.query_timeout_ms <= 0:
             raise ConfigurationError(
                 f"query_timeout_ms must be positive or None: "
@@ -307,13 +264,6 @@ class SchedulerConfig:
                 "scheduler retry must be bounded (max_attempts set): "
                 "an unbounded retry against a permanently failing "
                 "query never terminates")
-        if self.breaker_threshold < 0:
-            raise ConfigurationError(
-                f"breaker_threshold must be >= 0: "
-                f"{self.breaker_threshold}")
-        if self.breaker_window_ms <= 0 or self.breaker_cooldown_ms <= 0:
-            raise ConfigurationError(
-                "breaker window and cooldown must be positive")
         if (self.placement_candidates is not None
                 and self.placement_candidates < 1):
             raise ConfigurationError(

@@ -30,7 +30,6 @@ from repro.core.notifications import (
     TOPIC_COST,
     TOPIC_IMBALANCE,
     TOPIC_WEIGHTS,
-    WeightsInstalled,
 )
 from repro.engine.distribution import normalise_weights
 from repro.grid.container import GridContext
@@ -112,15 +111,13 @@ class Diagnoser(GridService, NotificationPublisher):
             "detection_latency_ms", query=query_id,
             policy=self.policy.name)
 
-    def current_weights(self, subplan_id: str) -> list[float]:
-        return list(self._weights[subplan_id])
-
     def on_notification(self, topic: str, payload: typing.Any,
                         sender: str) -> None:
         if topic == TOPIC_COST:
             self._on_cost(payload)
-        elif topic == TOPIC_WEIGHTS:
-            self._on_weights_installed(payload)
+        elif (topic == TOPIC_WEIGHTS
+              and payload.subplan_id in self._weights):
+            self._weights[payload.subplan_id] = list(payload.weights)
 
     def _on_cost(self, notification: CostNotification) -> None:
         self.notifications_received += 1
@@ -136,17 +133,6 @@ class Diagnoser(GridService, NotificationPublisher):
         if task is not None:
             self.policy.observe(notification, task)
             self._assess(task)
-
-    def _on_weights_installed(self, installed: WeightsInstalled) -> None:
-        if installed.subplan_id in self._weights:
-            self._weights[installed.subplan_id] = list(installed.weights)
-            self.policy.on_weights_installed(installed.subplan_id,
-                                             installed.weights)
-
-    def instance_cost(self, task: BalancingTask,
-                      instance_id: str) -> float | None:
-        """The policy's assessed per-tuple cost c(p_i), or None."""
-        return self.policy.instance_cost(task, instance_id)
 
     def _assess(self, task: BalancingTask) -> None:
         current = self._weights[task.subplan_id]

@@ -38,6 +38,9 @@ from repro.policy import AdaptationPolicy, create_policy
 from repro.services.base import GridService
 from repro.services.pubsub import NotificationPublisher
 
+#: Events a window needs before the detector's first notification.
+MIN_WINDOW_EVENTS = 1
+
 
 def trimmed_average(values: typing.Sequence[float]) -> float:
     """Mean with the single minimum and maximum discarded.
@@ -152,12 +155,12 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
             window = collections.deque(maxlen=self.config.window_size)
             self._windows[key] = window
         window.append(value)
-        if len(window) < self.config.min_window_events:
+        if len(window) < MIN_WINDOW_EVENTS:
             return
         average = trimmed_average(list(window))
         last = self._last_notified.get(key)
         # The (re-)notification threshold is policy-owned (the paper
-        # instance applies thres_m with the thres_m_floor fallback
+        # instance applies thres_m with the THRES_M_FLOOR fallback
         # against a zero baseline).
         if not self.policy.notification_gate(last, average):
             return

@@ -185,11 +185,9 @@ class Responder(GridService, NotificationPublisher):
     def _decide(self, state: _SubplanState,
                 proposal: ImbalanceProposal) -> typing.Generator:
         now = self.env.now
-        if any(state.quarantined) and not self.policy.quarantine_aware:
+        if any(state.quarantined):
             # The Diagnoser's proposal assumes the full clone set;
             # deploying it would hand work back to a stalled clone.
-            # A quarantine-aware policy zeroes those weights itself and
-            # is allowed through.
             self._count_skip("quarantined")
             return
         # The accept/skip judgement (cooldown, threshold re-check
@@ -200,12 +198,6 @@ class Responder(GridService, NotificationPublisher):
             self._count_skip(verdict.reason or "below_threshold")
             return
         proposed = list(verdict.weights)
-        if any(weight > 0 and quarantined for weight, quarantined
-               in zip(proposed, state.quarantined)):
-            # Safety net over the policy: never hand work back to a
-            # quarantined clone, whatever the verdict says.
-            self._count_skip("quarantined")
-            return
         # Progress estimation in line with [7]: combine how much input
         # the producers expect overall with how much the subplan's
         # instances have already processed; near-complete queries are
@@ -366,18 +358,14 @@ class Responder(GridService, NotificationPublisher):
                 state.quarantined[instance_index] = not quarantined
                 return
             # A fault-driven move breaks the adaptation sequence for
-            # oscillation purposes; the policy may want to know too.
+            # oscillation purposes.
             state.prev_delta = None
             if quarantined:
                 self.quarantines += 1
                 self._metric_quarantines.inc()
-                self.policy.on_quarantine(subplan_id, instance_index,
-                                          self.env.now)
             else:
                 self.reintegrations += 1
                 self._metric_reintegrations.inc()
-                self.policy.on_reintegration(subplan_id, instance_index,
-                                             self.env.now)
                 if not any(state.quarantined):
                     state.pre_quarantine_weights = None
             self.context.tracer.record(

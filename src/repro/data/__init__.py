@@ -13,7 +13,7 @@ from repro.data.generator import (
 )
 from repro.data.relation import Relation
 from repro.data.schema import Column, Schema
-from repro.data.tuples import Row, Tid, make_base_tid, row_size_bytes
+from repro.data.tuples import Row, Tid, make_base_tid
 
 __all__ = [
     "AMINO_ACIDS",
@@ -30,6 +30,5 @@ __all__ = [
     "generate_protein_sequences",
     "interactions_schema",
     "make_base_tid",
-    "row_size_bytes",
     "sequences_schema",
 ]

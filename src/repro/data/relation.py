@@ -44,9 +44,6 @@ class Relation:
         self._check(row)
         self.rows.append(row)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def __iter__(self) -> typing.Iterator[Row]:
         return iter(self.rows)
 

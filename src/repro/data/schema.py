@@ -51,11 +51,6 @@ class Schema:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Schema):
-            return NotImplemented
-        return self.columns == other.columns
-
     @property
     def width_bytes(self) -> int:
         """Total tuple width in bytes."""
@@ -77,14 +72,6 @@ class Schema:
             raise SchemaError(
                 f"unknown column {reference!r}; have {self.names()}")
         return self._index[name]
-
-    def has(self, reference: str) -> bool:
-        """True when ``reference`` resolves against this schema."""
-        try:
-            self.position_of(reference)
-        except SchemaError:
-            return False
-        return True
 
     def with_alias(self, alias: str) -> "Schema":
         """Copy of this schema qualified by ``alias``."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.data.schema import Schema
 
 #: Type of a provenance identifier: a base id or a tree of ids.
 Tid = typing.Union[str, tuple]
@@ -31,9 +30,6 @@ class Row:
 
     values: tuple
     tid: Tid
-
-    def value(self, position: int) -> typing.Any:
-        return self.values[position]
 
     def project(self, positions: typing.Sequence[int]) -> "Row":
         """New row keeping ``positions``; provenance is inherited."""
@@ -69,8 +65,3 @@ class ColumnPredicate:
 def make_base_tid(table_name: str, ordinal: int) -> str:
     """Provenance id for the ``ordinal``-th tuple of a base table."""
     return f"{table_name}#{ordinal}"
-
-
-def row_size_bytes(row: Row, schema: Schema) -> int:
-    """Approximate serialized size of ``row`` under ``schema``."""
-    return schema.width_bytes

@@ -33,6 +33,9 @@ from repro.errors import PlanningError, ServiceError
 from repro.net.message import KIND_CONTROL
 from repro.planner.physical import ROOT_SUBPLAN
 
+#: Deadline of the GDQS's recovery calls, so a crashed peer cannot hang
+#: a recovery forever.
+CALL_TIMEOUT_MS = 5000.0
 
 @dataclasses.dataclass
 class Watch:
@@ -263,7 +266,7 @@ class Failover:
                     {"subplan_id": compute_id,
                      "instance_id": old_fragment.instance_id,
                      "endpoint": new_gqes.name},
-                    timeout_ms=self.ft.call_timeout_ms,
+                    timeout_ms=CALL_TIMEOUT_MS,
                     retry=gdqs.context.call_retry_policy())
         if runtime.responder is not None:
             runtime.responder.replace_endpoint(failed.name, new_gqes.name)
@@ -297,7 +300,7 @@ class Failover:
         for endpoint in endpoints:
             entries = yield from self.gdqs.call(
                 endpoint, "update_status", {"subplan_id": task.subplan_id},
-                timeout_ms=self.ft.call_timeout_ms)
+                timeout_ms=CALL_TIMEOUT_MS)
             for entry in entries:
                 status_by_producer[entry["producer_id"]] = entry
         if not any(entry["moving"] for entry in status_by_producer.values()):
@@ -315,7 +318,7 @@ class Failover:
             or status_by_producer[producer_id]["applied_epoch"]
             >= newest.epoch}
         yield from deploy_update(self.gdqs, task.producers, newest,
-                                 self.ft.call_timeout_ms,
+                                 CALL_TIMEOUT_MS,
                                  self.gdqs.context.call_retry_policy(),
                                  skip_replay=current)
         self._trace("orphaned update finalized", subplan=task.subplan_id)

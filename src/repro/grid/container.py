@@ -26,14 +26,13 @@ class GridContext:
     def __init__(self, seed: int = 0,
                  network_config: NetworkConfig | None = None,
                  serialization: SerializationModel | None = None,
-                 trace_max_events: int | None = None,
                  metrics_enabled: bool = True) -> None:
         self.env = Environment()
         self.random = RandomStreams(seed)
         self.network = Network(self.env, network_config)
         self.registry = ResourceRegistry()
         self.serialization = serialization or SerializationModel()
-        self.tracer = Tracer(self.env, max_events=trace_max_events)
+        self.tracer = Tracer(self.env)
         self.metrics = MetricsRegistry(self.env, enabled=metrics_enabled)
         #: Live services by name, in creation order; a retired one
         #: leaves (see ``GridService.retire``).
@@ -138,7 +137,3 @@ class GridContext:
 
     def machine(self, name: str) -> Machine:
         return self.registry.machine(name)
-
-    @property
-    def now(self) -> float:
-        return self.env.now

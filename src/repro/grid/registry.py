@@ -84,7 +84,6 @@ class ResourceRegistry:
         self._compute_set: set[str] = set()
         self._spare_machines: list[str] = []
         self._sites: dict[str, str] = {}
-        self._site_members: dict[str, list[str]] = {}
         self._tables: dict[str, TableMetadata] = {}
         self._operations: dict[str, OperationMetadata] = {}
         #: Called with each Machine right after lazy materialization
@@ -103,9 +102,7 @@ class ResourceRegistry:
             self._compute_set.add(name)
         if spare:
             self._spare_machines.append(name)
-        site = site or DEFAULT_SITE
-        self._sites[name] = site
-        self._site_members.setdefault(site, []).append(name)
+        self._sites[name] = site or DEFAULT_SITE
 
     def add_machine(self, machine: Machine, compute: bool = True,
                     spare: bool = False, site: str | None = None) -> None:
@@ -160,25 +157,9 @@ class ResourceRegistry:
     def is_materialized(self, name: str) -> bool:
         return name in self._machines
 
-    def machines(self) -> list[Machine]:
-        """Every machine, materializing any outstanding lazy specs.
-
-        Deliberately eager — callers iterating "all machines" expect
-        objects.  Hot paths at fleet scale should use
-        :meth:`materialized_machines` (or names) instead.
-        """
-        for name in list(self._specs):
-            self._materialize(name)
-        return list(self._machines.values())
-
     def materialized_machines(self) -> list[Machine]:
         """Machines built so far, in registration-then-access order."""
         return list(self._machines.values())
-
-    def machine_names(self) -> list[str]:
-        """Every registered name, built or not, in registration order."""
-        names = [name for name in self._sites]
-        return names
 
     def compute_machines(self) -> list[str]:
         """Names of machines the optimizer may schedule fragments on."""
@@ -201,11 +182,7 @@ class ResourceRegistry:
 
     def sites(self) -> list[str]:
         """Site names in first-registration order."""
-        return list(self._site_members)
-
-    def site_members(self, site: str) -> list[str]:
-        """Machine names registered under ``site``, in order."""
-        return list(self._site_members.get(site, ()))
+        return list(dict.fromkeys(self._sites.values()))
 
     # -- tables ------------------------------------------------------------
 
@@ -220,9 +197,6 @@ class ResourceRegistry:
         except KeyError:
             raise PlanningError(f"unknown table: {table_name}") from None
 
-    def has_table(self, table_name: str) -> bool:
-        return table_name in self._tables
-
     # -- operations ----------------------------------------------------------
 
     def add_operation(self, metadata: OperationMetadata) -> None:
@@ -230,13 +204,6 @@ class ResourceRegistry:
             raise PlanningError(
                 f"duplicate operation: {metadata.operation_name}")
         self._operations[metadata.operation_name] = metadata
-
-    def operation(self, operation_name: str) -> OperationMetadata:
-        try:
-            return self._operations[operation_name]
-        except KeyError:
-            raise PlanningError(
-                f"unknown operation: {operation_name}") from None
 
     def has_operation(self, operation_name: str) -> bool:
         return operation_name in self._operations

@@ -6,7 +6,7 @@ Public surface:
 * :class:`PolicyRegistry` — name-keyed registry of policy classes;
 * :func:`default_registry` — the process-wide registry with every
   built-in policy registered (four paper variants plus the
-  hysteresis, PID and chaos-aware controllers);
+  hysteresis and PID controllers);
 * :func:`create_policy` — instantiate the policy an
   :class:`~repro.config.AdaptivityConfig` selects.
 """
@@ -14,7 +14,6 @@ Public surface:
 from __future__ import annotations
 
 from repro.policy.base import AdaptationPolicy, Verdict
-from repro.policy.chaos_aware import ChaosAwarePolicy
 from repro.policy.hysteresis import HysteresisPolicy
 from repro.policy.paper import (
     PaperPolicy,
@@ -27,7 +26,6 @@ from repro.policy.registry import PolicyRegistry
 #: Names of the non-paper built-in controllers.
 POLICY_HYSTERESIS = "hysteresis"
 POLICY_PID = "pid"
-POLICY_CHAOS_AWARE = "chaos-aware"
 
 _default_registry: PolicyRegistry | None = None
 
@@ -37,7 +35,6 @@ def register_builtin_policies(registry: PolicyRegistry) -> None:
     register_paper_policies(registry)
     registry.register(POLICY_HYSTERESIS, HysteresisPolicy)
     registry.register(POLICY_PID, PidPolicy)
-    registry.register(POLICY_CHAOS_AWARE, ChaosAwarePolicy)
 
 
 def default_registry() -> PolicyRegistry:
@@ -57,9 +54,7 @@ def create_policy(config) -> AdaptationPolicy:
 
 __all__ = [
     "AdaptationPolicy",
-    "ChaosAwarePolicy",
     "HysteresisPolicy",
-    "POLICY_CHAOS_AWARE",
     "POLICY_HYSTERESIS",
     "POLICY_PID",
     "PaperPolicy",

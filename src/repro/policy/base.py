@@ -11,8 +11,8 @@ the *mechanics* (pub/sub plumbing, CPU charges, progress-estimation
 calls, two-phase weight deployment).  That split is what makes the
 paper's four A1/A2×R1/R2 variants bit-identical registry instances —
 a policy that reproduces today's arithmetic produces today's runs —
-while ambitious controllers (hysteresis, PID, chaos-aware) drop in
-without touching the services.
+while other controllers (hysteresis, PID) drop in without touching
+the services.
 
 Protocol surface (all consulted by the core services):
 
@@ -28,9 +28,11 @@ Protocol surface (all consulted by the core services):
   for this reason);
 * :meth:`AdaptationPolicy.accept_progress` — the near-completion
   cutoff, consulted once the Responder has estimated progress;
-* lifecycle hooks (:meth:`on_adaptation`, :meth:`on_weights_installed`,
-  :meth:`on_quarantine`, :meth:`on_reintegration`) through which
-  chaos/fault signals reach quarantine-aware policies.
+* :meth:`AdaptationPolicy.on_adaptation` — told when a proposal it
+  made was deployed.
+
+While any clone is quarantined the Responder skips every proposal: the
+policy's vector assumes the full clone set.
 
 A policy instance is created per query (one shared by that query's
 detectors, Diagnoser and Responder) and holds mutable controller
@@ -54,6 +56,13 @@ from repro.engine.distribution import (
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.diagnoser import BalancingTask
     from repro.core.notifications import CostNotification
+
+#: Absolute change (ms/tuple) below which an average measured against a
+#: zero baseline counts as unchanged.  A relative gate is undefined at
+#: zero — e.g. a co-located channel whose send cost is zero — so
+#: without this floor any nonzero wobble would re-notify regardless of
+#: ``thres_m``.
+THRES_M_FLOOR = 1e-6
 
 #: Verdict actions.
 DEPLOY = "deploy"
@@ -98,11 +107,6 @@ class AdaptationPolicy:
     #: Tunables: parameter name -> default value.  Overridden per
     #: policy; values come from ``AdaptivityConfig.policy_params``.
     PARAMS: dict = {}
-    #: Whether the policy's proposals remain valid while clones are
-    #: quarantined (it drives their weights to zero itself).  The
-    #: Responder skips proposals from unaware policies during a
-    #: quarantine, exactly as before the policy seam existed.
-    quarantine_aware = False
 
     def __init__(self, config: AdaptivityConfig) -> None:
         self.config = config
@@ -120,14 +124,14 @@ class AdaptationPolicy:
         """Whether the detector should (re-)notify for ``average``.
 
         The paper gate: relative change of the windowed average beyond
-        ``thres_m``, with the absolute ``thres_m_floor`` taking over
+        ``thres_m``, with the absolute :data:`THRES_M_FLOOR` taking over
         against a zero baseline (where a relative gate is undefined).
         """
         if last is None:
             return True
         if last > 0:
             return abs(average - last) / last >= self.config.thres_m
-        return abs(average - last) > self.config.thres_m_floor
+        return abs(average - last) > THRES_M_FLOOR
 
     # -- observation ------------------------------------------------------
 
@@ -231,21 +235,9 @@ class AdaptationPolicy:
         """
         return fraction < self.config.progress_cutoff
 
-    # -- lifecycle hooks --------------------------------------------------
+    # -- lifecycle hook ---------------------------------------------------
 
     def on_adaptation(self, subplan_id: str,
                       weights: typing.Sequence[float],
                       now: float) -> None:
         """An adaptation this policy proposed was deployed."""
-
-    def on_weights_installed(self, subplan_id: str,
-                             weights: typing.Sequence[float]) -> None:
-        """A weight vector was installed (any source, incl. quarantine)."""
-
-    def on_quarantine(self, subplan_id: str, instance_index: int,
-                      now: float) -> None:
-        """A suspect clone's weight was driven to zero."""
-
-    def on_reintegration(self, subplan_id: str, instance_index: int,
-                         now: float) -> None:
-        """A quarantined clone's share was restored."""

@@ -32,7 +32,8 @@ import typing
 #: and a capped parallelism degree), drawn after chaos.
 #: v5 dropped the ``columnar`` axis and its draw: the row plane was
 #: deleted, so there is one data plane and nothing to choose.
-GRAMMAR_VERSION = 5
+#: v6 dropped the arm of a deleted policy (a twin of ``paper-A1R2``).
+GRAMMAR_VERSION = 6
 
 #: Adaptivity pacing profiles by name.  ``paper`` keeps the paper's
 #: conservative defaults (one adaptation per run); ``twitchy`` is the
@@ -209,8 +210,7 @@ _BATCHES = (("1", 1), ("4", 4), ("32", 32))
 _POLICIES = ((STATIC_POLICY, STATIC_POLICY),
              ("paper-A1R1", "paper-A1R1"), ("paper-A1R2", "paper-A1R2"),
              ("paper-A2R1", "paper-A2R1"), ("paper-A2R2", "paper-A2R2"),
-             ("hysteresis", "hysteresis"), ("pid", "pid"),
-             ("chaos-aware", "chaos-aware"))
+             ("hysteresis", "hysteresis"), ("pid", "pid"))
 _PACINGS = tuple((name, name) for name in PACING_PROFILES)
 _PERTURB_COUNTS = (("none", 0), ("one", 1), ("two", 2))
 #: Perturbation kinds valid per query: WS perturbations target Q1's

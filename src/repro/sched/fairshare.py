@@ -1,10 +1,10 @@
 """Fair sharing of machine capacity between concurrent sessions.
 
-Each admitted session charges a configurable number of capacity
-shares on every machine its subplans occupy (compute machines, data
-hosts and the coordinator alike — a scan feed contends for the data
-host exactly as a WS call contends for a compute node).  The shares
-are the scheduler's residency ledger: they steer new sessions toward
+Each admitted session charges one capacity share on every machine
+its subplans occupy (compute machines, data hosts and the coordinator
+alike — a scan feed contends for the data host exactly as a WS call
+contends for a compute node).  The shares are the scheduler's
+residency ledger: they steer new sessions toward
 the least-loaded machines (:meth:`FairShare.placement_order`) and
 surface capacity pressure through
 :meth:`repro.grid.machine.Machine.contention_factor`.
@@ -42,34 +42,18 @@ from repro.sched.session import QuerySession
 class FairShare:
     """Tracks sessions' capacity shares on the machines they occupy."""
 
-    def __init__(self, registry: ResourceRegistry,
-                 session_weight: float = 1.0,
-                 machine_capacity: float = 1.0) -> None:
+    def __init__(self, registry: ResourceRegistry) -> None:
         self.registry = registry
-        self.session_weight = session_weight
-        self.machine_capacity = machine_capacity
-        # Capacity applies to machines as they exist: already-built
-        # ones now, lazy ones at materialization (walking specs here
-        # would defeat lazy instantiation by building the whole fleet).
-        for machine in registry.materialized_machines():
-            machine.capacity = machine_capacity
-        registry.on_materialize(self._on_materialize)
         self.index = FleetIndex(registry)
 
-    def _on_materialize(self, machine) -> None:
-        machine.capacity = self.machine_capacity
-
-    def _charge(self, name: str, session_id: str, weight: float) -> None:
-        machine = self.registry.machine(name)
-        machine.acquire_share(session_id, weight)
-        # Re-read the ledger sum rather than applying a delta, so the
-        # index key has no incremental float drift.
-        self.index.update(name, machine.committed_shares)
-
     def admit(self, session: QuerySession) -> None:
-        """Charge the session's shares on every machine it occupies."""
+        """Charge the session's share on every machine it occupies."""
         for name in session.machines:
-            self._charge(name, session.session_id, self.session_weight)
+            machine = self.registry.machine(name)
+            machine.acquire_share(session.session_id)
+            # Re-read the ledger sum rather than applying a delta, so
+            # the index key has no incremental float drift.
+            self.index.update(name, machine.committed_shares)
 
     def release(self, session: QuerySession) -> None:
         """Return the session's shares (idempotent)."""

@@ -56,9 +56,6 @@ class LoadIndex:
         self._keys: dict[str, tuple[float, int, str]] = {}
         self._order: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, name: str) -> bool:
         return name in self._keys
 
@@ -137,12 +134,6 @@ class FleetIndex:
 
     def __contains__(self, name: str) -> bool:
         return name in self._site_of
-
-    def site_loads(self) -> dict[str, float]:
-        """Aggregate (mean committed shares) per site — an observable."""
-        return {site: (self._site_total[site] / self._site_count[site]
-                       if self._site_count[site] else 0.0)
-                for site in self._machine_tiers}
 
     def update(self, name: str, load: float) -> None:
         """Record that ``name`` now carries ``load`` committed shares.

@@ -30,12 +30,20 @@ STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half-open"
 
+#: Failures inside the window that open a machine's breaker.
+BREAKER_THRESHOLD = 3
+#: Sliding window over which failures accumulate toward the threshold.
+BREAKER_WINDOW_MS = 30000.0
+#: Time an open breaker waits before half-opening one probe.
+BREAKER_COOLDOWN_MS = 60000.0
+
 
 class MachineHealth:
     """Sliding-window failure counter with open/half-open/closed states."""
 
-    def __init__(self, env, threshold: int, window_ms: float,
-                 cooldown_ms: float) -> None:
+    def __init__(self, env, threshold: int = BREAKER_THRESHOLD,
+                 window_ms: float = BREAKER_WINDOW_MS,
+                 cooldown_ms: float = BREAKER_COOLDOWN_MS) -> None:
         self.env = env
         self.threshold = threshold
         self.window_ms = window_ms
@@ -79,11 +87,6 @@ class MachineHealth:
         if state == STATE_OPEN:
             return True
         return self._probes.get(machine, 0) > 0
-
-    def open_machines(self) -> tuple[str, ...]:
-        """Machines currently steering placement away, sorted."""
-        return tuple(sorted(name for name in self._unhealthy
-                            if self.is_open(name)))
 
     def unhealthy_names(self) -> frozenset[str]:
         """Machines whose breaker is open *or* cooling (a superset of

@@ -88,17 +88,9 @@ class QueryScheduler:
         self.env = self.context.env
         self.config = config or SchedulerConfig()
         self.name = f"sched:{gdqs.machine.name}"
-        self.fair_share = FairShare(
-            self.context.registry,
-            session_weight=self.config.session_weight,
-            machine_capacity=self.config.machine_capacity)
-        self.health: MachineHealth | None = None
-        if self.config.breaker_threshold > 0:
-            # Pure bookkeeping (no simulator events): safe always-on.
-            self.health = MachineHealth(
-                self.env, threshold=self.config.breaker_threshold,
-                window_ms=self.config.breaker_window_ms,
-                cooldown_ms=self.config.breaker_cooldown_ms)
+        self.fair_share = FairShare(self.context.registry)
+        #: Pure bookkeeping (no simulator events): safe always-on.
+        self.health = MachineHealth(self.env)
         self._queue: collections.deque[QuerySession] = collections.deque()
         self._running: dict[str, QuerySession] = {}
         #: Every admitted session, in submission order.
@@ -133,18 +125,17 @@ class QueryScheduler:
         for machine in self.context.registry.materialized_machines():
             self._register_machine_gauge(machine)
         self.context.registry.on_materialize(self._on_materialize)
-        if self.health is not None:
-            # Site-tier health summary: open-breaker count per site,
-            # computed from the incrementally-maintained unhealthy set
-            # (O(tripped), never O(fleet)).  Callback gauges are read
-            # only at snapshot time — the zero-cost metrics invariant.
-            registry = self.context.registry
-            for site in registry.sites():
-                metrics.gauge(
-                    "sched_site_breakers_open",
-                    fn=lambda site=site: self.health.site_rollup(
-                        registry.site_of).get(site, 0),
-                    site=site)
+        # Site-tier health summary: open-breaker count per site,
+        # computed from the incrementally-maintained unhealthy set
+        # (O(tripped), never O(fleet)).  Callback gauges are read only
+        # at snapshot time — the zero-cost metrics invariant.
+        registry = self.context.registry
+        for site in registry.sites():
+            metrics.gauge(
+                "sched_site_breakers_open",
+                fn=lambda site=site: self.health.site_rollup(
+                    registry.site_of).get(site, 0),
+                site=site)
 
     def _register_machine_gauge(self, machine) -> None:
         self.context.metrics.gauge("sched_capacity_pressure",
@@ -231,11 +222,9 @@ class QueryScheduler:
         # enough extras to survive the breaker partition below pushing
         # tripped machines behind the budget line.
         limit = self.config.placement_candidates
-        maybe_open: frozenset = frozenset()
-        if self.health is not None:
-            maybe_open = self.health.unhealthy_names()
-            if limit is not None and maybe_open:
-                limit += len(maybe_open)
+        maybe_open = self.health.unhealthy_names()
+        if limit is not None and maybe_open:
+            limit += len(maybe_open)
         order = self.fair_share.placement_order(limit=limit)
         if maybe_open:
             # Stable partition: breaker-open machines sort last, the
@@ -277,8 +266,7 @@ class QueryScheduler:
         # deployment, so a second submission at the same time already
         # sees this session's residency when placing.
         self.fair_share.admit(session)
-        if self.health is not None:
-            self.health.note_placement(session.machines)
+        self.health.note_placement(session.machines)
         if session.done is None:
             session.done = handle.done
         handle.done.callbacks.append(
@@ -310,14 +298,13 @@ class QueryScheduler:
             return
         session.mark_completed(self.env.now)
         self._metric_completed.inc()
-        if self.health is not None:
-            for machine in session.machines:
-                self.health.record_success(machine)
-            if session.first_failed_at is not None:
-                # Time from first failure to eventual success: the
-                # scheduler-level mean-time-to-repair contribution.
-                self._metric_mttr.observe(
-                    self.env.now - session.first_failed_at)
+        for machine in session.machines:
+            self.health.record_success(machine)
+        if session.first_failed_at is not None:
+            # Time from first failure to eventual success: the
+            # scheduler-level mean-time-to-repair contribution.
+            self._metric_mttr.observe(
+                self.env.now - session.first_failed_at)
         self.fair_share.release(session)
         del self._running[session.session_id]
         self.context.tracer.record(
@@ -378,7 +365,7 @@ class QueryScheduler:
     def _on_failure(self, session: QuerySession, failure: QueryFailed,
                     event: Event) -> None:
         self.wasted_work_ms += failure.elapsed_ms
-        if self.health is not None and failure.failed_machine:
+        if failure.failed_machine:
             self.health.record_failure(failure.failed_machine)
         self.fair_share.release(session)
         del self._running[session.session_id]
@@ -413,14 +400,6 @@ class QueryScheduler:
             self._enqueue(session, front=True)
 
     # -- draining and statistics -----------------------------------------
-
-    @property
-    def running_count(self) -> int:
-        return len(self._running)
-
-    @property
-    def queued_count(self) -> int:
-        return len(self._queue)
 
     def drain(self) -> list[QueryResult | QueryFailed]:
         """Run the simulation until every admitted session settles.

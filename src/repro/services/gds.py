@@ -3,14 +3,12 @@
 A :class:`GridDataService` exposes one relation on one machine.  Scan
 operators deployed on that machine read the relation through the
 service, paying a per-tuple wrapper cost on the host CPU — modelling
-the OGSA-DAI generic wrapper the paper's scans go through.  Remote
-metadata (cardinality, tuple width) is available through the
-``op_metadata`` operation, which the optimizer uses when planning.
+the OGSA-DAI generic wrapper the paper's scans go through.  The
+table's metadata (cardinality, tuple width) goes into the registry's
+catalog, which the optimizer reads when planning.
 """
 
 from __future__ import annotations
-
-import typing
 
 from repro.data.relation import Relation
 from repro.grid.container import GridContext
@@ -34,17 +32,6 @@ class GridDataService(GridService):
             cardinality=relation.cardinality,
             tuple_bytes=relation.tuple_bytes,
         ))
-
-    def op_metadata(self, payload: typing.Any, sender: str
-                    ) -> typing.Generator:
-        """Service operation returning catalog metadata."""
-        return {
-            "table": self.relation.name,
-            "cardinality": self.relation.cardinality,
-            "tuple_bytes": self.relation.tuple_bytes,
-            "columns": self.relation.schema.names(),
-        }
-        yield  # pragma: no cover - generator form required by dispatcher
 
     def read_block(self, start: int, count: int):
         """Local rows ``[start, start+count)`` as a columnar batch (used

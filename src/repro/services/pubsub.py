@@ -4,9 +4,8 @@ The paper's adaptivity components "can subscribe to each other and
 communicate asynchronously via notifications" (§2).
 :class:`NotificationPublisher` is a mixin for services that maintain
 per-topic subscriber lists and fan notifications out over the network.
-Subscriptions may be established either by a direct API call during
-wiring (the coordinator knows the endpoints) or remotely through the
-``op_subscribe`` service operation.
+Subscriptions are established by a direct call during wiring: the
+coordinator knows the endpoints.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ class NotificationPublisher:
         if endpoint not in subscribers:
             subscribers.append(endpoint)
 
-    def unsubscribe(self, topic: str, endpoint: str) -> None:
-        subscribers = self._subscribers.get(topic, [])
-        if endpoint in subscribers:
-            subscribers.remove(endpoint)
-
-    def subscribers_of(self, topic: str) -> list[str]:
-        return list(self._subscribers.get(topic, []))
-
     def publish(self, topic: str, payload: typing.Any) -> int:
         """Notify every subscriber of ``topic``; returns the fan-out."""
         notify = getattr(self, "notify", None)
@@ -48,11 +39,3 @@ class NotificationPublisher:
             notify(endpoint, topic, payload)
         self.notifications_published += len(subscribers)
         return len(subscribers)
-
-    # Remote subscription endpoint (GridService op_ convention).
-    def op_subscribe(self, payload: dict, sender: str
-                     ) -> typing.Generator:
-        """Service operation: ``{"topic": ...}`` subscribes the sender."""
-        self.subscribe(payload["topic"], sender)
-        return "subscribed"
-        yield  # pragma: no cover - generator form required by dispatcher

@@ -8,13 +8,12 @@ from its seed.
 """
 
 from repro.sim.environment import Environment, Process
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Cpu, CpuTask
 from repro.sim.stores import Store, StoreGet
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Cpu",
     "CpuTask",

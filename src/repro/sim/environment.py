@@ -23,7 +23,6 @@ import typing
 
 from repro.errors import SimulationError
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
     PRIORITY_NORMAL,
@@ -170,10 +169,6 @@ class Environment:
                 name: str | None = None) -> Process:
         """Spawn a process driving ``generator``; returns its event."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        """An event succeeding when all ``events`` succeed."""
-        return AllOf(self, events)
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         """An event succeeding when the first of ``events`` triggers."""

@@ -6,9 +6,9 @@ an :class:`~repro.sim.environment.Environment` owns a time-ordered queue
 of triggered events and fires their callbacks in order.
 
 Only the features needed by the query-processing simulation are
-implemented: plain events, timeouts, and the ``AllOf``/``AnyOf``
-combinators.  Events are deliberately single-shot; re-triggering one is
-a :class:`~repro.errors.SimulationError`.
+implemented: plain events, timeouts, and the ``AnyOf`` combinator.
+Events are deliberately single-shot; re-triggering one is a
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -130,43 +130,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
-
-
-class AllOf(Event):
-    """Succeeds when every child event has succeeded.
-
-    The value is the list of child values in construction order.  If any
-    child fails, this event fails with that child's exception (first
-    failure wins).
-
-    An **empty** sequence succeeds immediately with ``[]`` — the
-    conjunction of no conditions is vacuously true, so barrier-style
-    code (``yield env.all_of(acks)``) needs no special case when a
-    batch produced nothing to wait for.
-    """
-
-    __slots__ = ("_children", "_pending")
-
-    def __init__(self, env: "Environment",
-                 events: typing.Sequence[Event]) -> None:
-        super().__init__(env)
-        self._children = list(events)
-        self._pending = len(self._children)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            _observe(child, self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([c.value for c in self._children])
 
 
 class AnyOf(Event):

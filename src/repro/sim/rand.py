@@ -28,9 +28,3 @@ class RandomStreams:
             self._streams[name] = random.Random(
                 int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory with an independent seed space."""
-        digest = hashlib.sha256(
-            f"{self.master_seed}/fork:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))

@@ -15,12 +15,11 @@ disabled (property-tested in ``tests/properties``).  A disabled
 registry hands out shared no-op instruments so call sites stay
 unconditional.
 
-Exporters: :meth:`MetricsRegistry.snapshot` (one dict per instrument),
-:meth:`MetricsRegistry.write_jsonl` (one JSON object per line) and
-:meth:`MetricsRegistry.to_prometheus` (text exposition format).  The
-per-query :class:`AdaptivityReport` summarises one query's adaptivity
-health — adaptations applied, detection latency, realized tuple
-balance — and rides along in both exports.
+Exporters: :meth:`MetricsRegistry.snapshot` (one dict per instrument)
+and :meth:`MetricsRegistry.write_jsonl` (one JSON object per line).
+The per-query :class:`AdaptivityReport` summarises one query's
+adaptivity health — adaptations applied, detection latency, realized
+tuple balance — and rides along in both exports.
 """
 
 from __future__ import annotations
@@ -336,62 +335,3 @@ class MetricsRegistry:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
         return len(records)
-
-    def to_prometheus(self, prefix: str = "repro_") -> str:
-        """Prometheus text exposition of counters/gauges/histograms.
-
-        Series samplers export their latest value as a gauge (the
-        exposition format has no native time-series type; the JSONL
-        export carries the full series).
-        """
-        lines: list[str] = []
-        seen_types: set[str] = set()
-
-        def label_text(labels: typing.Mapping[str, str],
-                       extra: typing.Mapping[str, str] | None = None
-                       ) -> str:
-            merged = dict(labels)
-            if extra:
-                merged.update(extra)
-            if not merged:
-                return ""
-            body = ",".join(f'{key}="{value}"'
-                            for key, value in sorted(merged.items()))
-            return "{" + body + "}"
-
-        def declare(name: str, prom_type: str) -> None:
-            if name not in seen_types:
-                seen_types.add(name)
-                lines.append(f"# TYPE {name} {prom_type}")
-
-        for instrument in self._instruments.values():
-            name = prefix + instrument.name
-            if isinstance(instrument, Counter):
-                declare(name, "counter")
-                lines.append(f"{name}{label_text(instrument.labels)} "
-                             f"{instrument.value}")
-            elif isinstance(instrument, Gauge):
-                declare(name, "gauge")
-                lines.append(f"{name}{label_text(instrument.labels)} "
-                             f"{instrument.value}")
-            elif isinstance(instrument, Histogram):
-                declare(name, "summary")
-                stats = instrument.summary()
-                for fraction in QUANTILES:
-                    key = f"p{int(fraction * 100)}"
-                    if key in stats:
-                        quantile_labels = label_text(
-                            instrument.labels, {"quantile": str(fraction)})
-                        lines.append(
-                            f"{name}{quantile_labels} {stats[key]}")
-                lines.append(f"{name}_count{label_text(instrument.labels)} "
-                             f"{stats['count']}")
-                lines.append(f"{name}_sum{label_text(instrument.labels)} "
-                             f"{stats['sum']}")
-            elif isinstance(instrument, SeriesSampler):
-                declare(name, "gauge")
-                samples = instrument.samples
-                latest = samples[-1][1] if samples else 0.0
-                lines.append(f"{name}{label_text(instrument.labels)} "
-                             f"{latest}")
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -38,48 +38,19 @@ class TraceEvent:
 
 
 class Tracer:
-    """Append-only event log in simulation-time order.
+    """Append-only event log in simulation-time order; every event is
+    retained (experiments replay the full timeline)."""
 
-    By default every event is retained (experiments replay the full
-    timeline).  Long-running or memory-sensitive runs may pass
-    ``max_events`` to keep only the most recent events in a ring
-    buffer; :attr:`recorded_by_category` still counts *every* event
-    ever recorded, so aggregate statistics survive eviction.
-    """
-
-    def __init__(self, env, max_events: int | None = None) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1: {max_events}")
+    def __init__(self, env) -> None:
         self._env = env
-        self.max_events = max_events
-        #: Retained events: a plain list under full retention, a
-        #: bounded deque (ring buffer) when ``max_events`` is set.
-        #: Both support append/iteration/indexing identically.
-        self.events: typing.MutableSequence[TraceEvent] = (
-            [] if max_events is None
-            else collections.deque(maxlen=max_events))
-        #: category -> events recorded since construction/clear(),
-        #: including any evicted from the ring buffer.
-        self.recorded_by_category: collections.Counter = (
-            collections.Counter())
+        self.events: list[TraceEvent] = []
         self.enabled = True
-
-    @property
-    def recorded_total(self) -> int:
-        """Events recorded since construction/clear, evicted or not."""
-        return sum(self.recorded_by_category.values())
-
-    @property
-    def dropped_total(self) -> int:
-        """Events evicted from the ring buffer so far."""
-        return self.recorded_total - len(self.events)
 
     def record(self, category: str, source: str, description: str,
                **data: typing.Any) -> None:
         """Record one event at the current simulation time."""
         if not self.enabled:
             return
-        self.recorded_by_category[category] += 1
         self.events.append(TraceEvent(
             timestamp=self._env.now,
             category=category,
@@ -87,24 +58,14 @@ class Tracer:
             description=description,
             data=tuple(sorted(data.items()))))
 
-    def clear(self) -> None:
-        self.events.clear()
-        self.recorded_by_category.clear()
-
     def in_category(self, category: str) -> list[TraceEvent]:
         return [event for event in self.events
                 if event.category == category]
 
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        """Events with ``start <= timestamp < end``."""
-        return [event for event in self.events
-                if start <= event.timestamp < end]
-
     def counts_by_category(self) -> dict[str, int]:
-        """Counts over currently *retained* events (ring-buffer view)."""
-        counter: collections.Counter = collections.Counter(
-            event.category for event in self.events)
-        return dict(counter)
+        """Events recorded per category."""
+        return dict(collections.Counter(event.category
+                                        for event in self.events))
 
 
 def format_timeline(events: typing.Sequence[TraceEvent],

@@ -126,8 +126,6 @@ class TestAssessment:
                                   "det")
         context.env.run()
         assert responder.received == []
-        assert diagnoser.current_weights("compute")[1] == pytest.approx(
-            10 / 11)
 
     def test_unknown_instance_notification_ignored(self):
         context, diagnoser, responder = make_diagnoser()

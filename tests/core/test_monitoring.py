@@ -11,9 +11,11 @@ from repro.core import (
     TOPIC_COST,
     trimmed_average,
 )
+from repro.core.monitoring import MIN_WINDOW_EVENTS
 from repro.engine.metrics import SubplanMetrics
 from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
+from repro.policy.base import THRES_M_FLOOR
 from repro.services import GridService
 
 
@@ -69,10 +71,9 @@ class TestTrimmedAverage:
 
 class TestDetectorThresholds:
     def test_first_window_emits_once_min_events_reached(self):
-        config = AdaptivityConfig(min_window_events=3)
-        context, detector, subscriber = make_detector(config)
-        detector.submit_m1(m1(5.0))
-        detector.submit_m1(m1(5.0))
+        context, detector, subscriber = make_detector()
+        for _ in range(MIN_WINDOW_EVENTS - 1):
+            detector.submit_m1(m1(5.0))
         context.env.run()
         assert subscriber.received == []
         detector.submit_m1(m1(5.0))
@@ -84,8 +85,7 @@ class TestDetectorThresholds:
         assert payload.average_value == pytest.approx(5.0)
 
     def test_counted_submission_is_that_many_observations(self):
-        config = AdaptivityConfig(min_window_events=3)
-        context, detector, subscriber = make_detector(config)
+        context, detector, subscriber = make_detector()
         detector.submit_m1(m1(5.0), count=3)
         context.env.run()
         assert detector.raw_events_received == 3
@@ -142,7 +142,7 @@ class TestDetectorThresholds:
         assert subscriber.received == []
 
     def test_window_is_sliding_with_max_length(self):
-        config = AdaptivityConfig(window_size=4, min_window_events=1)
+        config = AdaptivityConfig(window_size=4)
         context, detector, subscriber = make_detector(config)
         for cost in (100.0, 100.0, 100.0, 100.0, 1.0, 1.0, 1.0, 1.0):
             detector.submit_m1(m1(cost))
@@ -187,7 +187,7 @@ class TestZeroBaseline:
     """A notified average of zero (e.g. a co-located channel with no
     send cost) must not re-notify on every sub-epsilon wobble: the
     relative thresM gate is undefined at zero, so an absolute floor
-    (``thres_m_floor``) takes over."""
+    (``THRES_M_FLOOR``) takes over."""
 
     def test_zero_average_notified_once(self):
         context, detector, subscriber = make_detector()
@@ -218,13 +218,19 @@ class TestZeroBaseline:
         assert len(subscriber.received) == 2
         assert subscriber.received[-1][1].average_value > 1e-6
 
-    def test_floor_is_configurable(self):
-        config = AdaptivityConfig(thres_m_floor=10.0)
-        context, detector, subscriber = make_detector(config)
+    def test_floor_is_the_notification_boundary(self):
+        context, detector, subscriber = make_detector()
         detector.submit_m2("p", "c", 0.0, 10)
-        detector.submit_m2("p", "c", 50.0, 10)  # mean 2.5, below floor
+        # Window mean half the floor: silent.
+        detector.submit_m2("p", "c", THRES_M_FLOOR * 10, 10)
         context.env.run()
         assert len(subscriber.received) == 1
+        # Trimmed window mean (F + 4F) / 2 = 2.5 times the floor F:
+        # notifies.
+        detector.submit_m2("p", "c", THRES_M_FLOOR * 40, 10)
+        detector.submit_m2("p", "c", THRES_M_FLOOR * 40, 10)
+        context.env.run()
+        assert len(subscriber.received) == 2
 
 
 class TestDegenerateM2:

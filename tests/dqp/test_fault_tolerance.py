@@ -65,7 +65,6 @@ class TestFaultToleranceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"heartbeat_interval_ms": 0.0},
         {"heartbeat_interval_ms": 500.0, "failure_timeout_ms": 400.0},
-        {"call_timeout_ms": 0.0},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -25,7 +25,8 @@ class TestMachines:
         registry.add_machine(make_machine("s1"), compute=False, spare=True)
         assert registry.compute_machines() == ["c1"]
         assert registry.spare_machines() == ["s1"]
-        assert {m.name for m in registry.machines()} == {"c1", "d1", "s1"}
+        assert ({m.name for m in registry.materialized_machines()}
+                == {"c1", "d1", "s1"})
 
     def test_duplicate_machine_rejected(self):
         registry = ResourceRegistry()
@@ -42,8 +43,6 @@ class TestTablesAndOperations:
     def test_table_catalog(self):
         registry = ResourceRegistry()
         registry.add_table(TableMetadata("t", "gds:t", "d1", 100, 64))
-        assert registry.has_table("t")
-        assert not registry.has_table("u")
         assert registry.table("t").cardinality == 100
         with pytest.raises(PlanningError):
             registry.add_table(TableMetadata("t", "gds:t2", "d1", 1, 1))
@@ -54,11 +53,9 @@ class TestTablesAndOperations:
         registry = ResourceRegistry()
         registry.add_operation(OperationMetadata("F", ["m1"], 2.0))
         assert registry.has_operation("F")
-        assert registry.operation("F").base_work_ms == 2.0
+        assert not registry.has_operation("G")
         with pytest.raises(PlanningError):
             registry.add_operation(OperationMetadata("F", ["m2"], 1.0))
-        with pytest.raises(PlanningError):
-            registry.operation("G")
 
 
 class TestContextFailureInjection:

@@ -1,19 +1,16 @@
 """Unit tests for the non-paper controllers, in isolation.
 
 Each policy is driven directly through the protocol surface (observe/
-diagnose/decide and the lifecycle hooks) with hand-made notifications
+diagnose/decide and the lifecycle hook) with hand-made notifications
 — no grid, no simulation — so the controller arithmetic is pinned
 down independently of the services that host it.
 """
 
-import types
-
 import pytest
 
 from repro.config import AdaptivityConfig
-from repro.core import BalancingTask, CostNotification, ImbalanceProposal
+from repro.core import BalancingTask, CostNotification
 from repro.policy import create_policy
-from repro.policy.base import DEPLOY, SKIP
 
 
 def make_task():
@@ -112,57 +109,3 @@ class TestPidPolicy:
         # Same error twice: the integral term makes the second step
         # larger than the first from the same starting vector.
         assert second[0] < first[0]
-
-
-class TestChaosAwarePolicy:
-    def test_quarantined_clone_pinned_to_zero(self):
-        policy, task = policy_named("chaos-aware"), make_task()
-        feed(policy, task, 1.0, 1.0)
-        assert policy.diagnose(task, [0.5, 0.5], now=0.0) is None
-        policy.on_quarantine("compute", 1, now=0.0)
-        proposed, _costs = policy.diagnose(task, [0.5, 0.5], now=1.0)
-        assert proposed == [1.0, 0.0]
-
-    def test_all_clones_quarantined_proposes_nothing(self):
-        policy, task = policy_named("chaos-aware"), make_task()
-        feed(policy, task, 1.0, 1.0)
-        policy.on_quarantine("compute", 0, now=0.0)
-        policy.on_quarantine("compute", 1, now=0.0)
-        assert policy.diagnose(task, [0.5, 0.5], now=1.0) is None
-
-    def test_reintegrated_clone_ramps_back_gradually(self):
-        policy, task = policy_named("chaos-aware"), make_task()
-        feed(policy, task, 1.0, 1.0)
-        policy.on_quarantine("compute", 1, now=0.0)
-        policy.on_reintegration("compute", 1, now=1000.0)
-        # Right after reintegration the clone's cost is inflated by
-        # the full penalty (3.0): shaped weights (1, 1/3) -> (.75, .25).
-        proposed, _costs = policy.diagnose(task, [1.0, 0.0], now=1000.0)
-        assert proposed[0] == pytest.approx(0.75)
-        assert proposed[1] == pytest.approx(0.25)
-        # Many half-lives later the penalty has fully decayed: equal
-        # costs mean no imbalance worth proposing.
-        assert policy.diagnose(task, [0.5, 0.5], now=50_000.0) is None
-
-    def test_decide_remasks_weights_quarantined_after_assessment(self):
-        policy = policy_named("chaos-aware", cooldown_ms=0.0)
-        policy.on_quarantine("compute", 1, now=0.0)
-        state = types.SimpleNamespace(weights=[0.5, 0.5],
-                                      last_adaptation=None)
-        stale = ImbalanceProposal("compute", (0.5, 0.5), (0.2, 0.8),
-                                  (1.0, 1.0), 0.0)
-        verdict = policy.decide(state, stale, now=10.0)
-        assert verdict.action == DEPLOY
-        assert list(verdict.weights) == [1.0, 0.0]
-
-    def test_decide_skips_when_nothing_remains_after_mask(self):
-        policy = policy_named("chaos-aware", cooldown_ms=0.0)
-        policy.on_quarantine("compute", 0, now=0.0)
-        policy.on_quarantine("compute", 1, now=0.0)
-        state = types.SimpleNamespace(weights=[0.5, 0.5],
-                                      last_adaptation=None)
-        stale = ImbalanceProposal("compute", (0.5, 0.5), (0.2, 0.8),
-                                  (1.0, 1.0), 0.0)
-        verdict = policy.decide(state, stale, now=10.0)
-        assert verdict.action == SKIP
-        assert verdict.reason == "quarantined"

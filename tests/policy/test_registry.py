@@ -16,8 +16,8 @@ from repro.policy import (
 class TestPolicyRegistry:
     def test_default_registry_has_all_builtins(self):
         assert default_registry().names() == [
-            "chaos-aware", "hysteresis", "paper-A1R1", "paper-A1R2",
-            "paper-A2R1", "paper-A2R2", "pid"]
+            "hysteresis", "paper-A1R1", "paper-A1R2", "paper-A2R1",
+            "paper-A2R2", "pid"]
 
     def test_unknown_name_lists_registered_policies(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -35,7 +35,6 @@ adaptivity_configs = st.builds(
     response=st.sampled_from(["R1", "R2"]),
     assessment=st.sampled_from(["A1", "A2"]),
     m1_interval=st.sampled_from([5, 10, 20]),
-    min_window_events=st.integers(min_value=1, max_value=3),
     thres_a=st.sampled_from([0.05, 0.2, 0.5]),
     decision_latency_ms=st.sampled_from([0.0, 50.0, 500.0]),
     cooldown_ms=st.sampled_from([0.0, 200.0]),

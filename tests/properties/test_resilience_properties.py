@@ -55,21 +55,20 @@ def timeline_of(grid):
             for event in grid.context.tracer.events]
 
 
-def run_query(chaos, seed, breaker_threshold=3):
+def run_query(chaos, seed):
     grid = DemoGrid(dataclasses.replace(SPEC, seed=seed), chaos=chaos)
-    grid.scheduler(SchedulerConfig(breaker_threshold=breaker_threshold))
+    grid.scheduler(SchedulerConfig())
     result = grid.run(Q1, AdaptivityConfig())
     return grid, result
 
 
-def run_crashy_workload(seed, breaker_threshold=3):
+def run_crashy_workload(seed):
     chaos = ChaosConfig.lossy(crashes=(
         MachineCrash("compute-2", at_ms=900.0),))
     grid = DemoGrid(dataclasses.replace(SPEC, seed=seed),
                     fault_tolerance=FT0, chaos=chaos)
-    scheduler = grid.scheduler(SchedulerConfig(
-        max_concurrent=4, retry=RETRY,
-        breaker_threshold=breaker_threshold))
+    scheduler = grid.scheduler(SchedulerConfig(max_concurrent=4,
+                                               retry=RETRY))
     for query in (Q1, Q2, Q1, Q2):
         scheduler.submit(query, adaptivity=AdaptivityConfig.disabled(),
                          degree=2)
@@ -87,19 +86,6 @@ def test_empty_crash_schedule_is_bit_identical_to_no_chaos(seed):
             == empty_grid.context.env.events_scheduled)
     assert timeline_of(none_grid) == timeline_of(empty_grid)
     assert sorted(none_result.values()) == sorted(empty_result.values())
-
-
-@given(seed=st.sampled_from([0, 1]))
-@slow_settings
-def test_always_on_breaker_is_bit_identical_to_disabled(seed):
-    on_grid, on_result = run_query(None, seed, breaker_threshold=3)
-    off_grid, off_result = run_query(None, seed, breaker_threshold=0)
-    # The breaker is pure dictionary bookkeeping: with no failures to
-    # record, enabling it schedules no events and changes no draws.
-    assert (on_grid.context.env.events_scheduled
-            == off_grid.context.env.events_scheduled)
-    assert timeline_of(on_grid) == timeline_of(off_grid)
-    assert sorted(on_result.values()) == sorted(off_result.values())
 
 
 @given(seed=st.sampled_from([0, 1]))

@@ -3,6 +3,9 @@
 Auto-generated by ``repro.scengen`` (grammar v1, scenario
 f3069968e00a); the scenario dict below is the shrinker's minimal
 reproduction.  Regenerate with the shrinker rather than hand-editing.
+Its policy is ``paper-A1R2``: the ``chaos-aware`` policy it was
+shrunk under was deleted, and the scenario holds its invariants under
+``paper-A1R2`` too.
 """
 
 from repro.scengen.grammar import Scenario
@@ -24,14 +27,14 @@ SCENARIO = {'batch_size': 1,
  'interactions': 300,
  'pacing': 'paper',
  'perturbations': [],
- 'policy': 'chaos-aware',
+ 'policy': 'paper-A1R2',
  'query': 'Q2',
  'rules': ['query:Q2',
            'size:large',
            'world:2',
            'machines:3',
            'batch:1',
-           'policy:chaos-aware',
+           'policy:paper-A1R2',
            'pacing:paper',
            'perturbs:one',
            'perturb:join-sleep',

@@ -80,8 +80,9 @@ class TestFairSharePolicy:
         data_host = grid.context.machine("data-host")
         assert data_host.committed_shares == 2.0
         scheduler.drain()
+        registry = grid.context.registry
         assert all(machine.committed_shares == 0.0
-                   for machine in grid.context.registry.machines())
+                   for machine in registry.materialized_machines())
 
     def test_placement_order_is_stable_at_uniform_load(self):
         grid = DemoGrid(DemoGridSpec(compute_machines=3))

@@ -37,6 +37,9 @@ def counted_fleet_run(machines):
         if event == "call":
             calls += 1
 
+    # Restore whatever profiler was installed before (a call census
+    # wraps the whole suite in one), rather than switching it off.
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         grid = DemoGrid(dataclasses.replace(FLEET, compute_machines=machines,
@@ -49,7 +52,7 @@ def counted_fleet_run(machines):
                              adaptivity=AdaptivityConfig.disabled(), degree=2)
         scheduler.drain()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return calls, scheduler.statistics(), built_machines(grid)
 
 

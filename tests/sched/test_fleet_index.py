@@ -175,8 +175,9 @@ class TestFleetIndexMultiSite:
         # implicit default site; the compute pool splits into blocks.
         assert set(registry.sites()) == {"default", "site-1", "site-2",
                                          "site-3"}
-        assert list(registry.site_members("site-1")) == ["compute-1",
-                                                         "compute-2"]
+        assert [registry.site_of(name) for name in (
+            "compute-1", "compute-2", "compute-3")] == [
+            "site-1", "site-1", "site-2"]
         assert registry.site_of("compute-5") == "site-3"
         with pytest.raises(PlanningError):
             registry.site_of("nonesuch")
@@ -191,10 +192,6 @@ class TestFleetIndexMultiSite:
         assert order[:2] == ["compute-5", "compute-6"]     # idle site-3
         assert order[2:4] == ["compute-4", "compute-3"]    # site-2
         assert order[4:] == ["compute-2", "compute-1"]     # site-1
-        loads = fair.index.site_loads()
-        assert loads["site-1"] == pytest.approx(1.5)
-        assert loads["site-2"] == pytest.approx(0.5)
-        assert loads["site-3"] == 0.0
 
     def test_crash_updates_site_aggregate(self):
         grid = self.make_grid()
@@ -202,5 +199,6 @@ class TestFleetIndexMultiSite:
         fair.admit(StubSession("s1", ("compute-1",)))
         grid.context.crash_machine("compute-1")
         fair.placement_order()
-        # The crashed member's load left the aggregate with it.
-        assert fair.index.site_loads()["site-1"] == 0.0
+        # The crashed member's load left the aggregate with it: site-1
+        # is idle again and leads on its registration order.
+        assert fair.placement_order()[0] == "compute-2"

@@ -72,7 +72,7 @@ class TestMachineHealth:
         assert health.is_open("m")
         assert health.state("m") == "open"
         assert health.breakers_opened == 1
-        assert health.open_machines() == ("m",)
+        assert health.unhealthy_names() == {"m"}
 
     def test_window_expiry_forgets_old_failures(self):
         health = self.make()

@@ -22,8 +22,7 @@ class TestAdmission:
         grid, scheduler = make_scheduler(max_concurrent=2)
         session = scheduler.submit(Q1, adaptivity=STATIC)
         assert session.state == STATE_RUNNING
-        assert scheduler.running_count == 1
-        assert scheduler.queued_count == 0
+        assert scheduler.sessions == [session]
         assert session.queue_wait_ms == 0.0
         assert session.handle is not None
 

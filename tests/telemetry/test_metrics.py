@@ -137,26 +137,6 @@ class TestRegistry:
         assert {r["type"] for r in records} == {
             "counter", "histogram", "adaptivity_report"}
 
-    def test_prometheus_exposition(self):
-        registry = make_registry()
-        registry.counter("tuples_sent", producer="xp:0").inc(7.0)
-        registry.gauge("utilisation", machine="m1").set(0.5)
-        registry.histogram("latency").observe(4.0)
-        registry.series("queue").sample(2.0)
-        text = registry.to_prometheus()
-        assert "# TYPE repro_tuples_sent counter" in text
-        assert 'repro_tuples_sent{producer="xp:0"} 7.0' in text
-        assert '# TYPE repro_utilisation gauge' in text
-        assert '# TYPE repro_latency summary' in text
-        assert 'repro_latency{quantile="0.5"} 4.0' in text
-        assert "repro_latency_count 1" in text
-        assert "repro_latency_sum 4.0" in text
-        # Series export their latest value as a gauge.
-        assert "repro_queue 2.0" in text
-
-    def test_prometheus_empty_registry(self):
-        assert make_registry().to_prometheus() == ""
-
 
 def make_report():
     return AdaptivityReport(

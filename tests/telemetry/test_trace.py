@@ -1,7 +1,5 @@
 """Tests for the tracing subsystem and its integration hooks."""
 
-import pytest
-
 from repro.config import AdaptivityConfig, FaultToleranceConfig, RESPONSE_R1
 from repro.sim import Environment
 from repro.telemetry import (
@@ -44,60 +42,17 @@ class TestTracer:
         assert len(tracer.in_category("a")) == 2
         assert tracer.counts_by_category() == {"a": 2, "b": 1}
 
-    def test_between_filters_by_time(self):
-        env = Environment()
-        tracer = Tracer(env)
-        tracer.record("a", "s", "at zero")
-        assert tracer.between(0.0, 1.0) == tracer.events
-        assert tracer.between(1.0, 2.0) == []
-
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(Environment())
         tracer.enabled = False
         tracer.record("a", "s", "dropped")
         assert tracer.events == []
 
-    def test_clear(self):
-        tracer = Tracer(Environment())
-        tracer.record("a", "s", "x")
-        tracer.clear()
-        assert tracer.events == []
-
-    def test_ring_buffer_keeps_most_recent(self):
-        tracer = Tracer(Environment(), max_events=3)
-        for index in range(5):
-            tracer.record("a", "s", f"event {index}")
-        assert [event.description for event in tracer.events] == [
-            "event 2", "event 3", "event 4"]
-        assert tracer.recorded_total == 5
-        assert tracer.dropped_total == 2
-
-    def test_ring_buffer_counters_survive_eviction(self):
-        tracer = Tracer(Environment(), max_events=2)
-        tracer.record("a", "s", "one")
-        tracer.record("b", "s", "two")
-        tracer.record("a", "s", "three")
-        # "one" was evicted, but the per-category totals still count it.
-        assert tracer.recorded_by_category == {"a": 2, "b": 1}
-        assert tracer.counts_by_category() == {"a": 1, "b": 1}
-
     def test_full_retention_is_the_default(self):
         tracer = Tracer(Environment())
         for index in range(1000):
             tracer.record("a", "s", f"event {index}")
         assert len(tracer.events) == 1000
-        assert tracer.dropped_total == 0
-
-    def test_ring_buffer_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            Tracer(Environment(), max_events=0)
-
-    def test_clear_resets_counters(self):
-        tracer = Tracer(Environment(), max_events=2)
-        tracer.record("a", "s", "x")
-        tracer.clear()
-        assert len(tracer.events) == 0
-        assert tracer.recorded_total == 0
 
     def test_format_timeline(self):
         events = [TraceEvent(1234.5, "response", "responder:q1",

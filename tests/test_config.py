@@ -42,10 +42,7 @@ class TestAdaptivityConfig:
         {"response": "R9"},
         {"m1_interval": -1},
         {"window_size": 2},
-        {"min_window_events": 0},
-        {"min_window_events": 99},
         {"thres_m": -0.1},
-        {"thres_m_floor": -1e-9},
         {"thres_a": -0.1},
         {"progress_cutoff": 0.0},
         {"progress_cutoff": 1.5},

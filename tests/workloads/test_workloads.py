@@ -25,7 +25,7 @@ from repro.workloads.scenarios import perturb_transient_load
 class TestDemoGrid:
     def test_machines_match_paper_testbed(self):
         grid = DemoGrid()
-        names = [m.name for m in grid.context.registry.machines()]
+        names = [m.name for m in grid.context.registry.materialized_machines()]
         assert COORDINATOR in names
         assert DATA_HOST in names
         assert "compute-1" in names and "compute-2" in names
