@@ -38,6 +38,19 @@ class MessageFault(typing.NamedTuple):
 
 NO_FAULT = MessageFault(False, False, 0.0)
 
+#: (gauge name, ``counters()`` key, labels) of every exported count.
+_GAUGES = (
+    ("chaos_messages_dropped", "messages_dropped", {}),
+    ("chaos_messages_duplicated", "messages_duplicated", {}),
+    ("chaos_messages_delayed", "messages_delayed", {}),
+    ("chaos_ws_failures_injected", "ws_failures_injected", {}),
+    ("chaos_retries", "send_retries", {"kind": "send"}),
+    ("chaos_retries", "call_retries", {"kind": "call"}),
+    ("chaos_retries", "ws_retries", {"kind": "ws"}),
+    ("chaos_machines_frozen", "machines_frozen", {}),
+    ("chaos_machines_crashed", "machines_crashed", {}),
+)
+
 
 class ChaosInjector:
     """Draws and counts fault decisions for one simulated grid."""
@@ -60,18 +73,10 @@ class ChaosInjector:
         self.ws_retries = 0
         self.machines_frozen = 0
         self.machines_crashed = 0
-        metrics = context.metrics
-        self._metric_dropped = metrics.counter("chaos_messages_dropped")
-        self._metric_duplicated = metrics.counter(
-            "chaos_messages_duplicated")
-        self._metric_delayed = metrics.counter("chaos_messages_delayed")
-        self._metric_ws_failures = metrics.counter(
-            "chaos_ws_failures_injected")
-        self._metric_retries = {
-            kind: metrics.counter("chaos_retries", kind=kind)
-            for kind in ("send", "call", "ws")}
-        self._metric_freezes = metrics.counter("chaos_machines_frozen")
-        self._metric_crashes = metrics.counter("chaos_machines_crashed")
+        # The registry reads these counts at snapshot time.
+        for name, key, labels in _GAUGES:
+            context.metrics.gauge(
+                name, fn=lambda key=key: self.counters()[key], **labels)
 
     def start(self) -> None:
         """Schedule the deterministic faults (freezes and crashes)."""
@@ -88,7 +93,6 @@ class ChaosInjector:
         machine = self.context.registry.machine(freeze.machine)
         frozen_until = machine.freeze(freeze.duration_ms)
         self.machines_frozen += 1
-        self._metric_freezes.inc()
         self.context.tracer.record(
             "chaos", "chaos-injector", "machine frozen",
             machine=freeze.machine, duration_ms=freeze.duration_ms,
@@ -99,7 +103,6 @@ class ChaosInjector:
             yield self.env.timeout(crash.at_ms - self.env.now)
         victims = self.context.crash_machine(crash.machine)
         self.machines_crashed += 1
-        self._metric_crashes.inc()
         self.context.tracer.record(
             "chaos", "chaos-injector", "machine crashed",
             machine=crash.machine, services_lost=len(victims))
@@ -133,15 +136,12 @@ class ChaosInjector:
                 extra_delay += fault.delay_ms
         if drop:
             self.messages_dropped += 1
-            self._metric_dropped.inc()
             return MessageFault(True, False, 0.0)
         if duplicate:
             self.messages_duplicated += 1
-            self._metric_duplicated.inc()
         if extra_delay > 0:
             self.messages_delayed += 1
             self.extra_delay_ms_total += extra_delay
-            self._metric_delayed.inc()
         if duplicate or extra_delay > 0:
             return MessageFault(False, duplicate, extra_delay)
         return NO_FAULT
@@ -157,7 +157,6 @@ class ChaosInjector:
                     and self._ws_rng.random()
                     < fault.failure_probability):
                 self.ws_failures_injected += 1
-                self._metric_ws_failures.inc()
                 return True
         return False
 
@@ -175,7 +174,6 @@ class ChaosInjector:
             self.call_retries += 1
         elif kind == "ws":
             self.ws_retries += 1
-        self._metric_retries[kind].inc()
 
     def counters(self) -> dict:
         """Snapshot of every chaos counter (for reports and the CLI)."""

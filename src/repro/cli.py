@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result rows to print (default 5)")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the run's metrics snapshot (machine "
-                             "utilisation, adaptivity counters, per-query "
-                             "reports) as JSON Lines to PATH")
+                             "utilisation, loop latencies, per-query "
+                             "statistics) as JSON Lines to PATH")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 20 "
                              "functions by cumulative time to stderr")

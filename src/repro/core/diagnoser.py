@@ -95,15 +95,11 @@ class Diagnoser(GridService, NotificationPublisher):
             for channels in task.instance_channels.values():
                 for channel in channels:
                     self._task_of_channel[channel] = task
-        self.notifications_received = 0
         self.proposals_sent = 0
         self.query_id = query_id
         metrics = context.metrics
         self._metric_notifications = metrics.counter(
             "diagnoser_notifications_received", query=query_id,
-            policy=self.policy.name)
-        self._metric_proposals = metrics.counter(
-            "diagnoser_proposals_sent", query=query_id,
             policy=self.policy.name)
         #: Detector-timestamp to assessment latency of every cost
         #: notification (the monitoring leg of the control loop).
@@ -120,7 +116,6 @@ class Diagnoser(GridService, NotificationPublisher):
             self._weights[payload.subplan_id] = list(payload.weights)
 
     def _on_cost(self, notification: CostNotification) -> None:
-        self.notifications_received += 1
         self._metric_notifications.inc()
         self._metric_latency.observe(self.env.now - notification.timestamp)
         self.machine.cpu.execute(self.cost.control_event_work,
@@ -148,7 +143,6 @@ class Diagnoser(GridService, NotificationPublisher):
             timestamp=self.env.now)
         self.publish(TOPIC_IMBALANCE, proposal)
         self.proposals_sent += 1
-        self._metric_proposals.inc()
         self.context.tracer.record(
             "assessment", self.name, "imbalance proposal",
             subplan=task.subplan_id,

@@ -82,14 +82,6 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         self._meta: dict[str, tuple] = {}
         self.raw_events_received = 0
         self.cost_notifications_sent = 0
-        metrics = context.metrics
-        self._metric_raw_m1 = metrics.counter(
-            "detector_raw_events", query=query_id, kind="m1")
-        self._metric_raw_m2 = metrics.counter(
-            "detector_raw_events", query=query_id, kind="m2")
-        self._metric_notifications = metrics.counter(
-            "detector_notifications_sent", query=query_id,
-            policy=self.policy.name)
 
     # -- raw event intake (local calls from the engine) ---------------------
 
@@ -103,7 +95,6 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         if count <= 0:
             return
         self.raw_events_received += count
-        self._metric_raw_m1.inc(count)
         key = self._keys.get(event.instance_id)
         if key is None:
             key = self._register(
@@ -126,7 +117,6 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
             # the raw-event counts feed the overheads experiment.
             return event
         self.raw_events_received += 1
-        self._metric_raw_m2.inc()
         key = self._keys.get((producer_id, recipient_channel))
         if key is None:
             key = self._register(
@@ -180,7 +170,6 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
             timestamp=self.env.now)
         self.publish(TOPIC_COST, notification)
         self.cost_notifications_sent += 1
-        self._metric_notifications.inc()
         self.context.tracer.record(
             "monitoring", self.name, "cost notification",
             key=key, average=round(average, 3))

@@ -16,6 +16,7 @@ through :func:`deploy_update`, the two-phase replay/discard calls.
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.config import AdaptivityConfig, CostModel
@@ -84,15 +85,9 @@ class Responder(GridService, NotificationPublisher):
         self.policy = policy if policy is not None else create_policy(config)
         self._state = {task.subplan_id: _SubplanState(task)
                        for task in tasks}
-        self.proposals_received = 0
         self.adaptations_accepted = 0
-        self.skipped_busy = 0
-        self.skipped_cooldown = 0
-        self.skipped_near_completion = 0
-        self.skipped_below_threshold = 0
-        self.skipped_unreachable = 0
-        self.skipped_quarantined = 0
-        self.skipped_degenerate_progress = 0
+        #: Declined proposals per reason ("cooldown", "busy", ...).
+        self.skips: collections.Counter = collections.Counter()
         self.quarantines = 0
         self.reintegrations = 0
         #: Total oscillation: workload mass moved by one adaptation and
@@ -105,44 +100,14 @@ class Responder(GridService, NotificationPublisher):
         self._metric_proposals = metrics.counter(
             "responder_proposals_received", query=query_id,
             policy=self.policy.name)
-        self._metric_adaptations = metrics.counter(
-            "responder_adaptations_accepted", query=query_id,
-            policy=self.policy.name)
-        self._metric_skips = {
-            reason: metrics.counter("responder_skips", query=query_id,
-                                    reason=reason, policy=self.policy.name)
-            for reason in ("busy", "cooldown", "near_completion",
-                           "below_threshold", "unreachable",
-                           "quarantined", "degenerate_progress")}
-        self._metric_quarantines = metrics.counter(
-            "responder_quarantines", query=query_id,
-            policy=self.policy.name)
-        self._metric_reintegrations = metrics.counter(
-            "responder_reintegrations", query=query_id,
-            policy=self.policy.name)
         #: Proposal-timestamp to installed-weights latency of each
         #: accepted adaptation (the response leg of the control loop).
         self._metric_latency = metrics.histogram(
             "adaptation_latency_ms", query=query_id,
             policy=self.policy.name)
-        self._metric_oscillation = metrics.gauge(
-            "adaptivity_oscillation", query=query_id,
-            policy=self.policy.name)
         #: Deadline for control calls so a crashed peer cannot hang an
         #: adaptation forever.
         self.call_timeout_ms = 10_000.0
-
-    def _count_skip(self, reason: str) -> None:
-        """Bump the per-reason attribute and metric for one skip."""
-        attribute = f"skipped_{reason}"
-        setattr(self, attribute, getattr(self, attribute, 0) + 1)
-        metric = self._metric_skips.get(reason)
-        if metric is None:
-            metric = self.context.metrics.counter(
-                "responder_skips", query=self.query_id, reason=reason,
-                policy=self.policy.name)
-            self._metric_skips[reason] = metric
-        metric.inc()
 
     def replace_endpoint(self, old_endpoint: str, new_endpoint: str) -> None:
         """Failure recovery moved a host: re-point control targets."""
@@ -161,7 +126,6 @@ class Responder(GridService, NotificationPublisher):
                         sender: str) -> None:
         if topic != TOPIC_IMBALANCE:
             return
-        self.proposals_received += 1
         self._metric_proposals.inc()
         # A decision in progress keeps the Responder from retiring: its
         # calls' replies must find it.
@@ -174,7 +138,7 @@ class Responder(GridService, NotificationPublisher):
         if state is None:
             return
         if state.busy:
-            self._count_skip("busy")
+            self.skips["busy"] += 1
             return
         state.busy = True
         try:
@@ -188,14 +152,14 @@ class Responder(GridService, NotificationPublisher):
         if any(state.quarantined):
             # The Diagnoser's proposal assumes the full clone set;
             # deploying it would hand work back to a stalled clone.
-            self._count_skip("quarantined")
+            self.skips["quarantined"] += 1
             return
         # The accept/skip judgement (cooldown, threshold re-check
         # against our possibly-newer state, and any policy-specific
         # gating) is policy-owned.
         verdict = self.policy.decide(state, proposal, now)
         if verdict.action == SKIP:
-            self._count_skip(verdict.reason or "below_threshold")
+            self.skips[verdict.reason or "below_threshold"] += 1
             return
         proposed = list(verdict.weights)
         # Progress estimation in line with [7]: combine how much input
@@ -223,14 +187,14 @@ class Responder(GridService, NotificationPublisher):
         except ServiceError:
             # A peer is unreachable (likely crashed); abort this
             # adaptation and let failure recovery sort the world out.
-            self._count_skip("unreachable")
+            self.skips["unreachable"] += 1
             return
         if estimated_total <= 0:
             # A degenerate estimate says nothing about progress; it
             # used to masquerade as "near completion" (fraction 1.0).
             # Count it honestly and leave the run alone — adapting on
             # zero information risks thrashing a finished subplan.
-            self._count_skip("degenerate_progress")
+            self.skips["degenerate_progress"] += 1
             self.context.tracer.record(
                 "response", self.name,
                 "adaptation skipped on degenerate progress estimate",
@@ -238,7 +202,7 @@ class Responder(GridService, NotificationPublisher):
             return
         fraction = processed_total / estimated_total
         if not self.policy.accept_progress(fraction):
-            self._count_skip("near_completion")
+            self.skips["near_completion"] += 1
             self.context.tracer.record(
                 "response", self.name, "adaptation skipped near completion",
                 fraction=round(fraction, 3))
@@ -247,11 +211,10 @@ class Responder(GridService, NotificationPublisher):
         deployed = yield from self._deploy_weights(
             state, proposed, self.config.retrospective)
         if not deployed:
-            self._count_skip("unreachable")
+            self.skips["unreachable"] += 1
             return
         state.last_adaptation = now
         self.adaptations_accepted += 1
-        self._metric_adaptations.inc()
         self._metric_latency.observe(self.env.now - proposal.timestamp)
         self._note_oscillation(state, previous_weights, proposed)
         self.policy.on_adaptation(state.task.subplan_id, tuple(proposed),
@@ -286,7 +249,6 @@ class Responder(GridService, NotificationPublisher):
             if reversed_mass > 0:
                 self.oscillation += reversed_mass
         state.prev_delta = delta
-        self._metric_oscillation.set(self.oscillation)
 
     def _deploy_weights(self, state: _SubplanState, proposed: list,
                         retrospective: bool) -> typing.Generator:
@@ -362,10 +324,8 @@ class Responder(GridService, NotificationPublisher):
             state.prev_delta = None
             if quarantined:
                 self.quarantines += 1
-                self._metric_quarantines.inc()
             else:
                 self.reintegrations += 1
-                self._metric_reintegrations.inc()
                 if not any(state.quarantined):
                     state.pre_quarantine_weights = None
             self.context.tracer.record(

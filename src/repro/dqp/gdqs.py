@@ -32,12 +32,13 @@ from repro.services.base import GridService
 from repro.services.gds import GridDataService
 from repro.services.ws import WebServiceOperation
 from repro.sim.events import Event
-from repro.telemetry.metrics import AdaptivityReport
 
 
 @dataclasses.dataclass
 class QueryStatistics:
-    """Execution statistics gathered after query completion."""
+    """Execution statistics gathered after query completion: the one
+    per-query record of what the query's components counted, which the
+    metrics registry exports as is."""
 
     response_time_ms: float
     result_count: int
@@ -48,9 +49,8 @@ class QueryStatistics:
     adaptations_accepted: int
     retrospective_moves: int
     tuples_moved: int
-    skipped_near_completion: int
-    skipped_cooldown: int
-    skipped_below_threshold: int
+    #: Proposals the Responder declined, per reason ("cooldown", ...).
+    skips: dict
     machines_recovered: int
     tuples_replayed_for_recovery: int
     #: Fraction of the query's wall time each machine's CPU was busy
@@ -69,6 +69,18 @@ class QueryStatistics:
     #: Workload mass moved one way and later reversed by the policy's
     #: own adaptations (see Responder oscillation accounting).
     oscillation: float = 0.0
+
+    @property
+    def skipped_near_completion(self) -> int:
+        return self.skips.get("near_completion", 0)
+
+    @property
+    def skipped_cooldown(self) -> int:
+        return self.skips.get("cooldown", 0)
+
+    @property
+    def skipped_below_threshold(self) -> int:
+        return self.skips.get("below_threshold", 0)
 
     @property
     def consumer_imbalance_ratio(self) -> float:
@@ -371,15 +383,11 @@ class GDQS(GridService):
                 cpu = self.context.registry.machine(name).cpu
                 machine_utilisation[name] = min(
                     1.0, (cpu.busy_time - baseline) / response_time)
-        sink = runtime.sink
-        raw_events = sum(d.raw_events_received
-                         for d in runtime.detectors.values())
-        cost_notifications = sum(d.cost_notifications_sent
-                                 for d in runtime.detectors.values())
+        sink, responder = runtime.sink, runtime.responder
+        detectors = runtime.detectors.values()
         feed_xps = [producer for _endpoint, producer
                     in runtime.feed_producers]
-        degree = runtime.plan.partitioning_degree
-        tuples_per_consumer = [0] * degree
+        tuples_per_consumer = [0] * runtime.plan.partitioning_degree
         for producer in feed_xps:
             for index, count in enumerate(producer.sent_per_consumer):
                 tuples_per_consumer[index] += count
@@ -387,54 +395,28 @@ class GDQS(GridService):
             response_time_ms=response_time,
             result_count=len(sink.final_rows()),
             duplicates_dropped=sink.duplicates_dropped,
-            raw_monitoring_events=raw_events,
-            cost_notifications=cost_notifications,
+            raw_monitoring_events=sum(d.raw_events_received
+                                      for d in detectors),
+            cost_notifications=sum(d.cost_notifications_sent
+                                   for d in detectors),
             proposals_sent=(runtime.diagnoser.proposals_sent
                             if runtime.diagnoser else 0),
-            adaptations_accepted=(runtime.responder.adaptations_accepted
-                                  if runtime.responder else 0),
+            adaptations_accepted=(responder.adaptations_accepted
+                                  if responder else 0),
             retrospective_moves=sum(p.retrospective_moves
                                     for p in feed_xps),
             tuples_moved=sum(p.tuples_moved for p in feed_xps),
-            skipped_near_completion=(
-                runtime.responder.skipped_near_completion
-                if runtime.responder else 0),
-            skipped_cooldown=(runtime.responder.skipped_cooldown
-                              if runtime.responder else 0),
-            skipped_below_threshold=(
-                runtime.responder.skipped_below_threshold
-                if runtime.responder else 0),
+            skips=dict(responder.skips) if responder else {},
             machines_recovered=runtime.recoveries,
             machine_utilisation=machine_utilisation,
             tuples_replayed_for_recovery=sum(
                 p.tuples_replayed_for_recovery for p in feed_xps),
             tuples_per_consumer=tuples_per_consumer,
-            clones_quarantined=(runtime.responder.quarantines
-                                if runtime.responder else 0),
-            clones_reintegrated=(runtime.responder.reintegrations
-                                 if runtime.responder else 0),
+            clones_quarantined=responder.quarantines if responder else 0,
+            clones_reintegrated=(responder.reintegrations
+                                 if responder else 0),
             policy=(runtime.policy.name if runtime.policy else "static"),
-            oscillation=(runtime.responder.oscillation
-                         if runtime.responder else 0.0))
-        registry = self.context.metrics
-        if registry.enabled:
-            latency = None
-            if runtime.policy is not None:
-                latency = registry.find(
-                    "histogram", "detection_latency_ms",
-                    query=query_id, policy=runtime.policy.name)
-            registry.add_report(AdaptivityReport(
-                query_id=query_id,
-                response_time_ms=response_time,
-                adaptations_applied=stats.adaptations_accepted,
-                proposals_sent=stats.proposals_sent,
-                cost_notifications=stats.cost_notifications,
-                raw_monitoring_events=stats.raw_monitoring_events,
-                tuple_balance_ratio=stats.consumer_imbalance_ratio,
-                tuples_per_consumer=tuple(tuples_per_consumer),
-                detection_latency_ms=(latency.summary() if latency
-                                      else {"count": 0, "sum": 0.0}),
-                policy=stats.policy,
-                oscillation=stats.oscillation))
+            oscillation=responder.oscillation if responder else 0.0)
+        self.context.metrics.add_report(query_id, stats)
         return QueryResult(query_id, sink.final_rows(),
                            runtime.plan.output_schema, stats)

@@ -22,7 +22,6 @@ class SubplanMetrics:
     wait_ms_total: float = 0.0
     elapsed_ms_total: float = 0.0
     # Accumulators since the last M1 emission.
-    batch_consumed: int = 0
     batch_produced: int = 0
     batch_wait_ms: float = 0.0
     batch_elapsed_ms: float = 0.0
@@ -34,7 +33,6 @@ class SubplanMetrics:
 
     def record_consumed(self, count: int = 1) -> None:
         self.consumed += count
-        self.batch_consumed += count
 
     def record_iteration(self, elapsed_ms: float, produced: int) -> None:
         """One pump iteration took ``elapsed_ms`` and produced tuples."""
@@ -60,7 +58,6 @@ class SubplanMetrics:
         produced = self.batch_produced
         wait = self.batch_wait_ms
         processing = max(0.0, self.batch_elapsed_ms - wait)
-        self.batch_consumed = 0
         self.batch_produced = 0
         self.batch_wait_ms = 0.0
         self.batch_elapsed_ms = 0.0

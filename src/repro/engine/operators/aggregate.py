@@ -109,7 +109,6 @@ class GroupAggregator:
             self.aggregates.append((implementation, position))
         self.output_layout = list(output_layout)
         self._groups: dict[tuple, list] = {}
-        self.rows_consumed = 0
 
     def add(self, row: Row) -> None:
         """Fold one (already deduplicated) row into its group."""
@@ -122,7 +121,6 @@ class GroupAggregator:
         for index, (implementation, position) in enumerate(self.aggregates):
             value = row.values[position] if position is not None else None
             states[index] = implementation.add(states[index], value)
-        self.rows_consumed += 1
 
     @property
     def group_count(self) -> int:

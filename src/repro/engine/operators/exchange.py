@@ -87,11 +87,9 @@ class ExchangeProducer(UnaryOperator):
         self._channel_sent_rows: list[int] = [0] * count
         self.routed_total = 0
         self.finished = False
-        self.adaptations_applied = 0
         self.retrospective_moves = 0
         self.tuples_moved = 0
         self.tuples_replayed_for_recovery = 0
-        self.buffers_sent = 0
         metrics = ctx.grid.metrics
         self._metric_tuples_sent = metrics.counter(
             "exchange_tuples_sent", producer=producer_id)
@@ -270,7 +268,6 @@ class ExchangeProducer(UnaryOperator):
             yield from self._send_with_retry(consumer.endpoint, payload,
                                              wire_bytes, chaos)
         send_cost = self.env.now - started
-        self.buffers_sent += 1
         self._metric_buffers_sent.inc()
         self._metric_tuples_sent.inc(row_count)
         self._metric_bytes_sent.inc(wire_bytes)
@@ -393,7 +390,6 @@ class ExchangeProducer(UnaryOperator):
         if not protocol.apply(update):
             yield from self._await_replay_settled(update.epoch)
             return False
-        self.adaptations_applied += 1
         self._metric_adaptations.inc()
         if protocol.bucket_owners is not None:
             # A state channel: the consumers' state is exactly the rows

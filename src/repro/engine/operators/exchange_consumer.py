@@ -60,17 +60,15 @@ class ExchangeConsumer(Operator):
         self._announcements: dict[str, ChannelAnnouncement] = {}
         self._producer_endpoints: dict[str, str] = {}
         self.aborted = False
-        self.rows_received = 0
-        self.rows_discarded = 0
         self.acks_sent = 0
         #: Data rows currently queued (wire blocks counted by their row
         #: count), the quantity the queue-depth series samples — entry
         #: counts would under-report 50-row blocks as depth 1.
         self._queued_rows = 0
         metrics = ctx.grid.metrics
-        self._metric_rows_received = metrics.counter(
+        self._metric_received = metrics.counter(
             "exchange_rows_received", channel=channel_key)
-        self._metric_rows_discarded = metrics.counter(
+        self._metric_discarded = metrics.counter(
             "exchange_rows_discarded", channel=channel_key)
         self._metric_queue_depth = metrics.series(
             "exchange_queue_depth", channel=channel_key)
@@ -125,9 +123,8 @@ class ExchangeConsumer(Operator):
 
         self.queue.remap(filter_entry)
         removed = removed_rows[0]
-        self.rows_discarded += removed
         self._queued_rows -= removed
-        self._metric_rows_discarded.inc(removed)
+        self._metric_discarded.inc(removed)
         self._metric_queue_depth.sample(self._queued_rows)
         return removed
 
@@ -256,9 +253,8 @@ class ExchangeConsumer(Operator):
         schedule no events.
         """
         count = len(block)
-        self.rows_received += count
         self._queued_rows -= count
-        self._metric_rows_received.inc(count)
+        self._metric_received.inc(count)
         self.ctx.metrics.record_consumed(count)
         settled = self._settled.setdefault(producer_id, set())
         settled.update(block.tids())

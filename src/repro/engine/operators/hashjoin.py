@@ -54,7 +54,6 @@ class HashJoin(Operator):
         self._pending_block: Batch | None = None
         self._pending_cursor = 0
         self.build_count = 0
-        self.probe_count = 0
 
     # -- state management (R1 support) ------------------------------------
 
@@ -147,7 +146,6 @@ class HashJoin(Operator):
                 return END
             self.ctx.charge(LABEL_PROBE, self.ctx.cost.join_probe_work,
                             len(probe))
-            self.probe_count += len(probe)
             # Re-drain before matching: fetching and working the probe
             # batch takes simulated time, during which a retrospective
             # move may have replayed build tuples these probes must see

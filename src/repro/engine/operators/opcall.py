@@ -25,7 +25,6 @@ class OperationCall(UnaryOperator):
         self.operation = operation
         self.arg_position = arg_position
         self.calls_made = 0
-        self.ws_retries = 0
 
     def _retry_transient_failures(self) -> typing.Generator:
         """Re-attempt the call while chaos makes it fail transiently.
@@ -41,7 +40,6 @@ class OperationCall(UnaryOperator):
         attempt = 0
         while chaos.ws_call_fails(self.operation.name):
             attempt += 1
-            self.ws_retries += 1
             chaos.count_retry("ws")
             backoff = chaos.retry_backoff_ms(chaos.config.ws_retry, attempt)
             if backoff > 0:

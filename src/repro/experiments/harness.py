@@ -72,7 +72,7 @@ class MetricsSink:
     cannot aggregate a whole table's worth of telemetry.  Install a
     sink with :func:`set_metrics_sink`; every run reported through
     :func:`collect_metrics` (as :func:`execute` and the multiquery
-    driver do) appends the grid's instruments and per-query reports,
+    driver do) appends the grid's instruments and per-query records,
     tagged with a run label, and the caller writes one JSONL file per
     experiment.
     """

@@ -13,12 +13,7 @@ This subsystem layers three things on the single-query GDQS:
   query catalog, with throughput/latency percentile reporting.
 """
 
-from repro.sched.driver import (
-    WorkloadDriver,
-    WorkloadReport,
-    WorkloadSpec,
-    percentile,
-)
+from repro.sched.driver import WorkloadDriver, WorkloadReport, WorkloadSpec
 from repro.sched.fairshare import FairShare
 from repro.sched.health import MachineHealth
 from repro.sched.scheduler import QueryScheduler, SchedulerStatistics
@@ -47,5 +42,4 @@ __all__ = [
     "WorkloadDriver",
     "WorkloadReport",
     "WorkloadSpec",
-    "percentile",
 ]

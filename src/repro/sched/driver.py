@@ -18,16 +18,14 @@ import typing
 from repro.config import AdaptivityConfig
 from repro.errors import AdmissionRejected
 from repro.sched.scheduler import QueryScheduler
+from repro.telemetry.metrics import percentile
 
 
-def percentile(values: typing.Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (``fraction`` in [0, 1])."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1,
-               max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
+def report_percentile(values: typing.Sequence[float],
+                      fraction: float) -> float:
+    """Nearest-rank percentile of ``values``; 0.0 when no session
+    completed."""
+    return percentile(values, fraction) if values else 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,7 +96,6 @@ class WorkloadDriver:
         #: identically-seeded grids replay the same arrival sequence.
         self._rng = scheduler.context.random.stream("workload-driver")
         self.offered = 0
-        self.rejected = 0
 
     def _arrivals(self) -> typing.Generator:
         mean_gap_ms = 1000.0 / self.spec.arrival_rate_qps
@@ -115,7 +112,7 @@ class WorkloadDriver:
                                       adaptivity=self.spec.adaptivity,
                                       degree=self.spec.degree)
             except AdmissionRejected:
-                self.rejected += 1
+                pass  # the scheduler counts it
 
     def run(self) -> WorkloadReport:
         """Generate arrivals, drain the grid, and summarise."""
@@ -131,7 +128,7 @@ class WorkloadDriver:
         return WorkloadReport(
             offered=self.offered,
             admitted=stats.admitted,
-            rejected=self.rejected,
+            rejected=stats.rejected,
             completed=stats.completed,
             failed=stats.failed,
             retried=stats.retried,
@@ -139,9 +136,9 @@ class WorkloadDriver:
             availability=stats.availability,
             wasted_work_ms=stats.wasted_work_ms,
             throughput_qps=throughput,
-            queue_wait_p50_ms=percentile(stats.queue_waits_ms, 0.50),
-            queue_wait_p95_ms=percentile(stats.queue_waits_ms, 0.95),
-            response_p50_ms=percentile(stats.response_ms, 0.50),
-            response_p95_ms=percentile(stats.response_ms, 0.95),
+            queue_wait_p50_ms=report_percentile(stats.queue_waits_ms, 0.50),
+            queue_wait_p95_ms=report_percentile(stats.queue_waits_ms, 0.95),
+            response_p50_ms=report_percentile(stats.response_ms, 0.50),
+            response_p95_ms=report_percentile(stats.response_ms, 0.95),
             machine_utilisation=stats.machine_utilisation,
             makespan_ms=makespan)

@@ -112,12 +112,15 @@ class QueryScheduler:
             machine.name: machine.cpu.busy_time
             for machine in self.context.registry.materialized_machines()}
         metrics = self.context.metrics
-        self._metric_admitted = metrics.counter("sched_admitted")
-        self._metric_rejected = metrics.counter("sched_rejected")
-        self._metric_completed = metrics.counter("sched_completed")
-        self._metric_failed = metrics.counter("sched_failed")
-        self._metric_retried = metrics.counter("sched_retried")
-        self._metric_timed_out = metrics.counter("sched_timed_out")
+        # The registry reads the counts kept here at snapshot time.
+        for name, fn in (("sched_admitted", lambda: len(self.sessions)),
+                         ("sched_rejected", lambda: self.rejected),
+                         ("sched_completed", self._completed_count),
+                         ("sched_failed", lambda: self.queries_failed),
+                         ("sched_retried", lambda: self.queries_retried),
+                         ("sched_timed_out",
+                          lambda: self.queries_timed_out)):
+            metrics.gauge(name, fn=fn)
         self._metric_queue_wait = metrics.histogram("sched_queue_wait_ms")
         self._metric_mttr = metrics.histogram("sched_mttr_ms")
         self._metric_queue_depth = metrics.series("sched_queue_depth")
@@ -159,7 +162,6 @@ class QueryScheduler:
         if (len(self._running) >= self.config.max_concurrent
                 and len(self._queue) >= self.config.max_queued):
             self.rejected += 1
-            self._metric_rejected.inc()
             self.context.tracer.record(
                 CATEGORY_SCHEDULER, self.name, "query rejected",
                 running=len(self._running), queued=len(self._queue),
@@ -174,7 +176,6 @@ class QueryScheduler:
             f"s{self._session_counter}", query_text, adaptivity, degree,
             submitted_at=self.env.now)
         self.sessions.append(session)
-        self._metric_admitted.inc()
         if self.config.resilient:
             # Resilient sessions get a dedicated completion event up
             # front: the underlying handle's event settles per *attempt*
@@ -208,9 +209,12 @@ class QueryScheduler:
         if dispatched:
             self._metric_queue_depth.sample(len(self._queue))
 
+    def _completed_count(self) -> int:
+        return sum(1 for session in self.sessions
+                   if session.state == STATE_COMPLETED)
+
     def _availability(self) -> float:
-        completed = sum(1 for session in self.sessions
-                        if session.state == STATE_COMPLETED)
+        completed = self._completed_count()
         terminal = completed + self.queries_failed
         return completed / terminal if terminal else 1.0
 
@@ -297,7 +301,6 @@ class QueryScheduler:
             self._on_failure(session, event.value, event)
             return
         session.mark_completed(self.env.now)
-        self._metric_completed.inc()
         for machine in session.machines:
             self.health.record_success(machine)
         if session.first_failed_at is not None:
@@ -340,10 +343,8 @@ class QueryScheduler:
         """Terminal-failure accounting for one session."""
         session.mark_failed(self.env.now, failure)
         self.queries_failed += 1
-        self._metric_failed.inc()
         if failure.cause == CAUSE_DEADLINE:
             self.queries_timed_out += 1
-            self._metric_timed_out.inc()
         self.context.tracer.record(
             CATEGORY_SCHEDULER, self.name, "query failed",
             session=session.session_id, cause=failure.cause,
@@ -372,7 +373,6 @@ class QueryScheduler:
         if self._should_retry(session, failure):
             session.mark_retrying(self.env.now, failure)
             self.queries_retried += 1
-            self._metric_retried.inc()
             backoff = self.config.retry.backoff_ms(session.attempts)
             self.context.tracer.record(
                 CATEGORY_SCHEDULER, self.name, "query retrying",

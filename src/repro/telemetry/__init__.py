@@ -1,7 +1,6 @@
 """Observability: event tracing and metrics of the adaptivity pipeline."""
 
 from repro.telemetry.metrics import (
-    AdaptivityReport,
     Counter,
     Gauge,
     Histogram,
@@ -22,7 +21,6 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
-    "AdaptivityReport",
     "CATEGORY_ASSESSMENT",
     "CATEGORY_FAILURE",
     "CATEGORY_MONITORING",

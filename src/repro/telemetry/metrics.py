@@ -15,11 +15,18 @@ disabled (property-tested in ``tests/properties``).  A disabled
 registry hands out shared no-op instruments so call sites stay
 unconditional.
 
-Exporters: :meth:`MetricsRegistry.snapshot` (one dict per instrument)
-and :meth:`MetricsRegistry.write_jsonl` (one JSON object per line).
-The per-query :class:`AdaptivityReport` summarises one query's
-adaptivity health — adaptations applied, detection latency, realized
-tuple balance — and rides along in both exports.
+A count is recorded once, by the object that observes it.  A count
+the program reads stays an attribute of its owner, and the registry
+reads it: per grid through callback gauges (machine CPU, the
+scheduler's ``sched_*``, the chaos injector's ``chaos_*``), per query
+through the query's :class:`~repro.dqp.gdqs.QueryStatistics`, which the
+GDQS hands to :meth:`MetricsRegistry.add_report` when the query
+succeeds.  Only counts nothing but the export reads are registry
+counters.
+
+Exporters: :meth:`MetricsRegistry.snapshot` (one dict per instrument,
+then one per query record) and :meth:`MetricsRegistry.write_jsonl`
+(one JSON object per line).
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ from repro.sim.environment import Environment
 QUANTILES = (0.50, 0.95, 0.99)
 
 
+def _nearest_rank(ordered: typing.Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of the sorted, non-empty ``ordered``."""
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
+
+
 def percentile(values: typing.Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of ``values`` (must be non-empty)."""
     if not values:
         raise ValueError("percentile of empty sequence")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(values), fraction)
 
 
 def _label_key(labels: typing.Mapping[str, str]) -> tuple:
@@ -86,29 +96,23 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """A point-in-time value: set directly, or read from a callback.
+    """A point-in-time value read from its owner by a callback.
 
-    Callback gauges (``fn``) are evaluated only at snapshot time, so an
-    expensive observable (a CPU's utilisation, a machine's contention
-    factor) costs nothing while the simulation runs.
+    ``fn`` is evaluated only at snapshot time, so an observable the
+    owner already keeps (a CPU's utilisation, the scheduler's admitted
+    count) costs nothing while the simulation runs.
     """
 
     kind = "gauge"
 
     def __init__(self, name: str, labels: typing.Mapping[str, str],
-                 fn: typing.Callable[[], float] | None = None) -> None:
+                 fn: typing.Callable[[], float]) -> None:
         super().__init__(name, labels)
-        self._value = 0.0
         self._fn = fn
-
-    def set(self, value: float) -> None:
-        self._value = value
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+        return float(self._fn())
 
     def payload(self) -> dict:
         return {"value": self.value}
@@ -147,9 +151,7 @@ class Histogram(Instrument):
     def quantile(self, fraction: float) -> float:
         if not self._values:
             raise ValueError("percentile of empty sequence")
-        ordered = self._ordered()
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(self._ordered(), fraction)
 
     def summary(self) -> dict:
         """count/sum/min/max/mean plus the standard quantiles."""
@@ -164,8 +166,8 @@ class Histogram(Instrument):
             "mean": self.total / len(ordered),
         }
         for fraction in QUANTILES:
-            rank = max(1, math.ceil(fraction * len(ordered)))
-            stats[f"p{int(fraction * 100)}"] = ordered[rank - 1]
+            stats[f"p{int(fraction * 100)}"] = _nearest_rank(ordered,
+                                                             fraction)
         return stats
 
     def payload(self) -> dict:
@@ -214,9 +216,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -230,37 +229,6 @@ class _NullInstrument:
 _NULL = _NullInstrument()
 
 
-@dataclasses.dataclass(frozen=True)
-class AdaptivityReport:
-    """One query's adaptivity health, as the paper's §3.2 reports it."""
-
-    query_id: str
-    response_time_ms: float
-    adaptations_applied: int
-    proposals_sent: int
-    cost_notifications: int
-    raw_monitoring_events: int
-    #: max/min tuples per consumer (1.0 = perfectly balanced).
-    tuple_balance_ratio: float
-    tuples_per_consumer: tuple
-    #: :meth:`Histogram.summary` of detector->proposal latency (ms);
-    #: ``{"count": 0, ...}`` when no proposal was ever raised.
-    detection_latency_ms: dict = dataclasses.field(default_factory=dict)
-    #: Name of the adaptation policy that ran the control loop
-    #: ("static" when adaptivity was disabled).
-    policy: str = "static"
-    #: Workload mass moved by one adaptation and reversed by a later
-    #: one (sum of sign-flipped weight-delta overlaps); controller
-    #: churn, not fault handling.
-    oscillation: float = 0.0
-
-    def to_dict(self) -> dict:
-        record = dataclasses.asdict(self)
-        record["tuples_per_consumer"] = list(self.tuples_per_consumer)
-        record["type"] = "adaptivity_report"
-        return record
-
-
 class MetricsRegistry:
     """Get-or-create home of every instrument in one simulated world."""
 
@@ -270,7 +238,8 @@ class MetricsRegistry:
         self.enabled = enabled
         self.series_maxlen = series_maxlen
         self._instruments: dict[tuple, Instrument] = {}
-        self.reports: list[AdaptivityReport] = []
+        #: ``(query_id, QueryStatistics)`` per succeeded query.
+        self.reports: list[tuple] = []
 
     # -- instrument factories (get-or-create by (kind, name, labels)) ----
 
@@ -286,14 +255,14 @@ class MetricsRegistry:
         return instrument
 
     # ``name``/``kind`` are positional-only so labels may reuse those
-    # words (the detector labels its raw-event counter kind="m1"/"m2").
+    # words (the chaos injector labels its retry gauge kind="send").
 
     def counter(self, name: str, /, **labels: str):
         return self._get(Counter.kind, name, labels,
                          lambda: Counter(name, labels))
 
-    def gauge(self, name: str, /,
-              fn: typing.Callable[[], float] | None = None, **labels: str):
+    def gauge(self, name: str, /, fn: typing.Callable[[], float],
+              **labels: str):
         return self._get(Gauge.kind, name, labels,
                          lambda: Gauge(name, labels, fn=fn))
 
@@ -313,19 +282,23 @@ class MetricsRegistry:
     def instruments(self) -> list[Instrument]:
         return list(self._instruments.values())
 
-    # -- per-query reports ----------------------------------------------
+    # -- per-query records ----------------------------------------------
 
-    def add_report(self, report: AdaptivityReport) -> None:
+    def add_report(self, query_id: str, stats) -> None:
+        """Keep a succeeded query's statistics dataclass (not a copy)."""
         if self.enabled:
-            self.reports.append(report)
+            self.reports.append((query_id, stats))
 
     # -- exporters -------------------------------------------------------
 
     def snapshot(self) -> list[dict]:
-        """One plain dict per instrument, then one per query report."""
+        """One plain dict per instrument, then one per query record:
+        its statistics as a dict, plus the query id."""
         records = [instrument.snapshot()
                    for instrument in self._instruments.values()]
-        records.extend(report.to_dict() for report in self.reports)
+        records.extend({"type": "query_statistics", "query_id": query_id,
+                        **dataclasses.asdict(stats)}
+                       for query_id, stats in self.reports)
         return records
 
     def write_jsonl(self, path) -> int:

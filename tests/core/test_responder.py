@@ -117,7 +117,7 @@ class TestResponderDecisions:
         responder.on_notification(TOPIC_IMBALANCE, proposal(), "diag")
         context.env.run()
         assert responder.adaptations_accepted == 0
-        assert responder.skipped_near_completion == 1
+        assert responder.skips["near_completion"] == 1
         assert gqes.updates == []
 
     def test_cooldown_skips_rapid_second_adaptation(self):
@@ -132,7 +132,7 @@ class TestResponderDecisions:
             TOPIC_IMBALANCE, proposal(weights=(0.9, 0.1)), "diag")
         context.env.run()
         assert responder.adaptations_accepted == 1
-        assert responder.skipped_cooldown == 1
+        assert responder.skips["cooldown"] == 1
 
     def test_stale_proposal_below_threshold_after_install(self):
         context, responder, _gqes, _diag = make_world()
@@ -142,7 +142,7 @@ class TestResponderDecisions:
         responder.on_notification(TOPIC_IMBALANCE, proposal(), "diag")
         context.env.run()
         assert responder.adaptations_accepted == 1
-        assert responder.skipped_below_threshold == 1
+        assert responder.skips["below_threshold"] == 1
 
     def test_retrospective_flag_follows_config(self):
         config = AdaptivityConfig(response=RESPONSE_R1,
@@ -197,8 +197,8 @@ class TestResponderDecisions:
         responder.on_notification(TOPIC_IMBALANCE, proposal(), "diag")
         context.env.run()
         assert responder.adaptations_accepted == 0
-        assert responder.skipped_degenerate_progress == 1
-        assert responder.skipped_near_completion == 0
+        assert responder.skips["degenerate_progress"] == 1
+        assert responder.skips["near_completion"] == 0
         assert gqes.updates == []
 
     def test_oscillation_accumulates_on_reversed_mass(self):

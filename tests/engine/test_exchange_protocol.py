@@ -30,6 +30,11 @@ def deploy_and_run(query, adaptivity, perturb=None, spec=SPEC):
     return grid, runtime, handle.result
 
 
+def counter(grid, name, **labels):
+    """A count the exchange keeps only in the metrics registry."""
+    return grid.context.metrics.find("counter", name, **labels).value
+
+
 class TestStaticProtocol:
     def test_feed_producer_attributes_every_tuple(self):
         _grid, runtime, _result = deploy_and_run(
@@ -40,12 +45,13 @@ class TestStaticProtocol:
         assert feed.finished
 
     def test_buffers_sent_matches_buffer_size(self):
-        _grid, runtime, _result = deploy_and_run(
+        grid, runtime, _result = deploy_and_run(
             Q1, AdaptivityConfig.disabled())
         feed = runtime.feed_producers[0][1]
         # 150 tuples, 2 consumers x 75, buffer 50 => 2 buffers per
         # consumer (one full, one partial).
-        assert feed.buffers_sent == 4
+        assert counter(grid, "exchange_buffers_sent",
+                       producer=feed.producer_id) == 4
 
     def test_channel_announcements_complete_all_consumers(self):
         _grid, runtime, _result = deploy_and_run(
@@ -111,9 +117,10 @@ class TestRetrospectiveProtocol:
         return deploy_and_run(query, adaptivity, perturb=perturb)
 
     def test_discards_reach_the_old_consumer(self):
-        _grid, runtime, _result = self.run_r1(
+        grid, runtime, _result = self.run_r1(
             Q1, lambda g: perturb_ws_cost(g, 12.0))
-        discarded = sum(consumer.rows_discarded
+        discarded = sum(counter(grid, "exchange_rows_discarded",
+                                channel=consumer.channel_key)
                         for fragment in runtime.compute_fragments
                         for consumer in fragment.consumers.values())
         assert discarded > 0
@@ -147,10 +154,11 @@ class TestRetrospectiveProtocol:
         assert moved > 0
 
     def test_epoch_guard_rejects_stale_updates(self):
-        _grid, runtime, _result = self.run_r1(
+        grid, runtime, _result = self.run_r1(
             Q1, lambda g: perturb_ws_cost(g, 12.0))
         feed = runtime.feed_producers[0][1]
-        assert feed.protocol.applied_epoch == feed.adaptations_applied
+        assert feed.protocol.applied_epoch == counter(
+            grid, "exchange_adaptations_applied", producer=feed.producer_id)
 
     def test_quiescent_after_adaptive_run(self):
         _grid, runtime, _result = self.run_r1(

@@ -178,7 +178,10 @@ class TestProducerInternals:
         process = context.env.process(apply(context.env))
         context.env.run(until=process)
         assert process.value == (True, False)
-        assert producer.adaptations_applied == 1
+        applied = context.metrics.find(
+            "counter", "exchange_adaptations_applied",
+            producer=producer.producer_id)
+        assert applied.value == 1
 
     def test_retrospective_update_moves_and_discards(self):
         policy = HashBucketPolicy(2, key_position=0, bucket_count=16)
@@ -330,7 +333,9 @@ class TestConsumerInternals:
             removed = consumer.apply_discard(DiscardTuples(
                 "compute:0:0", "xp:feed0:0", frozenset({"t#1", "t#3"})))
             assert removed == 2
-            assert consumer.rows_discarded == 2
+            discarded = context.metrics.find(
+                "counter", "exchange_rows_discarded", channel="compute:0:0")
+            assert discarded.value == 2
             assert self.queue_depth_samples(context) == [4, 2]
             got = self.drain_rows(context, consumer, 2)
             assert [(r.tid, r.values) for r in got] == [

@@ -14,10 +14,13 @@ plane; each test here fails against the pre-fix code:
 Micro-benchmark note (1-vCPU CI-class host, N = 200 000): the pending
 drain took ~330 s with ``split_at`` per pull and ~0.3 s with the
 block cursor; ``rebalance_outstanding`` took ~3.4 s with the shifting
-receiver list and ~0.35 s with the cursor.  The 2 s limits below sit
-between the two regimes with a wide margin on either side.
+receiver list and ~0.35 s with the cursor.  An absolute wall-clock
+limit flakes on a loaded host, so the two drain tests time the same
+work at N and 4N in process CPU time with the collector off and bound
+the ratio: linear work gives about 4, the quadratic paths about 16.
 """
 
+import gc
 import time
 
 from repro.data.batch import Batch
@@ -26,10 +29,26 @@ from repro.engine.distribution import rebalance_outstanding
 from repro.engine.operators.hashjoin import HashJoin
 from repro.telemetry.metrics import Histogram, percentile
 
-#: Large enough that the quadratic variants take seconds while the
-#: fixed ones stay well under the limit (see module docstring).
-_SCALE = 200_000
-_LIMIT_S = 2.0
+#: The smaller of the two sizes each scaling check times.
+_SCALE = 20_000
+#: Bound on time(4N) / time(N): linear ~4, quadratic ~16.
+_MAX_RATIO = 8.0
+
+
+def _growth(prepare):
+    """time(4N) / time(N) of the call ``prepare(size)`` returns, and
+    what the 4N call returned."""
+    timings = []
+    gc.disable()
+    try:
+        for size in (_SCALE, 4 * _SCALE):
+            work = prepare(size)
+            started = time.process_time()
+            result = work()
+            timings.append(time.process_time() - started)
+    finally:
+        gc.enable()
+    return timings[1] / timings[0], result
 
 
 def _drive(generator):
@@ -62,16 +81,18 @@ class TestHashJoinPendingDrain:
     def test_skewed_fanout_drains_linearly(self):
         """A huge held block drains one row per pull in linear time,
         preserving FIFO order."""
-        join = HashJoin(_StubContext(), None, None, 0, 0)
-        block = _held_block(_SCALE)
-        join._pending_block = block
-        started = time.perf_counter()
-        drained = [_drive(join.next_batch(1)) for _ in range(_SCALE)]
-        elapsed = time.perf_counter() - started
+        def prepare(size):
+            join = HashJoin(_StubContext(), None, None, 0, 0)
+            join._pending_block = _held_block(size)
+            return lambda: (join, [_drive(join.next_batch(1))
+                                   for _ in range(size)])
+
+        ratio, (join, batches) = _growth(prepare)
         assert join._pending_block is None
-        assert all(len(batch) == 1 for batch in drained)
-        assert [batch.tids()[0] for batch in drained] == block.tids()
-        assert elapsed < _LIMIT_S, f"pending drain took {elapsed:.2f}s"
+        assert all(len(batch) == 1 for batch in batches)
+        assert ([batch.tids()[0] for batch in batches]
+                == _held_block(4 * _SCALE).tids())
+        assert ratio < _MAX_RATIO, f"4x the rows took {ratio:.1f}x the time"
 
     def test_batch_drain_preserves_fifo_order(self):
         join = HashJoin(_StubContext(), None, None, 0, 0)
@@ -85,14 +106,14 @@ class TestHashJoinPendingDrain:
 
 class TestRebalanceOutstandingDrain:
     def test_many_receivers_plan_in_linear_time(self):
-        """One overloaded consumer redistributing to _SCALE receivers."""
-        assignments = {0: [Row((i,), ("src", i)) for i in range(_SCALE)]}
-        weights = [1.0] * _SCALE
-        started = time.perf_counter()
-        moves = rebalance_outstanding(assignments, weights)
-        elapsed = time.perf_counter() - started
-        assert len(moves[0]) == _SCALE - 1
-        assert elapsed < _LIMIT_S, f"rebalance took {elapsed:.2f}s"
+        """One overloaded consumer redistributing to N receivers."""
+        def prepare(size):
+            assignments = {0: [Row((i,), ("src", i)) for i in range(size)]}
+            return lambda: rebalance_outstanding(assignments, [1.0] * size)
+
+        ratio, moves = _growth(prepare)
+        assert len(moves[0]) == 4 * _SCALE - 1
+        assert ratio < _MAX_RATIO, f"4x the receivers took {ratio:.1f}x"
 
     def test_plan_is_pinned(self):
         """The cursor walk visits receivers in the same order the

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import AdaptivityConfig, SchedulerConfig
-from repro.sched import WorkloadDriver, WorkloadSpec, percentile
+from repro.sched import WorkloadDriver, WorkloadSpec
+from repro.sched.driver import report_percentile
 from repro.workloads import DemoGrid, DemoGridSpec, Q1, Q2
 
 SPEC = DemoGridSpec(sequences_cardinality=120, interactions_cardinality=180,
@@ -28,21 +29,26 @@ def make_driver(arrival_rate_qps=0.6, duration_ms=12000.0, seed=0,
 
 class TestPercentile:
     def test_empty_is_zero(self):
-        assert percentile([], 0.95) == 0.0
+        assert report_percentile([], 0.95) == 0.0
 
     def test_single_value(self):
-        assert percentile([7.0], 0.5) == 7.0
-        assert percentile([7.0], 0.95) == 7.0
+        assert report_percentile([7.0], 0.5) == 7.0
+        assert report_percentile([7.0], 0.95) == 7.0
 
     def test_nearest_rank(self):
         values = [float(v) for v in range(1, 11)]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 0.5) in (5.0, 6.0)
-        assert percentile(values, 0.95) == 10.0
-        assert percentile(values, 1.0) == 10.0
+        assert report_percentile(values, 0.0) == 1.0
+        assert report_percentile(values, 0.5) == 5.0
+        assert report_percentile(values, 0.95) == 10.0
+        assert report_percentile(values, 1.0) == 10.0
+        # The smallest value with at least half the samples at or
+        # below it: rank ceil(0.5 * 20) = 10, not round-half-even's 11.
+        values = [float(v) for v in range(1, 21)]
+        assert report_percentile(values, 0.5) == 10.0
+        assert report_percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
 
     def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
+        assert report_percentile([3.0, 1.0, 2.0], 0.5) == 2.0
 
 
 class TestWorkloadSpec:

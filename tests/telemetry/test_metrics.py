@@ -1,15 +1,12 @@
 """Unit tests for the simulated-time metrics registry."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.sim.environment import Environment
-from repro.telemetry.metrics import (
-    AdaptivityReport,
-    MetricsRegistry,
-    percentile,
-)
+from repro.telemetry.metrics import MetricsRegistry, percentile
 
 
 def make_registry(enabled=True, **kwargs):
@@ -41,12 +38,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(4.0)
         assert counter.value == 5.0
-
-    def test_gauge_set(self):
-        gauge = make_registry().gauge("depth")
-        assert gauge.value == 0.0
-        gauge.set(3.5)
-        assert gauge.value == 3.5
 
     def test_gauge_callback_read_at_snapshot_time(self):
         state = {"busy": 1.0}
@@ -103,7 +94,7 @@ class TestRegistry:
         registry = make_registry(enabled=False)
         counter = registry.counter("sent")
         counter.inc(10.0)
-        registry.gauge("depth").set(5.0)
+        registry.gauge("depth", fn=lambda: 5.0)
         registry.histogram("latency").observe(1.0)
         registry.series("queue").sample(2.0)
         assert counter.value == 0.0
@@ -112,43 +103,48 @@ class TestRegistry:
 
     def test_disabled_registry_drops_reports(self):
         registry = make_registry(enabled=False)
-        registry.add_report(make_report())
+        registry.add_report("q1", Stats())
         assert registry.reports == []
 
     def test_snapshot_lists_instruments_then_reports(self):
         registry = make_registry()
         registry.counter("sent", machine="m1").inc()
-        registry.add_report(make_report())
+        registry.add_report("q1", Stats())
         records = registry.snapshot()
         assert [r["type"] for r in records] == ["counter",
-                                                "adaptivity_report"]
+                                                "query_statistics"]
         assert records[0]["labels"] == {"machine": "m1"}
 
     def test_write_jsonl_round_trips(self, tmp_path):
         registry = make_registry()
         registry.counter("sent").inc(3.0)
         registry.histogram("latency").observe(2.0)
-        registry.add_report(make_report())
+        registry.add_report("q1", Stats())
         path = tmp_path / "metrics.jsonl"
         count = registry.write_jsonl(path)
         lines = path.read_text().splitlines()
         assert count == len(lines) == 3
         records = [json.loads(line) for line in lines]
         assert {r["type"] for r in records} == {
-            "counter", "histogram", "adaptivity_report"}
+            "counter", "histogram", "query_statistics"}
 
-
-def make_report():
-    return AdaptivityReport(
-        query_id="q1", response_time_ms=1234.5, adaptations_applied=1,
-        proposals_sent=2, cost_notifications=7, raw_monitoring_events=37,
-        tuple_balance_ratio=1.0, tuples_per_consumer=(75, 75),
-        detection_latency_ms={"count": 0, "sum": 0.0})
-
-
-class TestAdaptivityReport:
-    def test_to_dict_is_json_serialisable(self):
-        record = make_report().to_dict()
-        assert record["type"] == "adaptivity_report"
-        assert record["tuples_per_consumer"] == [75, 75]
+    def test_report_record_is_statistics_plus_query_id(self):
+        registry = make_registry()
+        stats = Stats()
+        registry.add_report("q1", stats)
+        assert registry.reports == [("q1", stats)]
+        record = registry.snapshot()[-1]
+        assert record == {"type": "query_statistics", "query_id": "q1",
+                          **dataclasses.asdict(stats)}
         json.dumps(record)
+
+
+@dataclasses.dataclass
+class Stats:
+    """Stands in for a query's ``QueryStatistics``."""
+
+    response_time_ms: float = 1234.5
+    skips: dict = dataclasses.field(
+        default_factory=lambda: {"cooldown": 2})
+    tuples_per_consumer: list = dataclasses.field(
+        default_factory=lambda: [75, 75])

@@ -223,12 +223,15 @@ class TestCliMetrics:
         assert records, "metrics file is empty"
         names = {r.get("name") for r in records}
         assert "machine_cpu_utilisation" in names
-        assert "detector_raw_events" in names
+        latency = [r for r in records
+                   if r.get("name") == "detection_latency_ms"]
+        assert [r["type"] for r in latency] == ["histogram"]
+        assert latency[0]["count"] > 0
         reports = [r for r in records
-                   if r["type"] == "adaptivity_report"]
+                   if r["type"] == "query_statistics"]
         assert len(reports) == 1
         assert reports[0]["raw_monitoring_events"] > 0
-        assert "count" in reports[0]["detection_latency_ms"]
+        assert "adaptations_accepted" in reports[0]
 
     def test_metrics_out_workload_mode(self, capsys, tmp_path):
         path = tmp_path / "metrics.jsonl"
@@ -237,10 +240,11 @@ class TestCliMetrics:
             "--seed", "3", "--metrics-out", str(path), *SMALL)
         assert code == 0
         records = self.read_jsonl(path)
-        names = {r.get("name") for r in records}
-        assert "sched_admitted" in names
-        assert "sched_queue_wait_ms" in names
-        assert any(r["type"] == "adaptivity_report" for r in records)
+        by_name = {r.get("name"): r for r in records}
+        assert by_name["sched_admitted"]["type"] == "gauge"
+        assert by_name["sched_admitted"]["value"] > 0
+        assert "sched_queue_wait_ms" in by_name
+        assert any(r["type"] == "query_statistics" for r in records)
 
     def test_no_metrics_flag_writes_nothing(self, capsys, tmp_path):
         code, out = run_cli(
