@@ -52,10 +52,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.budget < 0:
         parser.error(f"--budget must be >= 0, got {args.budget}")
-    # 'all' deliberately excludes the fuzzer: a campaign's budget and
-    # artifact directory are an explicit choice, not a side effect.
-    names = (sorted(EXPERIMENTS) if "all" in args.experiments
-             else args.experiments)
+    # 'all' expands in place and deliberately excludes the fuzzer: a
+    # campaign's budget and artifact directory are an explicit choice,
+    # not a side effect.  Each id runs once, at its first mention.
+    names = list(dict.fromkeys(
+        expanded for name in args.experiments
+        for expanded in (sorted(EXPERIMENTS) if name == "all" else [name])))
     for name in names:
         started = time.time()
         sink = None if args.no_metrics else MetricsSink()

@@ -22,12 +22,15 @@ provenance) turn faults into latency, never into data loss.
 
 from __future__ import annotations
 
+import types
+
 from repro.chaos import ChaosConfig, FaultSchedule, MachineFreeze
 from repro.config import AdaptivityConfig, FaultToleranceConfig
 from repro.experiments.harness import (
     ExperimentReport,
+    Stat,
     SweepCell,
-    SweepRunner,
+    run_table,
 )
 from repro.workloads.proteins import DemoGrid, DemoGridSpec
 from repro.workloads.queries import Q1, Q2
@@ -39,11 +42,15 @@ _SPEC = DemoGridSpec(sequences_cardinality=600,
 _DELAY_MS = 30.0
 _WS_FAIL_SCALE = 2.0  # WS failures are commoner than link faults
 
-_FREEZE_FT = FaultToleranceConfig(enabled=True,
-                                  heartbeat_interval_ms=200.0,
-                                  suspect_timeout_ms=500.0,
-                                  failure_timeout_ms=5000.0)
-_FREEZE = MachineFreeze("compute-2", at_ms=800.0, duration_ms=2000.0)
+#: The quarantine scenario (also a tournament scenario): one clone
+#: stalls 2 s, past the suspect timeout but short of the failure
+#: deadline, so it is quarantined and then reintegrated.
+FREEZE_FT = FaultToleranceConfig(enabled=True,
+                                 heartbeat_interval_ms=200.0,
+                                 suspect_timeout_ms=500.0,
+                                 failure_timeout_ms=5000.0)
+FREEZE_CHAOS = ChaosConfig(enabled=True, schedule=FaultSchedule(freezes=(
+    MachineFreeze("compute-2", at_ms=800.0, duration_ms=2000.0),)))
 
 
 def _chaos_for(rate: float, query: str) -> ChaosConfig | None:
@@ -58,110 +65,58 @@ def _chaos_for(rate: float, query: str) -> ChaosConfig | None:
                                 if query == Q1 else 0.0))
 
 
-def _rate_cell(query: str, rate: float, adaptive: bool) -> dict:
-    """One fault-rate run; returns the row ingredients as primitives."""
-    grid = DemoGrid(_SPEC, chaos=_chaos_for(rate, query))
-    adaptivity = (AdaptivityConfig() if adaptive
-                  else AdaptivityConfig.disabled())
-    result = grid.run(query, adaptivity)
-    counters = (grid.chaos.counters() if grid.chaos is not None
-                else {})
-    return {
-        "response_time_ms": result.response_time_ms,
-        "counters": dict(counters),
-        "result_count": result.stats.result_count,
-    }
+def _chaos_cell(query: str, adaptive: bool = True,
+                chaos: ChaosConfig | None = None,
+                fault_tolerance: FaultToleranceConfig | None = None
+                ) -> types.SimpleNamespace:
+    """One run under ``chaos``; returns the row ingredients."""
+    grid = DemoGrid(_SPEC, fault_tolerance=fault_tolerance, chaos=chaos)
+    result = grid.run(query, AdaptivityConfig() if adaptive
+                      else AdaptivityConfig.disabled())
+    counters = grid.chaos.counters() if grid.chaos is not None else {}
+    return types.SimpleNamespace(
+        response_time_ms=result.response_time_ms,
+        drops=counters.get("messages_dropped", 0),
+        dups=counters.get("messages_duplicated", 0),
+        retries=sum(counters.get(f"{kind}_retries", 0)
+                    for kind in ("send", "call", "ws")),
+        quarantined=result.stats.clones_quarantined,
+        results=result.stats.result_count)
 
 
-def _freeze_baseline_cell() -> float:
-    """The quarantine scenario's fault-free reference run."""
-    grid = DemoGrid(_SPEC, fault_tolerance=_FREEZE_FT)
-    return grid.run(Q1, AdaptivityConfig()).response_time_ms
-
-
-def _freeze_cell() -> dict:
-    """The quarantine scenario: one clone stalled mid-run."""
-    chaos = ChaosConfig(enabled=True,
-                        schedule=FaultSchedule(freezes=(_FREEZE,)))
-    grid = DemoGrid(_SPEC, fault_tolerance=_FREEZE_FT, chaos=chaos)
-    result = grid.run(Q1, AdaptivityConfig())
-    return {
-        "response_time_ms": result.response_time_ms,
-        "counters": dict(grid.chaos.counters()),
-        "quarantined": result.stats.clones_quarantined,
-        "result_count": result.stats.result_count,
-    }
-
-
-#: Fault-rate sweep groups: (query text, row label, adaptive).
-_GROUPS = tuple((query, label, adaptive)
-                for query, label in ((Q1, "Q1"), (Q2, "Q2"))
-                for adaptive in (True, False))
-
-
-def cells() -> list[SweepCell]:
-    sweep = []
-    for query, label, adaptive in _GROUPS:
-        for rate in FAULT_RATES:
-            sweep.append(SweepCell(
-                f"{label}:{'on' if adaptive else 'off'}:{rate:g}",
-                _rate_cell,
-                {"query": query, "rate": rate, "adaptive": adaptive}))
-    sweep.append(SweepCell("Q1+freeze:baseline", _freeze_baseline_cell))
-    sweep.append(SweepCell("Q1+freeze:stall", _freeze_cell))
-    return sweep
-
-
-def _retries(counters: dict) -> int:
-    return (counters.get("send_retries", 0)
-            + counters.get("call_retries", 0)
-            + counters.get("ws_retries", 0))
+def _entries(cell: SweepCell, per: SweepCell) -> list[Stat]:
+    return [Stat(cell, per=per)] + [
+        Stat(cell, field=field)
+        for field in ("drops", "dups", "retries", "quarantined", "results")]
 
 
 def run(jobs: int = 1) -> ExperimentReport:
     """Fault-rate sweep plus the freeze/quarantine scenario."""
-    values = SweepRunner(jobs).run(cells())
-    points = iter(values)
     rows = []
-    for _query, label, adaptive in _GROUPS:
-        baseline_ms = None
-        for rate in FAULT_RATES:
-            outcome = next(points)
-            if baseline_ms is None:
-                baseline_ms = outcome["response_time_ms"]
-            counters = outcome["counters"]
-            rows.append([
-                label,
-                "on" if adaptive else "off",
-                f"{rate:.2f}",
-                outcome["response_time_ms"] / baseline_ms,
-                counters.get("messages_dropped", 0),
-                counters.get("messages_duplicated", 0),
-                _retries(counters),
-                0,
-                outcome["result_count"],
-            ])
-
+    for query, label in ((Q1, "Q1"), (Q2, "Q2")):
+        for adaptive in (True, False):
+            switch = "on" if adaptive else "off"
+            cells = [SweepCell(f"{label}:{switch}:{rate:g}", _chaos_cell,
+                               {"query": query, "adaptive": adaptive,
+                                "chaos": _chaos_for(rate, query)})
+                     for rate in FAULT_RATES]
+            # The first rate is fault-free: the group's baseline.
+            rows += [[label, switch, f"{rate:.2f}",
+                      *_entries(cell, per=cells[0])]
+                     for rate, cell in zip(FAULT_RATES, cells)]
     # Quarantine scenario: transient stall of one clone, Q1 adaptive.
-    freeze_baseline_ms = next(points)
-    freeze = next(points)
-    counters = freeze["counters"]
-    rows.append([
-        "Q1+freeze", "on", "stall",
-        freeze["response_time_ms"] / freeze_baseline_ms,
-        counters.get("messages_dropped", 0),
-        counters.get("messages_duplicated", 0),
-        _retries(counters),
-        freeze["quarantined"],
-        freeze["result_count"],
-    ])
+    freeze = {"query": Q1, "fault_tolerance": FREEZE_FT}
+    rows.append(["Q1+freeze", "on", "stall", *_entries(
+        SweepCell("Q1+freeze:stall", _chaos_cell,
+                  dict(freeze, chaos=FREEZE_CHAOS)),
+        per=SweepCell("Q1+freeze:baseline", _chaos_cell, freeze))])
     return ExperimentReport(
         experiment_id="chaos",
         title="Transient faults: retry/backoff and clone quarantine "
               "(extension)",
         columns=["query", "adaptive", "fault rate", "normalised time",
                  "drops", "dups", "retries", "quarantined", "results"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Normalised to the fault-free run of the same (query, "
                "adaptivity) configuration; the freeze row reports the "
                "suspect-clone scenario (one clone stalled 2 s, "

@@ -8,10 +8,10 @@
   and (ii) retrospective adaptations scale better with perturbation
   size.
 
-Both sweeps declare their runs as :class:`SweepCell` data — one
-baseline cell plus one cell per (perturbation, policy) point — so the
-runner can execute them serially or over a process pool with identical
-output.
+Both tables declare each point as a :class:`Stat` of one
+:func:`query_cell`, normalised to the unperturbed static cell;
+:func:`run_table` runs them serially or over a process pool with
+identical output.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from repro.config import (
 )
 from repro.experiments.harness import (
     ExperimentReport,
+    Stat,
     SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    query_cell,
+    run_table,
 )
 from repro.workloads.scenarios import perturb_ws_cost
 
@@ -50,64 +50,48 @@ POLICIES = (
 )
 
 
-def fig2a_cells() -> list[SweepCell]:
-    cells = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
-    for factor in PERTURBATION_FACTORS:
-        perturb = functools.partial(perturb_ws_cost, factor=factor)
-        for enabled in (False, True):
-            cells.append(SweepCell(
-                f"Q1:{factor:g}x:{'adaptive' if enabled else 'static'}",
-                stats_cell, {"query_key": "Q1", "perturb": perturb,
-                           "adaptivity": PROSPECTIVE if enabled else None}))
-    return cells
-
-
-def fig2b_cells() -> list[SweepCell]:
-    cells = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
-    for factor in PERTURBATION_FACTORS:
-        perturb = functools.partial(perturb_ws_cost, factor=factor)
-        for name, assessment, response in POLICIES:
-            cells.append(SweepCell(
-                f"Q1:{factor:g}x:{name}", stats_cell,
-                {"query_key": "Q1", "perturb": perturb,
-                 "adaptivity": AdaptivityConfig(assessment=assessment,
-                                                response=response)}))
-    return cells
+def ws_cell(factor: float, adaptive: bool, prefix: str = "Q1",
+            **run) -> SweepCell:
+    """Q1 with one WS ``factor`` times costlier, static or prospective."""
+    return query_cell(
+        f"{prefix}:{factor:g}x:{'adaptive' if adaptive else 'static'}",
+        perturb=functools.partial(perturb_ws_cost, factor=factor),
+        adaptivity=PROSPECTIVE if adaptive else None, **run)
 
 
 def run_fig2a(jobs: int = 1) -> ExperimentReport:
     """Fig. 2(a): Q1, prospective adaptations, adaptivity off vs on."""
-    values = SweepRunner(jobs).run(fig2a_cells())
-    baseline_ms, points = values[0], iter(values[1:])
-    rows = []
-    for factor in PERTURBATION_FACTORS:
-        disabled = next(points).response_time_ms / baseline_ms
-        enabled = next(points).response_time_ms / baseline_ms
-        paper_disabled, paper_enabled = PAPER_FIG2A[factor]
-        rows.append([f"{factor:.0f} times", disabled, enabled,
-                     paper_disabled, paper_enabled])
+    baseline = query_cell("Q1:baseline")
+    rows = [[f"{factor:.0f} times",
+             Stat(ws_cell(factor, False), per=baseline),
+             Stat(ws_cell(factor, True), per=baseline),
+             *PAPER_FIG2A[factor]]
+            for factor in PERTURBATION_FACTORS]
     return ExperimentReport(
         experiment_id="fig2a",
         title="Q1, prospective adaptations (Fig. 2a)",
         columns=["perturbation", "adaptivity disabled", "adaptivity enabled",
                  "paper disabled", "paper enabled"],
-        rows=rows)
+        rows=run_table(rows, jobs))
 
 
 def run_fig2b(jobs: int = 1) -> ExperimentReport:
     """Fig. 2(b): Q1 under the three adaptivity policy combinations."""
-    values = SweepRunner(jobs).run(fig2b_cells())
-    baseline_ms, points = values[0], iter(values[1:])
-    rows = []
-    for factor in PERTURBATION_FACTORS:
-        policy_values = [next(points).response_time_ms / baseline_ms
-                         for _policy in POLICIES]
-        rows.append([f"{factor:.0f} times"] + policy_values)
+    baseline = query_cell("Q1:baseline")
+    rows = [[f"{factor:.0f} times"] + [
+        Stat(query_cell(
+            f"Q1:{factor:g}x:{name}",
+            perturb=functools.partial(perturb_ws_cost, factor=factor),
+            adaptivity=AdaptivityConfig(assessment=assessment,
+                                        response=response)),
+            per=baseline)
+        for name, assessment, response in POLICIES]
+        for factor in PERTURBATION_FACTORS]
     return ExperimentReport(
         experiment_id="fig2b",
         title="Q1 under different adaptivity policies (Fig. 2b)",
         columns=["perturbation"] + [name for name, _a, _r in POLICIES],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected shape: A1-R2 <= A2-R2 (pipelining hides "
                "communication), and A1-R1 roughly flat across "
                "perturbation sizes."))

@@ -10,8 +10,8 @@ with a doubled dataset.
   retrospective ones.  Its comparator column reruns Fig. 2(a)'s
   3000-tuple prospective points.
 
-Both sweeps are declared as :class:`SweepCell` data (baseline cells
-plus one cell per measured point) for the parallel sweep runner.
+Both tables declare each point as a :class:`Stat` of one
+:func:`query_cell` over its baseline cell, for :func:`run_table`.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ import dataclasses
 import functools
 
 from repro.config import AdaptivityConfig, RESPONSE_R1
-from repro.experiments.fig2 import PROSPECTIVE
+from repro.experiments.fig2 import ws_cell
 from repro.experiments.harness import (
     ExperimentReport,
-    SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    Stat,
+    query_cell,
+    run_table,
 )
 from repro.workloads.proteins import DemoGridSpec
-from repro.workloads.scenarios import perturb_join_sleep, perturb_ws_cost
+from repro.workloads.scenarios import perturb_join_sleep
 
 SLEEP_MS = (10.0, 50.0, 100.0)
 FACTORS = (10.0, 20.0, 30.0)
@@ -38,51 +37,24 @@ FACTORS = (10.0, 20.0, 30.0)
 FIG3B_SPEC = dataclasses.replace(DemoGridSpec(), sequences_cardinality=6000)
 
 
-def fig3a_cells() -> list[SweepCell]:
-    cells = [SweepCell("Q2:baseline", baseline_cell, {"query_key": "Q2"})]
-    for sleep_ms in SLEEP_MS:
-        perturb = functools.partial(perturb_join_sleep, sleep_ms=sleep_ms)
-        for enabled in (False, True):
-            cells.append(SweepCell(
-                f"Q2:{sleep_ms:g}ms:{'adaptive' if enabled else 'static'}",
-                stats_cell,
-                {"query_key": "Q2", "perturb": perturb,
-                 "adaptivity": (AdaptivityConfig(response=RESPONSE_R1)
-                                if enabled else None)}))
-    return cells
-
-
-def fig3b_cells() -> list[SweepCell]:
-    cells = [SweepCell("Q1x2:baseline", baseline_cell,
-                       {"query_key": "Q1", "spec": FIG3B_SPEC}),
-             SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
-    for factor in FACTORS:
-        run = {"query_key": "Q1",
-               "perturb": functools.partial(perturb_ws_cost, factor=factor)}
-        cells.append(SweepCell(f"Q1x2:{factor:g}x:static", stats_cell,
-                               dict(run, spec=FIG3B_SPEC)))
-        cells.append(SweepCell(f"Q1x2:{factor:g}x:adaptive", stats_cell,
-                               dict(run, spec=FIG3B_SPEC,
-                                    adaptivity=PROSPECTIVE)))
-        cells.append(SweepCell(f"Q1:{factor:g}x:adaptive", stats_cell,
-                               dict(run, adaptivity=PROSPECTIVE)))
-    return cells
-
-
 def run_fig3a(jobs: int = 1) -> ExperimentReport:
     """Fig. 3(a): Q2, retrospective adaptations, growing sleeps."""
-    values = SweepRunner(jobs).run(fig3a_cells())
-    baseline_ms, points = values[0], iter(values[1:])
-    rows = []
-    for sleep_ms in SLEEP_MS:
-        disabled = next(points).response_time_ms / baseline_ms
-        enabled = next(points).response_time_ms / baseline_ms
-        rows.append([f"{sleep_ms:.0f}msec", disabled, enabled])
+    baseline = query_cell("Q2:baseline", "Q2")
+    rows = [[f"{sleep_ms:.0f}msec"] + [
+        Stat(query_cell(
+            f"Q2:{sleep_ms:g}ms:{'adaptive' if enabled else 'static'}",
+            "Q2",
+            perturb=functools.partial(perturb_join_sleep, sleep_ms=sleep_ms),
+            adaptivity=(AdaptivityConfig(response=RESPONSE_R1)
+                        if enabled else None)),
+            per=baseline)
+        for enabled in (False, True)]
+        for sleep_ms in SLEEP_MS]
     return ExperimentReport(
         experiment_id="fig3a",
         title="Q2, retrospective adaptations (Fig. 3a)",
         columns=["sleep", "adaptivity disabled", "adaptivity enabled"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected shape: the enabled bars remain similar as the "
                "sleep grows (retrospective adaptations are insensitive "
                "to perturbation size)."))
@@ -90,20 +62,21 @@ def run_fig3a(jobs: int = 1) -> ExperimentReport:
 
 def run_fig3b(jobs: int = 1) -> ExperimentReport:
     """Fig. 3(b): Q1 at double data size, prospective adaptations."""
-    values = SweepRunner(jobs).run(fig3b_cells())
-    doubled_ms, single_ms, points = values[0], values[1], iter(values[2:])
-    rows = []
-    for factor in FACTORS:
-        disabled = next(points).response_time_ms / doubled_ms
-        enabled = next(points).response_time_ms / doubled_ms
-        single_size = next(points).response_time_ms / single_ms
-        rows.append([f"{factor:.0f} times", disabled, enabled, single_size])
+    doubled = query_cell("Q1x2:baseline", spec=FIG3B_SPEC)
+    single = query_cell("Q1:baseline")
+    rows = [[f"{factor:.0f} times",
+             Stat(ws_cell(factor, False, "Q1x2", spec=FIG3B_SPEC),
+                  per=doubled),
+             Stat(ws_cell(factor, True, "Q1x2", spec=FIG3B_SPEC),
+                  per=doubled),
+             Stat(ws_cell(factor, True), per=single)]
+            for factor in FACTORS]
     return ExperimentReport(
         experiment_id="fig3b",
         title="Q1 with double data size, prospective (Fig. 3b)",
         columns=["perturbation", "adaptivity disabled",
                  "adaptivity enabled", "enabled @3000 tuples (fig2a)"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected shape: with 6000 tuples the prospective results "
                "improve on the 3000-tuple ones and approach the "
                "retrospective behaviour."))

@@ -6,9 +6,8 @@ least one unperturbed machine the adaptive system degrades very
 gracefully and almost independently of the perturbation magnitude; the
 static system degrades by up to an order of magnitude.
 
-The 24-run sweep is declared as :class:`SweepCell` data (a baseline
-cell plus one cell per (magnitude, perturbed count, adaptivity) point)
-for the parallel sweep runner.
+Each of the 24 points is a :class:`Stat` of one :func:`query_cell`
+over the unperturbed static cell, filled by :func:`run_table`.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ import functools
 from repro.config import AdaptivityConfig, RESPONSE_R1
 from repro.experiments.harness import (
     ExperimentReport,
-    SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    Stat,
+    query_cell,
+    run_table,
 )
 from repro.workloads.proteins import DemoGridSpec
 from repro.workloads.scenarios import perturb_ws_cost
@@ -34,40 +32,27 @@ PERTURBED_COUNTS = (0, 1, 2, 3)
 FIG4_SPEC = dataclasses.replace(DemoGridSpec(), compute_machines=3)
 
 
-def cells() -> list[SweepCell]:
-    sweep = [SweepCell("Q1x3:baseline", baseline_cell,
-                       {"query_key": "Q1", "spec": FIG4_SPEC})]
-    for factor in FACTORS:
-        for count in PERTURBED_COUNTS:
-            perturb = functools.partial(perturb_ws_cost, factor=factor,
-                                        machines=count)
-            for enabled in (False, True):
-                sweep.append(SweepCell(
-                    f"Q1x3:{factor:g}x:{count}pert:"
-                    f"{'adaptive' if enabled else 'static'}",
-                    stats_cell,
-                    {"query_key": "Q1", "perturb": perturb, "spec": FIG4_SPEC,
-                     "adaptivity": (AdaptivityConfig(response=RESPONSE_R1)
-                                    if enabled else None)}))
-    return sweep
-
-
 def run(jobs: int = 1) -> ExperimentReport:
     """Reproduce Fig. 4(a)-(c) as one table."""
-    values = SweepRunner(jobs).run(cells())
-    baseline_ms, points = values[0], iter(values[1:])
-    rows = []
-    for factor in FACTORS:
-        for count in PERTURBED_COUNTS:
-            disabled = next(points).response_time_ms / baseline_ms
-            enabled = next(points).response_time_ms / baseline_ms
-            rows.append([f"{factor:.0f} times", count, disabled, enabled])
+    baseline = query_cell("Q1x3:baseline", spec=FIG4_SPEC)
+    rows = [[f"{factor:.0f} times", count] + [
+        Stat(query_cell(
+            f"Q1x3:{factor:g}x:{count}pert:"
+            f"{'adaptive' if enabled else 'static'}",
+            perturb=functools.partial(perturb_ws_cost, factor=factor,
+                                      machines=count),
+            spec=FIG4_SPEC,
+            adaptivity=(AdaptivityConfig(response=RESPONSE_R1)
+                        if enabled else None)),
+            per=baseline)
+        for enabled in (False, True)]
+        for factor in FACTORS for count in PERTURBED_COUNTS]
     return ExperimentReport(
         experiment_id="fig4",
         title="Q1 on 3 machines, varying perturbed machines (Fig. 4)",
         columns=["magnitude", "perturbed machines",
                  "adaptivity disabled", "adaptivity enabled"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected shape: enabled degrades gracefully and similarly "
                "across magnitudes while at least one machine is "
                "unperturbed; the relative degradation improves on the "

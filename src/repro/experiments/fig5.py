@@ -8,9 +8,8 @@ is that performance under varying perturbations stays close to the
 stable-perturbation case, i.e. the system adapts efficiently to rapid
 changes.
 
-The sweep is declared as :class:`SweepCell` data (a baseline cell plus
-one cell per (range, response policy) point) for the parallel sweep
-runner.
+Each point is a :class:`Stat` of one :func:`query_cell` over the
+unperturbed static cell, filled by :func:`run_table`.
 """
 
 from __future__ import annotations
@@ -20,42 +19,31 @@ import functools
 from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
 from repro.experiments.harness import (
     ExperimentReport,
-    SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    Stat,
+    query_cell,
+    run_table,
 )
 from repro.workloads.scenarios import perturb_ws_cost_varying
 
 RANGES = ((30.0, 30.0), (25.0, 35.0), (20.0, 40.0), (1.0, 60.0))
 
 
-def cells() -> list[SweepCell]:
-    sweep = [SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})]
-    for low, high in RANGES:
-        perturb = functools.partial(perturb_ws_cost_varying,
-                                    low=low, high=high)
-        for response in (RESPONSE_R2, RESPONSE_R1):
-            sweep.append(SweepCell(
-                f"Q1:[{low:g},{high:g}]:{response}", stats_cell,
-                {"query_key": "Q1", "perturb": perturb,
-                 "adaptivity": AdaptivityConfig(response=response)}))
-    return sweep
-
-
 def run(jobs: int = 1) -> ExperimentReport:
     """Reproduce Fig. 5."""
-    values = SweepRunner(jobs).run(cells())
-    baseline_ms, points = values[0], iter(values[1:])
-    rows = []
-    for low, high in RANGES:
-        prospective = next(points).response_time_ms / baseline_ms
-        retrospective = next(points).response_time_ms / baseline_ms
-        rows.append([f"[{low:.0f},{high:.0f}]", prospective, retrospective])
+    baseline = query_cell("Q1:baseline")
+    rows = [[f"[{low:.0f},{high:.0f}]"] + [
+        Stat(query_cell(
+            f"Q1:[{low:g},{high:g}]:{response}",
+            perturb=functools.partial(perturb_ws_cost_varying,
+                                      low=low, high=high),
+            adaptivity=AdaptivityConfig(response=response)),
+            per=baseline)
+        for response in (RESPONSE_R2, RESPONSE_R1)]
+        for low, high in RANGES]
     return ExperimentReport(
         experiment_id="fig5",
         title="Q1 under changing perturbations, mean 30x (Fig. 5)",
         columns=["range", "prospective", "retrospective"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected shape: each column stays close to its [30,30] "
                "stable-perturbation value across all ranges."))

@@ -5,13 +5,15 @@ fresh demo grids, normalised to the *no adaptivity / no imbalance* run
 of the same query and data size.  This module provides the run
 plumbing: grid construction (with recovery logging enabled exactly
 when the response policy is retrospective, mirroring the paper's
-configurations), perturbation application, metrics collection and the
-sweep runner every experiment declares its runs for.
+configurations), perturbation application, metrics collection, the
+sweep runner every experiment declares its runs for, and
+:func:`run_table`, which fills a table's declared rows from one sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import typing
@@ -21,8 +23,10 @@ from repro.config import (
     EngineConfig,
     FaultToleranceConfig,
     RESPONSE_R1,
+    SchedulerConfig,
 )
 from repro.dqp.gdqs import QueryResult, QueryStatistics
+from repro.sched import WorkloadDriver, WorkloadReport, WorkloadSpec
 from repro.workloads.proteins import DemoGrid, DemoGridSpec
 from repro.workloads.queries import Q1, Q2
 
@@ -196,15 +200,77 @@ class SweepRunner:
         return values
 
 
+def drive_workload(spec: DemoGridSpec, seed: int,
+                   scheduler: SchedulerConfig, workload: WorkloadSpec,
+                   fault_tolerance: FaultToleranceConfig | None = None,
+                   chaos=None, **run_label) -> WorkloadReport:
+    """One open-loop workload on a fresh grid of ``spec`` at ``seed``,
+    reported to the sink under ``run_label``."""
+    grid = DemoGrid(dataclasses.replace(spec, seed=seed),
+                    fault_tolerance=fault_tolerance, chaos=chaos)
+    report = WorkloadDriver(grid.scheduler(scheduler), workload).run()
+    collect_metrics(grid, workload=True, **run_label)
+    return report
+
+
 def stats_cell(query_key: str, **run) -> QueryStatistics:
     """Sweep cell: one :func:`execute` run, reduced to its statistics
     (the rows stay in the worker)."""
     return execute(query_key, **run).stats
 
 
-def baseline_cell(query_key: str, spec: DemoGridSpec | None = None) -> float:
-    """Sweep cell: the no-adaptivity/no-imbalance response time (ms)."""
-    return stats_cell(query_key, spec=spec).response_time_ms
+def query_cell(label: str, query_key: str = "Q1", **run) -> SweepCell:
+    """The sweep cell of one :func:`execute` run.
+
+    A baseline is no special cell: it is the ``query_cell`` of the
+    unperturbed, non-adaptive run of the same query and spec.
+    """
+    return SweepCell(label, stats_cell, {"query_key": query_key, **run})
+
+
+@dataclasses.dataclass(frozen=True)
+class Stat:
+    """A report entry: ``field`` of ``cell``'s value (the
+    :class:`QueryStatistics` of a :func:`query_cell`), divided by the
+    same field of ``per``'s when ``per`` is set."""
+
+    cell: SweepCell
+    per: SweepCell | None = None
+    field: str = "response_time_ms"
+
+
+def run_table(rows: typing.Sequence[typing.Sequence],
+              jobs: int = 1) -> list[list]:
+    """Fill declared report rows from one sweep.
+
+    Each distinct cell label a :class:`Stat` names runs once, in order
+    of first appearance (an entry's ``per`` before its ``cell``),
+    through :class:`SweepRunner`.  Every ``Stat`` is then replaced by
+    its value; other entries are kept as they are.  A label declared
+    with two different runs raises :class:`ValueError`.
+    """
+    cells: dict[str, SweepCell] = {}
+    for entry in itertools.chain.from_iterable(rows):
+        if not isinstance(entry, Stat):
+            continue
+        for cell in filter(None, (entry.per, entry.cell)):
+            known = cells.setdefault(cell.label, cell)
+            if ((known.fn, repr(known.kwargs))
+                    != (cell.fn, repr(cell.kwargs))):
+                raise ValueError(
+                    f"cell {cell.label!r} declared as {known.kwargs!r} "
+                    f"and as {cell.kwargs!r}")
+    stats = dict(zip(cells, SweepRunner(jobs).run(list(cells.values()))))
+
+    def fill(entry):
+        if not isinstance(entry, Stat):
+            return entry
+        value = getattr(stats[entry.cell.label], entry.field)
+        if entry.per is None:
+            return value
+        return value / getattr(stats[entry.per.label], entry.field)
+
+    return [[fill(entry) for entry in row] for row in rows]
 
 
 @dataclasses.dataclass

@@ -16,10 +16,10 @@ from repro.experiments.harness import (
     ExperimentReport,
     SweepCell,
     SweepRunner,
-    collect_metrics,
+    drive_workload,
 )
-from repro.sched import WorkloadDriver, WorkloadSpec
-from repro.workloads import DemoGrid, DemoGridSpec, Q1, Q2
+from repro.sched import WorkloadSpec
+from repro.workloads import DemoGridSpec, Q1, Q2
 
 #: Small relations keep a dozen full workload runs fast.
 SPEC = DemoGridSpec(sequences_cardinality=120,
@@ -36,23 +36,15 @@ MAX_QUEUED = 8
 def drive(arrival_rate_qps: float, max_concurrent: int,
           seed: int = 0):
     """One open-loop run; returns the driver's report."""
-    grid = DemoGrid(DemoGridSpec(
-        sequences_cardinality=SPEC.sequences_cardinality,
-        interactions_cardinality=SPEC.interactions_cardinality,
-        sequence_length=SPEC.sequence_length,
-        compute_machines=SPEC.compute_machines,
-        seed=seed))
-    scheduler = grid.scheduler(SchedulerConfig(
-        max_concurrent=max_concurrent, max_queued=MAX_QUEUED))
-    driver = WorkloadDriver(scheduler, WorkloadSpec(
-        arrival_rate_qps=arrival_rate_qps,
-        duration_ms=DURATION_MS,
-        catalog=(Q1, Q2),
-        adaptivity=AdaptivityConfig(decision_latency_ms=300.0)))
-    report = driver.run()
-    collect_metrics(grid, workload=True, rate_qps=arrival_rate_qps,
-                    max_concurrent=max_concurrent)
-    return report
+    return drive_workload(
+        SPEC, seed,
+        SchedulerConfig(max_concurrent=max_concurrent,
+                        max_queued=MAX_QUEUED),
+        WorkloadSpec(arrival_rate_qps=arrival_rate_qps,
+                     duration_ms=DURATION_MS,
+                     catalog=(Q1, Q2),
+                     adaptivity=AdaptivityConfig(decision_latency_ms=300.0)),
+        rate_qps=arrival_rate_qps, max_concurrent=max_concurrent)
 
 
 def _load_cell(arrival_rate_qps: float, max_concurrent: int) -> list:
@@ -67,18 +59,14 @@ def _load_cell(arrival_rate_qps: float, max_concurrent: int) -> list:
     ]
 
 
-def cells() -> list[SweepCell]:
-    return [
+def run(jobs: int = 1) -> ExperimentReport:
+    rows = SweepRunner(jobs).run([
         SweepCell(f"mq:c{max_concurrent}:r{rate:g}", _load_cell,
                   {"arrival_rate_qps": rate,
                    "max_concurrent": max_concurrent})
         for max_concurrent in CONCURRENCY_LIMITS
         for rate in ARRIVAL_RATES_QPS
-    ]
-
-
-def run(jobs: int = 1) -> ExperimentReport:
-    rows = SweepRunner(jobs).run(cells())
+    ])
     return ExperimentReport(
         experiment_id="multiquery",
         title="Scheduler throughput/latency vs offered load "

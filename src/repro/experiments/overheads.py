@@ -14,8 +14,8 @@ Three parts:
    diagnoser notifications (~10) vs actual rebalancings (1-3): the
    components filter effectively and no message flooding occurs.
 
-Both sweeps are declared as :class:`SweepCell` data (a baseline cell
-plus one cell per measured run) for the parallel sweep runner.
+Both tables declare their entries as :class:`Stat` fields of one
+:func:`query_cell` per run, filled by :func:`run_table`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import functools
 from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
 from repro.experiments.harness import (
     ExperimentReport,
-    SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    Stat,
+    query_cell,
+    run_table,
 )
 from repro.workloads.scenarios import perturb_transient_load, perturb_ws_cost
 
@@ -41,7 +40,7 @@ RESPONSES = (("prospective", RESPONSE_R2, 1.062, 1.21),
 #: (environment, perturbation of the nominally equal services).
 ENVIRONMENTS = (("stable", None), ("fluctuating", perturb_transient_load))
 
-BASELINE = SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"})
+BASELINE = query_cell("Q1:baseline")
 
 
 def run_overheads(jobs: int = 1) -> ExperimentReport:
@@ -52,29 +51,21 @@ def run_overheads(jobs: int = 1) -> ExperimentReport:
     where the system may adapt even though the services are nominally
     identical — the paper's "unnecessary adaptivity" case.
     """
-    cells = [BASELINE]
-    for name, response, _paper, _paper_ratio in RESPONSES:
-        for environment, perturb in ENVIRONMENTS:
-            cells.append(SweepCell(
-                f"Q1:{name}:{environment}", stats_cell,
-                {"query_key": "Q1", "perturb": perturb,
-                 "adaptivity": AdaptivityConfig(response=response)}))
-    baseline_ms, *runs = SweepRunner(jobs).run(cells)
-    runs = iter(runs)
     rows = []
-    for name, _response, paper, paper_ratio in RESPONSES:
-        for environment, _perturb in ENVIRONMENTS:
-            run = next(runs)
-            rows.append([name, environment,
-                         run.response_time_ms / baseline_ms, paper,
-                         run.consumer_imbalance_ratio, paper_ratio,
-                         run.adaptations_accepted])
+    for name, response, paper, paper_ratio in RESPONSES:
+        for environment, perturb in ENVIRONMENTS:
+            cell = query_cell(f"Q1:{name}:{environment}", perturb=perturb,
+                              adaptivity=AdaptivityConfig(response=response))
+            rows.append([name, environment, Stat(cell, per=BASELINE), paper,
+                         Stat(cell, field="consumer_imbalance_ratio"),
+                         paper_ratio,
+                         Stat(cell, field="adaptations_accepted")])
     return ExperimentReport(
         experiment_id="overheads",
         title="Q1 adaptivity overhead without imbalance (§3.2)",
         columns=["response", "environment", "normalised time", "paper",
                  "tuple ratio", "paper ratio", "rebalances"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("The fluctuating environment adds per-call noise so the "
                "system occasionally adapts although both services are "
                "nominally equal, as in the paper's real testbed."))
@@ -83,24 +74,23 @@ def run_overheads(jobs: int = 1) -> ExperimentReport:
 def run_monitoring_frequency(jobs: int = 1) -> ExperimentReport:
     """Q1 with 10x perturbation under different monitoring rates."""
     perturb = functools.partial(perturb_ws_cost, factor=10.0)
-    baseline_ms, *runs = SweepRunner(jobs).run([BASELINE] + [
-        SweepCell(f"Q1:10x:m1/{interval}", stats_cell,
-                  {"query_key": "Q1", "perturb": perturb,
-                   "adaptivity": (AdaptivityConfig(m1_interval=interval)
-                                  if interval else None)})
-        for interval in M1_INTERVALS])
     rows = []
-    for interval, run in zip(M1_INTERVALS, runs):
+    for interval in M1_INTERVALS:
+        cell = query_cell(
+            f"Q1:10x:m1/{interval}", perturb=perturb,
+            adaptivity=(AdaptivityConfig(m1_interval=interval)
+                        if interval else None))
         rows.append([f"1 per {interval} tuples" if interval else "off",
-                     run.response_time_ms / baseline_ms,
-                     run.raw_monitoring_events, run.cost_notifications,
-                     run.adaptations_accepted])
+                     Stat(cell, per=BASELINE),
+                     Stat(cell, field="raw_monitoring_events"),
+                     Stat(cell, field="cost_notifications"),
+                     Stat(cell, field="adaptations_accepted")])
     return ExperimentReport(
         experiment_id="monitoring",
         title="Q1 @10x under different monitoring frequencies (§3.2)",
         columns=["monitoring", "normalised time", "raw events",
                  "detector notifications", "rebalances"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Expected: adaptation quality and overhead insensitive to "
                "the monitoring frequency; raw events in the hundreds, "
                "detector->diagnoser notifications around ten, 1-3 "

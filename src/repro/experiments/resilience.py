@@ -24,16 +24,10 @@ from repro.experiments.harness import (
     ExperimentReport,
     SweepCell,
     SweepRunner,
-    collect_metrics,
+    drive_workload,
 )
-from repro.sched import WorkloadDriver, WorkloadSpec
-from repro.workloads import (
-    DemoGridSpec,
-    DemoGrid,
-    Q1,
-    Q2,
-    compute_machine_name,
-)
+from repro.sched import WorkloadSpec
+from repro.workloads import DemoGridSpec, Q1, Q2, compute_machine_name
 
 #: Small relations keep a dozen crash-recovery workload runs fast.
 SPEC = DemoGridSpec(sequences_cardinality=120,
@@ -69,27 +63,18 @@ def drive(crashes: int, max_concurrent: int, seed: int = 0):
         MachineCrash(compute_machine_name(index + 1),
                      at_ms=CRASH_TIMES_MS[index])
         for index in range(crashes))
-    chaos = ChaosConfig.lossy(crashes=schedule) if schedule else None
-    grid = DemoGrid(DemoGridSpec(
-        sequences_cardinality=SPEC.sequences_cardinality,
-        interactions_cardinality=SPEC.interactions_cardinality,
-        sequence_length=SPEC.sequence_length,
-        compute_machines=SPEC.compute_machines,
-        spare_machines=SPEC.spare_machines,
-        seed=seed), fault_tolerance=FT, chaos=chaos)
-    scheduler = grid.scheduler(SchedulerConfig(
-        max_concurrent=max_concurrent, max_queued=MAX_QUEUED,
-        retry=SCHEDULER_RETRY))
-    driver = WorkloadDriver(scheduler, WorkloadSpec(
-        arrival_rate_qps=ARRIVAL_RATE_QPS,
-        duration_ms=DURATION_MS,
-        catalog=(Q1, Q2),
-        adaptivity=AdaptivityConfig.disabled(),
-        degree=2))
-    report = driver.run()
-    collect_metrics(grid, workload=True, crashes=crashes,
-                    max_concurrent=max_concurrent)
-    return report
+    return drive_workload(
+        SPEC, seed,
+        SchedulerConfig(max_concurrent=max_concurrent,
+                        max_queued=MAX_QUEUED, retry=SCHEDULER_RETRY),
+        WorkloadSpec(arrival_rate_qps=ARRIVAL_RATE_QPS,
+                     duration_ms=DURATION_MS,
+                     catalog=(Q1, Q2),
+                     adaptivity=AdaptivityConfig.disabled(),
+                     degree=2),
+        fault_tolerance=FT,
+        chaos=ChaosConfig.lossy(crashes=schedule) if schedule else None,
+        crashes=crashes, max_concurrent=max_concurrent)
 
 
 def _resilience_cell(crashes: int, max_concurrent: int) -> list:
@@ -104,17 +89,13 @@ def _resilience_cell(crashes: int, max_concurrent: int) -> list:
     ]
 
 
-def cells() -> list[SweepCell]:
-    return [
+def run(jobs: int = 1) -> ExperimentReport:
+    rows = SweepRunner(jobs).run([
         SweepCell(f"res:c{max_concurrent}:x{crashes}", _resilience_cell,
                   {"crashes": crashes, "max_concurrent": max_concurrent})
         for max_concurrent in CONCURRENCY_LIMITS
         for crashes in CRASH_COUNTS
-    ]
-
-
-def run(jobs: int = 1) -> ExperimentReport:
-    rows = SweepRunner(jobs).run(cells())
+    ])
     return ExperimentReport(
         experiment_id="resilience",
         title="Availability and wasted work vs permanent machine "

@@ -7,9 +7,9 @@ imbalance}.  The Q1 imbalance makes one WS call 10x costlier; the Q2
 imbalance inserts a 10 ms sleep before each join tuple on one machine.
 All values are normalised to the no-ad/no-imb run of the same query.
 
-The table is declared as :class:`SweepCell` data — one baseline cell
-per query plus three measured cells per table row — for the parallel
-sweep runner.
+Each row declares its runs as :class:`Stat` entries, one
+:func:`query_cell` per configuration normalised to the query's
+baseline cell; :func:`run_table` runs every distinct cell once.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import functools
 from repro.config import AdaptivityConfig, RESPONSE_R1, RESPONSE_R2
 from repro.experiments.harness import (
     ExperimentReport,
-    SweepCell,
-    SweepRunner,
-    baseline_cell,
-    stats_cell,
+    Stat,
+    query_cell,
+    run_table,
 )
 from repro.workloads.scenarios import perturb_join_sleep, perturb_ws_cost
 
@@ -44,45 +43,31 @@ def _perturb_for(query_key: str):
     return functools.partial(perturb_join_sleep, sleep_ms=10.0)
 
 
-def cells() -> list[SweepCell]:
-    sweep = [
-        SweepCell("Q1:baseline", baseline_cell, {"query_key": "Q1"}),
-        SweepCell("Q2:baseline", baseline_cell, {"query_key": "Q2"}),
-    ]
+def run(jobs: int = 1) -> ExperimentReport:
+    """Reproduce Table 1."""
+    rows = []
     for query_key, response in CONFIGURATIONS:
-        for adaptive, imbalance in ((True, False), (False, True),
-                                    (True, True)):
-            sweep.append(SweepCell(
+        baseline = query_cell(f"{query_key}:baseline", query_key)
+        measured = [
+            Stat(query_cell(
                 f"{query_key}:{response}:"
                 f"{'ad' if adaptive else 'no-ad'}/"
                 f"{'imb' if imbalance else 'no-imb'}",
-                stats_cell,
-                {"query_key": query_key,
-                 "adaptivity": (AdaptivityConfig(response=response)
-                                if adaptive else None),
-                 "perturb": _perturb_for(query_key) if imbalance else None}))
-    return sweep
-
-
-def run(jobs: int = 1) -> ExperimentReport:
-    """Reproduce Table 1."""
-    values = SweepRunner(jobs).run(cells())
-    baselines = {"Q1": values[0], "Q2": values[1]}
-    points = iter(values[2:])
-    rows = []
-    for query_key, response in CONFIGURATIONS:
-        baseline_ms = baselines[query_key]
-        ad_no_imb, no_ad_imb, ad_imb = (
-            next(points).response_time_ms / baseline_ms for _ in range(3))
+                query_key,
+                adaptivity=(AdaptivityConfig(response=response)
+                            if adaptive else None),
+                perturb=_perturb_for(query_key) if imbalance else None),
+                per=baseline)
+            for adaptive, imbalance in ((True, False), (False, True),
+                                        (True, True))]
         paper = PAPER_VALUES[(query_key, response)]
-        rows.append([f"{query_key} - {response}",
-                     1.0, ad_no_imb, no_ad_imb, ad_imb,
+        rows.append([f"{query_key} - {response}", 1.0, *measured,
                      f"{paper[1]:.2f}/{paper[2]:.2f}/{paper[3]:.2f}"])
     return ExperimentReport(
         experiment_id="table1",
         title="Performance of queries in normalised units (Table 1)",
         columns=["Query-Response", "no ad/no imb", "ad/no imb",
                  "no ad/imb", "ad/imb", "paper (ad-noimb/noad-imb/ad-imb)"],
-        rows=rows,
+        rows=run_table(rows, jobs),
         notes=("Q1 imbalance: one WS call 10x costlier.  "
                "Q2 imbalance: sleep(10ms) per join tuple on one machine."))

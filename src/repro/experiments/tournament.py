@@ -29,8 +29,8 @@ re-adaptation of the partitioned subplan is loss-free.
 
 from __future__ import annotations
 
-from repro.chaos import ChaosConfig, FaultSchedule, MachineFreeze
-from repro.config import AdaptivityConfig, FaultToleranceConfig
+from repro.config import AdaptivityConfig
+from repro.experiments.chaos import FREEZE_CHAOS, FREEZE_FT
 from repro.experiments.harness import (
     ExperimentReport,
     SweepCell,
@@ -61,12 +61,6 @@ _TWITCHY = dict(m1_interval=2, window_size=8,
                 progress_cutoff=0.97,
                 cooldown_ms=100.0, decision_latency_ms=100.0)
 
-_FREEZE_FT = FaultToleranceConfig(enabled=True,
-                                  heartbeat_interval_ms=200.0,
-                                  suspect_timeout_ms=500.0,
-                                  failure_timeout_ms=5000.0)
-_FREEZE = MachineFreeze("compute-2", at_ms=800.0, duration_ms=2000.0)
-
 
 def _perturb_fig2(grid: DemoGrid) -> None:
     perturb_ws_cost(grid, factor=10.0)
@@ -86,11 +80,7 @@ _SCENARIOS: dict = {
     "fig2-ws10": (Q1, _perturb_fig2, None, None, _TWITCHY),
     "fig3-sleep20": (Q2, _perturb_fig3, None, None, _TWITCHY),
     "fig3-volatile": (Q1, _perturb_volatile, None, None, _TWITCHY),
-    "chaos-freeze": (Q1, None, _FREEZE_FT,
-                     ChaosConfig(enabled=True,
-                                 schedule=FaultSchedule(
-                                     freezes=(_FREEZE,))),
-                     _TWITCHY),
+    "chaos-freeze": (Q1, None, FREEZE_FT, FREEZE_CHAOS, _TWITCHY),
 }
 
 #: Declaration order doubles as column order in the report.
@@ -147,29 +137,20 @@ def cells(policies: tuple, scenarios: tuple,
 def _tournament(experiment_id: str, title: str, policies: tuple,
                 scenarios: tuple, smoke: bool,
                 jobs: int) -> ExperimentReport:
-    values = SweepRunner(jobs).run(cells(policies, scenarios, smoke))
-    baselines = dict(zip(scenarios, values))
-    outcomes = {}
-    position = len(scenarios)
-    for policy in policies:
-        for scenario in scenarios:
-            outcomes[(policy, scenario)] = values[position]
-            position += 1
+    sweep = cells(policies, scenarios, smoke)
+    outcomes = dict(zip((cell.label for cell in sweep),
+                        SweepRunner(jobs).run(sweep)))
     rows = []
     for policy in policies:
-        normalised = [
-            outcomes[(policy, scenario)]["response_time_ms"]
-            / baselines[scenario]["response_time_ms"]
-            for scenario in scenarios]
+        runs = [(outcomes[f"{policy}:{scenario}"],
+                 outcomes[f"baseline:{scenario}"]) for scenario in scenarios]
+        normalised = [run["response_time_ms"] / baseline["response_time_ms"]
+                      for run, baseline in runs]
         mean = sum(normalised) / len(normalised)
-        adaptations = sum(outcomes[(policy, scenario)]["adaptations"]
-                          for scenario in scenarios)
-        oscillation = sum(outcomes[(policy, scenario)]["oscillation"]
-                          for scenario in scenarios)
-        complete = all(
-            outcomes[(policy, scenario)]["result_count"]
-            == baselines[scenario]["result_count"]
-            for scenario in scenarios)
+        adaptations = sum(run["adaptations"] for run, _baseline in runs)
+        oscillation = sum(run["oscillation"] for run, _baseline in runs)
+        complete = all(run["result_count"] == baseline["result_count"]
+                       for run, baseline in runs)
         rows.append([policy, *normalised, mean, adaptations,
                      round(oscillation, 3), "yes" if complete else "NO"])
     mean_column = 1 + len(scenarios)

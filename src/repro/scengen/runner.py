@@ -29,7 +29,8 @@ import traceback
 from repro.chaos import ChaosConfig, MachineCrash, MachineFreeze
 from repro.config import AdaptivityConfig, EngineConfig, FaultToleranceConfig
 from repro.errors import QueryFailedError
-from repro.experiments.harness import collect_metrics
+from repro.experiments import harness
+from repro.experiments.chaos import FREEZE_FT
 from repro.scengen.grammar import PACING_PROFILES, Scenario
 from repro.scengen.oracles import ProbeOutcome, RunDigest, check_all
 from repro.workloads.proteins import DemoGrid, DemoGridSpec, \
@@ -43,11 +44,6 @@ from repro.workloads.scenarios import (
 )
 
 _QUERIES = {"Q1": Q1, "Q2": Q2}
-
-#: Heartbeat pacing for freeze scenarios (the chaos experiment's
-#: suspect/quarantine configuration).
-_FREEZE_FT = dict(enabled=True, heartbeat_interval_ms=200.0,
-                  suspect_timeout_ms=500.0, failure_timeout_ms=5000.0)
 
 #: Crash scenarios detect fast and skip the suspect phase: heartbeats
 #: never resume from a permanent loss, so quarantine would only delay
@@ -75,10 +71,8 @@ def adaptivity_for(scenario: Scenario) -> AdaptivityConfig:
 
 def engine_config_for(scenario: Scenario,
                       batch_size: int | None = None) -> EngineConfig:
-    adaptivity = adaptivity_for(scenario)
-    logging_enabled = adaptivity.enabled and adaptivity.retrospective
-    return EngineConfig(batch_size=batch_size or scenario.batch_size,
-                        logging_enabled=logging_enabled)
+    return harness.engine_config_for(adaptivity_for(scenario)).replace(
+        batch_size=batch_size or scenario.batch_size)
 
 
 def chaos_config_for(scenario: Scenario) -> ChaosConfig | None:
@@ -108,7 +102,7 @@ def fault_tolerance_for(scenario: Scenario) -> FaultToleranceConfig | None:
         return None
     if scenario.chaos is not None and scenario.chaos.crashes:
         return FaultToleranceConfig(**_CRASH_FT)
-    return FaultToleranceConfig(**_FREEZE_FT)
+    return FREEZE_FT
 
 
 def apply_perturbations(grid: DemoGrid, scenario: Scenario) -> None:
@@ -145,14 +139,17 @@ def _root_channel_counts(grid: DemoGrid) -> tuple[int, int]:
     return received, discarded
 
 
+def _trace_sha(grid: DemoGrid) -> str:
+    timeline = [(event.timestamp, event.category, event.source,
+                 event.description)
+                for event in grid.context.tracer.events]
+    return hashlib.sha256(repr(timeline).encode()).hexdigest()[:16]
+
+
 def _digest(grid: DemoGrid, result) -> RunDigest:
     rows_sha = hashlib.sha256(
         "\n".join(sorted(repr(row.values) for row in result.rows))
         .encode()).hexdigest()[:16]
-    timeline = [(event.timestamp, event.category, event.source,
-                 event.description)
-                for event in grid.context.tracer.events]
-    trace_sha = hashlib.sha256(repr(timeline).encode()).hexdigest()[:16]
     if grid.context.metrics.enabled:
         sink_rows, sink_discards = _root_channel_counts(grid)
     else:
@@ -160,7 +157,7 @@ def _digest(grid: DemoGrid, result) -> RunDigest:
     stats = result.stats
     return RunDigest(
         rows_sha=rows_sha, rows_count=stats.result_count,
-        trace_sha=trace_sha, response_ms=stats.response_time_ms,
+        trace_sha=_trace_sha(grid), response_ms=stats.response_time_ms,
         events=grid.context.env.events_scheduled,
         adaptations=stats.adaptations_accepted,
         oscillation=round(stats.oscillation, 9),
@@ -190,19 +187,16 @@ def _run(scenario: Scenario, batch_size: int | None = None,
         # oracles still apply to it.
         return _failed_digest(grid, exc.failure)
     if report:
-        collect_metrics(grid, experiment="fuzz",
-                        scenario=scenario.scenario_id,
-                        policy=scenario.policy, query=scenario.query)
+        harness.collect_metrics(grid, experiment="fuzz",
+                                scenario=scenario.scenario_id,
+                                policy=scenario.policy,
+                                query=scenario.query)
     return _digest(grid, result)
 
 
 def _failed_digest(grid: DemoGrid, failure) -> RunDigest:
-    timeline = [(event.timestamp, event.category, event.source,
-                 event.description)
-                for event in grid.context.tracer.events]
-    trace_sha = hashlib.sha256(repr(timeline).encode()).hexdigest()[:16]
     return RunDigest(
-        rows_sha="", rows_count=0, trace_sha=trace_sha,
+        rows_sha="", rows_count=0, trace_sha=_trace_sha(grid),
         response_ms=failure.elapsed_ms,
         events=grid.context.env.events_scheduled,
         adaptations=0, oscillation=0.0,

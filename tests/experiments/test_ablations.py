@@ -11,7 +11,7 @@ import functools
 import pytest
 
 from repro.config import AdaptivityConfig, EngineConfig, RESPONSE_R1
-from repro.experiments.harness import baseline_cell, execute
+from repro.experiments.harness import execute, stats_cell
 from repro.workloads.scenarios import perturb_ws_cost
 
 PERTURB_10X = functools.partial(perturb_ws_cost, factor=10.0)
@@ -19,7 +19,7 @@ PERTURB_10X = functools.partial(perturb_ws_cost, factor=10.0)
 
 @pytest.fixture(scope="module")
 def normalised_run():
-    baseline_ms = baseline_cell("Q1")
+    baseline_ms = stats_cell("Q1").response_time_ms
 
     def run(adaptivity, engine_config=None):
         result = execute("Q1", adaptivity, perturb=PERTURB_10X,

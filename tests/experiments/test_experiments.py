@@ -13,7 +13,13 @@ from repro.experiments import (
     render,
     resilience,
 )
-from repro.experiments.harness import ExperimentReport, baseline_cell
+from repro.experiments.harness import (
+    ExperimentReport,
+    Stat,
+    query_cell,
+    run_table,
+    stats_cell,
+)
 from repro.workloads import DemoGridSpec, perturb_ws_cost
 
 TINY = DemoGridSpec(sequences_cardinality=60, interactions_cardinality=80,
@@ -56,15 +62,18 @@ class TestExecute:
 
 class TestBaselineCell:
     def test_baseline_is_the_static_run_of_its_spec(self):
-        first = baseline_cell("Q1", TINY)
+        first = stats_cell("Q1", spec=TINY).response_time_ms
         assert first == execute("Q1", spec=TINY).response_time_ms
         other_spec = dataclasses.replace(TINY, sequences_cardinality=80)
-        assert baseline_cell("Q1", other_spec) != first
+        assert stats_cell("Q1", spec=other_spec).response_time_ms != first
 
     def test_normalised_baseline_is_one(self):
-        result = execute("Q1", spec=TINY)
-        assert (result.response_time_ms / baseline_cell("Q1", TINY)
-                == pytest.approx(1.0))
+        # A baseline is the query_cell of the same run: normalised to
+        # itself it is exactly one.
+        baseline = query_cell("Q1:baseline", spec=TINY)
+        (row,) = run_table([[Stat(baseline, per=baseline),
+                             Stat(baseline, field="result_count")]])
+        assert row == [1.0, 60]
 
 
 class TestRegistryAndReport:

@@ -1,4 +1,5 @@
-"""Tests for the parallel sweep runner and the ``--jobs`` CLI flag.
+"""Tests for the parallel sweep runner, ``run_table`` and the
+experiments CLI.
 
 The contract under test: a sweep's outcome — returned values *and*
 metrics records — is byte-identical whatever ``jobs`` is, because each
@@ -6,14 +7,19 @@ cell runs against a private sink and results are merged in cell-index
 order, never completion order.
 """
 
+import types
+
 import pytest
 
 from repro.experiments import __main__ as experiments_main
 from repro.experiments import harness, overheads
 from repro.experiments.harness import (
+    ExperimentReport,
     MetricsSink,
+    Stat,
     SweepCell,
     SweepRunner,
+    run_table,
     set_metrics_sink,
 )
 
@@ -27,6 +33,13 @@ def _emitting(x):
     # the runner must give each cell a private one and merge in order.
     harness._metrics_sink.records.append({"cell": x})
     return x
+
+
+def _emitting_stats(x):
+    # A run_table cell: reports like _emitting, returns statistics-like
+    # attributes.
+    harness._metrics_sink.records.append({"cell": x})
+    return types.SimpleNamespace(response_time_ms=float(x), result_count=x)
 
 
 def _boom():
@@ -86,6 +99,47 @@ class TestSweepRunner:
                 == experiments.report("overheads").rows)
 
 
+def _stat_cell(label, x):
+    return SweepCell(label, _emitting_stats, {"x": x})
+
+
+def _fill(rows, jobs):
+    """``run_table`` under a fresh sink: (filled rows, records)."""
+    sink = MetricsSink()
+    previous = set_metrics_sink(sink)
+    try:
+        return run_table(rows, jobs), sink.records
+    finally:
+        set_metrics_sink(previous)
+
+
+class TestRunTable:
+    BASE = _stat_cell("base", 4)
+    ROWS = [["a", Stat(_stat_cell("a", 8), per=BASE), 1.5],
+            ["b", Stat(_stat_cell("b", 2), per=BASE),
+             Stat(_stat_cell("b", 2), field="result_count")],
+            ["c", Stat(_stat_cell("c", 6))]]
+
+    def test_each_label_runs_once_in_first_appearance_order(self):
+        _rows, records = _fill(self.ROWS, 1)
+        # per before cell: the baseline runs first; "b" runs once
+        # although two entries name it.
+        assert records == [{"cell": 4}, {"cell": 8}, {"cell": 2},
+                           {"cell": 6}]
+
+    def test_ratio_and_field_resolution(self):
+        rows, _records = _fill(self.ROWS, 1)
+        assert rows == [["a", 2.0, 1.5], ["b", 0.5, 2], ["c", 6.0]]
+
+    def test_rows_and_records_jobs_invariant(self):
+        assert _fill(self.ROWS, 3) == _fill(self.ROWS, 1)
+
+    def test_conflicting_redeclared_label_raises(self):
+        rows = [[Stat(_stat_cell("x", 1))], [Stat(_stat_cell("x", 2))]]
+        with pytest.raises(ValueError, match="'x'"):
+            run_table(rows)
+
+
 class TestExperimentsCliJobs:
     def test_jobs_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
@@ -118,3 +172,32 @@ class TestExperimentsCliJobs:
         parallel = (parallel_dir / "METRICS_fig2a.jsonl").read_bytes()
         assert serial == parallel
         assert serial
+
+
+def _stub(experiment_id):
+    def run(jobs=1):
+        return ExperimentReport(experiment_id, "stub", ["x"], [[jobs]])
+    return run
+
+
+class TestExperimentsCliSelection:
+    @pytest.fixture(autouse=True)
+    def stub_experiments(self, monkeypatch):
+        monkeypatch.setattr(experiments_main, "EXPERIMENTS",
+                            {"one": _stub("one"), "two": _stub("two")})
+
+    @staticmethod
+    def _headers(capsys):
+        return [line.split(":")[0] for line in
+                capsys.readouterr().out.splitlines()
+                if line.startswith("== ")]
+
+    def test_all_keeps_the_other_named_ids(self, capsys):
+        assert experiments_main.main(
+            ["all", "fuzz", "--budget", "0", "--no-metrics"]) == 0
+        assert self._headers(capsys) == ["== one", "== two", "== fuzz"]
+
+    def test_all_expands_in_place_without_duplicates(self, capsys):
+        assert experiments_main.main(
+            ["two", "all", "one", "--no-metrics"]) == 0
+        assert self._headers(capsys) == ["== two", "== one"]
