@@ -62,8 +62,9 @@ CLI_SMOKES = (
      "--degree", "2", "--chaos-crash", "compute-2:8000", "--retries", "3",
      "--max-recoveries", "0", "--sequences", "120", "--interactions",
      "180"],
-    [Q2, "--response", "R1", "--fail-machine", "compute-2", "--fail-at",
-     "2000", "--sequences", "300", "--interactions", "400", "--seed", "0"],
+    [Q2, "--policy", "paper-A1R1", "--fail-machine", "compute-2",
+     "--fail-at", "2000", "--sequences", "300", "--interactions", "400",
+     "--seed", "0"],
     [Q1, "--chaos-freeze", "compute-2:800:1300", "--sequences", "300",
      "--interactions", "400", "--seed", "0"],
 )

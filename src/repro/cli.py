@@ -3,7 +3,8 @@
 Installed as ``repro-query``::
 
     repro-query "select EntropyAnalyser(p.sequence) \
-                 from protein_sequences p" --perturb-ws 10 --response R1
+                 from protein_sequences p" --perturb-ws 10 \
+                 --policy paper-A1R1
 
 Prints the result summary, the adaptation statistics, and optionally
 the traced adaptivity timeline.
@@ -30,7 +31,7 @@ from repro.config import (
     SchedulerConfig,
 )
 from repro.errors import ConfigurationError, QueryFailedError
-from repro.policy import default_registry
+from repro.policy import POLICIES
 from repro.sched import WorkloadDriver, WorkloadSpec
 from repro.telemetry import format_timeline
 from repro.workloads import (
@@ -71,17 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 16)")
     parser.add_argument("--static", action="store_true",
                         help="disable adaptivity (the static system)")
-    parser.add_argument("--policy", choices=default_registry().names(),
-                        default=None, metavar="NAME",
-                        help="adaptation policy by name (overrides "
-                             "--assessment/--response; one of: "
-                             + ", ".join(default_registry().names()) + ")")
-    parser.add_argument("--response", choices=["R1", "R2"], default="R2",
-                        help="response policy (default R2, prospective); "
-                             "alias for --policy paper-<A><R>")
-    parser.add_argument("--assessment", choices=["A1", "A2"], default="A1",
-                        help="assessment policy (default A1); alias for "
-                             "--policy paper-<A><R>")
+    parser.add_argument("--policy", choices=sorted(POLICIES),
+                        default="paper-A1R2", metavar="NAME",
+                        help="adaptation policy (default paper-A1R2: "
+                             "the paper's A1 assessment, R2 response); "
+                             "one of: " + ", ".join(sorted(POLICIES)))
     parser.add_argument("--machines", type=int, default=2,
                         help="compute machines (default 2)")
     parser.add_argument("--degree", type=int, default=None,
@@ -186,7 +181,8 @@ def run_workload(args: argparse.Namespace, grid: DemoGrid,
         arrival_rate_qps=args.workload,
         duration_ms=args.workload_duration,
         catalog=(Q1, Q2),
-        adaptivity=adaptivity))
+        adaptivity=adaptivity,
+        degree=args.degree))
     report = driver.run()
     print(f"offered: {report.offered} queries "
           f"({args.workload:g}/s over "
@@ -230,35 +226,11 @@ def _validated_chaos(parser: argparse.ArgumentParser,
     if args.chaos_delay_ms < 0:
         parser.error(f"--chaos-delay-ms must be >= 0, "
                      f"got {args.chaos_delay_ms:g}")
-    freezes = []
-    for text in args.chaos_freeze:
-        parts = text.split(":")
-        if len(parts) != 3:
-            parser.error(f"--chaos-freeze expects "
-                         f"MACHINE:AT_MS:DURATION_MS, got {text!r}")
-        machine = parts[0]
-        if machine not in machine_names:
-            parser.error(f"--chaos-freeze: unknown machine {machine!r} "
-                         f"(expected one of: {', '.join(machine_names)})")
-        try:
-            freezes.append(MachineFreeze(machine, float(parts[1]),
-                                         float(parts[2])))
-        except (ValueError, ConfigurationError) as exc:
-            parser.error(f"--chaos-freeze {text!r}: {exc}")
-    crashes = []
-    for text in args.chaos_crash:
-        parts = text.split(":")
-        if len(parts) != 2:
-            parser.error(f"--chaos-crash expects MACHINE:AT_MS, "
-                         f"got {text!r}")
-        machine = parts[0]
-        if machine not in machine_names:
-            parser.error(f"--chaos-crash: unknown machine {machine!r} "
-                         f"(expected one of: {', '.join(machine_names)})")
-        try:
-            crashes.append(MachineCrash(machine, float(parts[1])))
-        except (ValueError, ConfigurationError) as exc:
-            parser.error(f"--chaos-crash {text!r}: {exc}")
+    freezes = _machine_faults(parser, "--chaos-freeze", args.chaos_freeze,
+                              "MACHINE:AT_MS:DURATION_MS", MachineFreeze,
+                              machine_names)
+    crashes = _machine_faults(parser, "--chaos-crash", args.chaos_crash,
+                              "MACHINE:AT_MS", MachineCrash, machine_names)
     if not (args.chaos_drop or args.chaos_duplicate or args.chaos_delay
             or args.chaos_ws_fail or freezes or crashes):
         return None
@@ -268,8 +240,28 @@ def _validated_chaos(parser: argparse.ArgumentParser,
         delay_probability=args.chaos_delay,
         delay_ms=args.chaos_delay_ms,
         ws_failure_probability=args.chaos_ws_fail,
-        freezes=tuple(freezes),
-        crashes=tuple(crashes))
+        freezes=freezes,
+        crashes=crashes)
+
+
+def _machine_faults(parser: argparse.ArgumentParser, flag: str,
+                    texts: list[str], shape: str, fault: type,
+                    machine_names: list[str]) -> tuple:
+    """Parse each ``shape``-formatted ``flag`` value into a ``fault``."""
+    faults = []
+    for text in texts:
+        parts = text.split(":")
+        if len(parts) != len(shape.split(":")):
+            parser.error(f"{flag} expects {shape}, got {text!r}")
+        machine = parts[0]
+        if machine not in machine_names:
+            parser.error(f"{flag}: unknown machine {machine!r} "
+                         f"(expected one of: {', '.join(machine_names)})")
+        try:
+            faults.append(fault(machine, *map(float, parts[1:])))
+        except (ValueError, ConfigurationError) as exc:
+            parser.error(f"{flag} {text!r}: {exc}")
+    return tuple(faults)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,21 +312,26 @@ def _run(parser: argparse.ArgumentParser,
     if args.max_recoveries is not None and args.max_recoveries < 0:
         parser.error(f"--max-recoveries must be >= 0, got "
                      f"{args.max_recoveries}")
-    fault_tolerance = None
-    if args.fail_machine or has_crashes:
-        fault_tolerance = FaultToleranceConfig(
-            enabled=True, max_recoveries=args.max_recoveries)
+    if args.workload is None:
+        for flag, value in (("--retries", args.retries),
+                            ("--query-timeout", args.query_timeout)):
+            if value is not None:
+                parser.error(f"{flag} needs --workload")
     wants_suspect = (args.suspect_timeout is not None
                      or (chaos is not None and chaos.schedule.freezes))
-    if wants_suspect:
+    fault_tolerance = None
+    if args.fail_machine or has_crashes or wants_suspect:
         suspect_ms = (args.suspect_timeout
                       if args.suspect_timeout is not None else 1000.0)
-        base = fault_tolerance or FaultToleranceConfig(enabled=True)
         try:
-            fault_tolerance = base.replace(enabled=True,
-                                           suspect_timeout_ms=suspect_ms)
+            fault_tolerance = FaultToleranceConfig(
+                enabled=True, max_recoveries=args.max_recoveries,
+                suspect_timeout_ms=suspect_ms if wants_suspect else None)
         except ConfigurationError as exc:
             parser.error(f"--suspect-timeout: {exc}")
+    elif args.max_recoveries is not None:
+        parser.error("--max-recoveries needs a fault: --fail-machine, "
+                     "--chaos-crash, --chaos-freeze or --suspect-timeout")
     grid = DemoGrid(spec, fault_tolerance=fault_tolerance, chaos=chaos)
     if args.perturb_ws:
         perturb_ws_cost(grid, args.perturb_ws)
@@ -343,12 +340,8 @@ def _run(parser: argparse.ArgumentParser,
     if args.fail_machine:
         grid.fail_machine_at(args.fail_machine, at_ms=args.fail_at)
 
-    if args.static:
-        adaptivity = AdaptivityConfig.disabled()
-    else:
-        adaptivity = AdaptivityConfig(policy=args.policy,
-                                      response=args.response,
-                                      assessment=args.assessment)
+    adaptivity = (AdaptivityConfig.disabled() if args.static
+                  else AdaptivityConfig(policy=args.policy))
     if args.workload is not None:
         return run_workload(args, grid, adaptivity)
     try:

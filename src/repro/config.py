@@ -25,16 +25,19 @@ ASSESSMENT_A2 = "A2"
 RESPONSE_R1 = "R1"
 RESPONSE_R2 = "R2"
 
+ASSESSMENTS = (ASSESSMENT_A1, ASSESSMENT_A2)
+RESPONSES = (RESPONSE_R1, RESPONSE_R2)
+
 
 @dataclasses.dataclass(frozen=True)
 class AdaptivityConfig:
     """Tuning knobs for the monitor/assess/respond pipeline.
 
     The controller itself is selected by ``policy`` — any name in
-    :func:`repro.policy.default_registry` — with per-policy tunables
-    in ``policy_params``.  The paper's four variants keep their legacy
-    spelling: leaving ``policy`` unset resolves it from the
-    ``assessment``/``response`` axes (``paper-{assessment}{response}``),
+    :data:`repro.policy.POLICIES` — with per-policy tunables in
+    ``policy_params``.  The paper's four variants may also be spelled
+    by their axes: leaving ``policy`` unset resolves it from
+    ``assessment``/``response`` (``paper-{assessment}{response}``),
     while naming a paper policy explicitly forces both axes to the
     name's pair (the name is authoritative).
     """
@@ -76,39 +79,38 @@ class AdaptivityConfig:
     hash_buckets: int = 256
 
     def __post_init__(self) -> None:
-        # Registry-backed policy validation.  Imported lazily: the
-        # policy package imports this module's constants at load time,
-        # but validation only runs when a config is instantiated, by
-        # which point both modules exist.
-        from repro.policy import default_registry
-        registry = default_registry()
+        # Imported lazily: the policy package imports this module's
+        # constants at load time, but validation only runs when a
+        # config is instantiated, by which point both modules exist.
+        from repro.policy import POLICIES
         if isinstance(self.policy_params, typing.Mapping):
             object.__setattr__(self, "policy_params",
                                tuple(sorted(self.policy_params.items())))
         if self.policy is not None:
-            if self.policy not in registry:
+            if self.policy not in POLICIES:
                 raise ConfigurationError(
                     f"unknown adaptation policy: {self.policy!r} "
-                    f"(registered policies: "
-                    f"{', '.join(registry.names())})")
-            axes = registry.paper_axes(self.policy)
-            if axes is not None:
-                # A paper name is authoritative over the legacy axes.
-                object.__setattr__(self, "assessment", axes[0])
-                object.__setattr__(self, "response", axes[1])
-        if self.assessment not in registry.assessments():
+                    f"(known policies: {', '.join(sorted(POLICIES))})")
+            if self.policy.startswith("paper-"):
+                # A paper name is authoritative over the axes.
+                axes = self.policy.removeprefix("paper-")
+                object.__setattr__(self, "assessment", axes[:2])
+                object.__setattr__(self, "response", axes[2:])
+        for axis, value, valid in (
+                ("assessment", self.assessment, ASSESSMENTS),
+                ("response", self.response, RESPONSES)):
+            if value not in valid:
+                raise ConfigurationError(
+                    f"unknown {axis} policy: {value!r} (valid {axis}s: "
+                    f"{', '.join(valid)}; known policies: "
+                    f"{', '.join(sorted(POLICIES))})")
+        known = POLICIES[self.policy_name].PARAMS
+        unknown = sorted(set(self.params()) - set(known))
+        if unknown:
             raise ConfigurationError(
-                f"unknown assessment policy: {self.assessment!r} "
-                f"(valid assessments: "
-                f"{', '.join(registry.assessments())}; registered "
-                f"policies: {', '.join(registry.names())})")
-        if self.response not in registry.responses():
-            raise ConfigurationError(
-                f"unknown response policy: {self.response!r} "
-                f"(valid responses: {', '.join(registry.responses())}; "
-                f"registered policies: {', '.join(registry.names())})")
-        registry.validate_params(self.policy_name,
-                                 dict(self.policy_params))
+                f"policy {self.policy_name!r} does not accept "
+                f"parameter(s) {', '.join(map(repr, unknown))} (known "
+                f"parameters: {', '.join(sorted(known)) or 'none'})")
         if self.m1_interval < 0:
             raise ConfigurationError(
                 f"m1_interval must be >= 0: {self.m1_interval}")
@@ -132,7 +134,7 @@ class AdaptivityConfig:
 
     @property
     def policy_name(self) -> str:
-        """The registry name this config resolves to."""
+        """The :data:`~repro.policy.POLICIES` name this config selects."""
         if self.policy is not None:
             return self.policy
         return f"paper-{self.assessment}{self.response}"
@@ -202,9 +204,6 @@ class FaultToleranceConfig:
             raise ConfigurationError(
                 f"max_recoveries must be >= 0 or None: "
                 f"{self.max_recoveries}")
-
-    def replace(self, **changes) -> "FaultToleranceConfig":
-        return dataclasses.replace(self, **changes)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.core.notifications import (
 )
 from repro.engine.distribution import normalise_weights
 from repro.grid.container import GridContext
-from repro.policy import AdaptationPolicy, create_policy
+from repro.policy import AdaptationPolicy
 from repro.services.base import GridService
 from repro.services.pubsub import NotificationPublisher
 
@@ -72,17 +72,16 @@ class Diagnoser(GridService, NotificationPublisher):
     def __init__(self, context: GridContext, machine_name: str,
                  config: AdaptivityConfig, cost: CostModel,
                  tasks: typing.Sequence[BalancingTask],
-                 query_id: str = "q",
-                 policy: AdaptationPolicy | None = None) -> None:
+                 query_id: str = "q", *,
+                 policy: AdaptationPolicy) -> None:
         GridService.__init__(self, context, f"diagnoser:{query_id}",
                              machine_name)
         NotificationPublisher.__init__(self)
         self.config = config
         self.cost = cost
         #: The controller that observes costs and proposes vectors;
-        #: shared with the query's detectors and Responder when
-        #: deployed together.
-        self.policy = policy if policy is not None else create_policy(config)
+        #: the query's instance, shared with its detectors and Responder.
+        self.policy = policy
         self.tasks = {task.subplan_id: task for task in tasks}
         self._weights: dict[str, list[float]] = {
             task.subplan_id: list(normalise_weights(task.initial_weights))

@@ -34,7 +34,7 @@ from repro.core.notifications import (
     TOPIC_COST,
 )
 from repro.grid.container import GridContext
-from repro.policy import AdaptationPolicy, create_policy
+from repro.policy import AdaptationPolicy
 from repro.services.base import GridService
 from repro.services.pubsub import NotificationPublisher
 
@@ -61,8 +61,8 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
 
     def __init__(self, context: GridContext, machine_name: str,
                  config: AdaptivityConfig, cost: CostModel,
-                 query_id: str = "q",
-                 policy: AdaptationPolicy | None = None) -> None:
+                 query_id: str = "q", *,
+                 policy: AdaptationPolicy) -> None:
         GridService.__init__(self, context,
                              f"detector:{query_id}:{machine_name}",
                              machine_name)
@@ -70,8 +70,8 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         self.config = config
         self.cost = cost
         #: The adaptation policy owning the (re-)notification gate;
-        #: shared with the query's Diagnoser/Responder when deployed.
-        self.policy = policy if policy is not None else create_policy(config)
+        #: the query's instance, shared with its Diagnoser/Responder.
+        self.policy = policy
         self.query_id = query_id
         self._windows: dict[str, collections.deque] = {}
         self._last_notified: dict[str, float] = {}

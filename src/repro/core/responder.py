@@ -34,7 +34,7 @@ from repro.engine.distribution import (
 )
 from repro.errors import ServiceError
 from repro.grid.container import GridContext
-from repro.policy import AdaptationPolicy, create_policy
+from repro.policy import AdaptationPolicy
 from repro.policy.base import SKIP
 from repro.services.base import GridService
 from repro.services.pubsub import NotificationPublisher
@@ -73,16 +73,16 @@ class Responder(GridService, NotificationPublisher):
     def __init__(self, context: GridContext, machine_name: str,
                  config: AdaptivityConfig, cost: CostModel,
                  tasks: typing.Sequence[BalancingTask],
-                 query_id: str = "q",
-                 policy: AdaptationPolicy | None = None) -> None:
+                 query_id: str = "q", *,
+                 policy: AdaptationPolicy) -> None:
         GridService.__init__(self, context, f"responder:{query_id}",
                              machine_name)
         NotificationPublisher.__init__(self)
         self.config = config
         self.cost = cost
-        #: The controller whose verdicts gate deployments; shared with
-        #: the query's detectors and Diagnoser when deployed together.
-        self.policy = policy if policy is not None else create_policy(config)
+        #: The controller whose verdicts gate deployments; the query's
+        #: instance, shared with its detectors and Diagnoser.
+        self.policy = policy
         self._state = {task.subplan_id: _SubplanState(task)
                        for task in tasks}
         self.adaptations_accepted = 0

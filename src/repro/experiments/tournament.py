@@ -3,7 +3,7 @@
 Not a paper artefact, but the question its policy seam raises: the
 paper's controller (inverse-cost target behind fixed thresholds) is
 one point in the design space now occupied by every policy in
-:func:`repro.policy.default_registry`.  The tournament races all of
+:data:`repro.policy.POLICIES`.  The tournament races all of
 them over scenarios drawn from the paper's evaluation — the Fig. 2
 one-off WS slowdown, the Fig. 3 join slowdown, the Fig. 5-style
 volatile WS cost, and the chaos freeze/quarantine stall — and ranks
@@ -38,7 +38,7 @@ from repro.experiments.harness import (
     collect_metrics,
     engine_config_for,
 )
-from repro.policy import default_registry
+from repro.policy import POLICIES
 from repro.workloads.proteins import DemoGrid, DemoGridSpec
 from repro.workloads.queries import Q1, Q2
 from repro.workloads.scenarios import (
@@ -175,12 +175,12 @@ def _tournament(experiment_id: str, title: str, policies: tuple,
 
 
 def run(jobs: int = 1) -> ExperimentReport:
-    """The full tournament: every registered policy, every scenario."""
+    """The full tournament: every policy, every scenario."""
     return _tournament(
         "tournament",
         "Adaptation-policy tournament across paper scenarios "
         "(extension)",
-        tuple(default_registry().names()), SCENARIO_IDS,
+        tuple(sorted(POLICIES)), SCENARIO_IDS,
         smoke=False, jobs=jobs)
 
 

@@ -8,11 +8,10 @@ of the monitor/assess/respond pipeline (which detector averages are
 worth notifying, what the balanced vector is, whether a proposal is
 worth deploying) while the Diagnoser/Responder services keep owning
 the *mechanics* (pub/sub plumbing, CPU charges, progress-estimation
-calls, two-phase weight deployment).  That split is what makes the
-paper's four A1/A2×R1/R2 variants bit-identical registry instances —
-a policy that reproduces today's arithmetic produces today's runs —
-while other controllers (hysteresis, PID) drop in without touching
-the services.
+calls, two-phase weight deployment).  That split is what lets the
+paper's four A1/A2×R1/R2 variants be this base class itself — the
+``paper-*`` entries of :data:`repro.policy.POLICIES` — while other
+controllers (hysteresis, PID) drop in without touching the services.
 
 Protocol surface (all consulted by the core services):
 
@@ -97,12 +96,11 @@ class AdaptationPolicy:
 
     Subclasses customise single decisions (cost smoothing, the target
     vector, the proposal/decision gates) without re-implementing the
-    bookkeeping.  The base class *is* the paper controller in all but
-    name — the registered ``paper-*`` instances subclass it without
-    overriding anything.
+    bookkeeping.  The base class *is* the paper controller: every
+    ``paper-*`` name of :data:`repro.policy.POLICIES` instantiates it.
     """
 
-    #: Registered name; set by the registry at creation time.
+    #: The :data:`~repro.policy.POLICIES` name; set by ``create_policy``.
     name = "base"
     #: Tunables: parameter name -> default value.  Overridden per
     #: policy; values come from ``AdaptivityConfig.policy_params``.

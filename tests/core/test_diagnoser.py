@@ -13,6 +13,7 @@ from repro.core import (
     WeightsInstalled,
 )
 from repro.grid import GridContext
+from repro.policy import create_policy
 from repro.services import GridService
 
 
@@ -42,8 +43,10 @@ def make_diagnoser(config=None, co_located=()):
     context = GridContext(seed=0)
     context.add_machine("m1")
     context.add_machine("m2")
-    diagnoser = Diagnoser(context, "m1", config or AdaptivityConfig(),
-                          CostModel(), [make_task(co_located)])
+    config = config or AdaptivityConfig()
+    diagnoser = Diagnoser(context, "m1", config, CostModel(),
+                          [make_task(co_located)],
+                          policy=create_policy(config))
     responder = RecordingService(context, "resp", "m2")
     diagnoser.subscribe(TOPIC_IMBALANCE, "resp")
     return context, diagnoser, responder

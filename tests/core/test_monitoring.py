@@ -15,6 +15,7 @@ from repro.core.monitoring import MIN_WINDOW_EVENTS
 from repro.engine.metrics import SubplanMetrics
 from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
+from repro.policy import create_policy
 from repro.policy.base import THRES_M_FLOOR
 from repro.services import GridService
 
@@ -32,8 +33,9 @@ def make_detector(config=None, with_subscriber=True):
     context = GridContext(seed=0)
     context.add_machine("m1")
     context.add_machine("m2")
+    config = config or AdaptivityConfig()
     detector = MonitoringEventDetector(
-        context, "m1", config or AdaptivityConfig(), CostModel())
+        context, "m1", config, CostModel(), policy=create_policy(config))
     subscriber = None
     if with_subscriber:
         subscriber = RecordingService(context, "diag", "m2")

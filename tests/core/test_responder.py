@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.engine.control import ProgressReport
 from repro.grid import GridContext
+from repro.policy import create_policy
 from repro.services import GridService
 
 
@@ -78,7 +79,8 @@ def make_world(config=None, processed=100, policy_kind="wrr",
         instance_endpoints=("gqes:q:m1",))
     config = config or AdaptivityConfig(decision_latency_ms=0.0,
                                         cooldown_ms=0.0)
-    responder = Responder(context, "m1", config, CostModel(), [task])
+    responder = Responder(context, "m1", config, CostModel(), [task],
+                          policy=create_policy(config))
     diagnoser = RecordingService(context, "diag", "m2")
     responder.subscribe(TOPIC_WEIGHTS, "diag")
     return context, responder, gqes, diagnoser

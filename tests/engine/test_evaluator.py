@@ -10,6 +10,7 @@ from repro.engine.evaluator import Fragment
 from repro.engine.metrics import SubplanMetrics
 from repro.engine.operators.base import END, EvalContext, Operator
 from repro.grid import GridContext
+from repro.policy import create_policy
 
 
 class TimedSource(Operator):
@@ -106,8 +107,10 @@ class TestFragmentPump:
     def test_m1_events_emitted_per_interval(self):
         context = GridContext(seed=0)
         context.add_machine("m1")
+        config = AdaptivityConfig()
         detector = MonitoringEventDetector(
-            context, "m1", AdaptivityConfig(), CostModel())
+            context, "m1", config, CostModel(),
+            policy=create_policy(config))
         ctx = EvalContext(
             grid=context, machine=context.machine("m1"),
             metrics=SubplanMetrics("compute:0"), cost=CostModel(),

@@ -112,12 +112,11 @@ class TestRegistryAndReport:
 class TestTournament:
     def test_smoke_slice_is_subset_of_full_tournament(self):
         from repro.experiments import tournament
-        from repro.policy import default_registry
+        from repro.policy import POLICIES
 
         assert set(tournament.SMOKE_SCENARIO_IDS) <= set(
             tournament.SCENARIO_IDS)
-        assert set(tournament.SMOKE_POLICIES) <= set(
-            default_registry().names())
+        assert set(tournament.SMOKE_POLICIES) <= set(POLICIES)
 
     def test_cells_run_baselines_before_policies(self):
         from repro.experiments import tournament

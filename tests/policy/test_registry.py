@@ -1,45 +1,34 @@
-"""Unit tests for the policy registry and its config integration."""
+"""Unit tests for the policy table and its config integration."""
 
 import pytest
 
 from repro.config import AdaptivityConfig
 from repro.errors import ConfigurationError
-from repro.policy import (
-    HysteresisPolicy,
-    PolicyRegistry,
-    create_policy,
-    default_registry,
-    paper_policy_name,
-)
+from repro.policy import POLICIES, HysteresisPolicy, create_policy
 
 
 class TestPolicyRegistry:
-    def test_default_registry_has_all_builtins(self):
-        assert default_registry().names() == [
+    def test_policies_lists_all_builtins(self):
+        assert sorted(POLICIES) == [
             "hysteresis", "paper-A1R1", "paper-A1R2", "paper-A2R1",
             "paper-A2R2", "pid"]
 
     def test_unknown_name_lists_registered_policies(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            default_registry().get("A3")
+            AdaptivityConfig(policy="A3")
         message = str(excinfo.value)
         assert "'A3'" in message
         assert "paper-A1R1" in message
         assert "hysteresis" in message
 
-    def test_duplicate_registration_rejected(self):
-        registry = PolicyRegistry()
-        registry.register("x", HysteresisPolicy)
-        with pytest.raises(ValueError):
-            registry.register("x", HysteresisPolicy)
-
-    def test_paper_axes_roundtrip(self):
-        registry = default_registry()
-        assert registry.paper_axes(paper_policy_name("A2", "R1")) == (
-            "A2", "R1")
-        assert registry.paper_axes("hysteresis") is None
-        assert registry.assessments() == ["A1", "A2"]
-        assert registry.responses() == ["R1", "R2"]
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_every_policy_creates_a_named_instance(self, name):
+        config = AdaptivityConfig(policy=name)
+        policy = create_policy(config)
+        assert type(policy) is POLICIES[name]
+        assert policy.name == name
+        if name.startswith("paper-"):
+            assert config.assessment + config.response == name[6:]
 
     def test_create_names_the_instance(self):
         config = AdaptivityConfig(policy="hysteresis")
@@ -49,8 +38,8 @@ class TestPolicyRegistry:
 
     def test_unknown_param_lists_known_tunables(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            default_registry().validate_params("hysteresis",
-                                               {"alhpa": 1.0})
+            AdaptivityConfig(policy="hysteresis",
+                             policy_params={"alhpa": 1.0})
         message = str(excinfo.value)
         assert "'alhpa'" in message
         assert "alpha" in message

@@ -30,6 +30,7 @@ from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
 from repro.net.link import Link
+from repro.policy import create_policy
 from repro.services.base import GridService
 from repro.services.ws import WebServiceOperation
 from repro.sim import Cpu, Environment
@@ -188,8 +189,10 @@ def compute_fragment_events(morsels, monitoring, rotate):
 
     Downstream(context, "downstream", "m2")
     cost = CostModel()
+    config = AdaptivityConfig()
     detector = MonitoringEventDetector(
-        context, "m1", AdaptivityConfig(), cost) if monitoring else None
+        context, "m1", config, cost,
+        policy=create_policy(config)) if monitoring else None
     ctx = EvalContext(
         grid=context, machine=context.machine("m1"),
         metrics=SubplanMetrics("compute:0"), cost=cost,

@@ -1,9 +1,11 @@
 """Tests for the repro-query command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -29,7 +31,7 @@ class TestCli:
         code, out = run_cli(
             capsys,
             "select EntropyAnalyser(p.sequence) from protein_sequences p",
-            "--perturb-ws", "10", "--response", "R1", *SMALL)
+            "--perturb-ws", "10", "--policy", "paper-A1R1", *SMALL)
         assert code == 0
         assert "results: 120 rows" in out
 
@@ -70,7 +72,7 @@ class TestCli:
 
     def test_parser_rejects_bad_response(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["q", "--response", "R9"])
+            build_parser().parse_args(["q", "--policy", "paper-A1R9"])
 
     def test_query_or_workload_required(self):
         with pytest.raises(SystemExit):
@@ -128,6 +130,50 @@ class TestCliValidation:
     def test_suspect_timeout_must_leave_room_for_heartbeats(self, capsys):
         err = self.reject(capsys, "--suspect-timeout", "1")
         assert "--suspect-timeout" in err
+
+    def test_max_recoveries_without_a_fault_rejected(self, capsys):
+        err = self.reject(capsys, "--max-recoveries", "1")
+        assert "--max-recoveries" in err
+
+    def test_retries_without_workload_rejected(self, capsys):
+        err = self.reject(capsys, "--retries", "3")
+        assert "--retries" in err
+
+    def test_query_timeout_without_workload_rejected(self, capsys):
+        err = self.reject(capsys, "--query-timeout", "5000")
+        assert "--query-timeout" in err
+
+
+class TestCliFaultTolerance:
+    QUERY = "select p.ORF from protein_sequences p"
+
+    def built(self, monkeypatch, *argv):
+        """The fault-tolerance config ``main`` hands the grid."""
+        built = {}
+
+        class Built(Exception):
+            pass
+
+        def capture(spec, fault_tolerance, chaos):
+            built["fault_tolerance"] = fault_tolerance
+            raise Built
+
+        monkeypatch.setattr(cli, "DemoGrid", capture)
+        with pytest.raises(Built):
+            main([self.QUERY, *argv, *SMALL])
+        return built["fault_tolerance"]
+
+    def test_max_recoveries_kept_with_freeze(self, monkeypatch):
+        config = self.built(monkeypatch, "--chaos-freeze",
+                            "compute-2:600:900", "--max-recoveries", "0")
+        assert config.max_recoveries == 0
+        assert config.suspect_timeout_ms == 1000.0
+
+    def test_max_recoveries_kept_with_suspect_timeout(self, monkeypatch):
+        config = self.built(monkeypatch, "--suspect-timeout", "600",
+                            "--max-recoveries", "2")
+        assert config.max_recoveries == 2
+        assert config.suspect_timeout_ms == 600.0
 
 
 class TestCliChaos:
@@ -204,6 +250,16 @@ class TestCliWorkload:
                              "--timeline")
         assert "query started" in out
         assert "query completed" in out
+
+    def test_degree_caps_every_session(self, capsys):
+        _code, out = run_cli(capsys, *self.WORKLOAD, "--seed", "3",
+                             "--machines", "3", "--degree", "1",
+                             "--timeline")
+        started = [line for line in out.splitlines()
+                   if "query started" in line]
+        assert started
+        for line in started:
+            assert len(re.findall(r"'compute-\d+'", line)) == 1, line
 
 
 class TestCliMetrics:
