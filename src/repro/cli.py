@@ -303,12 +303,15 @@ def _run(parser: argparse.ArgumentParser,
                      f"{', '.join(machine_names)})")
     chaos = _validated_chaos(parser, args, machine_names)
     has_crashes = bool(chaos is not None and chaos.schedule.crashes)
-    spec = DemoGridSpec(
-        compute_machines=args.machines,
-        sequences_cardinality=args.sequences,
-        interactions_cardinality=args.interactions,
-        seed=args.seed,
-        spare_machines=1 if (args.fail_machine or has_crashes) else 0)
+    try:
+        spec = DemoGridSpec(
+            compute_machines=args.machines,
+            sequences_cardinality=args.sequences,
+            interactions_cardinality=args.interactions,
+            seed=args.seed,
+            spare_machines=1 if (args.fail_machine or has_crashes) else 0)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.max_recoveries is not None and args.max_recoveries < 0:
         parser.error(f"--max-recoveries must be >= 0, got "
                      f"{args.max_recoveries}")

@@ -13,8 +13,8 @@ GDQS.  Cost constants live in :mod:`repro.workloads.scenarios`.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import functools
 
 from repro.config import (
     CostModel,
@@ -36,6 +36,7 @@ from repro.net.network import NetworkConfig
 from repro.net.serialization import SerializationModel
 from repro.services.gds import GridDataService
 from repro.services.ws import make_entropy_analyser
+from repro.sim.rand import RandomStreams
 
 #: Machine names of the demo deployment.
 COORDINATOR = "coordinator"
@@ -46,39 +47,22 @@ def compute_machine_name(index: int) -> str:
     return f"compute-{index + 1}"
 
 
-#: Generated demo relations keyed by the spec fields they depend on.
-#: The tables are a pure function of (seed, shape) and are read-only
-#: once built (scans slice ``relation.rows``; operators emit fresh
-#: Row objects), so identical grids share one copy: regeneration —
-#: hundreds of thousands of RNG draws for the default 3000x256
-#: sequence table — dominated grid construction in the perf profile.
-_DATASET_CACHE: collections.OrderedDict = collections.OrderedDict()
-_DATASET_CACHE_LIMIT = 8
+@functools.lru_cache(maxsize=8)
+def _demo_relations(seed: int, sequences: int, interactions: int,
+                    length: int):
+    """The (sequences, interactions) tables of a grid, cached.
 
-
-def _demo_relations(context, spec: "DemoGridSpec"):
-    """The (sequences, interactions) tables for ``spec``, cached.
-
-    The "protein-data" random stream is consumed *only* here, and
-    :class:`~repro.sim.rand.RandomStreams` derives every named stream
-    independently from the seed, so serving a cached copy (and never
-    touching the stream) is indistinguishable from regenerating.
+    The tables are a pure function of these four spec fields and are
+    read-only once built (scans slice ``relation.rows``; operators emit
+    fresh Row objects), so identical grids in one process share one
+    copy.  :class:`~repro.sim.rand.RandomStreams` derives each named
+    stream from the seed and the name alone, so this is the grid's own
+    "protein-data" stream, which nothing else consumes.
     """
-    key = (spec.seed, spec.sequences_cardinality,
-           spec.interactions_cardinality, spec.sequence_length)
-    cached = _DATASET_CACHE.get(key)
-    if cached is not None:
-        _DATASET_CACHE.move_to_end(key)
-        return cached
-    rng = context.random.stream("protein-data")
-    sequences = generate_protein_sequences(
-        rng, spec.sequences_cardinality, spec.sequence_length)
-    interactions = generate_protein_interactions(
-        rng, sequences, spec.interactions_cardinality)
-    _DATASET_CACHE[key] = (sequences, interactions)
-    while len(_DATASET_CACHE) > _DATASET_CACHE_LIMIT:
-        _DATASET_CACHE.popitem(last=False)
-    return sequences, interactions
+    rng = RandomStreams(seed).stream("protein-data")
+    sequence_table = generate_protein_sequences(rng, sequences, length)
+    return sequence_table, generate_protein_interactions(
+        rng, sequence_table, interactions)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,8 +93,12 @@ class DemoGridSpec:
     lazy_machines: bool = False
 
     def __post_init__(self) -> None:
-        if self.sites < 1:
-            raise ValueError(f"sites must be >= 1: {self.sites}")
+        for field, least in (("sites", 1), ("sequences_cardinality", 1),
+                             ("interactions_cardinality", 0),
+                             ("sequence_length", 1)):
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"{field} must be >= {least}: {value}")
 
 
 class DemoGrid:
@@ -148,7 +136,9 @@ class DemoGrid:
         for name in self.spare_machines:
             self.context.add_machine(name, compute=False, spare=True)
 
-        sequences, interactions = _demo_relations(self.context, self.spec)
+        sequences, interactions = _demo_relations(
+            self.spec.seed, self.spec.sequences_cardinality,
+            self.spec.interactions_cardinality, self.spec.sequence_length)
         self.gds_map = {
             "protein_sequences": GridDataService(
                 self.context, DATA_HOST, sequences,

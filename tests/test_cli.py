@@ -92,6 +92,16 @@ class TestCliValidation:
                           "--fail-at", "-1")
         assert "--fail-at" in err
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--sequences", "0", "sequences_cardinality"),
+        ("--interactions", "-3", "interactions_cardinality"),
+    ])
+    def test_invalid_table_size_rejected(self, capsys, flag, value, field):
+        with pytest.raises(SystemExit) as exit_info:
+            main([self.QUERY, "--static", flag, value])
+        assert exit_info.value.code == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_fail_machine_rejected(self, capsys):
         err = self.reject(capsys, "--fail-machine", "compute-9")
         assert "compute-9" in err

@@ -71,6 +71,21 @@ class TestDemoGrid:
         second = DemoGrid(other).gds_map["protein_sequences"].relation
         assert [r.values for r in first] != [r.values for r in second]
 
+    @pytest.mark.parametrize("field,value", [
+        ("sequences_cardinality", 0),
+        ("interactions_cardinality", -1),
+        ("sequence_length", 0),
+    ])
+    def test_invalid_table_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DemoGridSpec(**{field: value})
+
+    def test_empty_interaction_table_allowed(self):
+        spec = DemoGridSpec(sequences_cardinality=1,
+                            interactions_cardinality=0, sequence_length=1)
+        grid = DemoGrid(spec)
+        assert grid.gds_map["protein_interactions"].relation.cardinality == 0
+
 
 class TestScenarios:
     def test_perturb_ws_cost_targets_first_machines(self):
