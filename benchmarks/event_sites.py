@@ -172,19 +172,22 @@ def main(argv=None) -> int:
         sites[" < ".join(names)] += 1
         schedule(env, event, *rest, **kwargs)
 
-    scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
     charges = ChargeCounter() if args.charges else None
     heap = None
-    if args.heap:
-        fresh = tracked_by_type()
-        heap = HeapCounter(lambda: sum(
-            1 for session in scenario.scheduler.sessions
-            if session.completed_at is not None))
-        gc.callbacks.append(heap)
+    # Counting starts before the build: a workload may queue events
+    # while it is set up (mq_faults starts its crash processes), and
+    # the per-site counts must add up to the environment's total.
     Environment.schedule = counting
-    if charges is not None:
-        charges.install()
     try:
+        scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
+        if args.heap:
+            fresh = tracked_by_type()
+            heap = HeapCounter(lambda: sum(
+                1 for session in scenario.scheduler.sessions
+                if session.completed_at is not None))
+            gc.callbacks.append(heap)
+        if charges is not None:
+            charges.install()
         drive(scenario)
     finally:
         Environment.schedule = schedule

@@ -70,9 +70,9 @@ class LinkFault:
         _check_probability("duplicate_probability",
                            self.duplicate_probability)
         _check_probability("delay_probability", self.delay_probability)
-        if self.delay_ms < 0:
+        if not (math.isfinite(self.delay_ms) and self.delay_ms >= 0):
             raise ConfigurationError(
-                f"delay_ms must be non-negative: {self.delay_ms}")
+                f"delay_ms must be non-negative and finite: {self.delay_ms}")
         if self.drop_probability > 0 and "control" in self.kinds:
             raise ConfigurationError(
                 "control messages are not droppable: the recovery "
@@ -198,14 +198,16 @@ class RetryPolicy:
     jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
+        if not (math.isfinite(self.timeout_ms) and self.timeout_ms > 0):
             raise ConfigurationError(
-                f"retry timeout must be positive: {self.timeout_ms}")
+                f"retry timeout must be finite and > 0: {self.timeout_ms}")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 or None: {self.max_attempts}")
-        if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
-            raise ConfigurationError("backoff values must be non-negative")
+        if not all(math.isfinite(value) and value >= 0
+                   for value in (self.backoff_base_ms, self.backoff_cap_ms)):
+            raise ConfigurationError(
+                "backoff values must be non-negative and finite")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(
                 f"jitter must be in [0, 1): {self.jitter}")

@@ -22,6 +22,7 @@ all derive from it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.chaos import ChaosConfig, MachineCrash, MachineFreeze, RetryPolicy
@@ -223,8 +224,8 @@ def _validated_chaos(parser: argparse.ArgumentParser,
         if not 0.0 <= value <= 1.0:
             parser.error(f"{flag} must be a probability in [0, 1], "
                          f"got {value:g}")
-    if args.chaos_delay_ms < 0:
-        parser.error(f"--chaos-delay-ms must be >= 0, "
+    if not (math.isfinite(args.chaos_delay_ms) and args.chaos_delay_ms >= 0):
+        parser.error(f"--chaos-delay-ms must be a finite number >= 0, "
                      f"got {args.chaos_delay_ms:g}")
     freezes = _machine_faults(parser, "--chaos-freeze", args.chaos_freeze,
                               "MACHINE:AT_MS:DURATION_MS", MachineFreeze,
@@ -336,10 +337,14 @@ def _run(parser: argparse.ArgumentParser,
         parser.error("--max-recoveries needs a fault: --fail-machine, "
                      "--chaos-crash, --chaos-freeze or --suspect-timeout")
     grid = DemoGrid(spec, fault_tolerance=fault_tolerance, chaos=chaos)
-    if args.perturb_ws:
-        perturb_ws_cost(grid, args.perturb_ws)
-    if args.perturb_sleep:
-        perturb_join_sleep(grid, args.perturb_sleep)
+    for flag, value, perturb in (
+            ("--perturb-ws", args.perturb_ws, perturb_ws_cost),
+            ("--perturb-sleep", args.perturb_sleep, perturb_join_sleep)):
+        if value:
+            try:
+                perturb(grid, value)
+            except ConfigurationError as exc:
+                parser.error(f"{flag}: {exc}")
     if args.fail_machine:
         grid.fail_machine_at(args.fail_machine, at_ms=args.fail_at)
 

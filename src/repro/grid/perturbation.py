@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 import random
 
 from repro.errors import ConfigurationError
@@ -75,8 +76,9 @@ class CostFactor(Perturbation):
     def __init__(self, factor: float, target: str = "*", start: float = 0.0,
                  end: float = float("inf")) -> None:
         super().__init__(target, start, end)
-        if factor <= 0:
-            raise ConfigurationError(f"cost factor must be positive: {factor}")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigurationError(
+                f"cost factor must be positive and finite: {factor}")
         self.factor = factor
 
     def apply(self, effect: WorkEffect, rng: random.Random) -> WorkEffect:
@@ -96,8 +98,9 @@ class SleepInjection(Perturbation):
     def __init__(self, sleep_ms: float, target: str = "*",
                  start: float = 0.0, end: float = float("inf")) -> None:
         super().__init__(target, start, end)
-        if sleep_ms < 0:
-            raise ConfigurationError(f"negative sleep: {sleep_ms}")
+        if not (math.isfinite(sleep_ms) and sleep_ms >= 0):
+            raise ConfigurationError(
+                f"sleep must be non-negative and finite: {sleep_ms}")
         self.sleep_ms = sleep_ms
 
     def apply(self, effect: WorkEffect, rng: random.Random) -> WorkEffect:
@@ -115,15 +118,15 @@ class StochasticCostFactor(Perturbation):
     """
 
     def __init__(self, low: float, high: float, target: str = "*",
-                 mean: float | None = None, start: float = 0.0,
-                 end: float = float("inf")) -> None:
+                 start: float = 0.0, end: float = float("inf")) -> None:
         super().__init__(target, start, end)
-        if low <= 0 or high < low:
+        if not (math.isfinite(low) and math.isfinite(high)
+                and 0 < low <= high):
             raise ConfigurationError(
                 f"invalid stochastic factor range: [{low}, {high}]")
         self.low = low
         self.high = high
-        self.mean = (low + high) / 2.0 if mean is None else mean
+        self.mean = (low + high) / 2.0
         self.sigma = (high - low) / 6.0
 
     def draw(self, rng: random.Random) -> float:
@@ -150,8 +153,9 @@ class JitterFactor(Perturbation):
     def __init__(self, sigma: float, target: str = "*", start: float = 0.0,
                  end: float = float("inf")) -> None:
         super().__init__(target, start, end)
-        if sigma < 0:
-            raise ConfigurationError(f"negative jitter sigma: {sigma}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ConfigurationError(
+                f"jitter sigma must be non-negative and finite: {sigma}")
         self.sigma = sigma
 
     def apply(self, effect: WorkEffect, rng: random.Random) -> WorkEffect:

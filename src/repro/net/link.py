@@ -6,11 +6,13 @@ concurrent senders to the same destination serialise, as on a shared
 100 Mbps segment — and is then delivered after the propagation
 ``latency``, which does not occupy the link.  Messages on a link are
 delivered in FIFO order, a property the recovery protocol relies on.
+With nothing to cancel, a transfer's delivery time is known when it is
+enqueued, so the link keeps only the time it frees and a transfer is
+one queued event: its delivery, at that absolute time.
 """
 
 from __future__ import annotations
 
-import collections
 import typing
 
 from repro.errors import ConfigurationError
@@ -31,57 +33,46 @@ class Link:
         self.env = env
         self.latency_ms = latency_ms
         self.bandwidth = bandwidth_bytes_per_ms
-        #: Transfers waiting for the link, in FIFO order, as
-        #: ``(size_bytes, extra_delay_ms, delivered, value)``.
-        self._waiting: collections.deque[tuple] = collections.deque()
-        #: The transfer occupying the link, or None while it is idle.
-        self._in_flight: tuple | None = None
+        #: When the last enqueued transfer finishes transmitting; the
+        #: link is idle from then on.
+        self._free_at = env.now
         self.bytes_sent = 0
         self.messages_sent = 0
         self.chaos_delay_ms = 0.0
 
-    def transmission_time(self, size_bytes: int) -> float:
-        """Time the link is occupied transmitting ``size_bytes``."""
-        return size_bytes / self.bandwidth
+    def occupy(self, size_bytes: int, extra_delay_ms: float = 0.0) -> float:
+        """Hold the link for one transfer; returns when it is sent.
+
+        It starts now on an idle link, else when the link frees, so
+        same-instant transfers occupy the link in call order.
+        ``extra_delay_ms`` (chaos-injected congestion) extends the
+        occupancy, so FIFO delivery order is preserved.  A
+        chaos-dropped message only occupies the link.
+        """
+        now = self.env._now
+        start = now if self._free_at <= now else self._free_at
+        self._free_at = start + (size_bytes / self.bandwidth + extra_delay_ms)
+        self.bytes_sent += size_bytes
+        self.messages_sent += 1
+        if extra_delay_ms > 0:
+            self.chaos_delay_ms += extra_delay_ms
+        return self._free_at
 
     def transfer(self, size_bytes: int, extra_delay_ms: float = 0.0,
                  delivered: Event | None = None,
                  value: typing.Any = None) -> Event:
         """Send ``size_bytes``; the event fires at delivery time.
 
-        On an idle link transmission starts in this call, so
-        same-instant transfers occupy the link in call order.
         ``delivered`` (a fresh event by default) succeeds with
-        ``value`` at delivery.  ``extra_delay_ms`` models
-        chaos-injected congestion: it extends this transfer's link
-        occupancy, so later messages queue behind it and FIFO delivery
-        order is preserved.
+        ``value``, queued ``latency_ms`` after the transmission ends:
+        propagation does not occupy the link.
         """
         if delivered is None:
             delivered = Event(self.env)
-        item = (size_bytes, extra_delay_ms, delivered, value)
-        if self._in_flight is None:
-            self._transmit(item)
-        else:
-            self._waiting.append(item)
+        # Not ``succeed(value, delay)``: now + (when - now) may round
+        # off ``when``, and the delivery time must be exact.
+        delivered._ok = True
+        delivered._value = value
+        when = self.occupy(size_bytes, extra_delay_ms) + self.latency_ms
+        self.env.schedule(delivered, when)
         return delivered
-
-    def _transmit(self, item: tuple) -> None:
-        self._in_flight = item
-        self.env.timeout(
-            self.transmission_time(item[0]) + item[1]
-        ).callbacks.append(self._on_transmitted)
-
-    def _on_transmitted(self, _event: Event) -> None:
-        size_bytes, extra_delay_ms, delivered, value = self._in_flight
-        self.bytes_sent += size_bytes
-        self.messages_sent += 1
-        if extra_delay_ms > 0:
-            self.chaos_delay_ms += extra_delay_ms
-        # Propagation happens off-link: delivery is queued without
-        # blocking the next transmission.
-        delivered.succeed(value, delay=self.latency_ms)
-        if self._waiting:
-            self._transmit(self._waiting.popleft())
-        else:
-            self._in_flight = None

@@ -155,9 +155,9 @@ class Network:
             # delivered — the sender observes silence, like a lost
             # datagram; ``done`` never fires, so synchronous senders
             # must pair it with a timeout (the retry wrappers do).
-            lost = Event(self.env)
-            lost.callbacks.append(self._on_lost)
-            link.transfer(message.size_bytes, fault.extra_delay_ms, lost)
+            # Nothing is queued for it.
+            link.occupy(message.size_bytes, fault.extra_delay_ms)
+            self.messages_dropped += 1
         else:
             link.transfer(message.size_bytes, fault.extra_delay_ms, done,
                           message)
@@ -168,9 +168,6 @@ class Network:
             copy.callbacks.append(self._on_arrival)
             link.transfer(message.size_bytes, 0.0, copy, message)
         return done
-
-    def _on_lost(self, _event: Event) -> None:
-        self.messages_dropped += 1
 
     def _on_arrival(self, event: Event) -> None:
         """A delivery event fired: hand its message to the recipient."""

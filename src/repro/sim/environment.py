@@ -12,8 +12,8 @@ scheduling priority, then by insertion order.
 
 Heap entries are slim ``[when, (priority << 48) | seq, event]`` lists:
 one packed integer compares priority and insertion order at once.
-:attr:`Environment.events_scheduled` counts ``schedule()`` calls, i.e.
-events actually queued.
+:attr:`Environment.events_scheduled` counts ``schedule(event, when)``
+calls — the only heap push, at an absolute time — i.e. events queued.
 """
 
 from __future__ import annotations
@@ -145,15 +145,14 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0,
+    def schedule(self, event: Event, when: float,
                  priority: int = PRIORITY_NORMAL) -> None:
-        """Queue a triggered event to be processed ``delay`` from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
+        """Queue a triggered event at absolute time ``when`` (not NaN)."""
+        if not when >= self._now:
+            raise SimulationError(f"cannot schedule at {when} < {self._now}")
         self._seq += 1
         heapq.heappush(
-            self._queue,
-            [self._now + delay, (priority << _SEQ_BITS) | self._seq, event])
+            self._queue, [when, (priority << _SEQ_BITS) | self._seq, event])
 
     # -- event factories ----------------------------------------------
 

@@ -92,7 +92,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay)
+        self.env.schedule(self, self.env._now + delay)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,7 +107,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        self.env.schedule(self, self.env._now)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -119,17 +119,16 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` units of simulated time from now."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float,
                  value: typing.Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env.schedule(self, env._now + delay)
 
 
 class AnyOf(Event):

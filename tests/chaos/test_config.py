@@ -29,6 +29,11 @@ class TestLinkFault:
         with pytest.raises(ConfigurationError):
             LinkFault(delay_probability=0.5, delay_ms=-1.0)
 
+    @pytest.mark.parametrize("delay_ms", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay_ms):
+        with pytest.raises(ConfigurationError):
+            LinkFault(delay_probability=0.5, delay_ms=delay_ms)
+
     def test_control_messages_are_not_droppable(self):
         with pytest.raises(ConfigurationError, match="control"):
             LinkFault(drop_probability=0.1,
@@ -141,6 +146,13 @@ class TestRetryPolicy:
             RetryPolicy(backoff_base_ms=-1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(jitter=1.0)
+
+    @pytest.mark.parametrize("field", ["timeout_ms", "backoff_base_ms",
+                                       "backoff_cap_ms", "jitter"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**{field: value})
 
 
 class TestChaosConfig:

@@ -125,6 +125,22 @@ def test_invalid_perturbations_rejected():
         CostFactor(2.0, start=10.0, end=5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    CostFactor,
+    SleepInjection,
+    lambda value: StochasticCostFactor(1.0, value),
+    lambda value: StochasticCostFactor(value, value),
+    JitterFactor,
+], ids=["cost", "sleep", "stochastic-high", "stochastic-range",
+        "jitter"])
+def test_non_finite_perturbations_rejected(make, value):
+    """A NaN charge is never paid and an infinite one never ends."""
+    with pytest.raises(ConfigurationError):
+        make(value)
+
+
 def test_grid_context_wires_machines_and_registry():
     context = GridContext(seed=1)
     context.add_machine("m1", speed=1.5)

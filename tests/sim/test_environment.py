@@ -136,6 +136,21 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("trigger", [
+    lambda env: env.timeout(float("nan")),
+    lambda env: env.event().succeed("v", delay=float("nan")),
+    lambda env: env.event().succeed("v", delay=-1.0),
+], ids=["timeout-nan", "succeed-nan", "succeed-negative"])
+def test_a_time_before_now_or_nan_is_never_queued(trigger):
+    """A NaN heap key compares false with every other key, so it would
+    silently break the queue's order for every later event."""
+    env = Environment()
+    env.run(until=5.0)
+    with pytest.raises(SimulationError):
+        trigger(env)
+    assert env.events_scheduled == 0 and env.peek() == float("inf")
+
+
 def test_any_of_returns_first_winner():
     env = Environment()
 

@@ -1,8 +1,8 @@
 """Exact queued-event budgets per primitive.
 
 Every queued event is a point in simulated time at which something
-happens — a CPU service completion, the end of a link transmission, a
-delivery, a thaw — so each primitive has an exact
+happens — a CPU service completion, a delivery, a thaw — so each
+primitive has an exact
 ``Environment.events_scheduled`` cost.  These pins fail when a relay
 event (a hop to the next kernel step at the same instant) comes back.
 """
@@ -84,14 +84,14 @@ class TestLink:
     def test_one_transfer(self, latency):
         env = Environment()
         link = Link(env, latency_ms=latency, bandwidth_bytes_per_ms=100.0)
-        # End of transmission, then delivery.
-        assert queued(env, lambda: link.transfer(500)) == 2
+        # The delivery, queued at its absolute time in the call.
+        assert queued(env, lambda: link.transfer(500)) == 1
 
     def test_back_to_back_transfers(self):
         env = Environment()
         link = Link(env, latency_ms=2.0, bandwidth_bytes_per_ms=100.0)
         assert queued(env, lambda: [link.transfer(100)
-                                    for _ in range(5)]) == 10
+                                    for _ in range(5)]) == 5
 
 
 class TestNetwork:
@@ -107,9 +107,9 @@ class TestNetwork:
 
     def test_remote_send_to_a_service(self):
         context, sender = self.make()
-        # End of transmission, then the delivery that also routes it.
+        # The delivery, which also routes it.
         assert queued(context.env, lambda: sender.notify(
-            "remote", "topic", None)) == 2
+            "remote", "topic", None)) == 1
 
     def test_loopback_send_to_a_service(self):
         context, sender = self.make()
@@ -122,7 +122,7 @@ class TestNetwork:
         network.register("a", "m1")
         mailbox = network.register("b", "m2")
         assert queued(env, lambda: network.send(Message(
-            sender="a", recipient="b", kind=KIND_DATA, payload=None))) == 2
+            sender="a", recipient="b", kind=KIND_DATA, payload=None))) == 1
         assert len(mailbox) == 1
 
 
@@ -224,8 +224,8 @@ def compute_fragment_events(morsels, monitoring, rotate):
 @pytest.mark.parametrize("monitoring, rotate, budget", [
     (False, False, 1),   # the morsel
     (True, False, 2),    # + the M1 hand-over
-    (False, True, 4),    # + serialize, end of transmission, delivery
-    (True, True, 6),     # + the M2 hand-over
+    (False, True, 3),    # + serialize, delivery
+    (True, True, 5),     # + the M2 hand-over
 ], ids=["plain", "monitored", "rotating", "monitored-rotating"])
 def test_compute_morsel_budget(monitoring, rotate, budget):
     """One more morsel through a Q1 compute fragment is one more CPU
@@ -239,16 +239,16 @@ BATCH_SIZES = (1, 8, 32, 128)
 
 #: Q1 under the 10x WS perturbation, static, per batch size:
 #: (queued events, simulated response ms).
-HEADLINE = {1: (10099, 71014.903), 8: (2419, 71014.903),
-            32: (1609, 71014.903), 128: (1459, 71014.903)}
+HEADLINE = {1: (9852, 71014.903), 8: (2172, 71014.903),
+            32: (1362, 71014.903), 128: (1212, 71014.903)}
 
 #: Q2 with the 12 ms join sleep, per (policy, batch size); under A1 +
 #: R1 one adaptation replays 2,811 build rows as late blocks.
-JOIN = {("static", 1): (24401, 54127.193),
-        ("static", 8): (5445, 54247.087),
-        ("static", 32): (3500, 54492.555),
-        ("static", 128): (3190, 54498.186),
-        ("A1-R1", 32): (6632, 36586.284)}
+JOIN = {("static", 1): (23955, 54127.193),
+        ("static", 8): (4999, 54247.087),
+        ("static", 32): (3054, 54492.555),
+        ("static", 128): (2744, 54498.186),
+        ("A1-R1", 32): (5991, 36586.284)}
 JOIN_POLICIES = {"static": AdaptivityConfig.disabled(),
                  "A1-R1": AdaptivityConfig(assessment="A1", response="R1")}
 

@@ -125,6 +125,21 @@ class TestCliValidation:
                           "--chaos-delay-ms", "-10")
         assert "--chaos-delay-ms" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--perturb-ws", "nan"),
+        ("--perturb-ws", "inf"),
+        ("--perturb-ws", "-2"),
+        ("--perturb-sleep", "nan"),
+        ("--chaos-delay", "1", "--chaos-delay-ms", "nan"),
+        ("--chaos-delay", "0.5", "--chaos-delay-ms", "inf"),
+    ], ids=["ws-nan", "ws-inf", "ws-negative", "sleep-nan",
+            "chaos-delay-nan", "chaos-delay-inf"])
+    def test_non_finite_or_negative_costs_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([self.QUERY, *argv, *SMALL])
+        assert exit_info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
     def test_malformed_chaos_freeze_rejected(self, capsys):
         err = self.reject(capsys, "--chaos-freeze", "compute-1:100")
         assert "MACHINE:AT_MS:DURATION_MS" in err
