@@ -13,6 +13,10 @@ A morsel's operator charges are paid as one CPU task labelled
 ``--charges`` wraps ``EvalContext.charge`` / ``settle`` instead and
 prints the charges per label and how many charges each payment fused.
 
+``--dead`` also prints, by the same call sites, the events dispatched
+with no callback: nothing observed them, so queuing them was pure
+kernel cost (DESIGN decision 38).
+
 ``--heap`` reports what the run costs the cycle collector: per GC
 generation the collections, their pause seconds and the objects they
 collected (from ``gc.callbacks``), each generation-2 pass with the
@@ -150,13 +154,20 @@ def main(argv=None) -> int:
     parser.add_argument("--charges", action="store_true",
                         help="also print ledger charges per label and "
                              "charges per settle")
+    parser.add_argument("--dead", action="store_true",
+                        help="also print the events dispatched with no "
+                             "callback by call site")
     parser.add_argument("--heap", action="store_true",
                         help="also print GC passes per generation and the "
                              "objects alive after the run by type")
     args = parser.parse_args(argv)
 
     sites: collections.Counter = collections.Counter()
+    dead: collections.Counter = collections.Counter()
+    #: id of a queued event -> its call site (only with --dead).
+    queued_at: dict[int, str] = {}
     schedule = Environment.schedule
+    dispatch = Environment._dispatch
 
     def counting(env, event, *rest, **kwargs):
         frame = sys._getframe(1)
@@ -169,8 +180,17 @@ def main(argv=None) -> int:
             names.append(f"{pathlib.Path(code.co_filename).stem}."
                          f"{code.co_name}")
             frame = frame.f_back
-        sites[" < ".join(names)] += 1
+        site = " < ".join(names)
+        sites[site] += 1
+        if args.dead:
+            queued_at[id(event)] = site
         schedule(env, event, *rest, **kwargs)
+
+    def dispatching(env, event):
+        site = queued_at.pop(id(event))
+        if not event.callbacks:
+            dead[site] += 1
+        dispatch(env, event)
 
     charges = ChargeCounter() if args.charges else None
     heap = None
@@ -178,6 +198,8 @@ def main(argv=None) -> int:
     # while it is set up (mq_faults starts its crash processes), and
     # the per-site counts must add up to the environment's total.
     Environment.schedule = counting
+    if args.dead:
+        Environment._dispatch = dispatching
     try:
         scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
         if args.heap:
@@ -191,6 +213,7 @@ def main(argv=None) -> int:
         drive(scenario)
     finally:
         Environment.schedule = schedule
+        Environment._dispatch = dispatch
         if charges is not None:
             charges.uninstall()
         if heap is not None:
@@ -200,6 +223,11 @@ def main(argv=None) -> int:
           f"{total} events queued")
     for site, count in sites.most_common():
         print(f"{count:>9} {100.0 * count / total:5.1f} %  {site}")
+    if args.dead:
+        print(f"Dispatched with no callback: {sum(dead.values())} of "
+              f"{total} events")
+        for site, count in dead.most_common():
+            print(f"{count:>9} {100.0 * count / total:5.1f} %  {site}")
     if charges is not None:
         charges.report()
     if heap is not None:

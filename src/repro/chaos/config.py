@@ -108,12 +108,12 @@ class MachineFreeze:
     duration_ms: float
 
     def __post_init__(self) -> None:
-        if self.at_ms < 0:
+        if not (math.isfinite(self.at_ms) and self.at_ms >= 0):
             raise ConfigurationError(
-                f"freeze at_ms must be non-negative: {self.at_ms}")
-        if self.duration_ms <= 0:
+                f"freeze at_ms must be finite and >= 0: {self.at_ms}")
+        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
             raise ConfigurationError(
-                f"freeze duration must be positive: {self.duration_ms}")
+                f"freeze duration must be finite and > 0: {self.duration_ms}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,9 +133,9 @@ class MachineCrash:
     at_ms: float
 
     def __post_init__(self) -> None:
-        if self.at_ms < 0:
+        if not (math.isfinite(self.at_ms) and self.at_ms >= 0):
             raise ConfigurationError(
-                f"crash at_ms must be non-negative: {self.at_ms}")
+                f"crash at_ms must be finite and >= 0: {self.at_ms}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -224,9 +224,6 @@ def _validated_chaos(parser: argparse.ArgumentParser,
         if not 0.0 <= value <= 1.0:
             parser.error(f"{flag} must be a probability in [0, 1], "
                          f"got {value:g}")
-    if not (math.isfinite(args.chaos_delay_ms) and args.chaos_delay_ms >= 0):
-        parser.error(f"--chaos-delay-ms must be a finite number >= 0, "
-                     f"got {args.chaos_delay_ms:g}")
     freezes = _machine_faults(parser, "--chaos-freeze", args.chaos_freeze,
                               "MACHINE:AT_MS:DURATION_MS", MachineFreeze,
                               machine_names)
@@ -296,8 +293,18 @@ def _run(parser: argparse.ArgumentParser,
         parser.error("a query is required unless --workload is given")
     machine_names = [COORDINATOR, DATA_HOST] + [
         compute_machine_name(i) for i in range(args.machines)]
-    if args.fail_at < 0:
-        parser.error(f"--fail-at must be >= 0, got {args.fail_at:g}")
+    for flag, value, positive in (
+            ("--fail-at", args.fail_at, False),
+            ("--chaos-delay-ms", args.chaos_delay_ms, False),
+            ("--max-recoveries", args.max_recoveries, False),
+            ("--workload", args.workload, True),
+            ("--workload-duration", args.workload_duration, True),
+            ("--query-timeout", args.query_timeout, True),
+            ("--suspect-timeout", args.suspect_timeout, True)):
+        if value is not None and not (math.isfinite(value) and (
+                value > 0 if positive else value >= 0)):
+            parser.error(f"{flag} must be a finite number "
+                         f"{'>' if positive else '>='} 0, got {value:g}")
     if args.fail_machine and args.fail_machine not in machine_names:
         parser.error(f"--fail-machine: unknown machine "
                      f"{args.fail_machine!r} (expected one of: "
@@ -313,9 +320,6 @@ def _run(parser: argparse.ArgumentParser,
             spare_machines=1 if (args.fail_machine or has_crashes) else 0)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.max_recoveries is not None and args.max_recoveries < 0:
-        parser.error(f"--max-recoveries must be >= 0, got "
-                     f"{args.max_recoveries}")
     if args.workload is None:
         for flag, value in (("--retries", args.retries),
                             ("--query-timeout", args.query_timeout)):

@@ -25,7 +25,7 @@ from repro.core.diagnoser import BalancingTask, Diagnoser
 from repro.core.monitoring import MonitoringEventDetector
 from repro.core.notifications import TOPIC_COST, TOPIC_IMBALANCE, TOPIC_WEIGHTS
 from repro.core.responder import Responder
-from repro.dqp.gqes import GQES
+from repro.dqp.gqes import GQES, heartbeats
 from repro.engine.distribution import (
     HashBucketPolicy,
     WeightedRoundRobin,
@@ -77,8 +77,8 @@ class QueryRuntime:
     engine_config: EngineConfig
     cost: CostModel
     adaptivity: AdaptivityConfig
-    fault_tolerance: FaultToleranceConfig | None
-    gdqs_endpoint: str | None
+    fault_tolerance: FaultToleranceConfig
+    gdqs_endpoint: str
     #: The adaptation policy shared by this query's detectors,
     #: Diagnoser and Responder (None when adaptivity is disabled).
     policy: AdaptationPolicy | None
@@ -122,8 +122,13 @@ class QueryRuntime:
             self.context, self.plan.query_id, machine_name,
             self.engine_config, self.cost,
             detector=self.detectors.get(machine_name),
-            fault_tolerance=self.fault_tolerance,
             gdqs_endpoint=self.gdqs_endpoint)
+
+    def start_heartbeats(self, deployment: list[GQES]) -> None:
+        """One heartbeat timer for the GQESs created at this instant."""
+        if self.fault_tolerance.enabled:
+            self.context.env.process(heartbeats(
+                deployment, self.fault_tolerance.heartbeat_interval_ms))
 
     def eval_context(self, machine_name: str,
                      instance_id: str) -> EvalContext:
@@ -196,6 +201,7 @@ class QueryRuntime:
             self.add_detector(machine_name)
         if machine_name not in self.gqes_by_machine:
             self.add_gqes(machine_name)
+            self.start_heartbeats([self.gqes_by_machine[machine_name]])
         gqes = self.gqes_by_machine[machine_name]
         fragment = self.compute_fragment(lost.instance_index, machine_name)
         gqes.deploy(fragment)
@@ -213,8 +219,8 @@ def deploy_query(context: GridContext, plan: PhysicalPlan,
                  operations: typing.Mapping[str, WebServiceOperation],
                  engine_config: EngineConfig, cost: CostModel,
                  adaptivity: AdaptivityConfig,
-                 fault_tolerance: FaultToleranceConfig | None = None,
-                 gdqs_endpoint: str | None = None) -> QueryRuntime:
+                 fault_tolerance: FaultToleranceConfig,
+                 gdqs_endpoint: str) -> QueryRuntime:
     """Instantiate services and operator trees for ``plan``."""
     machines = plan.machines_used()
     # One policy instance per query, shared by every adaptivity
@@ -231,6 +237,7 @@ def deploy_query(context: GridContext, plan: PhysicalPlan,
     for machine_name in machines:
         runtime.add_gqes(machine_name)
     gqes_by_machine = runtime.gqes_by_machine
+    runtime.start_heartbeats(runtime.all_gqes())
     m1_interval = runtime.m1_interval
     compute = plan.compute
     degree = len(compute.machine_names)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.config import CostModel, EngineConfig, FaultToleranceConfig
+from repro.config import CostModel, EngineConfig
 from repro.core.monitoring import MonitoringEventDetector
 from repro.engine.control import (
     ChannelAnnouncement,
@@ -48,7 +48,6 @@ class GQES(GridService):
                  machine_name: str, engine_config: EngineConfig,
                  cost: CostModel,
                  detector: MonitoringEventDetector | None = None,
-                 fault_tolerance: FaultToleranceConfig | None = None,
                  gdqs_endpoint: str | None = None) -> None:
         super().__init__(context, f"gqes:{query_id}:{machine_name}",
                          machine_name)
@@ -56,27 +55,14 @@ class GQES(GridService):
         self.engine_config = engine_config
         self.cost = cost
         self.detector = detector
-        self.fault_tolerance = fault_tolerance or FaultToleranceConfig()
         self.gdqs_endpoint = gdqs_endpoint
         self.fragments: dict[str, Fragment] = {}
         self._consumers: dict[str, tuple] = {}   # channel_key -> (xc, frag)
         self._producers: dict[str, tuple] = {}   # producer_id -> (xp, frag)
         self.query_complete = self.env.event()
         self._ingests_active = 0
-        if self.fault_tolerance.enabled and gdqs_endpoint is not None:
-            self.env.process(self._heartbeat_loop(),
-                             name=f"{self.name}:heartbeat")
 
     # -- fault tolerance -----------------------------------------------------
-
-    def _heartbeat_loop(self) -> typing.Generator:
-        """Periodically tell the GDQS this evaluator service is alive."""
-        interval = self.fault_tolerance.heartbeat_interval_ms
-        while not self.crashed and not self.query_complete.triggered:
-            self.notify(self.gdqs_endpoint, "gqes.heartbeat",
-                        {"machine": self.machine.name, "gqes": self.name,
-                         "query_id": self.query_id})
-            yield self.env.timeout(interval)
 
     def on_crash(self) -> None:
         """Host failure: every evaluator and its state is lost."""
@@ -167,63 +153,43 @@ class GQES(GridService):
         task.callbacks.append(on_charged)
 
     def _apply_control(self, message: Message) -> None:
+        """Apply one control message.  One for a channel or producer
+        torn down already is dropped; a channel-keyed one wakes the
+        channel's fragment after its consumer rechecks."""
         payload = message.payload
-        if isinstance(payload, DiscardTuples):
-            self._apply_discard(payload)
-        elif isinstance(payload, ChannelAnnouncement):
-            self._apply_announcement(payload)
-        elif isinstance(payload, Acknowledgement):
-            self._apply_ack(payload)
-        elif isinstance(payload, ResetProducer):
-            self._apply_reset_producer(payload)
-        elif isinstance(payload, QueryComplete):
+        if isinstance(payload, QueryComplete):
             self._apply_query_complete()
+        elif isinstance(payload, Acknowledgement):
+            entry = self._producers.get(payload.producer_id)
+            if entry is not None:
+                entry[0].handle_ack(payload)
+        elif isinstance(payload, (DiscardTuples, ChannelAnnouncement,
+                                  ResetProducer)):
+            entry = self._consumers.get(payload.channel_key)
+            if entry is None:
+                return
+            consumer, fragment = entry
+            if isinstance(payload, DiscardTuples):
+                consumer.apply_discard(payload)
+                fragment.discard_state(payload.channel_key, payload.tids)
+            elif isinstance(payload, ChannelAnnouncement):
+                consumer.apply_announcement(payload)
+            else:
+                consumer.reset_producer(payload.producer_id)
+            consumer.inject_recheck()
+            fragment.wake()
         else:
             raise ServiceError(
                 f"{self.name}: unknown control payload {payload!r}")
 
-    def _apply_discard(self, discard: DiscardTuples) -> None:
-        try:
-            consumer, fragment = self._consumers[discard.channel_key]
-        except KeyError:
-            return  # channel torn down already
-        consumer.apply_discard(discard)
-        fragment.discard_state(discard.channel_key, discard.tids)
-        consumer.inject_recheck()
-        fragment.wake()
-
-    def _apply_announcement(self, announcement: ChannelAnnouncement) -> None:
-        try:
-            consumer, fragment = self._consumers[announcement.channel_key]
-        except KeyError:
-            return
-        consumer.apply_announcement(announcement)
-        consumer.inject_recheck()
-        fragment.wake()
-
-    def _apply_ack(self, ack: Acknowledgement) -> None:
-        entry = self._producers.get(ack.producer_id)
-        if entry is None:
-            return
-        producer, _fragment = entry
-        producer.handle_ack(ack)
-
-    def _apply_reset_producer(self, reset: ResetProducer) -> None:
-        try:
-            consumer, fragment = self._consumers[reset.channel_key]
-        except KeyError:
-            return
-        consumer.reset_producer(reset.producer_id)
-        consumer.inject_recheck()
-        fragment.wake()
-
     def _apply_query_complete(self) -> None:
+        # No wake-up: a parked evaluator races ``query_complete``, and
+        # one that is not parked checks it before it parks.
         if not self.query_complete.triggered:
             self.query_complete.succeed(None)
         for fragment in self.fragments.values():
             for consumer in fragment.consumers.values():
                 consumer.abort()
-            fragment.wake()
         self._retire_if_idle()
 
     # -- operations (request/response) ---------------------------------------
@@ -328,6 +294,22 @@ class GQES(GridService):
                 if not producer.finished or producer.protocol.moving:
                     return False
         return True
+
+
+def heartbeats(deployment: list[GQES],
+               interval_ms: float) -> typing.Generator:
+    """The heartbeat of one deployment: every ``interval_ms``, each
+    of its GQESs not yet crashed or complete tells the GDQS it is
+    alive, in creation order.  GQESs created at one instant beat at
+    the same instants, so they share this one timer (decision 38)."""
+    env = deployment[0].env
+    while deployment := [gqes for gqes in deployment if not (
+            gqes.crashed or gqes.query_complete.triggered)]:
+        for gqes in deployment:
+            gqes.notify(gqes.gdqs_endpoint, "gqes.heartbeat",
+                        {"machine": gqes.machine.name, "gqes": gqes.name,
+                         "query_id": gqes.query_id})
+        yield env.timeout(interval_ms)
 
 
 class LateArrivals:

@@ -47,7 +47,9 @@ class Fragment:
             # flush the subplan's output before acknowledging.
             for consumer in self.consumers.values():
                 consumer.ack_flush_producer = root
-        self.reactivated: Event = ctx.env.event()
+        #: What a parked evaluator waits on: armed at END, else None,
+        #: so a wake-up nothing could wait on queues nothing.
+        self.reactivated: Event | None = None
         self.completed = False
         #: Set when the hosting machine crashes: the evaluator stops
         #: abruptly, without flushing or announcing anything.
@@ -74,7 +76,7 @@ class Fragment:
 
     def wake(self) -> None:
         """Signal the evaluator that new input or control arrived."""
-        if not self.reactivated.triggered:
+        if self.reactivated is not None and not self.reactivated.triggered:
             self.reactivated.succeed(None)
 
     def discard_state(self, channel_key: str,
@@ -122,13 +124,14 @@ class Fragment:
             yield from self.root.finish()
             if query_complete.triggered:
                 break
-            if any(len(consumer.queue) > 0
-                   for consumer in self.consumers.values()):
-                continue
-            winner, _value = yield self.env.any_of(
-                [query_complete, self.reactivated])
-            if winner is query_complete:
-                break
+            if not any(len(consumer.queue) > 0
+                       for consumer in self.consumers.values()):
+                winner, _value = yield self.env.any_of(
+                    [query_complete, self.reactivated])
+                if winner is query_complete:
+                    break
+            self.reactivated = None
+        self.reactivated = None
         if not self.halted:
             yield from self.root.close()
         self.completed = True

@@ -97,9 +97,9 @@ class ExchangeConsumer(Operator):
         self.queue.drain()
         self._queued_rows = 0
         self._metric_queue_depth.sample(0)
-        # Unblock an evaluator parked inside queue.get(); one parked
-        # elsewhere is woken by the caller instead, so no sentinel is
-        # left behind.
+        # Unblock an evaluator parked inside queue.get(); one parked at
+        # END is released by query completion or a crash's wake-up, so
+        # no sentinel is left behind.
         if self.queue.waiting_getters:
             self.inject_recheck()
 

@@ -1,5 +1,6 @@
 """Unit tests for chaos configuration and retry policies."""
 
+import math
 import random
 
 import pytest
@@ -75,11 +76,25 @@ class TestMachineFreeze:
         with pytest.raises(ConfigurationError):
             MachineFreeze("m1", at_ms=0.0, duration_ms=0.0)
 
+    @pytest.mark.parametrize("at_ms, duration_ms", [
+        (math.nan, 10.0), (math.inf, 10.0),
+        (0.0, math.nan), (0.0, math.inf)],
+        ids=["at-nan", "at-inf", "duration-nan", "duration-inf"])
+    def test_non_finite_times_rejected(self, at_ms, duration_ms):
+        with pytest.raises(ConfigurationError):
+            MachineFreeze("m1", at_ms=at_ms, duration_ms=duration_ms)
+
 
 class TestMachineCrash:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             MachineCrash("m1", at_ms=-1.0)
+
+    @pytest.mark.parametrize("at_ms", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_time_rejected(self, at_ms):
+        with pytest.raises(ConfigurationError):
+            MachineCrash("m1", at_ms=at_ms)
 
     def test_crash_at_time_zero_is_legal(self):
         assert MachineCrash("m1", at_ms=0.0).at_ms == 0.0

@@ -104,6 +104,35 @@ class TestFragmentPump:
         fragment.wake()  # triggering twice must not raise
         run_fragment(context, fragment, complete_at=10.0)
 
+    def test_wake_queues_an_event_only_while_parked(self):
+        context, fragment, source = make_fragment(count=3, work=1.0)
+        env = context.env
+        query_complete = env.event()
+        env.process(fragment.run(query_complete))
+
+        def queued_by_wake():
+            before = env.events_scheduled
+            fragment.wake()
+            return env.events_scheduled - before
+
+        env.run(until=1.5)  # pumping its second row, not parked
+        assert queued_by_wake() == 0
+        env.run(until=10.0)  # parked at END
+        assert fragment.reactivated is not None
+        source.count = 5  # new input arrived
+        assert queued_by_wake() == 1
+        assert queued_by_wake() == 0  # already signalled
+        env.run(until=10.5)  # resumed: pumping the new rows
+        assert source._produced == 4 and fragment.reactivated is None
+        assert queued_by_wake() == 0
+        env.run(until=20.0)  # parked again
+        assert source._produced == 5 and not fragment.completed
+        assert fragment.reactivated is not None
+        query_complete.succeed(None)
+        env.run()
+        assert fragment.completed and fragment.reactivated is None
+        assert queued_by_wake() == 0
+
     def test_m1_events_emitted_per_interval(self):
         context = GridContext(seed=0)
         context.add_machine("m1")

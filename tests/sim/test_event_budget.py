@@ -9,10 +9,16 @@ event (a hop to the next kernel step at the same instant) comes back.
 
 import pytest
 
-from repro.config import AdaptivityConfig, CostModel, EngineConfig
+from repro.config import (
+    AdaptivityConfig,
+    CostModel,
+    EngineConfig,
+    FaultToleranceConfig,
+)
 from repro.core import MonitoringEventDetector
 from repro.data.batch import Batch
 from repro.data.tuples import Row
+from repro.dqp import deployment
 from repro.dqp.gqes import GQES
 from repro.engine.control import DataBuffer
 from repro.engine.distribution import WeightedRoundRobin
@@ -239,23 +245,31 @@ BATCH_SIZES = (1, 8, 32, 128)
 
 #: Q1 under the 10x WS perturbation, static, per batch size:
 #: (queued events, simulated response ms).
-HEADLINE = {1: (9852, 71014.903), 8: (2172, 71014.903),
-            32: (1362, 71014.903), 128: (1212, 71014.903)}
+HEADLINE = {1: (9845, 71014.903), 8: (2165, 71014.903),
+            32: (1355, 71014.903), 128: (1205, 71014.903)}
 
 #: Q2 with the 12 ms join sleep, per (policy, batch size); under A1 +
 #: R1 one adaptation replays 2,811 build rows as late blocks.
-JOIN = {("static", 1): (23955, 54127.193),
-        ("static", 8): (4999, 54247.087),
-        ("static", 32): (3054, 54492.555),
-        ("static", 128): (2744, 54498.186),
-        ("A1-R1", 32): (5991, 36586.284)}
+JOIN = {("static", 1): (23947, 54127.193),
+        ("static", 8): (4991, 54247.087),
+        ("static", 32): (3046, 54492.555),
+        ("static", 128): (2736, 54498.186),
+        ("A1-R1", 32): (5983, 36586.284)}
 JOIN_POLICIES = {"static": AdaptivityConfig.disabled(),
                  "A1-R1": AdaptivityConfig(assessment="A1", response="R1")}
 
 
-def run_demo(query, perturb, batch_size, adaptivity):
+#: The headline query at bs 32 under failure detection, no failure:
+#: (queued events, simulated response ms, heartbeat ticks).  Its four
+#: GQESs are one deployment, created at one instant, so each 500 ms
+#: tick queues one timer, not four.
+FAULT_TOLERANT = (2217, 71014.903, 143)
+
+
+def run_demo(query, perturb, batch_size, adaptivity, fault_tolerance=None):
     grid = DemoGrid(DemoGridSpec(),
-                    engine_config=EngineConfig(batch_size=batch_size))
+                    engine_config=EngineConfig(batch_size=batch_size),
+                    fault_tolerance=fault_tolerance)
     perturb(grid)
     return grid, grid.run(query, adaptivity)
 
@@ -283,6 +297,28 @@ def test_join_query_budget(policy, batch_size):
                             batch_size, JOIN_POLICIES[policy])
     assert len(result.rows) == 4700
     assert_budget(grid, result, JOIN[policy, batch_size])
+
+
+def test_fault_tolerant_query_budget(monkeypatch):
+    timers = []
+    heartbeats = deployment.heartbeats
+
+    def recording(gqess, interval_ms):
+        for timer in heartbeats(gqess, interval_ms):
+            timers.append((id(gqess), len(gqess), timer.env.now))
+            yield timer
+
+    monkeypatch.setattr(deployment, "heartbeats", recording)
+    grid, result = run_demo(Q1, lambda grid: perturb_ws_cost(grid, 10.0),
+                            32, AdaptivityConfig.disabled(),
+                            FaultToleranceConfig(enabled=True))
+    assert len(result.rows) == 3000
+    events, response_ms, ticks = FAULT_TOLERANT
+    assert_budget(grid, result, (events, response_ms))
+    assert len(timers) == ticks
+    # One deployment of four GQESs, one timer per 500 ms tick.
+    assert {(key, size) for key, size, _ in timers} == {(timers[0][0], 4)}
+    assert [now for *_, now in timers] == [500.0 * k for k in range(ticks)]
 
 
 def test_morsels_cut_events_not_simulated_time():

@@ -140,6 +140,29 @@ class TestCliValidation:
         assert exit_info.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--fail-machine", "compute-1", "--fail-at", "nan"),
+        ("--workload", "nan"),
+        ("--workload", "inf"),
+        ("--workload", "-1"),
+        ("--workload", "1", "--workload-duration", "nan"),
+        ("--workload", "1", "--query-timeout", "nan"),
+        ("--workload", "1", "--query-timeout", "-5"),
+        ("--suspect-timeout", "nan"),
+        ("--chaos-crash", "compute-1:nan"),
+        ("--chaos-freeze", "compute-1:nan:500"),
+        ("--chaos-freeze", "compute-1:100:nan"),
+    ], ids=["fail-at-nan", "workload-nan", "workload-inf",
+            "workload-negative", "workload-duration-nan",
+            "query-timeout-nan", "query-timeout-negative",
+            "suspect-timeout-nan", "crash-at-nan", "freeze-at-nan",
+            "freeze-duration-nan"])
+    def test_non_finite_or_negative_times_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([self.QUERY, *argv, *SMALL])
+        assert exit_info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
     def test_malformed_chaos_freeze_rejected(self, capsys):
         err = self.reject(capsys, "--chaos-freeze", "compute-1:100")
         assert "MACHINE:AT_MS:DURATION_MS" in err
