@@ -17,6 +17,11 @@ prints the charges per label and how many charges each payment fused.
 with no callback: nothing observed them, so queuing them was pure
 kernel cost (DESIGN decision 38).
 
+``--messages`` also prints the message deliveries queued, by
+``(kind, subject)``: every one is an event of the ``network.deliver``
+rows above.  A heartbeat whose arrival the GDQS failover takes as data
+queues none (decision 39).
+
 ``--heap`` reports what the run costs the cycle collector: per GC
 generation the collections, their pause seconds and the objects they
 collected (from ``gc.callbacks``), each generation-2 pass with the
@@ -36,6 +41,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "layered"))
 
 from repro.engine.operators.base import EvalContext  # noqa: E402
+from repro.net.network import Network  # noqa: E402
 from repro.sim.environment import Environment  # noqa: E402
 
 from measure import drive  # noqa: E402
@@ -157,6 +163,9 @@ def main(argv=None) -> int:
     parser.add_argument("--dead", action="store_true",
                         help="also print the events dispatched with no "
                              "callback by call site")
+    parser.add_argument("--messages", action="store_true",
+                        help="also print the queued message deliveries "
+                             "by (kind, subject)")
     parser.add_argument("--heap", action="store_true",
                         help="also print GC passes per generation and the "
                              "objects alive after the run by type")
@@ -164,6 +173,7 @@ def main(argv=None) -> int:
 
     sites: collections.Counter = collections.Counter()
     dead: collections.Counter = collections.Counter()
+    messages: collections.Counter = collections.Counter()
     #: id of a queued event -> its call site (only with --dead).
     queued_at: dict[int, str] = {}
     schedule = Environment.schedule
@@ -182,6 +192,9 @@ def main(argv=None) -> int:
             frame = frame.f_back
         site = " < ".join(names)
         sites[site] += 1
+        if (args.messages and event.callbacks and getattr(
+                event.callbacks[0], "__func__", None) is Network._on_arrival):
+            messages[event._value.kind, event._value.subject] += 1
         if args.dead:
             queued_at[id(event)] = site
         schedule(env, event, *rest, **kwargs)
@@ -228,6 +241,12 @@ def main(argv=None) -> int:
               f"{total} events")
         for site, count in dead.most_common():
             print(f"{count:>9} {100.0 * count / total:5.1f} %  {site}")
+    if args.messages:
+        print(f"Queued deliveries: {sum(messages.values())} of {total} "
+              f"events")
+        for (kind, subject), count in messages.most_common():
+            print(f"{count:>9} {100.0 * count / total:5.1f} %  "
+                  f"{kind} {subject or '-'}")
     if charges is not None:
         charges.report()
     if heap is not None:

@@ -10,6 +10,7 @@ values and thresholds are configurable for any component" — as here.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.chaos.config import RetryPolicy
@@ -184,6 +185,13 @@ class FaultToleranceConfig:
     max_recoveries: int | None = None
 
     def __post_init__(self) -> None:
+        # ``nan <= 0`` is False: without the finiteness check a NaN
+        # failure timeout would silently disable failure detection.
+        for field in ("heartbeat_interval_ms", "failure_timeout_ms"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field} must be finite: {value}")
         if self.heartbeat_interval_ms <= 0:
             raise ConfigurationError(
                 f"heartbeat interval must be positive: "

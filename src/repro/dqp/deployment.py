@@ -78,7 +78,8 @@ class QueryRuntime:
     cost: CostModel
     adaptivity: AdaptivityConfig
     fault_tolerance: FaultToleranceConfig
-    gdqs_endpoint: str
+    #: Sends one heartbeat of a GQES to the GDQS (``Failover.beat``).
+    beat: typing.Callable[[GQES], None]
     #: The adaptation policy shared by this query's detectors,
     #: Diagnoser and Responder (None when adaptivity is disabled).
     policy: AdaptationPolicy | None
@@ -121,14 +122,14 @@ class QueryRuntime:
         self.gqes_by_machine[machine_name] = GQES(
             self.context, self.plan.query_id, machine_name,
             self.engine_config, self.cost,
-            detector=self.detectors.get(machine_name),
-            gdqs_endpoint=self.gdqs_endpoint)
+            detector=self.detectors.get(machine_name))
 
     def start_heartbeats(self, deployment: list[GQES]) -> None:
         """One heartbeat timer for the GQESs created at this instant."""
         if self.fault_tolerance.enabled:
             self.context.env.process(heartbeats(
-                deployment, self.fault_tolerance.heartbeat_interval_ms))
+                deployment, self.fault_tolerance.heartbeat_interval_ms,
+                self.beat))
 
     def eval_context(self, machine_name: str,
                      instance_id: str) -> EvalContext:
@@ -220,7 +221,7 @@ def deploy_query(context: GridContext, plan: PhysicalPlan,
                  engine_config: EngineConfig, cost: CostModel,
                  adaptivity: AdaptivityConfig,
                  fault_tolerance: FaultToleranceConfig,
-                 gdqs_endpoint: str) -> QueryRuntime:
+                 beat: typing.Callable[[GQES], None]) -> QueryRuntime:
     """Instantiate services and operator trees for ``plan``."""
     machines = plan.machines_used()
     # One policy instance per query, shared by every adaptivity
@@ -228,7 +229,7 @@ def deploy_query(context: GridContext, plan: PhysicalPlan,
     # PID integrals) is coherent across the control loop.
     runtime = QueryRuntime(
         context, plan, operations, engine_config, cost, adaptivity,
-        fault_tolerance, gdqs_endpoint,
+        fault_tolerance, beat,
         create_policy(adaptivity) if adaptivity.enabled else None)
     # All detectors, then all GQESs, then the fragments: registration
     # order is endpoint order, and crash order on a machine.

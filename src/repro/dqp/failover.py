@@ -2,7 +2,9 @@
 
 The paper's R1 response rides on infrastructure "developed mainly to
 attain fault tolerance" [18]; this module is that infrastructure.
-Every GQES of a fault-tolerant query heartbeats to the GDQS.  One
+Every GQES of a fault-tolerant query heartbeats to the GDQS; a
+heartbeat's arrival is data, kept in a per-GQES ledger until the wheel
+reads it, not a queued delivery event (decision 39).  One
 shared wheel process grades each watched query's heartbeat silence
 once per interval: a GQES silent past ``suspect_timeout_ms`` has its
 compute clones quarantined, one silent past ``failure_timeout_ms`` is
@@ -30,20 +32,30 @@ from repro.dqp.gdqs import (
 from repro.dqp.gqes import GQES
 from repro.engine.control import ResetProducer
 from repro.errors import PlanningError, ServiceError
-from repro.net.message import KIND_CONTROL
+from repro.net.message import KIND_CONTROL, KIND_NOTIFY, Message
 from repro.planner.physical import ROOT_SUBPLAN
+from repro.services.base import CONTROL_MESSAGE_BYTES
+from repro.sim.environment import queued_key
 
 #: Deadline of the GDQS's recovery calls, so a crashed peer cannot hang
 #: a recovery forever.
 CALL_TIMEOUT_MS = 5000.0
+#: The subject of a GQES heartbeat message.
+HEARTBEAT = "gqes.heartbeat"
 
 @dataclasses.dataclass
 class Watch:
     """The failure state of one watched query, dropped with its watch."""
 
     handle: QueryHandle
-    #: GQES name -> simulated time of its last heartbeat.
+    #: GQES name -> simulated time it was last heard from, as of the
+    #: last read.
     heartbeats: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: GQES name -> ``(arrival_ms, position)`` of each heartbeat copy
+    #: on its way to the GDQS that no read has counted yet; ``position``
+    #: is ``events_scheduled`` when it was put on the wire.
+    ledger: dict[str, list[tuple[float, int]]] = dataclasses.field(
+        default_factory=dict)
     #: GQES name -> compute clone indices quarantined while it is
     #: suspect.
     suspected: dict[str, list[int]] = dataclasses.field(
@@ -84,10 +96,69 @@ class Failover:
             self.env.process(self._run_wheel(),
                              name=f"gdqs:wheel:{self.activations}")
 
-    def on_heartbeat(self, payload: dict, sender: str) -> None:
-        watch = self.watched.get(payload["query_id"])
+    # -- heartbeats (decision 39) ---------------------------------------
+
+    def beat(self, gqes: GQES) -> None:
+        """Send one heartbeat of ``gqes`` from its host: now, or at
+        the thaw in its place among what a frozen host holds."""
+        gqes.post(Message(sender=gqes.name, recipient=self.gdqs.name,
+                          kind=KIND_NOTIFY, payload=gqes.query_id,
+                          size_bytes=CONTROL_MESSAGE_BYTES,
+                          subject=HEARTBEAT), self._transmit)
+
+    def _transmit(self, message: Message) -> None:
+        """Put one heartbeat on the wire, as ``Network.send`` would, and
+        log each copy that will arrive in its watch's ledger instead of
+        queuing its delivery.  A GDQS that is frozen, thawing or
+        crashed, or whose host may freeze or fail, gets the delivery
+        events: its mailbox holds what arrives until the thaw (arming
+        the thaw timeout other messages see) or drops it, and the
+        heartbeat is :meth:`heard` when routed.  Query ids are never
+        reused, so a copy sent with no watch could never count, and
+        one whose watch goes first goes with the ledger."""
+        gdqs, network = self.gdqs, self.gdqs.network
+        position = self.env.events_scheduled
+        arrivals = network.transmit(message)
+        if (not gdqs.routes_on_arrival()
+                or gdqs.context.fault_scheduled(gdqs.machine.name)):
+            for when in arrivals:
+                network.deliver(message, when)
+            return
+        network.land(message, arrivals)
+        watch = self.watched.get(message.payload)
+        if watch is not None and arrivals:
+            watch.ledger.setdefault(message.sender, []).extend(
+                (when, position) for when in arrivals)
+
+    def heard(self, query_id: str, sender: str) -> None:
+        """A heartbeat delivered by event was routed by the GDQS now."""
+        watch = self.watched.get(query_id)
         if watch is not None:
             watch.heartbeats[sender] = self.env.now
+
+    def _last_heard(self, watch: Watch, name: str) -> float:
+        """When GQES ``name`` was last heard from, once the ledger copies
+        that have arrived are folded in.  A copy arriving at this very
+        instant has arrived if its delivery, queued right after the
+        ``position``-th event, would have been dispatched before the
+        current one.  Deliveries go in time order: the latest is the
+        last heard."""
+        heard = watch.heartbeats.get(name)
+        entries = watch.ledger.get(name)
+        if entries:
+            now, key = self.env.now, self.env.dispatch_key
+            pending = []
+            for entry in entries:
+                arrival, position = entry
+                if arrival > now or (arrival == now
+                                     and queued_key(position) >= key):
+                    pending.append(entry)
+                elif heard is None or arrival > heard:
+                    heard = arrival
+            watch.ledger[name] = pending
+            if heard is not None:
+                watch.heartbeats[name] = heard
+        return watch.handle.started_at if heard is None else heard
 
     def _run_wheel(self) -> typing.Generator:
         """The shared tick process: one timeout per interval, all
@@ -122,8 +193,7 @@ class Failover:
         for gqes in runtime.all_gqes():
             if gqes.name in runtime.failures_handled:
                 continue
-            silent_ms = self.env.now - watch.heartbeats.get(
-                gqes.name, handle.started_at)
+            silent_ms = self.env.now - self._last_heard(watch, gqes.name)
             if silent_ms > ft.failure_timeout_ms:
                 quarantined = suspected.pop(gqes.name, [])
                 if (ft.max_recoveries is not None

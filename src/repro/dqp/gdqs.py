@@ -207,8 +207,9 @@ class GDQS(GridService):
 
     def on_notification(self, topic: str, payload: typing.Any,
                         sender: str) -> None:
-        if topic == "gqes.heartbeat":
-            self.failover.on_heartbeat(payload, sender)
+        # Only a heartbeat delivered by event comes here: to a host
+        # that is frozen, thawing or may fail (decision 39).
+        self.failover.heard(payload, sender)
 
     def submit(self, query_text: str,
                adaptivity: AdaptivityConfig | None = None,
@@ -251,7 +252,7 @@ class GDQS(GridService):
                                self.operations, engine_config,
                                self.cost, adaptivity,
                                fault_tolerance=self.fault_tolerance,
-                               gdqs_endpoint=self.name)
+                               beat=self.failover.beat)
         self.context.tracer.record("query", self.name, "query submitted",
                                     query_id=query_id)
         handle = QueryHandle(query_id, self.env.event())

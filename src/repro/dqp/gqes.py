@@ -47,15 +47,13 @@ class GQES(GridService):
     def __init__(self, context: GridContext, query_id: str,
                  machine_name: str, engine_config: EngineConfig,
                  cost: CostModel,
-                 detector: MonitoringEventDetector | None = None,
-                 gdqs_endpoint: str | None = None) -> None:
+                 detector: MonitoringEventDetector | None = None) -> None:
         super().__init__(context, f"gqes:{query_id}:{machine_name}",
                          machine_name)
         self.query_id = query_id
         self.engine_config = engine_config
         self.cost = cost
         self.detector = detector
-        self.gdqs_endpoint = gdqs_endpoint
         self.fragments: dict[str, Fragment] = {}
         self._consumers: dict[str, tuple] = {}   # channel_key -> (xc, frag)
         self._producers: dict[str, tuple] = {}   # producer_id -> (xp, frag)
@@ -296,19 +294,18 @@ class GQES(GridService):
         return True
 
 
-def heartbeats(deployment: list[GQES],
-               interval_ms: float) -> typing.Generator:
+def heartbeats(deployment: list[GQES], interval_ms: float,
+               beat: typing.Callable[[GQES], None]) -> typing.Generator:
     """The heartbeat of one deployment: every ``interval_ms``, each
     of its GQESs not yet crashed or complete tells the GDQS it is
-    alive, in creation order.  GQESs created at one instant beat at
-    the same instants, so they share this one timer (decision 38)."""
+    alive through ``beat``, in creation order.  GQESs created at one
+    instant beat at the same instants, so they share this one timer
+    (decision 38); a beat queues no event of its own (decision 39)."""
     env = deployment[0].env
     while deployment := [gqes for gqes in deployment if not (
             gqes.crashed or gqes.query_complete.triggered)]:
         for gqes in deployment:
-            gqes.notify(gqes.gdqs_endpoint, "gqes.heartbeat",
-                        {"machine": gqes.machine.name, "gqes": gqes.name,
-                         "query_id": gqes.query_id})
+            beat(gqes)
         yield env.timeout(interval_ms)
 
 

@@ -40,6 +40,10 @@ class GridContext:
         #: Installed fault injector; None leaves every chaos hook on
         #: its zero-cost fast path (no events, no draws, no streams).
         self.chaos = None
+        #: Machines the installed chaos config freezes or crashes, and
+        #: those :meth:`fail_machine_at` fails the services of.
+        self._chaos_hosts: frozenset[str] = frozenset()
+        self._failures_scheduled: set[str] = set()
 
     def install_chaos(self, config) -> None:
         """Install (or clear) the chaos injector for this grid.
@@ -54,11 +58,22 @@ class GridContext:
                 or config.schedule.is_empty):
             self.chaos = None
             self.network.chaos = None
+            self._chaos_hosts = frozenset()
             return
         from repro.chaos.injector import ChaosInjector
         self.chaos = ChaosInjector(config, self)
         self.network.chaos = self.chaos
+        self._chaos_hosts = frozenset(
+            fault.machine for fault in (config.schedule.freezes
+                                        + config.schedule.crashes))
         self.chaos.start()
+
+    def fault_scheduled(self, machine_name: str) -> bool:
+        """Whether a freeze or crash of ``machine_name``, or a failure
+        of its services, is scheduled: by the installed chaos config
+        or by :meth:`fail_machine_at`."""
+        return (machine_name in self._chaos_hosts
+                or machine_name in self._failures_scheduled)
 
     def call_retry_policy(self):
         """The control-plane retry policy, when chaos is installed."""
@@ -88,6 +103,17 @@ class GridContext:
         self.tracer.record("failure", machine_name, "machine failed",
                            services_lost=len(victims))
         return victims
+
+    def fail_machine_at(self, machine_name: str, at_ms: float) -> None:
+        """Schedule :meth:`fail_machine` ``at_ms`` into the simulation."""
+        def injector(env):
+            if at_ms > env.now:
+                yield env.timeout(at_ms - env.now)
+            self.fail_machine(machine_name)
+
+        self._failures_scheduled.add(machine_name)
+        self.env.process(injector(self.env),
+                         name=f"failure:{machine_name}")
 
     def crash_machine(self, machine_name: str) -> list:
         """Permanently fail-stop ``machine_name``; returns lost services.

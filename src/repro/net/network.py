@@ -11,9 +11,10 @@ after a small, configurable loopback delay.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
-from repro.errors import NetworkError
+from repro.errors import ConfigurationError, NetworkError
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.sim.environment import Environment
@@ -32,6 +33,20 @@ class NetworkConfig:
     latency_ms: float = 0.5
     bandwidth_bytes_per_ms: float = 12_500.0
     loopback_delay_ms: float = 0.01
+
+    def __post_init__(self) -> None:
+        # A NaN or infinite arrival time must fail here, not at the
+        # first send, or never: a heartbeat's arrival is data that no
+        # ``schedule`` call checks (decision 39).
+        for field in ("latency_ms", "loopback_delay_ms"):
+            value = getattr(self, field)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{field} must be finite and >= 0: {value}")
+        if not 0.0 < self.bandwidth_bytes_per_ms < math.inf:
+            raise ConfigurationError(
+                "bandwidth_bytes_per_ms must be finite and > 0: "
+                f"{self.bandwidth_bytes_per_ms}")
 
 
 @dataclasses.dataclass(slots=True)
@@ -131,43 +146,76 @@ class Network:
         The caller may ignore the returned event for fire-and-forget
         notifications, or ``yield`` it to model a synchronous
         (blocking, SOAP/HTTP-style) send.  The returned event is the
-        one the link (or the loopback delay) fires, and the arrival
+        one queued for the first copy's delivery, and the arrival
         bookkeeping is its first callback: a message is in its
         recipient's mailbox before any waiter on the send resumes.
         Messages sent at the same instant enter a link's FIFO in call
-        order.
+        order.  A chaos-dropped message's event never fires, so
+        synchronous senders must pair it with a timeout (the retry
+        wrappers do); a duplicate's delivery is nobody's business.
+        """
+        arrivals = self.transmit(message)
+        if not arrivals:
+            return Event(self.env)
+        done = self.deliver(message, arrivals[0])
+        for when in arrivals[1:]:
+            self.deliver(message, when)
+        return done
+
+    def transmit(self, message: Message) -> tuple[float, ...]:
+        """Put ``message`` on the wire; returns each copy's arrival time.
+
+        The half of :meth:`send` that queues nothing: the link (or the
+        loopback delay) is occupied and the chaos verdict drawn, and
+        the caller decides how each copy arrives — :meth:`deliver`, or
+        :meth:`land` for a recipient that takes it as data.  A
+        chaos-dropped message occupies the link and arrives nowhere,
+        like a lost datagram; a duplicate re-occupies the link FIFO
+        behind the original.
         """
         source = self.endpoint(message.sender)
         destination = self.endpoint(message.recipient)
-        message.sent_at = self.env.now
-        done = Event(self.env)
-        done.callbacks.append(self._on_arrival)
+        now = self.env._now
+        message.sent_at = now
         if source.machine_name == destination.machine_name:
-            return done.succeed(message, self.config.loopback_delay_ms)
+            return (now + self.config.loopback_delay_ms,)
         link = self.link_between(
             source.machine_name, destination.machine_name)
         if self.chaos is None:
-            return link.transfer(message.size_bytes, 0.0, done, message)
+            return (link.occupy(message.size_bytes) + link.latency_ms,)
         fault = self.chaos.message_fault(
             source.machine_name, destination.machine_name, message.kind)
         if fault.drop:
-            # A chaos-dropped message occupies the link but is never
-            # delivered — the sender observes silence, like a lost
-            # datagram; ``done`` never fires, so synchronous senders
-            # must pair it with a timeout (the retry wrappers do).
-            # Nothing is queued for it.
             link.occupy(message.size_bytes, fault.extra_delay_ms)
             self.messages_dropped += 1
-        else:
-            link.transfer(message.size_bytes, fault.extra_delay_ms, done,
-                          message)
+            return ()
+        arrival = link.occupy(message.size_bytes,
+                              fault.extra_delay_ms) + link.latency_ms
         if fault.duplicate:
-            # The copy re-occupies the same link FIFO behind the
-            # original; its delivery event is nobody's business.
-            copy = Event(self.env)
-            copy.callbacks.append(self._on_arrival)
-            link.transfer(message.size_bytes, 0.0, copy, message)
-        return done
+            return (arrival,
+                    link.occupy(message.size_bytes) + link.latency_ms)
+        return (arrival,)
+
+    def deliver(self, message: Message, when: float) -> Event:
+        """Queue one copy's delivery at the absolute time ``when``."""
+        # Not ``succeed(value, delay)``: now + (when - now) may round
+        # off ``when``, and the delivery time must be exact.
+        delivered = Event(self.env)
+        delivered.callbacks.append(self._on_arrival)
+        delivered._ok = True
+        delivered._value = message
+        self.env.schedule(delivered, when)
+        return delivered
+
+    def land(self, message: Message, arrivals: tuple[float, ...]) -> None:
+        """Count the copies of ``message`` arriving at ``arrivals`` as
+        delivered, queuing nothing: for a live recipient that takes
+        them as data (decision 39).  The counts run ahead of simulated
+        time until the last arrival, which a drained run reaches."""
+        self.messages_delivered += len(arrivals)
+        self.bytes_delivered += message.size_bytes * len(arrivals)
+        for when in arrivals:
+            self.env.reach(when)
 
     def _on_arrival(self, event: Event) -> None:
         """A delivery event fired: hand its message to the recipient."""

@@ -410,12 +410,16 @@ class QueryScheduler:
         :class:`QueryFailed`, never a hole.  Teardown traffic is then
         drained so the grid is quiet.
         """
+        # Sessions are only appended and a terminal state is final, so
+        # the first unsettled session is found by a cursor, not a scan.
+        first = 0
         while True:
-            pending = [session for session in self.sessions
-                       if session.state not in TERMINAL_STATES]
-            if not pending:
+            while (first < len(self.sessions) and
+                   self.sessions[first].state in TERMINAL_STATES):
+                first += 1
+            if first == len(self.sessions):
                 break
-            self.env.run(until=require_done(pending[0]))
+            self.env.run(until=require_done(self.sessions[first]))
         self.env.run()
         return [session.outcome for session in self.sessions]
 

@@ -169,16 +169,35 @@ class GridService:
                           payload=payload, size_bytes=size_bytes,
                           subject=subject, correlation_id=correlation_id)
         if self.machine.frozen_until > self.env.now:
-            # A frozen host transmits nothing; hold the message (as its
-            # socket buffers would) and flush it when the stall ends.
             deferred = Event(self.env)
-            self._frozen_outbox.append((message, deferred))
-            if not self._flusher_running:
-                self._flusher_running = True
-                self.env.process(self._flush_frozen_outbox(),
-                                 name=f"thaw-flush:{self.name}")
+            self._hold(message, deferred)
             return deferred
         return self.network.send(message)
+
+    def post(self, message: Message,
+             transmit: typing.Callable[[Message], None]) -> None:
+        """Hand ``message`` to ``transmit`` now or, while the host is
+        frozen, at the thaw in its place among the held messages.  For
+        a sender that puts a message on the wire itself (a heartbeat,
+        decision 39); a crashed host posts nothing."""
+        if self.crashed:
+            return
+        if self.machine.frozen_until > self.env.now:
+            self._hold(message, transmit)
+        else:
+            transmit(message)
+
+    def _hold(self, message: Message,
+              then: Event | typing.Callable[[Message], None]) -> None:
+        """A frozen host transmits nothing: hold the message (as its
+        socket buffers would) and flush it when the stall ends.
+        ``then`` is the event a held :meth:`send` returned, or the
+        ``transmit`` of a :meth:`post`."""
+        self._frozen_outbox.append((message, then))
+        if not self._flusher_running:
+            self._flusher_running = True
+            self.env.process(self._flush_frozen_outbox(),
+                             name=f"thaw-flush:{self.name}")
 
     def _flush_frozen_outbox(self) -> typing.Generator:
         try:
@@ -186,13 +205,16 @@ class GridService:
                 yield self.env.timeout(
                     self.machine.frozen_until - self.env.now)
             held, self._frozen_outbox = self._frozen_outbox, []
-            for message, deferred in held:
-                if self.crashed:
-                    deferred.succeed(None)
-                    continue
-                self.env.process(self._forward_delivery(
-                    self.network.send(message), deferred),
-                    name=f"thaw-send:{self.name}")
+            for message, then in held:
+                if not isinstance(then, Event):
+                    if not self.crashed:
+                        then(message)
+                elif self.crashed:
+                    then.succeed(None)
+                else:
+                    self.env.process(self._forward_delivery(
+                        self.network.send(message), then),
+                        name=f"thaw-send:{self.name}")
         finally:
             self._flusher_running = False
 
@@ -293,6 +315,13 @@ class GridService:
             self._route(buffered.popleft())
         if self._retiring:
             self._retire_if_idle()
+
+    def routes_on_arrival(self) -> bool:
+        """Whether a message arriving now is routed at once: not while
+        the host is frozen or a thaw drain is armed (the mailbox holds
+        it), nor once the service has crashed (it is dropped)."""
+        return (self._running and not self._thaw_armed
+                and self.machine.frozen_until <= self.env.now)
 
     def _on_thaw(self, _event: Event) -> None:
         self._thaw_armed = False

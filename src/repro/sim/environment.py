@@ -14,6 +14,10 @@ Heap entries are slim ``[when, (priority << 48) | seq, event]`` lists:
 one packed integer compares priority and insertion order at once.
 :attr:`Environment.events_scheduled` counts ``schedule(event, when)``
 calls — the only heap push, at an absolute time — i.e. events queued.
+:attr:`Environment.dispatch_key` is the packed key of the event being
+dispatched, so a fact kept as data rather than as a queued event can
+tell which same-instant events it would have preceded; :meth:`reach`
+keeps such a fact's instant on a drained run's clock (decision 39).
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 #: far beyond any simulation here (the benchmark workloads queue
 #: 4e4-1.5e5 events each).
 _SEQ_BITS = 48
+
+
+def queued_key(position: int, priority: int = PRIORITY_NORMAL) -> int:
+    """The heap key of the ``position``-th queued event: what
+    :attr:`Environment.dispatch_key` reads while it is dispatched."""
+    return (priority << _SEQ_BITS) | position
 
 
 class Process(Event):
@@ -128,6 +138,9 @@ class Environment:
         #: Pending entries: ``[when, packed_key, event]``.
         self._queue: list[list] = []
         self._seq = 0
+        self._dispatch_key = 0
+        #: The latest instant passed to :meth:`reach`.
+        self._reached = self._now
 
     @property
     def now(self) -> float:
@@ -143,6 +156,13 @@ class Environment:
         """
         return self._seq
 
+    @property
+    def dispatch_key(self) -> int:
+        """The heap key of the event being (or last) dispatched: its
+        priority and sequence number packed as in the heap, 0 before
+        the first step."""
+        return self._dispatch_key
+
     # -- scheduling ----------------------------------------------------
 
     def schedule(self, event: Event, when: float,
@@ -153,6 +173,13 @@ class Environment:
         self._seq += 1
         heapq.heappush(
             self._queue, [when, (priority << _SEQ_BITS) | self._seq, event])
+
+    def reach(self, when: float) -> None:
+        """Something happens at ``when`` that queues no event: a run
+        that drains its queue ends no earlier than that, as it would
+        have had an event been queued there."""
+        if when > self._reached:
+            self._reached = when
 
     # -- event factories ----------------------------------------------
 
@@ -185,10 +212,11 @@ class Environment:
         """Process exactly one scheduled event."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _key, event = heapq.heappop(self._queue)
+        when, key, event = heapq.heappop(self._queue)
         if when < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
+        self._dispatch_key = key
         self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:
@@ -215,7 +243,8 @@ class Environment:
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until the queue drains), a time
+        ``until`` may be ``None`` (run until the queue drains and the
+        clock has passed every instant given to :meth:`reach`), a time
         (run up to and including that instant), or an event (run until
         it has been processed; returns its value).
         """
@@ -241,4 +270,6 @@ class Environment:
             return None
         while self._queue:
             self.step()
+        if self._reached > self._now:
+            self._now = self._reached
         return None

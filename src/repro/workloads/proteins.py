@@ -176,13 +176,7 @@ class DemoGrid:
         services hosted there (evaluators, detectors) go down and
         their state is lost, exercising the fault-tolerance path.
         """
-        def injector(env):
-            if at_ms > env.now:
-                yield env.timeout(at_ms - env.now)
-            self.context.fail_machine(machine_name)
-
-        self.context.env.process(injector(self.context.env),
-                                 name=f"failure:{machine_name}")
+        self.context.fail_machine_at(machine_name, at_ms)
 
     def run(self, query_text: str, adaptivity=None, degree=None):
         """Run a query to completion on this grid."""

@@ -70,6 +70,15 @@ class TestFaultToleranceConfig:
         with pytest.raises(ConfigurationError):
             FaultToleranceConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["heartbeat_interval_ms",
+                                       "failure_timeout_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        # A NaN failure timeout would disable detection: nothing is
+        # ever silent for more than NaN milliseconds.
+        with pytest.raises(ConfigurationError, match=field):
+            FaultToleranceConfig(**{field: value})
+
 
 class TestCrashMechanics:
     def test_fail_machine_crashes_its_services(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos.injector import NO_FAULT, MessageFault
-from repro.errors import NetworkError
+from repro.errors import ConfigurationError, NetworkError
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
 from repro.sim import Environment
 
@@ -204,3 +204,22 @@ def test_message_is_in_the_mailbox_before_the_sender_resumes():
     send(net, "x").callbacks.append(lambda _event: seen.append(len(mailbox)))
     env.run()
     assert seen == [1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("latency_ms", float("nan")), ("latency_ms", float("inf")),
+    ("latency_ms", -1.0), ("loopback_delay_ms", float("nan")),
+    ("loopback_delay_ms", float("inf")), ("loopback_delay_ms", -1.0),
+    ("bandwidth_bytes_per_ms", float("nan")),
+    ("bandwidth_bytes_per_ms", float("inf")),
+    ("bandwidth_bytes_per_ms", 0.0), ("bandwidth_bytes_per_ms", -5.0)])
+def test_config_rejects_what_no_arrival_time_survives(field, value):
+    # Caught at construction, not at the first send: a heartbeat's
+    # arrival time is data no ``schedule`` call ever checks.
+    with pytest.raises(ConfigurationError, match=field):
+        NetworkConfig(**{field: value})
+
+
+def test_config_accepts_zero_delays():
+    config = NetworkConfig(latency_ms=0.0, loopback_delay_ms=0.0)
+    assert config.latency_ms == config.loopback_delay_ms == 0.0

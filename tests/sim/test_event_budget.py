@@ -9,6 +9,7 @@ event (a hop to the next kernel step at the same instant) comes back.
 
 import pytest
 
+from repro.chaos import ChaosConfig, FaultSchedule, MachineFreeze
 from repro.config import (
     AdaptivityConfig,
     CostModel,
@@ -19,6 +20,7 @@ from repro.core import MonitoringEventDetector
 from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.dqp import deployment
+from repro.dqp.gdqs import GDQS
 from repro.dqp.gqes import GQES
 from repro.engine.control import DataBuffer
 from repro.engine.distribution import WeightedRoundRobin
@@ -130,6 +132,42 @@ class TestNetwork:
         assert queued(env, lambda: network.send(Message(
             sender="a", recipient="b", kind=KIND_DATA, payload=None))) == 1
         assert len(mailbox) == 1
+
+
+class TestHeartbeat:
+    """A heartbeat's arrival is data in the GDQS failover's ledger,
+    unless the GDQS host may freeze or fail (decision 39)."""
+
+    def make(self, chaos=None):
+        context = GridContext(seed=0)
+        context.add_machine("coordinator")
+        context.add_machine("m1")
+        context.install_chaos(chaos)
+        gdqs = GDQS(context, "coordinator", {}, {}, fault_tolerance=(
+            FaultToleranceConfig(enabled=True)))
+        gqes = GQES(context, "qx", "m1", EngineConfig(), CostModel())
+        context.env.run()
+        return context, gdqs.failover, gqes
+
+    def test_to_a_host_with_no_scheduled_fault(self):
+        context, failover, gqes = self.make()
+        assert queued(context.env, lambda: failover.beat(gqes)) == 0
+        assert context.network.messages_delivered == 1
+
+    def test_to_a_crashed_gdqs(self):
+        context, failover, gqes = self.make()
+        failover.gdqs.crash()
+        # Its delivery, which the dead endpoint drops.
+        assert queued(context.env, lambda: failover.beat(gqes)) == 1
+        assert context.network.messages_dropped == 1
+
+    def test_to_a_host_with_a_scheduled_freeze(self):
+        context, failover, gqes = self.make(ChaosConfig(
+            enabled=True, schedule=FaultSchedule(freezes=(
+                MachineFreeze("coordinator", 1000.0, 50.0),))))
+        context.env.run(until=2000.0)  # long thawed
+        # Its delivery: a mailbox that may freeze holds what arrives.
+        assert queued(context.env, lambda: failover.beat(gqes)) == 1
 
 
 def test_gqes_data_ingest_is_one_cpu_task():
@@ -262,8 +300,9 @@ JOIN_POLICIES = {"static": AdaptivityConfig.disabled(),
 #: The headline query at bs 32 under failure detection, no failure:
 #: (queued events, simulated response ms, heartbeat ticks).  Its four
 #: GQESs are one deployment, created at one instant, so each 500 ms
-#: tick queues one timer, not four.
-FAULT_TOLERANT = (2217, 71014.903, 143)
+#: tick queues one timer, not four, and their heartbeats' arrivals go
+#: to the failover's ledger, not the event queue.
+FAULT_TOLERANT = (1645, 71014.903, 143)
 
 
 def run_demo(query, perturb, batch_size, adaptivity, fault_tolerance=None):
@@ -303,8 +342,8 @@ def test_fault_tolerant_query_budget(monkeypatch):
     timers = []
     heartbeats = deployment.heartbeats
 
-    def recording(gqess, interval_ms):
-        for timer in heartbeats(gqess, interval_ms):
+    def recording(gqess, interval_ms, beat):
+        for timer in heartbeats(gqess, interval_ms, beat):
             timers.append((id(gqess), len(gqess), timer.env.now))
             yield timer
 
