@@ -81,11 +81,11 @@ class ChaosInjector:
     def start(self) -> None:
         """Schedule the deterministic faults (freezes and crashes)."""
         for freeze in self.config.schedule.freezes:
-            self.env.process(self._freeze_process(freeze),
-                             name=f"chaos:freeze:{freeze.machine}")
+            self.env.start(self._freeze_process(freeze),
+                           name=f"chaos:freeze:{freeze.machine}")
         for crash in self.config.schedule.crashes:
-            self.env.process(self._crash_process(crash),
-                             name=f"chaos:crash:{crash.machine}")
+            self.env.start(self._crash_process(crash),
+                           name=f"chaos:crash:{crash.machine}")
 
     def _freeze_process(self, freeze: MachineFreeze) -> typing.Generator:
         if freeze.at_ms > self.env.now:

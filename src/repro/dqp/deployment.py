@@ -127,9 +127,9 @@ class QueryRuntime:
     def start_heartbeats(self, deployment: list[GQES]) -> None:
         """One heartbeat timer for the GQESs created at this instant."""
         if self.fault_tolerance.enabled:
-            self.context.env.process(heartbeats(
+            self.context.env.start(heartbeats(
                 deployment, self.fault_tolerance.heartbeat_interval_ms,
-                self.beat))
+                self.beat), name="heartbeats")
 
     def eval_context(self, machine_name: str,
                      instance_id: str) -> EvalContext:

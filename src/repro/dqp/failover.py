@@ -93,8 +93,8 @@ class Failover:
         self.watched[handle.query_id] = Watch(handle)
         if idle:
             self.activations += 1
-            self.env.process(self._run_wheel(),
-                             name=f"gdqs:wheel:{self.activations}")
+            self.env.start(self._run_wheel(),
+                           name=f"gdqs:wheel:{self.activations}")
 
     # -- heartbeats (decision 39) ---------------------------------------
 

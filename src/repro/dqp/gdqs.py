@@ -262,8 +262,8 @@ class GDQS(GridService):
             for name in plan.machines_used()}
         handle.submitted_at = self.env.now
         handle.started_at = self.env.now
-        self.env.process(self._orchestrate(handle),
-                         name=f"gdqs:orchestrate:{query_id}")
+        self.env.start(self._orchestrate(handle),
+                       name=f"gdqs:orchestrate:{query_id}")
         if self.fault_tolerance.enabled:
             self.failover.watch(handle)
         return handle

@@ -288,19 +288,18 @@ class ExchangeProducer(UnaryOperator):
         """Send a data buffer, re-sending on chaos-induced silence.
 
         Unbounded (the config layer rejects a bounded ``send_retry``):
-        a data buffer must arrive, and a duplicate is de-duplicated
-        downstream by tid.  Retry time flows into the M2 send cost, so
-        sustained loss surfaces to the Diagnoser as channel expense.
+        a data buffer must arrive, and a duplicate or late copy is
+        de-duplicated downstream by tid.  Retry time flows into the M2
+        send cost, so sustained loss surfaces to the Diagnoser as
+        channel expense.
         """
         policy = chaos.config.send_retry
         attempt = 0
         while True:
             attempt += 1
-            delivered = self.service.send(endpoint, KIND_DATA, payload,
-                                          size_bytes=wire_bytes)
-            winner, _ = yield self.env.any_of(
-                [delivered, self.env.timeout(policy.timeout_ms)])
-            if winner is delivered:
+            delivered = yield from self.service.send_within(
+                endpoint, KIND_DATA, payload, wire_bytes, policy.timeout_ms)
+            if delivered:
                 return
             chaos.count_retry("send")
             backoff = chaos.retry_backoff_ms(policy, attempt)

@@ -112,8 +112,7 @@ class GridContext:
             self.fail_machine(machine_name)
 
         self._failures_scheduled.add(machine_name)
-        self.env.process(injector(self.env),
-                         name=f"failure:{machine_name}")
+        self.env.start(injector(self.env), name=f"failure:{machine_name}")
 
     def crash_machine(self, machine_name: str) -> list:
         """Permanently fail-stop ``machine_name``; returns lost services.

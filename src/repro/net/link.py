@@ -7,17 +7,15 @@ concurrent senders to the same destination serialise, as on a shared
 ``latency``, which does not occupy the link.  Messages on a link are
 delivered in FIFO order, a property the recovery protocol relies on.
 With nothing to cancel, a transfer's delivery time is known when it is
-enqueued, so the link keeps only the time it frees and a transfer is
-one queued event: its delivery, at that absolute time.
+enqueued, so the link keeps only the time it frees: :meth:`Link.occupy`
+returns when the transfer is sent, and the network queues the delivery
+``latency_ms`` later, at that absolute time (decision 37).
 """
 
 from __future__ import annotations
 
-import typing
-
 from repro.errors import ConfigurationError
 from repro.sim.environment import Environment
-from repro.sim.events import Event
 
 
 class Link:
@@ -57,22 +55,3 @@ class Link:
         if extra_delay_ms > 0:
             self.chaos_delay_ms += extra_delay_ms
         return self._free_at
-
-    def transfer(self, size_bytes: int, extra_delay_ms: float = 0.0,
-                 delivered: Event | None = None,
-                 value: typing.Any = None) -> Event:
-        """Send ``size_bytes``; the event fires at delivery time.
-
-        ``delivered`` (a fresh event by default) succeeds with
-        ``value``, queued ``latency_ms`` after the transmission ends:
-        propagation does not occupy the link.
-        """
-        if delivered is None:
-            delivered = Event(self.env)
-        # Not ``succeed(value, delay)``: now + (when - now) may round
-        # off ``when``, and the delivery time must be exact.
-        delivered._ok = True
-        delivered._value = value
-        when = self.occupy(size_bytes, extra_delay_ms) + self.latency_ms
-        self.env.schedule(delivered, when)
-        return delivered

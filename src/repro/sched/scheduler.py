@@ -276,7 +276,7 @@ class QueryScheduler:
         handle.done.callbacks.append(
             lambda event, s=session: self._on_complete(s, event))
         if self.config.query_timeout_ms is not None:
-            self.env.process(
+            self.env.start(
                 self._watch_deadline(handle),
                 name=f"sched:deadline:{session.session_id}"
                      f":a{session.attempts}")
@@ -379,7 +379,7 @@ class QueryScheduler:
                 session=session.session_id, cause=failure.cause,
                 failed_machine=failure.failed_machine or "",
                 attempt=session.attempts, backoff_ms=round(backoff, 1))
-            self.env.process(
+            self.env.start(
                 self._retry_later(session, backoff),
                 name=f"sched:retry:{session.session_id}"
                      f":a{session.attempts}")

@@ -174,6 +174,44 @@ class GridService:
             return deferred
         return self.network.send(message)
 
+    def send_within(self, recipient: str, kind: str, payload: typing.Any,
+                    size_bytes: int, timeout_ms: float
+                    ) -> typing.Generator[Event, typing.Any, bool]:
+        """One synchronous send attempt that waits at most
+        ``timeout_ms``: ``delivered = yield from send_within(...)``.
+
+        A live host knows each copy's arrival as it puts the message on
+        the wire (decision 40): the attempt waits for the first copy's
+        delivery if it arrives by the deadline (a tie goes to the
+        delivery, as the heap order gave it to a race), else for the
+        deadline alone; every copy is delivered either way, and the
+        drained clock reaches the deadline.  A frozen host holds the
+        message until the thaw and a crashed one sends nothing, so the
+        arrival is unknown: the delivery races a timer.
+        """
+        env = self.env
+        if self.crashed or self.machine.frozen_until > env.now:
+            delivered = self.send(recipient, kind, payload,
+                                  size_bytes=size_bytes)
+            winner, _ = yield env.any_of(
+                [delivered, env.timeout(timeout_ms)])
+            return winner is delivered
+        deadline = env.now + timeout_ms
+        message = Message(sender=self.name, recipient=recipient, kind=kind,
+                          payload=payload, size_bytes=size_bytes)
+        network = self.network
+        arrivals = network.transmit(message)
+        if arrivals:
+            delivered = network.deliver(message, arrivals[0])
+            for when in arrivals[1:]:
+                network.deliver(message, when)
+            if arrivals[0] <= deadline:
+                yield delivered
+                env.reach(deadline)
+                return True
+        yield env.timeout(timeout_ms)
+        return False
+
     def post(self, message: Message,
              transmit: typing.Callable[[Message], None]) -> None:
         """Hand ``message`` to ``transmit`` now or, while the host is
@@ -196,8 +234,8 @@ class GridService:
         self._frozen_outbox.append((message, then))
         if not self._flusher_running:
             self._flusher_running = True
-            self.env.process(self._flush_frozen_outbox(),
-                             name=f"thaw-flush:{self.name}")
+            self.env.start(self._flush_frozen_outbox(),
+                           name=f"thaw-flush:{self.name}")
 
     def _flush_frozen_outbox(self) -> typing.Generator:
         try:
@@ -212,7 +250,7 @@ class GridService:
                 elif self.crashed:
                     then.succeed(None)
                 else:
-                    self.env.process(self._forward_delivery(
+                    self.env.start(self._forward_delivery(
                         self.network.send(message), then),
                         name=f"thaw-send:{self.name}")
         finally:

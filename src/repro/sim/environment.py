@@ -5,7 +5,9 @@ queue.  :class:`Process` drives a Python generator: each ``yield``
 hands back an :class:`~repro.sim.events.Event` to wait on, and the
 generator resumes with the event's value once it fires.  A generator's
 ``return`` value becomes the process's own event value, so processes
-compose (``result = yield env.process(sub())``).
+compose (``result = yield env.process(sub())``).  A process nobody can
+wait on is :meth:`Environment.start`-ed instead: its end queues no
+event (decision 40).
 
 The simulation is fully deterministic: ties in time are broken by
 scheduling priority, then by insertion order.
@@ -117,6 +119,26 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
+class _Started(Process):
+    """A process that nothing holds (:meth:`Environment.start`), so its
+    end is observable only through what its body did: a return marks
+    it processed and queues nothing, and a raise propagates out of
+    :meth:`Environment.run` at once, as the failure of a process nobody
+    waits on would when dispatched."""
+
+    __slots__ = ()
+
+    def succeed(self, value: typing.Any = None,
+                delay: float = 0.0) -> "_Started":
+        self._ok = True
+        self._value = value
+        self._processed = True
+        return self
+
+    def fail(self, exception: BaseException) -> "_Started":
+        raise exception
+
+
 class Environment:
     """A deterministic discrete-event simulation environment.
 
@@ -195,6 +217,12 @@ class Environment:
                 name: str | None = None) -> Process:
         """Spawn a process driving ``generator``; returns its event."""
         return Process(self, generator, name=name)
+
+    def start(self, generator: ProcessGenerator, name: str) -> None:
+        """Spawn a process nobody can wait on: it costs its bootstrap
+        event and no completion event; an exception in its body
+        propagates out of :meth:`run`."""
+        _Started(self, generator, name=name)
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         """An event succeeding when the first of ``events`` triggers."""

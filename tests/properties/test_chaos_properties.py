@@ -16,9 +16,11 @@ Three promises from the design:
   the complete, correct row set and no machine is rebuilt.
 """
 
+import collections
 import dataclasses
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +76,37 @@ def test_disabled_chaos_is_bit_identical_to_no_chaos(query, seed):
             == off_grid.context.env.events_scheduled)
     assert none_timeline == off_timeline
     assert sorted(none_result.values()) == sorted(off_result.values())
+
+
+#: A rule that matches every message sent after the run has ended.
+NEVER_FIRES = ChaosConfig(enabled=True, schedule=FaultSchedule(
+    link_faults=(LinkFault(drop_probability=0.5, duplicate_probability=0.5,
+                           delay_probability=0.5, delay_ms=40.0,
+                           start_ms=1e12),)))
+
+
+@pytest.mark.parametrize("query", [Q1, Q2], ids=["Q1", "Q2"])
+@pytest.mark.parametrize("adaptivity", [
+    AdaptivityConfig.disabled(),
+    AdaptivityConfig(assessment="A1", response="R1")],
+    ids=["static", "A1R1"])
+def test_a_fault_rule_that_never_fires_leaves_the_run_unchanged(
+        query, adaptivity):
+    """Metamorphic: enabling chaos with a link fault whose window opens
+    after the run is the fault-free run, event for event — a buffer
+    whose first copy arrives in time queues its delivery and nothing
+    else (decision 40)."""
+    spec = dataclasses.replace(SPEC, sequences_cardinality=300,
+                               interactions_cardinality=400)
+    runs = []
+    for chaos in (None, NEVER_FIRES):
+        grid = DemoGrid(spec, chaos=chaos)
+        result = grid.run(query, adaptivity)
+        runs.append((grid.context.env.events_scheduled,
+                     result.response_time_ms,
+                     collections.Counter(result.values())))
+    assert grid.chaos.counters()["messages_dropped"] == 0
+    assert runs[1] == runs[0]
 
 
 @given(query=st.sampled_from([Q1, Q2]), seed=st.sampled_from([0, 1]))

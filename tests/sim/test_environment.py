@@ -252,3 +252,60 @@ def test_empty_any_of_rejected_at_construction():
     env = Environment()
     with pytest.raises(SimulationError, match="at least one event"):
         env.any_of([])
+
+
+# -- processes nobody can wait on (Environment.start) -----------------------
+
+
+def test_started_process_queues_only_its_bootstrap_event():
+    env = Environment()
+    ran = []
+
+    def body(env):
+        ran.append(env.now)
+        return "ignored"
+        yield  # pragma: no cover - makes body a generator
+
+    assert env.start(body(env), name="detached") is None
+    assert env.events_scheduled == 1  # the bootstrap
+    env.run()
+    assert ran == [0.0]
+    assert env.events_scheduled == 1  # no completion event
+    assert env.peek() == float("inf")
+
+
+def test_started_process_costs_its_timers_and_no_completion():
+    started, spawned = Environment(), Environment()
+
+    def body(env):
+        yield env.timeout(2.0)
+        yield env.timeout(3.0)
+
+    started.start(body(started), name="detached")
+    spawned.process(body(spawned))
+    started.run()
+    spawned.run()
+    assert started.now == spawned.now == 5.0
+    assert started.events_scheduled == spawned.events_scheduled - 1 == 3
+
+
+@pytest.mark.parametrize("delay", [None, 1.0])
+def test_started_process_failure_raised_by_run(delay):
+    expected = RuntimeError("unhandled")
+    outcomes = []
+    for spawn in ("process", "start"):
+        env = Environment()
+
+        def body(env):
+            if delay is not None:
+                yield env.timeout(delay)
+            raise expected
+            yield  # pragma: no cover - makes body a generator
+
+        getattr(env, spawn)(body(env), name="failing")
+        with pytest.raises(RuntimeError) as raised:
+            env.run()
+        outcomes.append((raised.value, env.now))
+    # The same exception at the same instant, but without queuing a
+    # failure event first.
+    assert outcomes[0] == outcomes[1] == (expected, delay or 0.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.chaos.injector import NO_FAULT, MessageFault
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
-from repro.net.link import Link
 from repro.sim import Cpu, Environment
 
 
@@ -117,12 +116,17 @@ LINK_SENDS = st.tuples(
        st.sampled_from([7.0, 500.0, 12_500.0]))
 @settings(max_examples=80)
 def test_link_deliveries_preserve_send_order(messages, latency, bandwidth):
-    """The one-event link delivers each transfer at exactly the time
-    the two-event reference does, in send order, queueing one event
-    per delivered transfer; a dropped transfer holds the link like any
-    other and queues nothing."""
+    """The one-event link (``Link.occupy`` plus the delivery
+    ``Network.deliver`` queues ``latency_ms`` later) delivers each
+    transfer at exactly the time the two-event reference does, in send
+    order, queueing one event per delivered transfer; a dropped
+    transfer holds the link like any other and queues nothing."""
     env = Environment()
-    link = Link(env, latency_ms=latency, bandwidth_bytes_per_ms=bandwidth)
+    network = Network(env, NetworkConfig(
+        latency_ms=latency, bandwidth_bytes_per_ms=bandwidth))
+    network.register("a", "m1")
+    network.register("b", "m2")
+    link = network.link_between("m1", "m2")
     reference = ReferenceLink(env, latency, bandwidth)
     deliveries, expected = [], []
 
@@ -142,8 +146,11 @@ def test_link_deliveries_preserve_send_order(messages, latency, bandwidth):
                 assert env.events_scheduled == before
                 reference.transfer(size, extra, env.event())
                 continue
-            link.transfer(size, extra).callbacks.append(
-                arrival(deliveries, index))
+            network.deliver(
+                Message(sender="a", recipient="b", kind=KIND_DATA,
+                        payload=None, size_bytes=size),
+                link.occupy(size, extra) + link.latency_ms
+            ).callbacks.append(arrival(deliveries, index))
             assert env.events_scheduled == before + 1
             delivered = env.event()
             delivered.callbacks.append(arrival(expected, index))
