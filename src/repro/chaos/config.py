@@ -29,6 +29,7 @@ import random
 import typing
 
 from repro.errors import ConfigurationError
+from repro.net.availability import check_instant, check_stall
 
 #: Message kinds a link fault may affect.  ``control`` is deliberately
 #: absent from the default (and rejected for drops, see above).
@@ -97,10 +98,10 @@ class MachineFreeze:
 
     From ``at_ms`` for ``duration_ms``, the machine's CPU serves no
     new task and its services neither dispatch incoming messages nor
-    transmit outgoing ones (outgoing messages are held and flushed at
-    thaw, as a paused host's socket buffers would be).  Heartbeats
-    therefore go silent for the window — which is exactly what drives
-    the GDQS's suspect/quarantine path.
+    transmit outgoing ones: a message sent in the window leaves at its
+    end, as the machine's availability table says (decision 41).
+    Heartbeats therefore go silent for the window — which is exactly
+    what drives the GDQS's suspect/quarantine path.
     """
 
     machine: str
@@ -108,12 +109,7 @@ class MachineFreeze:
     duration_ms: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.at_ms) and self.at_ms >= 0):
-            raise ConfigurationError(
-                f"freeze at_ms must be finite and >= 0: {self.at_ms}")
-        if not (math.isfinite(self.duration_ms) and self.duration_ms > 0):
-            raise ConfigurationError(
-                f"freeze duration must be finite and > 0: {self.duration_ms}")
+        check_stall(self.at_ms, self.duration_ms)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,9 +129,7 @@ class MachineCrash:
     at_ms: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.at_ms) and self.at_ms >= 0):
-            raise ConfigurationError(
-                f"crash at_ms must be finite and >= 0: {self.at_ms}")
+        check_instant(self.at_ms, "crash at_ms")
 
 
 @dataclasses.dataclass(frozen=True)

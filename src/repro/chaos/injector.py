@@ -79,17 +79,19 @@ class ChaosInjector:
                 name, fn=lambda key=key: self.counters()[key], **labels)
 
     def start(self) -> None:
-        """Schedule the deterministic faults (freezes and crashes)."""
+        """Enter the fixed faults in the machines' availability tables
+        and queue each at its instant."""
         for freeze in self.config.schedule.freezes:
-            self.env.start(self._freeze_process(freeze),
-                           name=f"chaos:freeze:{freeze.machine}")
+            self.context.availability_of(freeze.machine).freeze(
+                freeze.at_ms, freeze.duration_ms)
+            self.env.event().succeed(at=freeze.at_ms).callbacks.append(
+                lambda _event, freeze=freeze: self._freeze(freeze))
         for crash in self.config.schedule.crashes:
-            self.env.start(self._crash_process(crash),
-                           name=f"chaos:crash:{crash.machine}")
+            self.context.availability_of(crash.machine).fail(crash.at_ms)
+            self.env.event().succeed(at=crash.at_ms).callbacks.append(
+                lambda _event, crash=crash: self._crash(crash))
 
-    def _freeze_process(self, freeze: MachineFreeze) -> typing.Generator:
-        if freeze.at_ms > self.env.now:
-            yield self.env.timeout(freeze.at_ms - self.env.now)
+    def _freeze(self, freeze: MachineFreeze) -> None:
         machine = self.context.registry.machine(freeze.machine)
         frozen_until = machine.freeze(freeze.duration_ms)
         self.machines_frozen += 1
@@ -98,9 +100,7 @@ class ChaosInjector:
             machine=freeze.machine, duration_ms=freeze.duration_ms,
             until_ms=round(frozen_until, 3))
 
-    def _crash_process(self, crash: MachineCrash) -> typing.Generator:
-        if crash.at_ms > self.env.now:
-            yield self.env.timeout(crash.at_ms - self.env.now)
+    def _crash(self, crash: MachineCrash) -> None:
         victims = self.context.crash_machine(crash.machine)
         self.machines_crashed += 1
         self.context.tracer.record(

@@ -4,7 +4,7 @@ The paper's R1 response rides on infrastructure "developed mainly to
 attain fault tolerance" [18]; this module is that infrastructure.
 Every GQES of a fault-tolerant query heartbeats to the GDQS; a
 heartbeat's arrival is data, kept in a per-GQES ledger until the wheel
-reads it, not a queued delivery event (decision 39).  One
+reads it, not a queued delivery event (decisions 39 and 41).  One
 shared wheel process grades each watched query's heartbeat silence
 once per interval: a GQES silent past ``suspect_timeout_ms`` has its
 compute clones quarantined, one silent past ``failure_timeout_ms`` is
@@ -99,42 +99,40 @@ class Failover:
     # -- heartbeats (decision 39) ---------------------------------------
 
     def beat(self, gqes: GQES) -> None:
-        """Send one heartbeat of ``gqes`` from its host: now, or at
-        the thaw in its place among what a frozen host holds."""
-        gqes.post(Message(sender=gqes.name, recipient=self.gdqs.name,
-                          kind=KIND_NOTIFY, payload=gqes.query_id,
-                          size_bytes=CONTROL_MESSAGE_BYTES,
-                          subject=HEARTBEAT), self._transmit)
+        """Send one heartbeat of ``gqes``: from a frozen host by one
+        event at the thaw, from one down by then none (decision 41)."""
+        leave = self.gdqs.network.leave(gqes.name)
+        if leave is not None and leave > self.env.now:
+            self.env.event().succeed(at=leave).callbacks.append(
+                lambda _event: self.beat(gqes))
+        elif leave is not None:
+            self._transmit(Message(
+                sender=gqes.name, recipient=self.gdqs.name,
+                kind=KIND_NOTIFY, payload=gqes.query_id,
+                size_bytes=CONTROL_MESSAGE_BYTES, subject=HEARTBEAT))
 
     def _transmit(self, message: Message) -> None:
         """Put one heartbeat on the wire, as ``Network.send`` would, and
         log each copy that will arrive in its watch's ledger instead of
-        queuing its delivery.  A GDQS that is frozen, thawing or
-        crashed, or whose host may freeze or fail, gets the delivery
-        events: its mailbox holds what arrives until the thaw (arming
-        the thaw timeout other messages see) or drops it, and the
-        heartbeat is :meth:`heard` when routed.  Query ids are never
-        reused, so a copy sent with no watch could never count, and
-        one whose watch goes first goes with the ledger."""
-        gdqs, network = self.gdqs, self.gdqs.network
-        position = self.env.events_scheduled
-        arrivals = network.transmit(message)
-        if (not gdqs.routes_on_arrival()
-                or gdqs.context.fault_scheduled(gdqs.machine.name)):
-            for when in arrivals:
+        queuing its delivery; a copy reaching the GDQS down is dropped,
+        and one reaching its host in a stall is delivered, for the
+        mailbox to hold (decision 41).  Query ids are never reused, so a
+        copy sent with no watch could never count, and one whose watch
+        goes first goes with the ledger."""
+        network, position = self.gdqs.network, self.env.events_scheduled
+        host = network.endpoint(self.gdqs.name)
+        down = host.availability.down_at(host.born)
+        landed = []
+        for when in network.transmit(message):
+            if when < down and host.availability.holds(when):
                 network.deliver(message, when)
-            return
-        network.land(message, arrivals)
+            else:
+                landed.append(when)
+        network.land(message, landed)
         watch = self.watched.get(message.payload)
-        if watch is not None and arrivals:
-            watch.ledger.setdefault(message.sender, []).extend(
-                (when, position) for when in arrivals)
-
-    def heard(self, query_id: str, sender: str) -> None:
-        """A heartbeat delivered by event was routed by the GDQS now."""
-        watch = self.watched.get(query_id)
-        if watch is not None:
-            watch.heartbeats[sender] = self.env.now
+        heard = [(when, position) for when in landed if when < down]
+        if watch is not None and heard:
+            watch.ledger.setdefault(message.sender, []).extend(heard)
 
     def _last_heard(self, watch: Watch, name: str) -> float:
         """When GQES ``name`` was last heard from, once the ledger copies

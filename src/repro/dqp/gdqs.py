@@ -207,9 +207,10 @@ class GDQS(GridService):
 
     def on_notification(self, topic: str, payload: typing.Any,
                         sender: str) -> None:
-        # Only a heartbeat delivered by event comes here: to a host
-        # that is frozen, thawing or may fail (decision 39).
-        self.failover.heard(payload, sender)
+        # Only a heartbeat held by the host's stall (decision 41).
+        watch = self.failover.watched.get(payload)
+        if watch is not None:
+            watch.heartbeats[sender] = self.env.now
 
     def submit(self, query_text: str,
                adaptivity: AdaptivityConfig | None = None,

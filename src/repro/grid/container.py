@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.grid.machine import Machine
 from repro.grid.registry import ResourceRegistry
+from repro.net.availability import Availability
 from repro.net.network import Network, NetworkConfig
 from repro.net.serialization import SerializationModel
 from repro.sim.environment import Environment
@@ -40,10 +41,12 @@ class GridContext:
         #: Installed fault injector; None leaves every chaos hook on
         #: its zero-cost fast path (no events, no draws, no streams).
         self.chaos = None
-        #: Machines the installed chaos config freezes or crashes, and
-        #: those :meth:`fail_machine_at` fails the services of.
-        self._chaos_hosts: frozenset[str] = frozenset()
-        self._failures_scheduled: set[str] = set()
+        #: Machine name -> when it is frozen or down (decision 41).
+        self.availability: dict[str, Availability] = {}
+
+    def availability_of(self, machine_name: str) -> Availability:
+        """``machine_name``'s table (a lazy machine's, unbuilt)."""
+        return self.availability.setdefault(machine_name, Availability())
 
     def install_chaos(self, config) -> None:
         """Install (or clear) the chaos injector for this grid.
@@ -58,22 +61,11 @@ class GridContext:
                 or config.schedule.is_empty):
             self.chaos = None
             self.network.chaos = None
-            self._chaos_hosts = frozenset()
             return
         from repro.chaos.injector import ChaosInjector
         self.chaos = ChaosInjector(config, self)
         self.network.chaos = self.chaos
-        self._chaos_hosts = frozenset(
-            fault.machine for fault in (config.schedule.freezes
-                                        + config.schedule.crashes))
         self.chaos.start()
-
-    def fault_scheduled(self, machine_name: str) -> bool:
-        """Whether a freeze or crash of ``machine_name``, or a failure
-        of its services, is scheduled: by the installed chaos config
-        or by :meth:`fail_machine_at`."""
-        return (machine_name in self._chaos_hosts
-                or machine_name in self._failures_scheduled)
 
     def call_retry_policy(self):
         """The control-plane retry policy, when chaos is installed."""
@@ -95,24 +87,22 @@ class GridContext:
                 if service.machine.name == machine_name
                 and not service.crashed]
 
-    def fail_machine(self, machine_name: str) -> list:
-        """Crash every service on ``machine_name``; returns them."""
+    def fail_machine(self, machine_name: str,
+                     description: str = "machine failed") -> list:
+        """Crash every service on ``machine_name`` now; returns them."""
+        self.availability_of(machine_name).fail(self.env.now)
         victims = self.services_on(machine_name)
         for service in victims:
             service.crash()
-        self.tracer.record("failure", machine_name, "machine failed",
+        self.tracer.record("failure", machine_name, description,
                            services_lost=len(victims))
         return victims
 
     def fail_machine_at(self, machine_name: str, at_ms: float) -> None:
         """Schedule :meth:`fail_machine` ``at_ms`` into the simulation."""
-        def injector(env):
-            if at_ms > env.now:
-                yield env.timeout(at_ms - env.now)
-            self.fail_machine(machine_name)
-
-        self._failures_scheduled.add(machine_name)
-        self.env.start(injector(self.env), name=f"failure:{machine_name}")
+        self.availability_of(machine_name).fail(at_ms)
+        failure = self.env.event().succeed(at=max(at_ms, self.env.now))
+        failure.callbacks.append(lambda _: self.fail_machine(machine_name))
 
     def crash_machine(self, machine_name: str) -> list:
         """Permanently fail-stop ``machine_name``; returns lost services.
@@ -123,14 +113,8 @@ class GridContext:
         and every placement layer excludes it from now on — heartbeats
         never resume, so the GDQS declares it dead rather than suspect.
         """
-        machine = self.registry.machine(machine_name)
-        machine.crash()
-        victims = self.services_on(machine_name)
-        for service in victims:
-            service.crash()
-        self.tracer.record("failure", machine_name, "machine crashed",
-                           services_lost=len(victims))
-        return victims
+        self.registry.machine(machine_name).crash()
+        return self.fail_machine(machine_name, "machine crashed")
 
     def add_machine(self, name: str, speed: float | SpeedFunction = 1.0,
                     compute: bool = True, spare: bool = False,
@@ -149,7 +133,8 @@ class GridContext:
         def build() -> Machine:
             return Machine(self.env, name, speed=speed,
                            rng=self.random.stream(f"machine:{name}"),
-                           metrics=self.metrics)
+                           metrics=self.metrics,
+                           availability=self.availability_of(name))
 
         if lazy:
             self.registry.add_machine_spec(name, build, compute=compute,

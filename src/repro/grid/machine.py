@@ -26,6 +26,7 @@ import random
 import typing
 
 from repro.grid.perturbation import Perturbation, WorkEffect
+from repro.net.availability import Availability
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.resources import Cpu, SpeedFunction
@@ -59,19 +60,19 @@ class Machine:
                  speed: float | SpeedFunction = 1.0,
                  rng: random.Random | None = None,
                  capacity: float = 1.0,
-                 metrics=None) -> None:
+                 metrics=None,
+                 availability: Availability | None = None) -> None:
         self.env = env
         self.name = name
-        self.cpu = Cpu(env, speed=speed)
+        #: When it is frozen or down (decision 41), for wire and CPU.
+        self.availability = availability or Availability()
+        self.cpu = Cpu(env, speed=speed, thaw=self.availability.thaw)
         self.perturbations: list[Perturbation] = []
         self._rng = rng or random.Random(0)
         #: Session-shares this machine serves without capacity
         #: pressure; the denominator of :meth:`contention_factor`.
         self.capacity = float(capacity)
         self._shares: dict[str, float] = {}
-        #: End of the current chaos-injected stall window (sim ms);
-        #: 0.0 (i.e. the past) means not frozen.
-        self.frozen_until = 0.0
         #: Simulated time of a permanent fail-stop; None = alive.
         self.crashed_at: float | None = None
         if metrics is not None:
@@ -137,21 +138,19 @@ class Machine:
 
     @property
     def is_frozen(self) -> bool:
-        return self.frozen_until > self.env.now
+        return self.availability.thaw(self.env.now) > self.env.now
 
     def freeze(self, duration_ms: float) -> float:
         """Stall this machine for ``duration_ms`` from now.
 
         The CPU serves no new burst and the hosted services neither
         dispatch incoming messages nor transmit outgoing ones until the
-        window ends; all of it is retained and drains at thaw.  Unlike
+        stall ends; all of it is retained and drains at thaw.  Unlike
         :meth:`~repro.grid.container.GridContext.fail_machine` nothing
         is lost — the machine comes back.  Returns the thaw time.
         """
-        until = self.env.now + duration_ms
-        self.frozen_until = max(self.frozen_until, until)
-        self.cpu.freeze_until(self.frozen_until)
-        return self.frozen_until
+        self.availability.freeze(self.env.now, duration_ms)
+        return self.availability.thaw(self.env.now)
 
     # -- permanent crashes (fault tolerance) ----------------------------
 

@@ -15,6 +15,7 @@ import math
 import typing
 
 from repro.errors import ConfigurationError, NetworkError
+from repro.net.availability import ALWAYS, Availability
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.sim.environment import Environment
@@ -65,6 +66,9 @@ class Endpoint:
     name: str
     machine_name: str
     mailbox: Store | None
+    #: Its machine's schedule (decision 41), and when it registered.
+    availability: Availability = ALWAYS
+    born: float = 0.0
     active: bool = True
     #: Called after each message lands in the mailbox (a service's
     #: dispatcher); None leaves the mailbox to whoever ``get``s it.
@@ -91,14 +95,15 @@ class Network:
     # -- registration ---------------------------------------------------
 
     def register(self, endpoint_name: str, machine_name: str,
-                 on_arrival: typing.Callable[[], None] | None = None
-                 ) -> Store:
+                 on_arrival: typing.Callable[[], None] | None = None,
+                 availability: Availability = ALWAYS) -> Store:
         """Create an endpoint on ``machine_name``; returns its mailbox."""
         if endpoint_name in self._endpoints:
             raise NetworkError(f"endpoint already registered: {endpoint_name}")
         mailbox = Store(self.env)
         self._endpoints[endpoint_name] = Endpoint(
-            endpoint_name, machine_name, mailbox, on_arrival=on_arrival)
+            endpoint_name, machine_name, mailbox, availability,
+            self.env._now, on_arrival=on_arrival)
         return mailbox
 
     def deactivate(self, endpoint_name: str) -> None:
@@ -152,26 +157,40 @@ class Network:
         Messages sent at the same instant enter a link's FIFO in call
         order.  A chaos-dropped message's event never fires, so
         synchronous senders must pair it with a timeout (the retry
-        wrappers do); a duplicate's delivery is nobody's business.
+        wrappers do); a duplicate's delivery is nobody's business.  A
+        frozen sender's message leaves as its stall ends, by one event
+        there; from one down by then, none does (decision 41).
         """
-        arrivals = self.transmit(message)
-        if not arrivals:
-            return Event(self.env)
-        done = self.deliver(message, arrivals[0])
-        for when in arrivals[1:]:
-            self.deliver(message, when)
-        return done
+        leave = self.leave(message.sender)
+        if leave is None:
+            return Event(self.env).succeed(None)
+        if leave > self.env._now:
+            held = Event(self.env)
+            self.env.event().succeed(at=leave).callbacks.append(
+                lambda _event: self.send(message).callbacks.append(
+                    lambda delivery: held.succeed(delivery._value)))
+            return held
+        return self.deliver_all(message, self.transmit(message))
+
+    def leave(self, sender: str) -> float | None:
+        """When a message ``sender`` sends now goes on the wire: now,
+        or the end of its machine's stall; None when the sender is down
+        by then and sends nothing (decision 41)."""
+        endpoint = self.endpoint(sender)
+        table = endpoint.availability
+        leave = table.thaw(self.env._now)
+        return None if table.down_at(endpoint.born) <= leave else leave
 
     def transmit(self, message: Message) -> tuple[float, ...]:
-        """Put ``message`` on the wire; returns each copy's arrival time.
+        """Put ``message`` on the wire now; returns each copy's arrival.
 
-        The half of :meth:`send` that queues nothing: the link (or the
-        loopback delay) is occupied and the chaos verdict drawn, and
-        the caller decides how each copy arrives — :meth:`deliver`, or
-        :meth:`land` for a recipient that takes it as data.  A
-        chaos-dropped message occupies the link and arrives nowhere,
-        like a lost datagram; a duplicate re-occupies the link FIFO
-        behind the original.
+        The half of :meth:`send` that queues nothing, for a sender that
+        can leave now (:meth:`leave`): the link (or the loopback delay)
+        is occupied and the chaos verdict drawn, and the caller decides
+        how each copy arrives — :meth:`deliver`, or :meth:`land` for a
+        recipient that takes it as data.  A chaos-dropped message
+        occupies the link and arrives nowhere, like a lost datagram; a
+        duplicate re-occupies the link FIFO behind the original.
         """
         source = self.endpoint(message.sender)
         destination = self.endpoint(message.recipient)
@@ -196,24 +215,31 @@ class Network:
                     link.occupy(message.size_bytes) + link.latency_ms)
         return (arrival,)
 
+    def deliver_all(self, message: Message,
+                    arrivals: tuple[float, ...]) -> Event:
+        """Queue each copy's delivery; returns the first's (or none's)."""
+        delivered = [self.deliver(message, when) for when in arrivals]
+        return delivered[0] if delivered else Event(self.env)
+
     def deliver(self, message: Message, when: float) -> Event:
         """Queue one copy's delivery at the absolute time ``when``."""
-        # Not ``succeed(value, delay)``: now + (when - now) may round
-        # off ``when``, and the delivery time must be exact.
         delivered = Event(self.env)
         delivered.callbacks.append(self._on_arrival)
-        delivered._ok = True
-        delivered._value = message
-        self.env.schedule(delivered, when)
-        return delivered
+        return delivered.succeed(message, at=when)
 
-    def land(self, message: Message, arrivals: tuple[float, ...]) -> None:
-        """Count the copies of ``message`` arriving at ``arrivals`` as
-        delivered, queuing nothing: for a live recipient that takes
-        them as data (decision 39).  The counts run ahead of simulated
-        time until the last arrival, which a drained run reaches."""
-        self.messages_delivered += len(arrivals)
-        self.bytes_delivered += message.size_bytes * len(arrivals)
+    def land(self, message: Message, arrivals: typing.Sequence[float]
+             ) -> None:
+        """Count the copies of ``message`` arriving at ``arrivals``
+        delivered (or dropped, once the recipient is down), queuing
+        nothing: for a recipient that takes them as data (decisions 39
+        and 41).  The counts run ahead of simulated time until the last
+        arrival, which a drained run reaches."""
+        recipient = self._endpoints[message.recipient]
+        down = recipient.availability.down_at(recipient.born)
+        delivered = sum(when < down for when in arrivals)
+        self.messages_dropped += len(arrivals) - delivered
+        self.messages_delivered += delivered
+        self.bytes_delivered += message.size_bytes * delivered
         for when in arrivals:
             self.env.reach(when)
 

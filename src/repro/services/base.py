@@ -56,7 +56,8 @@ class GridService:
         self.name = name
         self.machine = context.registry.machine(machine_name)
         self.mailbox = self.network.register(
-            name, machine_name, on_arrival=self._drain_mailbox)
+            name, machine_name, on_arrival=self._drain_mailbox,
+            availability=self.machine.availability)
         self._pending_calls: dict[int, Event] = {}
         # Correlation ids of calls already settled (timed out, or
         # completed by a first reply): a reply arriving for one — a
@@ -64,12 +65,8 @@ class GridService:
         # must be discarded, not treated as a protocol violation.
         self._settled_calls: set[int] = set()
         self.stale_replies_discarded = 0
-        # Messages held while the host machine is frozen (chaos).
-        self._frozen_outbox: list = []
-        self._flusher_running = False
         # True while a thaw timeout is armed to drain the mailbox.
         self._thaw_armed = False
-        self._running = True
         self.crashed = False
         #: Processes started through :meth:`spawn` still running.
         self._busy = 0
@@ -147,7 +144,6 @@ class GridService:
         if self.crashed:
             return
         self.crashed = True
-        self._running = False
         self.network.deactivate(self.name)
         self.on_crash()
         self._retire_if_idle()
@@ -161,18 +157,10 @@ class GridService:
              subject: str = "", size_bytes: int = CONTROL_MESSAGE_BYTES,
              correlation_id: int | None = None) -> Event:
         """Fire-and-forget message send; returns the delivery event."""
-        if self.crashed:
-            # A crashed host sends nothing; pretend instant "delivery"
-            # so any in-flight process winds down without errors.
-            return Event(self.env).succeed(None)
-        message = Message(sender=self.name, recipient=recipient, kind=kind,
-                          payload=payload, size_bytes=size_bytes,
-                          subject=subject, correlation_id=correlation_id)
-        if self.machine.frozen_until > self.env.now:
-            deferred = Event(self.env)
-            self._hold(message, deferred)
-            return deferred
-        return self.network.send(message)
+        return self.network.send(Message(
+            sender=self.name, recipient=recipient, kind=kind,
+            payload=payload, size_bytes=size_bytes, subject=subject,
+            correlation_id=correlation_id))
 
     def send_within(self, recipient: str, kind: str, payload: typing.Any,
                     size_bytes: int, timeout_ms: float
@@ -180,87 +168,32 @@ class GridService:
         """One synchronous send attempt that waits at most
         ``timeout_ms``: ``delivered = yield from send_within(...)``.
 
-        A live host knows each copy's arrival as it puts the message on
-        the wire (decision 40): the attempt waits for the first copy's
-        delivery if it arrives by the deadline (a tie goes to the
-        delivery, as the heap order gave it to a race), else for the
-        deadline alone; every copy is delivered either way, and the
-        drained clock reaches the deadline.  A frozen host holds the
-        message until the thaw and a crashed one sends nothing, so the
-        arrival is unknown: the delivery races a timer.
+        Each copy's arrival is known as the message goes on the wire
+        (decision 40): the attempt waits for the first copy's delivery
+        if it arrives by the deadline (a tie goes to the delivery), else
+        for the deadline; the drained clock reaches the deadline.  A
+        frozen host goes on the wire as its stall ends, and one down by
+        then resolves at once (decision 41).
         """
-        env = self.env
-        if self.crashed or self.machine.frozen_until > env.now:
-            delivered = self.send(recipient, kind, payload,
-                                  size_bytes=size_bytes)
-            winner, _ = yield env.any_of(
-                [delivered, env.timeout(timeout_ms)])
-            return winner is delivered
+        env, network = self.env, self.network
         deadline = env.now + timeout_ms
+        while (leave := network.leave(self.name)) is not None \
+                and leave > env.now:
+            yield env.event().succeed(at=leave)
+        if leave is None:
+            yield env.event().succeed()
+            env.reach(deadline)
+            return True
         message = Message(sender=self.name, recipient=recipient, kind=kind,
                           payload=payload, size_bytes=size_bytes)
-        network = self.network
         arrivals = network.transmit(message)
-        if arrivals:
-            delivered = network.deliver(message, arrivals[0])
-            for when in arrivals[1:]:
-                network.deliver(message, when)
-            if arrivals[0] <= deadline:
-                yield delivered
-                env.reach(deadline)
-                return True
-        yield env.timeout(timeout_ms)
+        delivered = network.deliver_all(message, arrivals)
+        if arrivals and arrivals[0] <= deadline:
+            yield delivered
+            env.reach(deadline)
+            return True
+        yield env.event().succeed(at=max(deadline, env.now))
         return False
-
-    def post(self, message: Message,
-             transmit: typing.Callable[[Message], None]) -> None:
-        """Hand ``message`` to ``transmit`` now or, while the host is
-        frozen, at the thaw in its place among the held messages.  For
-        a sender that puts a message on the wire itself (a heartbeat,
-        decision 39); a crashed host posts nothing."""
-        if self.crashed:
-            return
-        if self.machine.frozen_until > self.env.now:
-            self._hold(message, transmit)
-        else:
-            transmit(message)
-
-    def _hold(self, message: Message,
-              then: Event | typing.Callable[[Message], None]) -> None:
-        """A frozen host transmits nothing: hold the message (as its
-        socket buffers would) and flush it when the stall ends.
-        ``then`` is the event a held :meth:`send` returned, or the
-        ``transmit`` of a :meth:`post`."""
-        self._frozen_outbox.append((message, then))
-        if not self._flusher_running:
-            self._flusher_running = True
-            self.env.start(self._flush_frozen_outbox(),
-                           name=f"thaw-flush:{self.name}")
-
-    def _flush_frozen_outbox(self) -> typing.Generator:
-        try:
-            while self.machine.frozen_until > self.env.now:
-                yield self.env.timeout(
-                    self.machine.frozen_until - self.env.now)
-            held, self._frozen_outbox = self._frozen_outbox, []
-            for message, then in held:
-                if not isinstance(then, Event):
-                    if not self.crashed:
-                        then(message)
-                elif self.crashed:
-                    then.succeed(None)
-                else:
-                    self.env.start(self._forward_delivery(
-                        self.network.send(message), then),
-                        name=f"thaw-send:{self.name}")
-        finally:
-            self._flusher_running = False
-
-    @staticmethod
-    def _forward_delivery(delivery: Event,
-                          deferred: Event) -> typing.Generator:
-        value = yield delivery
-        deferred.succeed(value)
 
     def notify(self, recipient: str, topic: str,
                payload: typing.Any) -> Event:
@@ -342,24 +275,16 @@ class GridService:
         if self._thaw_armed:
             return
         buffered = self.mailbox.items
-        while buffered and self._running:
-            frozen_until = self.machine.frozen_until
-            if frozen_until > self.env.now:
+        while buffered and not self.crashed:
+            thaw = self.machine.availability.thaw(self.env.now)
+            if thaw > self.env.now:
                 self._thaw_armed = True
-                self.env.timeout(
-                    frozen_until - self.env.now
-                ).callbacks.append(self._on_thaw)
+                self.env.timeout(thaw - self.env.now).callbacks.append(
+                    self._on_thaw)
                 return
             self._route(buffered.popleft())
         if self._retiring:
             self._retire_if_idle()
-
-    def routes_on_arrival(self) -> bool:
-        """Whether a message arriving now is routed at once: not while
-        the host is frozen or a thaw drain is armed (the mailbox holds
-        it), nor once the service has crashed (it is dropped)."""
-        return (self._running and not self._thaw_armed
-                and self.machine.frozen_until <= self.env.now)
 
     def _on_thaw(self, _event: Event) -> None:
         self._thaw_armed = False

@@ -81,18 +81,20 @@ class Event:
         return self._value
 
     def succeed(self, value: typing.Any = None,
-                delay: float = 0.0) -> "Event":
+                delay: float = 0.0, at: float | None = None) -> "Event":
         """Trigger the event successfully with an optional payload.
 
         With ``delay`` the event is queued to fire that much later: a
         completion or delivery whose time is known when the work starts
-        is its own queued event, not a timeout relayed into one.
+        is its own queued event, not a timeout relayed into one.  With
+        ``at`` it fires at exactly that time, unrounded.
         """
         if self._value is not _UNSET:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, self.env._now + delay)
+        self.env.schedule(self, at if at is not None
+                          else self.env._now + delay)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

@@ -43,13 +43,18 @@ class Cpu:
     """A FIFO single-server CPU.
 
     ``speed`` may be a constant or a function of simulation time; a
-    speed of 2.0 halves service times.  Utilisation statistics are kept
-    so experiments can report busy/idle breakdowns.
+    speed of 2.0 halves service times, and no task starts service before
+    ``thaw(now)``, the end of the machine's stall ``now`` falls in.
+    Utilisation statistics are kept so experiments can report busy/idle
+    breakdowns.
     """
 
     def __init__(self, env: Environment,
-                 speed: float | SpeedFunction = 1.0) -> None:
+                 speed: float | SpeedFunction = 1.0,
+                 thaw: typing.Callable[[float], float] | None = None
+                 ) -> None:
         self.env = env
+        self._thaw = thaw or (lambda now: now)
         if callable(speed):
             self._speed_fn: SpeedFunction = speed
         else:
@@ -63,7 +68,6 @@ class Cpu:
         self._current: CpuTask | None = None
         #: True while a freeze-wait timeout is armed.
         self._thawing = False
-        self._frozen_until = 0.0
         self._closed = False
         self.busy_time = 0.0
         self.tasks_completed = 0
@@ -104,14 +108,6 @@ class Cpu:
             self.queue_sampler.sample(self.queue_length)
         return task
 
-    def freeze_until(self, until: float) -> None:
-        """Stall the server: no task starts service before ``until``.
-
-        Queued and newly submitted work is retained and drains once the
-        freeze expires — a transient stall, not a crash.
-        """
-        self._frozen_until = max(self._frozen_until, until)
-
     @property
     def closed(self) -> bool:
         return self._closed
@@ -122,8 +118,8 @@ class Cpu:
         Queued and future tasks never start service and their events
         never fire, so processes waiting on them suspend harmlessly —
         crucially *without* scheduling anything, which keeps
-        ``env.run()`` terminating (an infinite ``freeze_until`` would
-        park the server behind an unbounded timeout event instead).
+        ``env.run()`` terminating (an infinite stall would park the
+        server behind an unbounded timeout event instead).
         The task already in service completes: it is on the heap as
         its own completion event, and fail-stop is modelled at the
         service layer, where the host's endpoints are already
@@ -156,10 +152,10 @@ class Cpu:
         if self._closed or not self._pending:
             return
         now = self.env._now
-        if self._frozen_until > now:
+        thaw = self._thaw(now)
+        if thaw > now:
             self._thawing = True
-            self.env.timeout(self._frozen_until - now).callbacks.append(
-                self._on_thaw)
+            self.env.timeout(thaw - now).callbacks.append(self._on_thaw)
             return
         task = self._current = self._pending.popleft()
         task.started_at = now

@@ -1,14 +1,16 @@
-"""Property tests: the wire's verdict decides a data send (decision 40).
+"""Property tests: the wire's verdict decides a data send (decisions
+40 and 41).
 
 :func:`race_send` is the send it replaced: every attempt queues the
 buffer's delivery, a ``send_retry.timeout_ms`` timer and an ``AnyOf``
 of the two, and re-sends when the timer wins.  The verdict send of
 ``ExchangeProducer._send_with_retry`` knows each copy's arrival as the
-buffer goes on the wire, so a live, unfrozen sender waits for the
-first copy's delivery when it arrives by the deadline (a tie goes to
-the delivery, as the heap order gave it to the race) and for the
-deadline alone otherwise (``GridService.send_within``); a frozen or
-crashed sender still races.
+buffer goes on the wire, so it waits for the first copy's delivery
+when it arrives by the deadline (a tie goes to the delivery, as the
+heap order gave it to the race) and for the deadline alone otherwise
+(``GridService.send_within``).  A frozen sender's attempt waits out
+its stall and then goes on the wire against the same deadline, in
+both sends; a sender that is down by then resolves at once.
 
 Run beside each other under the same scripted wire verdicts — drop,
 duplicate, a delay that lands below, at or above the deadline, a
@@ -44,15 +46,20 @@ VERDICTS = ("none", "drop", "duplicate", "below", "at", "above")
 
 def race_send(producer, endpoint, payload, wire_bytes, chaos):
     """The parent's ``_send_with_retry``: race each attempt's delivery
-    against the retry timer."""
+    against the retry timer, once a frozen sender's stall is over."""
     policy = chaos.config.send_retry
+    env, network = producer.env, producer.service.network
     attempt = 0
     while True:
         attempt += 1
+        deadline = env.now + policy.timeout_ms
+        while ((leave := network.leave(producer.service.name)) is not None
+               and leave > env.now):
+            yield env.event().succeed(at=leave)
         delivered = producer.service.send(endpoint, KIND_DATA, payload,
                                           size_bytes=wire_bytes)
         winner, _ = yield producer.env.any_of(
-            [delivered, producer.env.timeout(policy.timeout_ms)])
+            [delivered, env.event().succeed(at=max(deadline, env.now))])
         if winner is delivered:
             return
         chaos.count_retry("send")
@@ -143,11 +150,9 @@ def run(scenario, by_race):
     send_within = sender.send_within
 
     def counting_send_within(*args):
-        live = not sender.crashed and not sender.machine.is_frozen
         delivered = yield from send_within(*args)
-        if live:
-            # In time: no timer and no AnyOf; else: no AnyOf.
-            saved[0] += 2 if delivered else 1
+        # In time: no timer and no AnyOf; else: no AnyOf.
+        saved[0] += 2 if delivered else 1
         return delivered
 
     sender.send_within = counting_send_within
@@ -167,8 +172,13 @@ def run(scenario, by_race):
     if scenario["freeze"] is not None:
         freeze_at, duration = scenario["freeze"]
         at(freeze_at, lambda: sender.machine.freeze(duration))
+    def crash_sender():
+        # The sender's host fails: its schedule says so from now on.
+        context.availability_of("m1").fail(env.now)
+        sender.crash()
+
     if scenario["sender_crash"] is not None:
-        at(scenario["sender_crash"], sender.crash)
+        at(scenario["sender_crash"], crash_sender)
     if scenario["recipient_crash"] is not None:
         at(scenario["recipient_crash"], recipient.crash)
     env.process(body())

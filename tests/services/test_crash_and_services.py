@@ -53,7 +53,7 @@ class TestCrashSemantics:
         context = make_context()
         sender = EchoService(context, "a", "m1")
         receiver = EchoService(context, "b", "m2")
-        sender.crash()
+        context.fail_machine("m1")
         sender.notify("b", "topic", "payload")
         context.env.run()
         assert context.network.messages_delivered == 0

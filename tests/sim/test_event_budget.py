@@ -37,6 +37,7 @@ from repro.engine.operators import (
 from repro.engine.operators.base import EvalContext
 from repro.grid import GridContext
 from repro.net import KIND_DATA, Message, Network, NetworkConfig
+from repro.net.availability import Availability
 from repro.policy import create_policy
 from repro.services.base import GridService
 from repro.services.ws import WebServiceOperation
@@ -79,8 +80,9 @@ class TestCpu:
 
     def test_task_submitted_during_a_freeze(self):
         env = Environment()
-        cpu = Cpu(env)
-        cpu.freeze_until(5.0)
+        table = Availability()
+        table.freeze(0.0, 5.0)
+        cpu = Cpu(env, thaw=table.thaw)
         # The thaw timeout plus the task itself.
         assert queued(env, lambda: cpu.execute(1.0)) == 2
         assert env.now == 6.0
@@ -150,8 +152,9 @@ class TestNetwork:
 
 
 class TestHeartbeat:
-    """A heartbeat's arrival is data in the GDQS failover's ledger,
-    unless the GDQS host may freeze or fail (decision 39)."""
+    """A heartbeat's arrival is data in the GDQS failover's ledger
+    (decision 39), unless it reaches the GDQS host while the host is
+    frozen (decision 41)."""
 
     def make(self, chaos=None):
         context = GridContext(seed=0)
@@ -171,9 +174,9 @@ class TestHeartbeat:
 
     def test_to_a_crashed_gdqs(self):
         context, failover, gqes = self.make()
-        failover.gdqs.crash()
-        # Its delivery, which the dead endpoint drops.
-        assert queued(context.env, lambda: failover.beat(gqes)) == 1
+        context.fail_machine("coordinator")
+        # Dropped as the schedule says: the dead host hears nothing.
+        assert queued(context.env, lambda: failover.beat(gqes)) == 0
         assert context.network.messages_dropped == 1
 
     def test_to_a_host_with_a_scheduled_freeze(self):
@@ -181,8 +184,25 @@ class TestHeartbeat:
             enabled=True, schedule=FaultSchedule(freezes=(
                 MachineFreeze("coordinator", 1000.0, 50.0),))))
         context.env.run(until=2000.0)  # long thawed
-        # Its delivery: a mailbox that may freeze holds what arrives.
+        # A freeze long past routes nothing by event.
+        assert queued(context.env, lambda: failover.beat(gqes)) == 0
+
+    def test_to_a_frozen_host(self):
+        context, failover, gqes = self.make(ChaosConfig(
+            enabled=True, schedule=FaultSchedule(freezes=(
+                MachineFreeze("coordinator", 1000.0, 50.0),))))
+        context.env.run(until=1010.0)
+        # Its delivery, and the thaw drain of the mailbox that holds it.
+        assert queued(context.env, lambda: failover.beat(gqes)) == 2
+
+    def test_from_a_frozen_host(self):
+        context, failover, gqes = self.make(ChaosConfig(
+            enabled=True, schedule=FaultSchedule(freezes=(
+                MachineFreeze("m1", 1000.0, 50.0),))))
+        context.env.run(until=1010.0)
+        # The event at the thaw that puts it on the wire.
         assert queued(context.env, lambda: failover.beat(gqes)) == 1
+        assert context.network.messages_delivered == 1
 
 
 def test_gqes_data_ingest_is_one_cpu_task():

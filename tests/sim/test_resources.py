@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.availability import Availability
 from repro.sim import Cpu, Environment
 
 
@@ -167,14 +168,15 @@ def test_close_on_an_idle_cpu_starts_nothing():
 
 def test_freeze_with_a_backlog_resumes_in_order_at_the_thaw():
     env = Environment()
-    cpu = Cpu(env)
+    table = Availability()
+    cpu = Cpu(env, thaw=table.thaw)
     log = []
     for name, work in (("a", 2.0), ("b", 1.0), ("c", 1.0)):
         env.process(waiter(env, cpu, work, name, log))
     env.run(until=1.0)
-    cpu.freeze_until(10.0)  # `a` is in service and completes; b, c wait
+    table.freeze(1.0, 9.0)  # `a` is in service and completes; b, c wait
     env.run(until=5.0)
-    cpu.freeze_until(12.0)  # extended while the thaw is armed
+    table.freeze(5.0, 7.0)  # extended while the thaw is armed
     env.process(waiter(env, cpu, 1.0, "d", log))
     env.run()
     assert log == [("a", 2.0), ("b", 13.0), ("c", 14.0), ("d", 15.0)]
