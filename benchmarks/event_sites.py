@@ -22,6 +22,17 @@ kernel cost (DESIGN decision 38).
 rows above.  A heartbeat whose arrival the GDQS failover takes as data
 queues none (decision 39).
 
+``--host`` also prints where the host time goes, by the same call
+sites: the time from each event's pop to the next pop (to the end of
+the run for the last) is charged to the site that queued the event,
+so a row is what dispatching that site's events cost, callbacks and
+the process resumes they drive included.  The rows add up to the
+timed loop: first pop to the end of the run, less the time spent in
+this script's own hooks (measured and left out; what the hooks cost
+outside the measured part, 2-3 µs per event, stays in).  An
+uncounted warm-up run goes first.  Rank by total to see where a run's
+host time goes, by µs per event to see which events are expensive.
+
 ``--heap`` reports what the run costs the cycle collector: per GC
 generation the collections, their pause seconds and the objects they
 collected (from ``gc.callbacks``), each generation-2 pass with the
@@ -169,49 +180,88 @@ def main(argv=None) -> int:
     parser.add_argument("--heap", action="store_true",
                         help="also print GC passes per generation and the "
                              "objects alive after the run by type")
+    parser.add_argument("--host", action="store_true",
+                        help="also print the host time from each event's "
+                             "pop to the next by the site that queued it")
     args = parser.parse_args(argv)
 
     sites: collections.Counter = collections.Counter()
     dead: collections.Counter = collections.Counter()
     messages: collections.Counter = collections.Counter()
-    #: id of a queued event -> its call site (only with --dead).
+    #: Events popped, and host seconds from pop to next pop, by site.
+    popped: collections.Counter = collections.Counter()
+    host: collections.Counter = collections.Counter()
+    #: id of a queued event -> its call site (with --dead or --host).
     queued_at: dict[int, str] = {}
+    #: (event type, caller code objects) -> site text.
+    names_of: dict[tuple, str] = {}
+    clock = time.perf_counter
+    #: The event being dispatched: its site, its pop instant, and the
+    #: hook time spent since, which its row leaves out.
+    current: str | None = None
+    popped_at = in_hooks = 0.0
+    #: Hook time left out of every row.
+    hooks_total = 0.0
     schedule = Environment.schedule
     dispatch = Environment._dispatch
 
     def counting(env, event, *rest, **kwargs):
+        nonlocal in_hooks
+        entered = clock()
         frame = sys._getframe(1)
         while (frame.f_code.co_name in _KERNEL
                and "/repro/sim/" in frame.f_code.co_filename):
             frame = frame.f_back
-        names = [type(event).__name__]
-        while frame is not None and len(names) <= args.depth:
-            code = frame.f_code
-            names.append(f"{pathlib.Path(code.co_filename).stem}."
-                         f"{code.co_name}")
+        key = [type(event)]
+        while frame is not None and len(key) <= args.depth:
+            if frame.f_code is not dispatching.__code__:
+                key.append(frame.f_code)
             frame = frame.f_back
-        site = " < ".join(names)
+        key = tuple(key)
+        site = names_of.get(key)
+        if site is None:
+            site = names_of[key] = " < ".join(
+                [type(event).__name__] + [
+                    f"{pathlib.Path(code.co_filename).stem}.{code.co_name}"
+                    for code in key[1:]])
         sites[site] += 1
         if (args.messages and event.callbacks and getattr(
                 event.callbacks[0], "__func__", None) is Network._on_arrival):
             messages[event._value.kind, event._value.subject] += 1
-        if args.dead:
+        if args.dead or args.host:
             queued_at[id(event)] = site
+        in_hooks += clock() - entered
         schedule(env, event, *rest, **kwargs)
 
+    def close_interval(until: float) -> None:
+        nonlocal hooks_total
+        if current is not None:
+            host[current] += until - popped_at - in_hooks
+            hooks_total += in_hooks
+
     def dispatching(env, event):
-        site = queued_at.pop(id(event))
+        nonlocal current, popped_at, in_hooks
+        now = clock()
+        close_interval(now)
+        current = queued_at.pop(id(event))
+        popped[current] += 1
         if not event.callbacks:
-            dead[site] += 1
+            dead[current] += 1
+        popped_at = now
+        in_hooks = clock() - now
         dispatch(env, event)
 
+    if args.host:
+        # A warm-up run, uncounted: the first run in a process is slower
+        # (memo tables, first-touch allocations), as the benchmark's is.
+        drive(WORKLOADS[args.workload].build(args.seed, args.scale, None))
     charges = ChargeCounter() if args.charges else None
     heap = None
     # Counting starts before the build: a workload may queue events
     # while it is set up (mq_faults starts its crash processes), and
     # the per-site counts must add up to the environment's total.
     Environment.schedule = counting
-    if args.dead:
+    if args.dead or args.host:
         Environment._dispatch = dispatching
     try:
         scenario = WORKLOADS[args.workload].build(args.seed, args.scale, None)
@@ -224,6 +274,7 @@ def main(argv=None) -> int:
         if charges is not None:
             charges.install()
         drive(scenario)
+        close_interval(clock())
     finally:
         Environment.schedule = schedule
         Environment._dispatch = dispatch
@@ -247,6 +298,15 @@ def main(argv=None) -> int:
         for (kind, subject), count in messages.most_common():
             print(f"{count:>9} {100.0 * count / total:5.1f} %  "
                   f"{kind} {subject or '-'}")
+    if args.host:
+        loop_ms = sum(host.values()) * 1e3
+        print(f"Host time by site: {loop_ms:.3f} ms timed loop, pop to "
+              f"next pop ({hooks_total * 1e3:.3f} ms in these hooks left out)")
+        print(f"{'us/event':>9} {'total ms':>10} {'share':>7}  site")
+        for site, seconds in host.most_common():
+            print(f"{seconds * 1e6 / popped[site]:>9.2f} "
+                  f"{seconds * 1e3:>10.3f} "
+                  f"{100e3 * seconds / loop_ms:>5.1f} %  {site}")
     if charges is not None:
         charges.report()
     if heap is not None:

@@ -100,7 +100,8 @@ class DistributionPolicy(abc.ABC):
 
         ``rows`` may be a :class:`~repro.data.batch.Batch`; a group's
         row container may likewise be a ``Batch`` (the single-consumer
-        pass-through), so callers must not assume ``list``.
+        pass-through), so callers must not assume ``list``.  The
+        returned list is new on every call: a caller may extend it.
         """
         grouped: dict[int, list[Row]] = {}
         for row in rows:
@@ -153,13 +154,17 @@ class WeightedRoundRobin(DistributionPolicy):
                 return []
             credit = self._credit
             weights = self.weights
-            indices = range(self.consumer_count)
+            others = range(1, self.consumer_count)
             groups: dict[int, list[int]] = {}
             for position in range(count):
-                for index in indices:
-                    credit[index] += weights[index]
-                best = max(indices, key=lambda i: credit[i])
-                credit[best] -= 1.0
+                # route()'s max(): the first highest credit wins a tie.
+                best = 0
+                top = credit[0] = credit[0] + weights[0]
+                for index in others:
+                    value = credit[index] = credit[index] + weights[index]
+                    if value > top:
+                        best, top = index, value
+                credit[best] = top - 1.0
                 groups.setdefault(best, []).append(position)
             if len(groups) == 1:
                 return [(next(iter(groups)), rows)]

@@ -90,63 +90,66 @@ class Fragment:
     # -- the evaluator "thread" ----------------------------------------------
 
     def run(self, query_complete: Event) -> typing.Generator:
-        yield from self.root.open()
-        yield from self.ctx.settle()
+        ctx, root, env = self.ctx, self.root, self.env
+        metrics = ctx.metrics
+        yield from root.open()
+        yield from ctx.settle()
         # Opening may block for a long time (a hash join's build phase
         # drains its whole build channel); discard whatever accumulated
         # so the first M1 batch only measures steady-state processing.
-        self.ctx.metrics.drain_batch()
-        batch_size = self.ctx.engine_config.batch_size
-        if self.ctx.monitor is not None and self.m1_interval > 0:
+        metrics.drain_batch()
+        batch_size = ctx.engine_config.batch_size
+        monitored = ctx.monitor is not None and self.m1_interval > 0
+        if monitored:
             # The monitoring cadence bounds the morsel: a morsel larger
             # than m1_interval would hold back M1 events until the whole
             # morsel's work is done, delaying perturbation detection by
             # up to batch_size/m1_interval monitoring periods.
             batch_size = max(1, min(batch_size, self.m1_interval))
         while not self.halted:
-            iteration_start = self.env.now
-            item = yield from self.root.next_batch(batch_size)
-            # One CPU task per morsel: what the chain charged.
-            yield from self.ctx.settle()
+            iteration_start = env._now
+            item = yield from root.next_batch(batch_size)
+            # One CPU task per morsel: what the chain charged (nothing
+            # is owed when the buffer the morsel filled already paid).
+            if ctx.owed_work or ctx.owed_delay:
+                yield from ctx.settle()
             if self.halted:
                 break
             if item is not END:
                 produced = len(item)
-                self.ctx.metrics.record_iteration(
-                    self.env.now - iteration_start, produced)
-                yield from self._maybe_emit_m1(produced)
+                metrics.record_iteration(env._now - iteration_start,
+                                         produced)
+                if monitored:
+                    yield from self._maybe_emit_m1(produced)
                 continue
-            self.ctx.metrics.record_iteration(
-                self.env.now - iteration_start, 0)
+            metrics.record_iteration(env._now - iteration_start, 0)
             # Re-arm before announcing so no wake-up is lost between
             # the END decision and the wait below.
-            self.reactivated = self.env.event()
-            yield from self.root.finish()
+            self.reactivated = env.event()
+            yield from root.finish()
             if query_complete.triggered:
                 break
             if not any(len(consumer.queue) > 0
                        for consumer in self.consumers.values()):
-                winner, _value = yield self.env.any_of(
+                winner, _value = yield env.any_of(
                     [query_complete, self.reactivated])
                 if winner is query_complete:
                     break
             self.reactivated = None
         self.reactivated = None
         if not self.halted:
-            yield from self.root.close()
+            yield from root.close()
         self.completed = True
 
     def _maybe_emit_m1(self, produced: int = 1) -> typing.Generator:
-        """Emit the M1 events a morsel of ``produced`` tuples is due.
+        """Emit the M1 events a monitored fragment's morsel of
+        ``produced`` tuples is due.
 
         A batch may cross several ``m1_interval`` boundaries; each
         boundary contributes one M1 event (the raw-event count depends
         on the rows produced, not on the morsel size), all carrying the
         batch's aggregate per-tuple cost.
         """
-        monitor = self.ctx.monitor
-        if monitor is None or self.m1_interval <= 0:
-            return
         self._produced_since_m1 += produced
         if self._produced_since_m1 < self.m1_interval:
             return
@@ -165,6 +168,6 @@ class Fragment:
             selectivity=self.ctx.metrics.selectivity,
             produced_total=self.ctx.metrics.produced,
             timestamp=self.env.now)
-        monitor.submit_m1(event, emissions)
+        self.ctx.monitor.submit_m1(event, emissions)
         self.m1_events_emitted += emissions
         yield from self.ctx.pay_handover(emissions)

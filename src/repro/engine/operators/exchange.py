@@ -122,32 +122,30 @@ class ExchangeProducer(UnaryOperator):
         # (e.g. morsels 32, 18, 32, 18, ... for buffer size 50).
         max_rows = max(1, min(
             max_rows,
-            min(self.ctx.engine_config.buffer_size - filled
-                for filled in self._buffer_rows)))
+            self.ctx.engine_config.buffer_size - max(self._buffer_rows)))
         batch = yield from self.child.next_batch(max_rows)
         if batch is END:
             return END
         # A replay may have reopened a finished subplan: termination
         # waits for the new outputs to be flushed and re-announced.
         self.finished = False
+        count = len(batch)
         if self.ctx.monitor is not None:
             self.ctx.charge("instrument",
-                            self.ctx.cost.instrument_work_per_tuple,
-                            len(batch))
+                            self.ctx.cost.instrument_work_per_tuple, count)
         # Routing and placing are atomic per morsel (no simulated time
         # passes), so an update arriving mid-batch sees every row in the
         # buffers and logs; the owed work is paid before the first send.
         protocol = self.protocol
-        placements: list[tuple[int, typing.Sequence[Row]]] = []
-        extras: dict[int, list[Row]] = {}
-        for index, group in self.policy.route_batch(batch):
-            placements.append((index, group))
-            if protocol.multicast:
+        placements = self.policy.route_batch(batch)
+        if protocol.multicast:
+            extras: dict[int, list[Row]] = {}
+            for index, group in placements:
                 for row in group:
                     for extra in protocol.multicast_targets(row, index):
                         extras.setdefault(extra, []).append(row)
-        placements.extend(extras.items())
-        self.routed_total += len(batch)
+            placements.extend(extras.items())
+        self.routed_total += count
         yield from self._place_and_send(placements)
         return batch
 
@@ -181,7 +179,9 @@ class ExchangeProducer(UnaryOperator):
         source is column-backed; row-backed on a state channel) so that
         a checkpoint marker follows every ``checkpoint_interval``-th row
         and a buffer rotates out into ``sends`` as ``(index, items,
-        row_count)`` at its ``buffer_size``-th.
+        row_count)`` at its ``buffer_size``-th.  A group that fits
+        before both is buffered and logged as it is, not copied: a
+        ``Batch`` is never mutated once built (DESIGN decision 42).
         """
         log = self._logs[index]
         config = self.ctx.engine_config
@@ -197,9 +197,9 @@ class ExchangeProducer(UnaryOperator):
                 take = min(take, config.checkpoint_interval
                            - self._since_checkpoint[index])
             take = min(take, config.buffer_size - self._buffer_rows[index])
-            chunk = rows.slice(position, position + take)
+            chunk = (rows if take == total
+                     else rows.slice(position, position + take))
             position += take
-            chunk_rows = len(chunk)
             self._buffers[index].append(chunk)
             tids = chunk.tids()
             self.protocol.place(index, tids)
@@ -207,10 +207,10 @@ class ExchangeProducer(UnaryOperator):
                 self._retained.update(zip(tids, chunk.rows))
             if log is not None:
                 log.append_block(chunk)
-                logged += chunk_rows
-            self._buffer_rows[index] += chunk_rows
-            self._since_checkpoint[index] += chunk_rows
-            self._channel_sent_rows[index] += chunk_rows
+                logged += take
+            self._buffer_rows[index] += take
+            self._since_checkpoint[index] += take
+            self._channel_sent_rows[index] += take
             if (log is not None
                     and self._since_checkpoint[index]
                     >= config.checkpoint_interval):

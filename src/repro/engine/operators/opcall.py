@@ -53,10 +53,10 @@ class OperationCall(UnaryOperator):
         if batch is END:
             return END
         # Invocation plumbing plus the (perturbable) service work.
-        self.ctx.charge("opcall", self.ctx.cost.opcall_overhead_work,
-                        len(batch))
+        count = len(batch)
+        self.ctx.charge("opcall", self.ctx.cost.opcall_overhead_work, count)
         self.ctx.charge(self.operation.work_label,
-                        self.operation.base_work_ms, len(batch))
+                        self.operation.base_work_ms, count)
         if self.ctx.grid.chaos is None:
             # Vectorized result column: invoke over the argument column
             # and append the results as a new column; tids carry over
@@ -68,7 +68,7 @@ class OperationCall(UnaryOperator):
             invoke = self.operation.invoke
             results = [invoke(value)
                        for value in batch.column(self.arg_position)]
-            self.calls_made += len(results)
+            self.calls_made += count
             return Batch.from_columns(batch.columns() + [results],
                                       batch.tids())
         out = []

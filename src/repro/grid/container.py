@@ -9,6 +9,7 @@ signatures short and the wiring explicit.
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.grid.machine import Machine
 from repro.grid.registry import ResourceRegistry
 from repro.net.availability import Availability
@@ -55,8 +56,16 @@ class GridContext:
         :class:`~repro.chaos.config.ChaosConfig` installs nothing,
         preserving the bit-identical baseline timeline: chaos with no
         faults to inject must not exist as far as the simulation can
-        tell.
+        tell.  An installed schedule's freezes and crashes are already
+        queued and in the availability tables, so nothing may replace
+        it: that raises :class:`~repro.errors.ConfigurationError`.
         """
+        if self.chaos is not None:
+            installed = self.chaos.config.schedule
+            if installed.freezes or installed.crashes:
+                raise ConfigurationError(
+                    "installed chaos has scheduled freezes or crashes; "
+                    "they cannot be withdrawn")
         if (config is None or not config.enabled
                 or config.schedule.is_empty):
             self.chaos = None

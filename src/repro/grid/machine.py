@@ -186,18 +186,23 @@ class Machine:
         block once per item).  The matching-perturbation set is hoisted
         out of the item loop: nothing here yields, so ``env.now`` — the
         only input to ``matches`` besides the label — cannot change
-        mid-batch.  With no match the per-item accumulation degenerates
-        to repeated addition of ``work_per_item``; the repeated add is
-        kept (rather than one multiply) so the summed float is
-        bit-identical to the per-item effect loop, and memoized per
-        ``(work, count)`` since the result is a pure function of both.
+        mid-batch; it is built only when something matches (most
+        charges land where nothing is active for their label).  With no
+        match the per-item accumulation degenerates to repeated
+        addition of ``work_per_item``; the repeated add is kept (rather
+        than one multiply) so the summed float is bit-identical to the
+        per-item effect loop, and memoized per ``(work, count)`` since
+        the result is a pure function of both.
         """
         if count <= 0:
             return 0.0, 0.0
-        now = self.env.now
-        active = [perturbation for perturbation in self.perturbations
-                  if perturbation.matches(label, now)]
-        if not active:
+        active = None
+        if self.perturbations:
+            now = self.env._now
+            for perturbation in self.perturbations:
+                if perturbation.matches(label, now):
+                    active = (active or []) + [perturbation]
+        if active is None:
             return _repeated_add(work_per_item, count), 0.0
         if all(perturbation.deterministic for perturbation in active):
             # Every item's effect is identical and no RNG is drawn, so

@@ -55,13 +55,16 @@ class Cpu:
                  ) -> None:
         self.env = env
         self._thaw = thaw or (lambda now: now)
+        #: A constant speed (checked here), or None and a function of
+        #: time (checked per task).
+        self._speed: float | None = None
+        self._speed_fn: SpeedFunction | None = None
         if callable(speed):
-            self._speed_fn: SpeedFunction = speed
+            self._speed_fn = speed
+        elif speed <= 0:
+            raise SimulationError(f"cpu speed must be positive: {speed}")
         else:
-            if speed <= 0:
-                raise SimulationError(f"cpu speed must be positive: {speed}")
-            constant = float(speed)
-            self._speed_fn = lambda _t: constant
+            self._speed = float(speed)
         self._pending: collections.deque[CpuTask] = collections.deque()
         #: The task in service; it sits on the heap as its own
         #: completion event.
@@ -79,6 +82,8 @@ class Cpu:
 
     def speed_at(self, time: float) -> float:
         """Effective speed factor at ``time``."""
+        if self._speed is not None:
+            return self._speed
         value = self._speed_fn(time)
         if value <= 0:
             raise SimulationError(f"cpu speed function returned {value}")
@@ -105,7 +110,8 @@ class Cpu:
         if self._current is None and not self._thawing:
             self._start_next()
         if self.queue_sampler is not None:
-            self.queue_sampler.sample(self.queue_length)
+            self.queue_sampler.sample(
+                len(self._pending) + (self._current is not None))
         return task
 
     @property
@@ -138,7 +144,7 @@ class Cpu:
         self.busy_time += task._value
         self.tasks_completed += 1
         if self.queue_sampler is not None:
-            self.queue_sampler.sample(self.queue_length)
+            self.queue_sampler.sample(len(self._pending))
         self._start_next()
 
     def _start_next(self) -> None:
@@ -160,7 +166,10 @@ class Cpu:
         task = self._current = self._pending.popleft()
         task.started_at = now
         duration = task.work / self.speed_at(now)
-        task.succeed(duration, delay=duration)
+        # succeed(), less its checks: a task starts service only once.
+        task._ok = True
+        task._value = duration
+        self.env.schedule(task, now + duration)
 
     def utilisation(self, horizon: float | None = None) -> float:
         """Fraction of time busy over ``[0, horizon]`` (default: now)."""

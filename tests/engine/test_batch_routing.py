@@ -9,6 +9,7 @@ row order and first-appearance group order.
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row, make_base_tid
 from repro.engine.distribution import (
     HashBucketPolicy,
@@ -19,6 +20,18 @@ from repro.engine.distribution import (
 def make_rows(count, start=0):
     return [Row((f"v{start + i}",), make_base_tid("t", start + i))
             for i in range(count)]
+
+
+def make_columnar(count, start=0):
+    """A column-backed morsel with the content of ``make_rows``."""
+    rows = make_rows(count, start)
+    return Batch.from_columns([[row.values[0] for row in rows]],
+                              [row.tid for row in rows])
+
+
+#: Weights drawn from a small set tie often; so do equal credits.
+WEIGHT = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(min_value=0.1,
+                                                      max_value=10.0)
 
 
 def reference_split(policy, rows):
@@ -77,6 +90,50 @@ class TestWeightedRoundRobinBatches:
         for _index, group in policy.route_batch(rows):
             positions = [rows.index(row) for row in group]
             assert positions == sorted(positions)
+
+
+class TestWeightedRoundRobinColumnar:
+    """The credit walk over a column-backed morsel, which builds no
+    ``Row``, against the same rows routed one by one by ``route``."""
+
+    @given(data=st.data(), consumers=st.integers(min_value=2, max_value=5),
+           first=st.integers(min_value=1, max_value=40),
+           second=st.integers(min_value=1, max_value=40))
+    def test_columnar_walk_equals_sequential_routes(self, data, consumers,
+                                                    first, second):
+        def weights():
+            return data.draw(st.lists(WEIGHT, min_size=consumers,
+                                      max_size=consumers).filter(sum))
+
+        initial = weights()
+        batch_policy = WeightedRoundRobin(consumers, initial)
+        row_policy = WeightedRoundRobin(consumers, initial)
+        start = 0
+        for count in (first, second):
+            morsel = make_columnar(count, start)
+            groups = batch_policy.route_batch(morsel)
+            assert all(isinstance(group, Batch) and group.is_columnar
+                       for _index, group in groups)
+            assert [(index, list(group)) for index, group in groups] == (
+                reference_split(row_policy, make_rows(count, start)))
+            start += count
+            # A weight update between morsels, as the Responder makes.
+            update = weights()
+            batch_policy.update_weights(update)
+            row_policy.update_weights(update)
+        # The credits advanced identically: the next row routes alike.
+        probe = make_rows(1, start=start)[0]
+        assert batch_policy.route(probe) == row_policy.route(probe)
+        assert batch_policy._credit == row_policy._credit
+
+    def test_equal_weights_tie_to_the_lowest_index(self):
+        # Quarters are exact, so every route ties the highest credits.
+        policy = WeightedRoundRobin(4)
+        groups = policy.route_batch(make_columnar(8))
+        assert [(index, [row.values[0] for row in group])
+                for index, group in groups] == [
+            (0, ["v0", "v4"]), (1, ["v1", "v5"]), (2, ["v2", "v6"]),
+            (3, ["v3", "v7"])]
 
 
 class TestHashBucketBatches:

@@ -39,6 +39,12 @@ PERTURBATIONS = {
     "cost-factor": lambda: CostFactor(10.0, target="ws"),
     "sleep": lambda: SleepInjection(12.0, target="ws"),
     "stochastic": lambda: StochasticCostFactor(2.0, 20.0, target="ws"),
+    # Windows that exclude every charge (all are made at t >= 0): no
+    # effect and no draw.
+    "not-started": lambda: StochasticCostFactor(2.0, 20.0, target="ws",
+                                                start=1e9),
+    "ended": lambda: StochasticCostFactor(2.0, 20.0, target="ws",
+                                          start=-10.0, end=0.0),
 }
 
 
@@ -91,6 +97,18 @@ class TestLedger:
         assert ledger.machine.cpu.busy_time == pytest.approx(
             per_item.machine.cpu.busy_time, rel=1e-12)
         assert ledger.machine.cpu.tasks_completed == 1
+
+    @pytest.mark.parametrize("kind", ["not-started", "ended"])
+    def test_a_perturbation_outside_its_window_changes_nothing(self, kind):
+        ledger = make_ctx(PERTURBATIONS[kind]())
+        plain = make_ctx()
+        drawn = ledger.machine._rng.getstate()
+        for label, item_work, count in CHARGES:
+            ledger.charge(label, item_work, count)
+            plain.charge(label, item_work, count)
+        assert (ledger.owed_work, ledger.owed_delay) == (
+            plain.owed_work, plain.owed_delay)
+        assert ledger.machine._rng.getstate() == drawn
 
     def test_settle_queues_one_event_per_kind_of_debt(self):
         ctx = make_ctx(SleepInjection(12.0, target="join-probe"))

@@ -108,6 +108,25 @@ class TestDown:
         assert table.down == [400.0]
         assert context.machine("m1").availability is table
 
+    def test_a_scheduled_fault_cannot_be_uninstalled(self):
+        # Its freeze is queued and in the table: clearing the chaos
+        # config must not pretend otherwise.
+        context = GridContext(seed=0)
+        context.add_machine("m1")
+        context.install_chaos(ChaosConfig(enabled=True, schedule=(
+            FaultSchedule(freezes=(MachineFreeze("m1", 10.0, 50.0),)))))
+        with pytest.raises(ConfigurationError):
+            context.install_chaos(None)
+        with pytest.raises(ConfigurationError):
+            context.install_chaos(ChaosConfig.lossy(drop_probability=0.1))
+
+    def test_link_faults_alone_can_be_replaced(self):
+        context = GridContext(seed=0)
+        context.add_machine("m1")
+        context.install_chaos(ChaosConfig.lossy(drop_probability=0.1))
+        context.install_chaos(None)
+        assert context.chaos is None and context.network.chaos is None
+
 
 class TestEntryPointsRejectNonFiniteTimes:
     @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -5.0])
