@@ -36,7 +36,9 @@ host time goes, by µs per event to see which events are expensive.
 ``--heap`` reports what the run costs the cycle collector: per GC
 generation the collections, their pause seconds and the objects they
 collected (from ``gc.callbacks``), each generation-2 pass with the
-number of queries finished by then, and the GC-tracked objects still
+number of queries finished by then, the cyclic garbage a full
+collection finds after the run while the grid is still referenced (by
+type; a run makes none, decision 43), and the GC-tracked objects still
 alive after the run by type, against the freshly built grid.
 """
 
@@ -112,6 +114,17 @@ class ChargeCounter:
                 print(f"{n:>9}  {fused}")
 
 
+def cyclic_garbage() -> collections.Counter:
+    """What a full collection finds unreachable now, by type."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 def tracked_by_type() -> collections.Counter:
     """GC-tracked objects alive now (after a full collection), by type."""
     gc.collect()
@@ -143,7 +156,8 @@ class HeapCounter:
             self.full_passes.append((self._finished(), pause,
                                      info["collected"]))
 
-    def report(self, fresh: collections.Counter,
+    def report(self, garbage: collections.Counter,
+               fresh: collections.Counter,
                after: collections.Counter) -> None:
         print(f"{'gen':>3} {'collections':>11} {'pause s':>9} "
               f"{'collected':>9}")
@@ -154,6 +168,12 @@ class HeapCounter:
         for finished, pause, collected in self.full_passes:
             print(f"  gen-2 pass after {finished} finished queries: "
                   f"{pause * 1000:.1f} ms, {collected} collected")
+        collected = sum(entry[2] for entry in self.generations.values())
+        print(f"Cyclic garbage: {sum(garbage.values())} objects found by a "
+              f"full collection after the run, {collected} collected by "
+              "the passes in it")
+        for name, count in garbage.most_common(15):
+            print(f"{count:>9}  {name}")
         print(f"GC-tracked objects alive: {sum(fresh.values())} in the "
               f"fresh grid, {sum(after.values())} after the run")
         print(f"{'after':>9} {'fresh':>9}  type")
@@ -282,6 +302,8 @@ def main(argv=None) -> int:
             charges.uninstall()
         if heap is not None:
             gc.callbacks.remove(heap)
+    if heap is not None:
+        garbage = cyclic_garbage()
     total = scenario.grid.context.env.events_scheduled
     print(f"{args.workload} seed {args.seed} scale {args.scale}: "
           f"{total} events queued")
@@ -310,7 +332,7 @@ def main(argv=None) -> int:
     if charges is not None:
         charges.report()
     if heap is not None:
-        heap.report(fresh, tracked_by_type())
+        heap.report(garbage, fresh, tracked_by_type())
     return 0
 
 

@@ -393,9 +393,10 @@ class GDQS(GridService):
         for producer in feed_xps:
             for index, count in enumerate(producer.sent_per_consumer):
                 tuples_per_consumer[index] += count
+        rows = sink.final_rows()
         stats = QueryStatistics(
             response_time_ms=response_time,
-            result_count=len(sink.final_rows()),
+            result_count=len(rows),
             duplicates_dropped=sink.duplicates_dropped,
             raw_monitoring_events=sum(d.raw_events_received
                                       for d in detectors),
@@ -420,5 +421,5 @@ class GDQS(GridService):
             policy=(runtime.policy.name if runtime.policy else "static"),
             oscillation=responder.oscillation if responder else 0.0)
         self.context.metrics.add_report(query_id, stats)
-        return QueryResult(query_id, sink.final_rows(),
-                           runtime.plan.output_schema, stats)
+        return QueryResult(query_id, rows, runtime.plan.output_schema,
+                           stats)

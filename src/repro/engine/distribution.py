@@ -209,11 +209,13 @@ class HashBucketPolicy(DistributionPolicy):
         self._validate_map()
 
     def _validate_map(self) -> None:
-        if len(self.bucket_map) != self.bucket_count:
+        bucket_map = self.bucket_map
+        if len(bucket_map) != self.bucket_count:
             raise AdaptationError(
-                f"bucket map length {len(self.bucket_map)} != "
+                f"bucket map length {len(bucket_map)} != "
                 f"{self.bucket_count}")
-        if any(not 0 <= b < self.consumer_count for b in self.bucket_map):
+        # Not empty: bucket_count >= consumer_count >= 1.
+        if min(bucket_map) < 0 or max(bucket_map) >= self.consumer_count:
             raise AdaptationError("bucket map references unknown consumer")
 
     def bucket_of(self, row: Row) -> int:

@@ -24,6 +24,7 @@ keeps such a fact's instant on a drained run's clock (decision 39).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import typing
 
@@ -91,7 +92,9 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
+            # Drop this frame, which holds the process, from the
+            # traceback the process keeps: no cycle, generator frames kept.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -275,29 +278,39 @@ class Environment:
         clock has passed every instant given to :meth:`reach`), a time
         (run up to and including that instant), or an event (run until
         it has been processed; returns its value).
+
+        A run makes no cyclic garbage, so the loop runs with the cycle
+        collector paused, left as the caller had it however the run
+        ends (decision 43).  The pause is process-wide.
         """
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._processed:
-                if not self._queue:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if isinstance(until, Event):
+                stop_event = until
+                while not stop_event._processed:
+                    if not self._queue:
+                        raise SimulationError(
+                            "simulation ran out of events before the awaited "
+                            "event fired (deadlock?)")
+                    self.step()
+                if not stop_event.ok:
+                    raise stop_event.value
+                return stop_event.value
+            if until is not None:
+                horizon = float(until)
+                if horizon < self._now:
                     raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event fired (deadlock?)")
+                        f"cannot run until {horizon} < now {self._now}")
+                while self._queue and self._queue[0][0] <= horizon:
+                    self.step()
+                self._now = horizon
+                return None
+            while self._queue:
                 self.step()
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon} < now {self._now}")
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
-            self._now = horizon
+            if self._reached > self._now:
+                self._now = self._reached
             return None
-        while self._queue:
-            self.step()
-        if self._reached > self._now:
-            self._now = self._reached
-        return None
+        finally:
+            if collecting:
+                gc.enable()

@@ -205,6 +205,18 @@ class TestHashBucketPolicy:
         with pytest.raises(AdaptationError):
             policy.update_weights([0.5, 0.5], bucket_map=[7] * 8)  # bad ref
 
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["below", "above"])
+    def test_out_of_range_map_rejected(self, bad):
+        """One entry outside ``[0, consumers)`` anywhere in the map."""
+        for position in (0, 3, 7):
+            explicit = [0, 1] * 4
+            explicit[position] = bad
+            with pytest.raises(AdaptationError, match="unknown consumer"):
+                HashBucketPolicy(2, 0, bucket_count=8, bucket_map=explicit)
+            policy = HashBucketPolicy(2, 0, bucket_count=8)
+            with pytest.raises(AdaptationError, match="unknown consumer"):
+                policy.update_weights([0.5, 0.5], bucket_map=explicit)
+
     def test_bucket_count_must_cover_consumers(self):
         with pytest.raises(AdaptationError):
             HashBucketPolicy(10, 0, bucket_count=5)

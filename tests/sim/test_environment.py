@@ -1,5 +1,6 @@
 """Unit tests for the DES environment and process model."""
 
+import collections
 import gc
 import weakref
 
@@ -309,3 +310,161 @@ def test_started_process_failure_raised_by_run(delay):
     # The same exception at the same instant, but without queuing a
     # failure event first.
     assert outcomes[0] == outcomes[1] == (expected, delay or 0.0)
+
+
+# -- the cycle collector (decision 43) ---------------------------------------
+
+
+def cyclic_garbage(body):
+    """What a full collection finds after ``body()`` ran with the
+    cycle collector off, by type: the objects only the collector would
+    ever have freed."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        body()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_failed_process_leaves_no_cycle_for_its_waiter():
+    """A process that raises holds its exception, whose traceback
+    must not reach back to the process: the waiter catches, both
+    processes end, and reference counting frees everything."""
+    seen = []
+
+    def body():
+        env = Environment()
+
+        def child(env):
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        def parent(env):
+            try:
+                yield env.process(child(env))
+            except ValueError as exc:
+                # The waiter still sees the generator's frames.
+                seen.append(exc.__traceback__.tb_next.tb_frame.f_code.co_name)
+            return "recovered"
+
+        proc = env.process(parent(env))
+        env.run()
+        assert proc.value == "recovered"
+
+    assert not cyclic_garbage(body)
+    assert seen == ["child"]
+
+
+def test_failure_passed_on_by_a_waiter_leaves_no_cycle():
+    def body():
+        env = Environment()
+
+        def child(env):
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        def parent(env):
+            yield env.process(child(env))
+
+        def grandparent(env):
+            try:
+                yield env.process(parent(env))
+            except ValueError:
+                pass
+
+        env.process(grandparent(env))
+        env.run()
+
+    assert not cyclic_garbage(body)
+
+
+class Halt(BaseException):
+    """Not an ``Exception``: what a callback's interrupt looks like."""
+
+
+# Each sets up a run that raises and returns its ``until``.
+
+
+def failed_event_nobody_waits_on(env):
+    env.event().fail(ValueError("lost"))
+
+
+def started_body_raises(env):
+    def body(env):
+        yield env.timeout(1.0)
+        raise ValueError("body")
+
+    env.start(body(env), name="failing")
+
+
+def ran_out_of_events(env):
+    return env.event()
+
+
+def callback_raises_base_exception(env):
+    def interrupt(_event):
+        raise Halt
+
+    env.timeout(1.0).callbacks.append(interrupt)
+    return 5.0
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The caller's collector state, restored after the test."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("until", [None, 3.0, "event"])
+def test_run_pauses_the_collector_and_restores_the_callers_state(
+        collector, until):
+    env = Environment()
+    states = []
+    env.timeout(1.0).callbacks.append(
+        lambda _event: states.append(gc.isenabled()))
+    env.run(env.timeout(2.0) if until == "event" else until)
+    assert states == [False]
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("raising", [
+    failed_event_nobody_waits_on, started_body_raises, ran_out_of_events,
+    callback_raises_base_exception])
+def test_a_run_that_raises_restores_the_callers_collector_state(
+        collector, raising):
+    env = Environment()
+    until = raising(env)
+    with pytest.raises((SimulationError, ValueError, Halt)):
+        env.run(until)
+    assert gc.isenabled() is collector
+
+
+def test_nested_and_repeated_runs_restore_the_callers_state(collector):
+    env = Environment()
+    states = []
+
+    def nested(_event):
+        states.append(gc.isenabled())
+        inner = Environment()
+        inner.timeout(1.0)
+        inner.run()
+        states.append(gc.isenabled())
+
+    env.timeout(1.0).callbacks.append(nested)
+    env.timeout(2.0)
+    env.run(until=1.5)
+    assert gc.isenabled() is collector
+    env.run()
+    assert states == [False, False]
+    assert gc.isenabled() is collector
