@@ -262,9 +262,10 @@ class SchedulerConfig:
         if self.max_queued < 0:
             raise ConfigurationError(
                 f"max_queued must be >= 0: {self.max_queued}")
-        if self.query_timeout_ms is not None and self.query_timeout_ms <= 0:
+        if self.query_timeout_ms is not None and not (
+                0 < self.query_timeout_ms < math.inf):
             raise ConfigurationError(
-                f"query_timeout_ms must be positive or None: "
+                f"query_timeout_ms must be finite and positive or None: "
                 f"{self.query_timeout_ms}")
         if self.retry is not None and self.retry.max_attempts is None:
             raise ConfigurationError(
@@ -276,15 +277,6 @@ class SchedulerConfig:
             raise ConfigurationError(
                 f"placement_candidates must be >= 1 or None: "
                 f"{self.placement_candidates}")
-
-    @property
-    def resilient(self) -> bool:
-        """Whether any failure-handling feature is configured.
-
-        When False every session's ``done`` event *is* its handle's
-        event, exactly the pre-resilience wiring.
-        """
-        return self.query_timeout_ms is not None or self.retry is not None
 
     def replace(self, **changes) -> "SchedulerConfig":
         return dataclasses.replace(self, **changes)

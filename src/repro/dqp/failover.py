@@ -4,15 +4,17 @@ The paper's R1 response rides on infrastructure "developed mainly to
 attain fault tolerance" [18]; this module is that infrastructure.
 Every GQES of a fault-tolerant query heartbeats to the GDQS; a
 heartbeat's arrival is data, kept in a per-GQES ledger until the wheel
-reads it, not a queued delivery event (decisions 39 and 41).  One
-shared wheel process grades each watched query's heartbeat silence
-once per interval: a GQES silent past ``suspect_timeout_ms`` has its
-compute clones quarantined, one silent past ``failure_timeout_ms`` is
-dead, and its compute instances are re-deployed on a replacement
-machine through :meth:`~repro.dqp.deployment.QueryRuntime.redeploy`
-while the feed producers redirect and replay their recovery logs.  A
-loss that cannot be recovered ends the query through
-:meth:`~repro.dqp.gdqs.GDQS.abort`.
+reads it, not a queued delivery event (decisions 39 and 41).  A beat
+is heard when it lands: a read at ``now`` counts every copy arriving
+at or before ``now``, whatever the order of same-instant events
+(decision 44).  One shared wheel process grades each watched query's
+heartbeat silence once per interval: a GQES silent past
+``suspect_timeout_ms`` has its compute clones quarantined, one silent
+past ``failure_timeout_ms`` is dead, and its compute instances are
+re-deployed on a replacement machine through
+:meth:`~repro.dqp.deployment.QueryRuntime.redeploy` while the feed
+producers redirect and replay their recovery logs.  A loss that cannot
+be recovered ends the query through :meth:`~repro.dqp.gdqs.GDQS.abort`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.errors import PlanningError, ServiceError
 from repro.net.message import KIND_CONTROL, KIND_NOTIFY, Message
 from repro.planner.physical import ROOT_SUBPLAN
 from repro.services.base import CONTROL_MESSAGE_BYTES
-from repro.sim.environment import queued_key
 
 #: Deadline of the GDQS's recovery calls, so a crashed peer cannot hang
 #: a recovery forever.
@@ -51,10 +52,9 @@ class Watch:
     #: GQES name -> simulated time it was last heard from, as of the
     #: last read.
     heartbeats: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: GQES name -> ``(arrival_ms, position)`` of each heartbeat copy
-    #: on its way to the GDQS that no read has counted yet; ``position``
-    #: is ``events_scheduled`` when it was put on the wire.
-    ledger: dict[str, list[tuple[float, int]]] = dataclasses.field(
+    #: GQES name -> arrival time of each heartbeat copy on its way to
+    #: the GDQS that no read has counted yet.
+    ledger: dict[str, list[float]] = dataclasses.field(
         default_factory=dict)
     #: GQES name -> compute clone indices quarantined while it is
     #: suspect.
@@ -119,7 +119,7 @@ class Failover:
         mailbox to hold (decision 41).  Query ids are never reused, so a
         copy sent with no watch could never count, and one whose watch
         goes first goes with the ledger."""
-        network, position = self.gdqs.network, self.env.events_scheduled
+        network = self.gdqs.network
         host = network.endpoint(self.gdqs.name)
         down = host.availability.down_at(host.born)
         landed = []
@@ -130,27 +130,22 @@ class Failover:
                 landed.append(when)
         network.land(message, landed)
         watch = self.watched.get(message.payload)
-        heard = [(when, position) for when in landed if when < down]
+        heard = [when for when in landed if when < down]
         if watch is not None and heard:
             watch.ledger.setdefault(message.sender, []).extend(heard)
 
     def _last_heard(self, watch: Watch, name: str) -> float:
         """When GQES ``name`` was last heard from, once the ledger copies
-        that have arrived are folded in.  A copy arriving at this very
-        instant has arrived if its delivery, queued right after the
-        ``position``-th event, would have been dispatched before the
-        current one.  Deliveries go in time order: the latest is the
-        last heard."""
+        that have arrived by now, this instant included, are folded in:
+        the latest arrival is the last heard."""
         heard = watch.heartbeats.get(name)
         entries = watch.ledger.get(name)
         if entries:
-            now, key = self.env.now, self.env.dispatch_key
+            now = self.env.now
             pending = []
-            for entry in entries:
-                arrival, position = entry
-                if arrival > now or (arrival == now
-                                     and queued_key(position) >= key):
-                    pending.append(entry)
+            for arrival in entries:
+                if arrival > now:
+                    pending.append(arrival)
                 elif heard is None or arrival > heard:
                     heard = arrival
             watch.ledger[name] = pending

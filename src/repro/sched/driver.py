@@ -13,6 +13,7 @@ the fair-share contention model.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.config import AdaptivityConfig
@@ -44,12 +45,14 @@ class WorkloadSpec:
     degree: int | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_qps <= 0:
+        # NaN fails both comparisons; an infinite window never stops
+        # arriving, and an infinite rate arrives without end at once.
+        if not 0 < self.arrival_rate_qps < math.inf:
+            raise ValueError(f"arrival rate must be finite and positive: "
+                             f"{self.arrival_rate_qps}")
+        if not 0 < self.duration_ms < math.inf:
             raise ValueError(
-                f"arrival rate must be positive: {self.arrival_rate_qps}")
-        if self.duration_ms <= 0:
-            raise ValueError(
-                f"duration must be positive: {self.duration_ms}")
+                f"duration must be finite and positive: {self.duration_ms}")
         if not self.catalog:
             raise ValueError("catalog must not be empty")
 

@@ -18,6 +18,12 @@ Dispatch is fully synchronous: an admissible query is deployed within
 completion callback of the finishing one.  The scheduler therefore
 adds *zero* simulator events for a single query at concurrency one —
 that path is event-for-event the pre-scheduler ``GDQS.submit``.
+
+A session settles once.  The scheduler learns each attempt's outcome
+from its callback on the handle's ``done`` event and moves the session
+to a terminal state, retrying first if its policy allows; nothing else
+is signalled.  :meth:`QueryScheduler.drain` runs the event queue dry
+and then insists every session settled (decision 44).
 """
 
 from __future__ import annotations
@@ -35,14 +41,13 @@ from repro.dqp.gdqs import (
     QueryFailed,
     QueryResult,
 )
-from repro.errors import AdmissionRejected, PlanningError
+from repro.errors import AdmissionRejected, PlanningError, SimulationError
 from repro.sched.fairshare import FairShare
 from repro.sched.health import MachineHealth
 from repro.sched.session import (
     QuerySession,
     STATE_COMPLETED,
     TERMINAL_STATES,
-    require_done,
 )
 from repro.sim.events import Event
 from repro.telemetry.trace import CATEGORY_SCHEDULER
@@ -176,18 +181,9 @@ class QueryScheduler:
             f"s{self._session_counter}", query_text, adaptivity, degree,
             submitted_at=self.env.now)
         self.sessions.append(session)
-        if self.config.resilient:
-            # Resilient sessions get a dedicated completion event up
-            # front: the underlying handle's event settles per *attempt*
-            # (a retried failure must not wake the submitter), so the
-            # session-level event is the only one that means "terminal".
-            session.done = self.env.event()
         if len(self._running) < self.config.max_concurrent:
             self._start(session)
         else:
-            # Queued sessions need a completion event of their own
-            # before the underlying handle exists.
-            session.done = self.env.event()
             self._enqueue(session)
             self.context.tracer.record(
                 CATEGORY_SCHEDULER, self.name, "query queued",
@@ -271,8 +267,6 @@ class QueryScheduler:
         # sees this session's residency when placing.
         self.fair_share.admit(session)
         self.health.note_placement(session.machines)
-        if session.done is None:
-            session.done = handle.done
         handle.done.callbacks.append(
             lambda event, s=session: self._on_complete(s, event))
         if self.config.query_timeout_ms is not None:
@@ -298,7 +292,7 @@ class QueryScheduler:
 
     def _on_complete(self, session: QuerySession, event: Event) -> None:
         if event.ok and getattr(event.value, "failed", False):
-            self._on_failure(session, event.value, event)
+            self._on_failure(session, event.value)
             return
         session.mark_completed(self.env.now)
         for machine in session.machines:
@@ -317,13 +311,6 @@ class QueryScheduler:
             execution_ms=round(session.execution_ms, 1),
             response_ms=round(session.response_ms, 1))
         self._dispatch_queued()
-        if session.done is not event:
-            # A formerly-queued session: forward the handle's outcome
-            # to the placeholder event its submitter is waiting on.
-            if event.ok:
-                session.done.succeed(event.value)
-            else:
-                session.done.fail(event.value)
 
     # -- failure handling ------------------------------------------------
 
@@ -334,9 +321,6 @@ class QueryScheduler:
             elapsed_ms=self.env.now - session.submitted_at,
             recoveries=0)
         self._mark_failed(session, failure)
-        if session.done is None:
-            session.done = self.env.event()
-        session.done.succeed(failure)
 
     def _mark_failed(self, session: QuerySession,
                      failure: QueryFailed) -> None:
@@ -363,8 +347,8 @@ class QueryScheduler:
             return False
         return session.attempts < retry.max_attempts
 
-    def _on_failure(self, session: QuerySession, failure: QueryFailed,
-                    event: Event) -> None:
+    def _on_failure(self, session: QuerySession,
+                    failure: QueryFailed) -> None:
         self.wasted_work_ms += failure.elapsed_ms
         if failure.failed_machine:
             self.health.record_failure(failure.failed_machine)
@@ -386,8 +370,6 @@ class QueryScheduler:
         else:
             self._mark_failed(session, failure)
         self._dispatch_queued()
-        if session.state in TERMINAL_STATES and session.done is not event:
-            session.done.succeed(failure)
 
     def _retry_later(self, session: QuerySession,
                      backoff_ms: float) -> typing.Generator:
@@ -402,25 +384,20 @@ class QueryScheduler:
     # -- draining and statistics -----------------------------------------
 
     def drain(self) -> list[QueryResult | QueryFailed]:
-        """Run the simulation until every admitted session settles.
+        """Run the simulation until its event queue is empty.
 
-        Every admitted session reaches a terminal state — completed or
-        failed — so the returned list (submission order) holds one
-        outcome per session: a :class:`QueryResult` or a typed
-        :class:`QueryFailed`, never a hole.  Teardown traffic is then
-        drained so the grid is quiet.
+        Every admitted session then holds a terminal outcome — a
+        :class:`QueryResult` or a typed :class:`QueryFailed` — returned
+        in submission order, and the grid is quiet.  A session still
+        unsettled when nothing is left to settle it raises
+        :class:`~repro.errors.SimulationError` naming it.
         """
-        # Sessions are only appended and a terminal state is final, so
-        # the first unsettled session is found by a cursor, not a scan.
-        first = 0
-        while True:
-            while (first < len(self.sessions) and
-                   self.sessions[first].state in TERMINAL_STATES):
-                first += 1
-            if first == len(self.sessions):
-                break
-            self.env.run(until=require_done(self.sessions[first]))
         self.env.run()
+        for session in self.sessions:
+            if session.state not in TERMINAL_STATES:
+                raise SimulationError(
+                    f"{session.session_id} is {session.state} with no "
+                    "event left to settle it (deadlock?)")
         return [session.outcome for session in self.sessions]
 
     def statistics(self) -> SchedulerStatistics:

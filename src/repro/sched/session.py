@@ -4,7 +4,9 @@ A :class:`QuerySession` is the scheduler-side identity of one
 submitted query: its position in the admission lifecycle
 (queued/running/completed), the lifecycle timestamps that separate
 queue wait from execution, and — once dispatched — the underlying
-:class:`~repro.dqp.gdqs.QueryHandle`.
+:class:`~repro.dqp.gdqs.QueryHandle`.  A session settles once, by
+state: the scheduler marks it from its attempts' outcomes, and it has
+no completion event of its own (decision 44).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from repro.config import AdaptivityConfig
 from repro.dqp.gdqs import QueryFailed, QueryHandle, QueryResult
 from repro.errors import SchedulerError
-from repro.sim.events import Event
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
@@ -30,10 +31,8 @@ class QuerySession:
     Timestamps follow the :class:`~repro.dqp.gdqs.QueryHandle`
     convention: ``submitted_at`` (entered the admission queue),
     ``started_at`` (deployed onto the grid), ``completed_at`` (result
-    collected).  ``done`` is the completion event; for sessions that
-    start immediately it *is* the handle's own event, so admission at
-    concurrency one adds zero simulator events over a direct
-    ``GDQS.submit``.
+    collected).  ``outcome`` is the result or typed failure once the
+    state is terminal.
     """
 
     def __init__(self, session_id: str, query_text: str,
@@ -48,7 +47,6 @@ class QuerySession:
         self.started_at: float | None = None
         self.completed_at: float | None = None
         self.handle: QueryHandle | None = None
-        self.done: Event | None = None
         #: Machines this session's subplans occupy (set at dispatch).
         self.machines: tuple[str, ...] = ()
         #: Dispatch attempts so far (1 after the first ``mark_started``).
@@ -142,11 +140,3 @@ class QuerySession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<QuerySession {self.session_id} {self.state} "
                 f"{self.query_text[:30]!r}>")
-
-
-def require_done(session: QuerySession) -> Event:
-    """The session's completion event, insisting it exists already."""
-    if session.done is None:
-        raise SchedulerError(
-            f"{session.session_id} has no completion event yet")
-    return session.done

@@ -16,10 +16,10 @@ Heap entries are slim ``[when, (priority << 48) | seq, event]`` lists:
 one packed integer compares priority and insertion order at once.
 :attr:`Environment.events_scheduled` counts ``schedule(event, when)``
 calls — the only heap push, at an absolute time — i.e. events queued.
-:attr:`Environment.dispatch_key` is the packed key of the event being
-dispatched, so a fact kept as data rather than as a queued event can
-tell which same-instant events it would have preceded; :meth:`reach`
-keeps such a fact's instant on a drained run's clock (decision 39).
+A fact kept as data rather than as a queued event is stated by its
+instant alone, never by its place among same-instant events;
+:meth:`reach` keeps that instant on a drained run's clock (decisions 39
+and 44).
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 #: far beyond any simulation here (the benchmark workloads queue
 #: 4e4-1.5e5 events each).
 _SEQ_BITS = 48
-
-
-def queued_key(position: int, priority: int = PRIORITY_NORMAL) -> int:
-    """The heap key of the ``position``-th queued event: what
-    :attr:`Environment.dispatch_key` reads while it is dispatched."""
-    return (priority << _SEQ_BITS) | position
 
 
 class Process(Event):
@@ -163,7 +157,6 @@ class Environment:
         #: Pending entries: ``[when, packed_key, event]``.
         self._queue: list[list] = []
         self._seq = 0
-        self._dispatch_key = 0
         #: The latest instant passed to :meth:`reach`.
         self._reached = self._now
 
@@ -180,13 +173,6 @@ class Environment:
         to shrink this number; the perf benchmarks report it per run.
         """
         return self._seq
-
-    @property
-    def dispatch_key(self) -> int:
-        """The heap key of the event being (or last) dispatched: its
-        priority and sequence number packed as in the heap, 0 before
-        the first step."""
-        return self._dispatch_key
 
     # -- scheduling ----------------------------------------------------
 
@@ -243,11 +229,10 @@ class Environment:
         """Process exactly one scheduled event."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, key, event = heapq.heappop(self._queue)
+        when, _key, event = heapq.heappop(self._queue)
         if when < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
-        self._dispatch_key = key
         self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:

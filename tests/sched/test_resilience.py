@@ -256,3 +256,10 @@ class TestConfigValidation:
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ConfigurationError):
             SchedulerConfig(query_timeout_ms=0.0)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan")])
+    def test_nonfinite_timeout_rejected(self, timeout):
+        # An infinite deadline would queue a timer at inf that a drained
+        # clock then reaches; NaN used to fail only at the first submit.
+        with pytest.raises(ConfigurationError):
+            SchedulerConfig(query_timeout_ms=timeout)

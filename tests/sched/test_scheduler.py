@@ -3,10 +3,9 @@
 import pytest
 
 from repro.config import AdaptivityConfig, SchedulerConfig
-from repro.errors import AdmissionRejected
+from repro.errors import AdmissionRejected, SimulationError
 from repro.sched import (
     STATE_COMPLETED,
-    STATE_FAILED,
     STATE_QUEUED,
     STATE_RUNNING,
 )
@@ -109,28 +108,19 @@ class TestDispatch:
         assert results[0].stats.result_count == 120
         assert results[1].stats.result_count == 180
 
-    def test_drain_waits_on_the_first_unsettled_session(self):
-        # Each slice of the drain runs until the first session (in
-        # submission order) not yet completed or failed settles, then
-        # a last slice drains the teardown traffic.
-        grid, scheduler = make_scheduler(max_concurrent=2)
-        for query in (Q2, Q1, Q1, Q2):
-            scheduler.submit(query, adaptivity=STATIC)
-        env, run = grid.context.env, grid.context.env.run
-        slices = []
-
-        def recording(until=None):
-            unsettled = [session for session in scheduler.sessions
-                         if session.state not in (STATE_COMPLETED,
-                                                  STATE_FAILED)]
-            slices.append((until, unsettled[0].done if unsettled else None))
-            return run(until)
-
-        env.run = recording
-        scheduler.drain()
-        assert slices[-1] == (None, None)
-        assert len(slices) > 1
-        assert all(until is first for until, first in slices[:-1])
+    def test_drain_names_a_session_left_unsettled(self):
+        # The grid's services are gone before the query's first
+        # morsel: nothing is left to settle the second session when
+        # the event queue runs dry.
+        grid, scheduler = make_scheduler(max_concurrent=1, max_queued=1)
+        scheduler.submit(Q1, adaptivity=STATIC)
+        scheduler.submit(Q2, adaptivity=STATIC)
+        for machine in ("data-host", "compute-1", "compute-2",
+                        "coordinator"):
+            grid.context.fail_machine(machine)
+        with pytest.raises(SimulationError, match=r"\bs1\b"):
+            scheduler.drain()
+        assert grid.context.env.peek() == float("inf")
 
     def test_concurrent_sessions_share_the_grid(self):
         solo_grid, solo_scheduler = make_scheduler(max_concurrent=1)

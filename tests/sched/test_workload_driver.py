@@ -62,6 +62,19 @@ class TestWorkloadSpec:
             WorkloadSpec(arrival_rate_qps=1.0, duration_ms=0.0,
                          catalog=(Q1,))
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError):
+            WorkloadSpec(arrival_rate_qps=rate, duration_ms=100.0,
+                         catalog=(Q1,))
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_duration(self, duration):
+        # An infinite arrival window never stops arriving.
+        with pytest.raises(ValueError):
+            WorkloadSpec(arrival_rate_qps=1.0, duration_ms=duration,
+                         catalog=(Q1,))
+
     def test_rejects_empty_catalog(self):
         with pytest.raises(ValueError):
             WorkloadSpec(arrival_rate_qps=1.0, duration_ms=100.0,
