@@ -11,10 +11,11 @@ drift on a shared host hits both sides alike:
 Any option it does not know goes to both benches unchanged (e.g.
 ``--scale 0.1 --repeats 3``).  It prints, per end-to-end metric, each
 side's median and quartiles over the pairs and the ratio of the
-medians, then the median of the per-pair ``host_s`` ratios (change ÷
-parent), the pairs the change won and the exact two-sided sign-test p
-of that count.  A pair whose ``host_s`` ties counts for neither side
-and leaves the sign test.
+medians, then for each host-measured metric (``setup_s``, ``host_s``,
+``peak_rss_mb``; lower is better) the median of the per-pair ratios
+(change ÷ parent), the pairs the change won and the exact two-sided
+sign-test p of that count.  A tied pair counts for neither side and
+leaves the sign test.
 
 Only host time may differ between the trees: the exit status is 1 when
 ``des_events``, a ``sim_*`` metric or ``correct`` differs between any
@@ -31,6 +32,11 @@ import pathlib
 import statistics
 import subprocess
 import sys
+
+
+#: Metrics measured on the host, not simulated: each gets its own
+#: pairs-won line.  Lower is better for all three.
+HOST_METRICS = ("setup_s", "host_s", "peak_rss_mb")
 
 
 def exact(contract: dict) -> dict:
@@ -104,11 +110,13 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             runs[side].append(contract)
-        host = [runs[side][-1]["metrics"]["host_s"]["value"]
-                for side in ("parent", "change")]
-        print(f"pair {pair + 1:>2} ({order[0]} first): host_s "
-              f"{host[0]:.4f} -> {host[1]:.4f}  x{host[1] / host[0]:.3f}",
-              flush=True)
+        moves = []
+        for name in ("host_s", "setup_s"):
+            old, new = (runs[side][-1]["metrics"][name]["value"]
+                        for side in ("parent", "change"))
+            moves.append(f"{name} {old:.4f} -> {new:.4f}  x{new / old:.3f}")
+        print(f"pair {pair + 1:>2} ({order[0]} first): "
+              + "  ".join(moves), flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs"
           + (f", bench options {' '.join(extra)}" if extra else ""))
@@ -124,17 +132,18 @@ def main(argv=None) -> int:
         print(f"{name:22} {cells[0]:>34} {cells[1]:>34} "
               f"{medians[1] / medians[0]:>7.3f}")
 
-    host = [(parent["metrics"]["host_s"]["value"],
-             change["metrics"]["host_s"]["value"])
-            for parent, change in zip(runs["parent"], runs["change"])]
-    wins = sum(1 for old, new in host if new < old)
-    losses = sum(1 for old, new in host if new > old)
-    low, median, high = spread([old for old, _new in host])
-    ratio = statistics.median(new / old for old, new in host)
-    print(f"host_s: median ratio x{ratio:.3f}, change faster in {wins} "
-          f"of {len(host)} pairs (sign test p = "
-          f"{sign_test_p(wins, losses):.4f}); parent inter-quartile "
-          f"distance {(high - low) / median:.1%} of its median")
+    for name in HOST_METRICS:
+        pairs = [(parent["metrics"][name]["value"],
+                  change["metrics"][name]["value"])
+                 for parent, change in zip(runs["parent"], runs["change"])]
+        wins = sum(1 for old, new in pairs if new < old)
+        losses = sum(1 for old, new in pairs if new > old)
+        low, median, high = spread([old for old, _new in pairs])
+        ratio = statistics.median(new / old for old, new in pairs)
+        print(f"{name}: median ratio x{ratio:.3f}, change lower in {wins} "
+              f"of {len(pairs)} pairs (sign test p = "
+              f"{sign_test_p(wins, losses):.4f}); parent inter-quartile "
+              f"distance {(high - low) / median:.1%} of its median")
 
     reference = exact(runs["parent"][0])
     differ = sorted({name for side in runs.values() for run in side

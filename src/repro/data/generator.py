@@ -3,9 +3,10 @@
 The paper's evaluation uses the OGSA-DQP demo database:
 ``protein_sequences`` (3000 tuples, modified so every tuple has the
 same length) and ``protein_interactions`` (4700 tuples).  This module
-generates data with the same shape from a seed: ORF identifiers in the
-yeast systematic-naming style, fixed-length amino-acid sequences, and
-interaction pairs referencing the sequence table's keys.
+generates data with the same shape from a seed, straight into column
+lists: ORF identifiers in the yeast systematic-naming style,
+fixed-length amino-acid sequences, and interaction pairs referencing
+the sequence table's keys.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ def interactions_schema() -> Schema:
     ])
 
 
+#: ``_orf_name(ordinal)`` depends on ``ordinal`` modulo this,
+#: lcm(16 * 400, 1000).
+_ORF_NAME_PERIOD = 32_000
+
+
 def _orf_name(ordinal: int) -> str:
     """Yeast-style systematic ORF name, e.g. ``YAL001C``."""
     chromosome = chr(ord("A") + (ordinal // 400) % 16)
@@ -64,45 +70,42 @@ def _letter_decoder(lanes: int):
     ``rng.choices(AMINO_ACIDS, k=lanes)`` would have drawn.
 
     Each 64-bit lane holds one draw, and all lanes are decoded at once
-    with big-int masks and shifts.  Two CPython facts make this exact:
-    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` for two
-    consecutive Mersenne Twister words ``a`` then ``b`` (``choices``
-    picks ``floor(random() * n)``), and ``getrandbits`` returns those
-    same words, first word least significant.  So lane ``j`` is
-    ``a_j | b_j << 32``, and with ``m = (a >> 5) << 26 | b >> 6`` the
-    index is the top bits of ``20 * m``.  The float product rounds up
-    to the next integer where the exact quotient does not for seven
-    values, ``m = (k * 2**53 - d) / 20`` with (k, d) in (7, 4), (9, 8),
-    (12, 4), (14, 8), (17, 4), (18, 16), (19, 8): CPython picks ``k``.
-    Rounding moves ``20 * m`` by at most half an ulp below 20, 16
-    units, so a chunk with any lane within 256 units below a multiple
-    of 2**53 is decoded lane by lane with CPython's float formula.
+    with one big-int mask and product.  Two CPython facts make this
+    exact: ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``
+    for two consecutive Mersenne Twister words ``a`` then ``b``
+    (``choices`` picks ``floor(random() * n)``), and ``getrandbits``
+    returns those same words, first word least significant, so lane
+    ``j`` is ``a_j | b_j << 32``.  In units of 2**-32, ``20 * random()``
+    lies in ``[640 * A, 640 * A + 640)`` with ``A = a >> 5``, since
+    ``b >> 6 < 2**26`` adds fewer than 640 units, and the float product
+    rounds by at most 16 * 2**-21 units.  ``640 * A = 20 * (a & ~31)``,
+    so the index is bits 32..36 of that product, byte 4 of the lane,
+    unless its low 32 bits lie within 640 units of 2**32.  A chunk with
+    any lane within 704 units is decoded lane by lane with CPython's
+    float formula, which also settles the seven values where the float
+    product rounds up across an integer, ``m = (k * 2**53 - d) / 20``
+    with (k, d) in (7, 4), (9, 8), (12, 4), (14, 8), (17, 4), (18, 16),
+    (19, 8): CPython picks ``k``.
 
     The masks die with the returned function.
     """
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
     a_mask = ones * 0xFFFFFFE0
-    b_mask = ones * (0x3FFFFFF << 38)
-    # m_j goes to bits 38..90 of lane j: b_j >> 6 stays put and a_j >> 5
-    # moves up into the cleared bits 0..26 of lane j + 1.  20 * m_j then
-    # stays below bit 96, clear of m_{j+1} at bit 102, so one product
-    # scales every lane and leaves lane j's index at bits 91..95.
-    low_part = ones * (((1 << 53) - 1) << 38)
-    margin = ones * (256 << 38)
-    carry = ones << 91
+    low_word = ones * 0xFFFFFFFF
+    margin = ones * 704
+    carry = ones << 32
     n = len(AMINO_ACIDS) + 0.0
 
     def decode(bits: int) -> bytes:
-        scaled = ((bits & b_mask) | (bits & a_mask) << 59) * len(AMINO_ACIDS)
-        if ((scaled & low_part) + margin) & carry:
+        scaled = (bits & a_mask) * len(AMINO_ACIDS)
+        if ((scaled & low_word) + margin) & carry:
             indices = bytes(
                 math.floor(((a >> 5) * 67108864.0 + (b >> 6))
                            * (1.0 / 9007199254740992.0) * n)
                 for a, b in struct.iter_unpack(
                     "<II", bits.to_bytes(8 * lanes, "little")))
         else:
-            # Byte 0 of each lane is now its index: bits 5..10 are clear.
-            indices = (scaled >> 91).to_bytes(8 * lanes, "little")[::8]
+            indices = scaled.to_bytes(8 * lanes, "little")[4::8]
         return indices.translate(_LETTER_OF_INDEX)
 
     return decode
@@ -129,17 +132,18 @@ def generate_protein_sequences(
     schema = sequences_schema(sequence_length)
     per_chunk = max(1, _CHUNK_LANES // sequence_length)
     decode = _letter_decoder(per_chunk * sequence_length)
-    rows = []
+    sequences = []
     for start in range(0, cardinality, per_chunk):
-        count = min(per_chunk, cardinality - start)
-        lanes = count * sequence_length
+        lanes = min(per_chunk, cardinality - start) * sequence_length
         letters = decode(rng.getrandbits(64 * lanes))[:lanes].decode("ascii")
-        for offset in range(count):
-            ordinal = start + offset
-            at = offset * sequence_length
-            rows.append((f"{_orf_name(ordinal)}-{ordinal}",
-                         letters[at:at + sequence_length]))
-    return Relation.from_values("protein_sequences", schema, rows)
+        sequences += [letters[at:at + sequence_length]
+                      for at in range(0, lanes, sequence_length)]
+    names = [_orf_name(ordinal)
+             for ordinal in range(min(cardinality, _ORF_NAME_PERIOD))]
+    orfs = [f"{names[ordinal % _ORF_NAME_PERIOD]}-{ordinal}"
+            for ordinal in range(cardinality)]
+    return Relation.from_columns("protein_sequences", schema,
+                                 [orfs, sequences])
 
 
 def generate_protein_interactions(
@@ -155,10 +159,8 @@ def generate_protein_interactions(
     orfs = sequences.column_values("ORF")
     if not orfs:
         raise ValueError("sequences relation is empty")
-    rows = []
-    for _ in range(cardinality):
-        orf1 = rng.choice(orfs)
-        orf2 = rng.choice(orfs)
-        rows.append((orf1, orf2))
-    return Relation.from_values(
-        "protein_interactions", interactions_schema(), rows)
+    # ORF1 then ORF2 of each pair, pair by pair.
+    drawn = [rng.choice(orfs) for _ in range(2 * cardinality)]
+    return Relation.from_columns("protein_interactions",
+                                 interactions_schema(),
+                                 [drawn[0::2], drawn[1::2]])

@@ -1,4 +1,4 @@
-"""In-memory relations backing the Grid Data Services."""
+"""In-memory, column-backed relations backing the Grid Data Services."""
 
 from __future__ import annotations
 
@@ -11,71 +11,78 @@ from repro.errors import SchemaError
 
 
 class Relation:
-    """A named table of :class:`~repro.data.tuples.Row` objects."""
+    """A named table stored as one value list per column plus a tid
+    list, the layout :meth:`read_block` slices; :class:`~repro.data.
+    tuples.Row` objects are built only when ``rows`` is read."""
 
     def __init__(self, name: str, schema: Schema,
                  rows: typing.Sequence[Row] = ()) -> None:
         self.name = name
         self.schema = schema
-        self.rows: list[Row] = list(rows)
-        for row in self.rows:
-            self._check(row)
-        # Columnar snapshot for block reads, built lazily and
-        # invalidated by append(); the row count tracks staleness.
-        self._columns: list[list] | None = None
-        self._column_tids: list | None = None
-        self._columns_rowcount = -1
+        self._columns: list[list] = [[] for _ in range(len(schema))]
+        self._tids: list = []
+        self._rows: list[Row] | None = None
+        for row in rows:
+            self.append(row)
 
     @classmethod
     def from_values(cls, name: str, schema: Schema,
                     value_rows: typing.Iterable[tuple]) -> "Relation":
         """Build a relation assigning fresh provenance ids."""
-        rows = [Row(tuple(values), make_base_tid(name, ordinal))
-                for ordinal, values in enumerate(value_rows)]
-        return cls(name, schema, rows)
+        relation = cls(name, schema)
+        for ordinal, values in enumerate(value_rows):
+            relation.append(Row(tuple(values), make_base_tid(name, ordinal)))
+        return relation
 
-    def _check(self, row: Row) -> None:
+    @classmethod
+    def from_columns(cls, name: str, schema: Schema,
+                     columns: typing.Sequence[list]) -> "Relation":
+        """Adopt one value list per column, assigning fresh provenance
+        ids in list order."""
+        if len(columns) != len(schema) or len(set(map(len, columns))) > 1:
+            raise SchemaError(f"{name}: need {len(schema)} columns of "
+                              f"equal length, got {list(map(len, columns))}")
+        relation = cls(name, schema)
+        relation._columns = list(columns)
+        relation._tids = [make_base_tid(name, ordinal)
+                          for ordinal in range(len(columns[0]))]
+        return relation
+
+    def append(self, row: Row) -> None:
         if len(row.values) != len(self.schema):
             raise SchemaError(
                 f"{self.name}: row arity {len(row.values)} != schema arity "
                 f"{len(self.schema)}")
+        for column, value in zip(self._columns, row.values):
+            column.append(value)
+        self._tids.append(row.tid)
+        if self._rows is not None:
+            self._rows.append(row)
 
-    def append(self, row: Row) -> None:
-        self._check(row)
-        self.rows.append(row)
+    @property
+    def rows(self) -> list[Row]:
+        if self._rows is None:
+            self._rows = list(map(Row, zip(*self._columns), self._tids))
+        return self._rows
 
     def __iter__(self) -> typing.Iterator[Row]:
         return iter(self.rows)
 
     @property
     def cardinality(self) -> int:
-        return len(self.rows)
+        return len(self._tids)
 
     @property
     def tuple_bytes(self) -> int:
         return self.schema.width_bytes
 
     def read_block(self, start: int, count: int) -> Batch:
-        """Rows ``[start, start+count)`` as a columnar batch.
-
-        Decomposes the stored rows into per-column lists once (cached
-        until the relation grows), so repeated scans slice columns
-        instead of touching row objects.  Values and tids are exactly
-        those of ``self.rows[start:start+count]``.
-        """
-        if self._columns_rowcount != len(self.rows):
-            width = len(self.schema)
-            rows = self.rows
-            self._columns = [[row.values[position] for row in rows]
-                             for position in range(width)]
-            self._column_tids = [row.tid for row in rows]
-            self._columns_rowcount = len(rows)
+        """Rows ``[start, start+count)`` as a batch of column slices."""
         stop = start + count
         return Batch.from_columns(
             [column[start:stop] for column in self._columns],
-            self._column_tids[start:stop])
+            self._tids[start:stop])
 
     def column_values(self, reference: str) -> list:
         """All values of one column (test/analysis helper)."""
-        position = self.schema.position_of(reference)
-        return [row.values[position] for row in self.rows]
+        return list(self._columns[self.schema.position_of(reference)])

@@ -53,9 +53,9 @@ def _demo_relations(seed: int, sequences: int, interactions: int,
     """The (sequences, interactions) tables of a grid, cached.
 
     The tables are a pure function of these four spec fields and are
-    read-only once built (scans slice ``relation.rows``; operators emit
-    fresh Row objects), so identical grids in one process share one
-    copy.  :class:`~repro.sim.rand.RandomStreams` derives each named
+    read-only once built (scans read column blocks through
+    ``Relation.read_block``), so identical grids in one process share
+    one copy.  :class:`~repro.sim.rand.RandomStreams` derives each named
     stream from the seed and the name alone, so this is the grid's own
     "protein-data" stream, which nothing else consumes.
     """
