@@ -149,13 +149,26 @@ class Batch:
         """A new batch holding ``rows`` (used by transforming operators)."""
         return Batch(rows)
 
+    def take(self, positions: "typing.Sequence[int] | slice") -> "Batch":
+        """The rows at ``positions`` (an index list or a ``slice``), in
+        that order, preserving the backing."""
+        if self._rows is not None:
+            rows = self._rows
+            if isinstance(positions, slice):
+                return Batch(rows[positions])
+            return Batch([rows[i] for i in positions])
+        if isinstance(positions, slice):
+            return Batch.from_columns(
+                [column[positions] for column in self._columns],
+                self._tids[positions])
+        tids = self._tids
+        return Batch.from_columns(
+            [[column[i] for i in positions] for column in self._columns],
+            [tids[i] for i in positions])
+
     def slice(self, start: int, stop: int) -> "Batch":
         """Sub-batch of rows ``[start, stop)``, preserving the backing."""
-        if self._rows is not None:
-            return Batch(self._rows[start:stop])
-        return Batch.from_columns(
-            [column[start:stop] for column in self._columns],
-            self._tids[start:stop])
+        return self.take(slice(start, stop))
 
     def split_at(self, index: int) -> tuple["Batch", "Batch"]:
         """Split into ``(first index rows, rest)`` preserving order."""
@@ -179,12 +192,7 @@ class Batch:
         removed = len(tids) - len(keep)
         if removed == 0:
             return self, 0
-        if self._rows is not None:
-            rows = self._rows
-            return Batch([rows[i] for i in keep]), removed
-        return Batch.from_columns(
-            [[column[i] for i in keep] for column in self._columns],
-            [tids[i] for i in keep]), removed
+        return self.take(keep), removed
 
     @classmethod
     def concat(cls, parts: typing.Sequence["Batch"]) -> "Batch":

@@ -12,6 +12,7 @@ recovery under fault tolerance live in :mod:`repro.dqp.failover`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.config import (
@@ -93,10 +94,14 @@ class QueryStatistics:
 
 @dataclasses.dataclass
 class QueryResult:
-    """Result rows plus measured statistics for one query run."""
+    """Result rows plus measured statistics for one query run.
+
+    The rows stay in the blocks the result sink accepted: ``values()``
+    reads their columns, and ``rows`` is built on first read.
+    """
 
     query_id: str
-    rows: list
+    blocks: list
     schema: Schema
     stats: QueryStatistics
 
@@ -107,8 +112,13 @@ class QueryResult:
     def response_time_ms(self) -> float:
         return self.stats.response_time_ms
 
+    @functools.cached_property
+    def rows(self) -> list:
+        return [row for block in self.blocks for row in block.rows]
+
     def values(self) -> list[tuple]:
-        return [row.values for row in self.rows]
+        return [values for block in self.blocks
+                for values in zip(*block.columns())]
 
 
 #: Typed failure causes (the ``QueryFailed.cause`` vocabulary).
@@ -393,10 +403,10 @@ class GDQS(GridService):
         for producer in feed_xps:
             for index, count in enumerate(producer.sent_per_consumer):
                 tuples_per_consumer[index] += count
-        rows = sink.final_rows()
+        blocks = sink.final_blocks()
         stats = QueryStatistics(
             response_time_ms=response_time,
-            result_count=len(rows),
+            result_count=sum(map(len, blocks)),
             duplicates_dropped=sink.duplicates_dropped,
             raw_monitoring_events=sum(d.raw_events_received
                                       for d in detectors),
@@ -421,5 +431,5 @@ class GDQS(GridService):
             policy=(runtime.policy.name if runtime.policy else "static"),
             oscillation=responder.oscillation if responder else 0.0)
         self.context.metrics.add_report(query_id, stats)
-        return QueryResult(query_id, rows, runtime.plan.output_schema,
+        return QueryResult(query_id, blocks, runtime.plan.output_schema,
                            stats)

@@ -113,6 +113,20 @@ class DistributionPolicy(abc.ABC):
         """Install a new workload vector."""
 
 
+#: Route plans a :class:`WeightedRoundRobin` keeps per weight vector;
+#: past it, a new credit state is walked and not kept (decision 46).
+PLAN_CACHE_SIZE = 64
+
+
+def _stride(positions: list[int]) -> "list[int] | slice":
+    """``positions`` as a slice when they form one, else unchanged."""
+    first, last = positions[0], positions[-1]
+    step = positions[1] - first if len(positions) > 1 else 1
+    if positions == list(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
+    return positions
+
+
 class WeightedRoundRobin(DistributionPolicy):
     """Smooth weighted round-robin (as used by e.g. nginx).
 
@@ -125,6 +139,9 @@ class WeightedRoundRobin(DistributionPolicy):
                  weights: typing.Sequence[float] | None = None) -> None:
         super().__init__(consumer_count, weights)
         self._credit = [0.0] * consumer_count
+        #: ``(row count, *credits)`` -> (credits after the walk,
+        #: ``[(target, positions or slice)]``); decision 46.
+        self._plans: dict[tuple, tuple] = {}
 
     def route(self, row: Row) -> int:
         for index in range(self.consumer_count):
@@ -143,43 +160,53 @@ class WeightedRoundRobin(DistributionPolicy):
         # work (the compute -> sink channel is always WRR-of-1).
         if self.consumer_count == 1:
             return [(0, rows)] if len(rows) else []
-        if isinstance(rows, Batch) and rows.is_columnar:
-            # The credit walk never reads row content, so a columnar
-            # batch routes without materializing a single Row: compute
-            # the target sequence (advancing the credits exactly as
-            # len(rows) route() calls would), then gather columns per
-            # target in first-appearance order.
-            count = len(rows)
-            if count == 0:
-                return []
-            credit = self._credit
-            weights = self.weights
-            others = range(1, self.consumer_count)
-            groups: dict[int, list[int]] = {}
-            for position in range(count):
-                # route()'s max(): the first highest credit wins a tie.
-                best = 0
-                top = credit[0] = credit[0] + weights[0]
-                for index in others:
-                    value = credit[index] = credit[index] + weights[index]
-                    if value > top:
-                        best, top = index, value
-                credit[best] = top - 1.0
-                groups.setdefault(best, []).append(position)
-            if len(groups) == 1:
-                return [(next(iter(groups)), rows)]
-            columns = rows.columns()
-            tids = rows.tids()
-            return [(target,
-                     Batch.from_columns(
-                         [[column[i] for i in positions]
-                          for column in columns],
-                         [tids[i] for i in positions]))
-                    for target, positions in groups.items()]
-        return DistributionPolicy.route_batch(self, rows)
+        if not (isinstance(rows, Batch) and rows.is_columnar):
+            return DistributionPolicy.route_batch(self, rows)
+        # The credit walk never reads row content: it is a function of
+        # the credits, the weights and the row count alone, so a
+        # column-backed morsel routes from a cached plan — the targets'
+        # positions and the credits after — without a Row (decision 46).
+        count = len(rows)
+        if count == 0:
+            return []
+        key = (count, *self._credit)
+        plan = self._plans.get(key)
+        if plan is not None:
+            credits, groups = plan
+            self._credit[:] = credits
+        else:
+            groups = self._walk(count)
+            if len(self._plans) < PLAN_CACHE_SIZE:
+                groups = [(target, _stride(positions))
+                          for target, positions in groups]
+                self._plans[key] = (tuple(self._credit), groups)
+        if len(groups) == 1:
+            return [(groups[0][0], rows)]
+        return [(target, rows.take(positions))
+                for target, positions in groups]
+
+    def _walk(self, count: int) -> list[tuple[int, list[int]]]:
+        """Advance the credits as ``count`` :meth:`route` calls would;
+        returns each target's positions in first-appearance order."""
+        credit = self._credit
+        weights = self.weights
+        others = range(1, self.consumer_count)
+        groups: dict[int, list[int]] = {}
+        for position in range(count):
+            # route()'s max(): the first highest credit wins a tie.
+            best = 0
+            top = credit[0] = credit[0] + weights[0]
+            for index in others:
+                value = credit[index] = credit[index] + weights[index]
+                if value > top:
+                    best, top = index, value
+            credit[best] = top - 1.0
+            groups.setdefault(best, []).append(position)
+        return list(groups.items())
 
     def update_weights(self, weights: typing.Sequence[float]) -> None:
         self.weights = normalise_weights(weights)
+        self._plans.clear()
         # Keep the accrued credits: zeroing them made every consumer
         # tie on the first post-update route, so max() always picked
         # the lowest index and frequent rebalances burst all tuples to
@@ -252,12 +279,7 @@ class HashBucketPolicy(DistributionPolicy):
                     group.append(position)
             if len(positions) == 1:
                 return [(next(iter(positions)), rows)]
-            columns = rows.columns()
-            tids = rows.tids()
-            return [(target,
-                     Batch.from_columns(
-                         [[column[i] for i in group] for column in columns],
-                         [tids[i] for i in group]))
+            return [(target, rows.take(group))
                     for target, group in positions.items()]
         grouped: dict[int, list[Row]] = {}
         for row in rows:

@@ -43,11 +43,7 @@ class Select(UnaryOperator):
             return None
         if len(keep) == len(batch):
             return batch
-        columns = batch.columns()
-        tids = batch.tids()
-        return Batch.from_columns(
-            [[column[i] for i in keep] for column in columns],
-            [tids[i] for i in keep])
+        return batch.take(keep)
 
     def next_batch(self, max_rows: int) -> typing.Generator:
         columnar = isinstance(self.predicate, ColumnPredicate)

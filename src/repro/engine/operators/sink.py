@@ -9,23 +9,25 @@ from __future__ import annotations
 
 import typing
 
-from repro.data.tuples import Row
+from repro.data.batch import Batch
 from repro.engine.operators.base import END, EvalContext, Operator, UnaryOperator
 
 
 class ResultSink(UnaryOperator):
-    """Collects deduplicated result rows and signals completion.
+    """Collects deduplicated result blocks and signals completion.
 
+    Accepted rows stay in the blocks they arrived in (column-backed on
+    the columnar plane), so the sink builds no ``Row`` (decision 46).
     With an attached :class:`~repro.engine.operators.aggregate.
-    GroupAggregator`, accepted rows are additionally folded into their
-    groups and :meth:`final_rows` returns the aggregated output.
+    GroupAggregator`, accepted rows are folded into their groups
+    instead and :meth:`final_blocks` returns the aggregated output.
     """
 
     def __init__(self, ctx: EvalContext, child: Operator,
                  aggregator=None) -> None:
         super().__init__(ctx, child)
         self.aggregator = aggregator
-        self.results: list[Row] = []
+        self.blocks: list[Batch] = []
         self._seen: set = set()
         self.duplicates_dropped = 0
         self.done = ctx.env.event()
@@ -38,33 +40,36 @@ class ResultSink(UnaryOperator):
         if batch is END:
             return END
         self.ctx.charge("sink", self.ctx.cost.sink_work, len(batch))
+        # Bulk dedup: a batch of entirely-new tids (duplicates only
+        # appear under replays) is verified in one set-disjointness
+        # probe; otherwise the block keeps each new tid's first row.
+        seen = self._seen
+        tids = batch.tids()
+        unique = set(tids)
+        if len(unique) == len(tids) and seen.isdisjoint(unique):
+            seen |= unique
+            accepted = batch
+        else:
+            keep = []
+            for position, tid in enumerate(tids):
+                if tid in seen:
+                    self.duplicates_dropped += 1
+                else:
+                    seen.add(tid)
+                    keep.append(position)
+            accepted = batch.take(keep)
         if self.aggregator is None:
-            # Bulk dedup: the overwhelmingly common case is a batch of
-            # entirely-new tids (duplicates only appear under replays),
-            # verified in one set-disjointness probe.  Falls back to
-            # the row loop on any duplicate — including intra-batch
-            # ones, which the uniqueness check catches.
-            tids = batch.tids()
-            unique = set(tids)
-            if len(unique) == len(tids) and self._seen.isdisjoint(unique):
-                self._seen |= unique
-                self.results.extend(batch.rows)
-                return batch
-        for row in batch:
-            if row.tid in self._seen:
-                self.duplicates_dropped += 1
-            else:
-                self._seen.add(row.tid)
-                self.results.append(row)
-                if self.aggregator is not None:
-                    self.aggregator.add(row)
+            self.blocks.append(accepted)
+        else:
+            for row in accepted:
+                self.aggregator.add(row)
         return batch
 
-    def final_rows(self) -> list[Row]:
-        """The query's output rows (aggregated when grouping is on)."""
+    def final_blocks(self) -> list[Batch]:
+        """The query's output blocks (aggregated when grouping is on)."""
         if self.aggregator is not None:
-            return self.aggregator.results()
-        return list(self.results)
+            return [Batch(self.aggregator.results())]
+        return list(self.blocks)
 
     def finish(self) -> typing.Generator:
         """Completion: all result channels drained and announced."""

@@ -266,7 +266,11 @@ class Environment:
 
         A run makes no cyclic garbage, so the loop runs with the cycle
         collector paused, left as the caller had it however the run
-        ends (decision 43).  The pause is process-wide.
+        ends (decision 43).  The pause is process-wide.  Before the
+        collector comes back, what the run left alive moves to the
+        oldest generation (``gc.freeze`` then ``gc.unfreeze``, both
+        O(1)), so no young-generation pass rescans it (decision 46);
+        a caller that froze objects itself keeps them frozen.
         """
         collecting = gc.isenabled()
         gc.disable()
@@ -298,4 +302,7 @@ class Environment:
             return None
         finally:
             if collecting:
+                if not gc.get_freeze_count():  # keep a caller's freeze
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()

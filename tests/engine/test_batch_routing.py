@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.data.batch import Batch
 from repro.data.tuples import Row, make_base_tid
 from repro.engine.distribution import (
+    PLAN_CACHE_SIZE,
     HashBucketPolicy,
     WeightedRoundRobin,
 )
@@ -134,6 +135,129 @@ class TestWeightedRoundRobinColumnar:
                 for index, group in groups] == [
             (0, ["v0", "v4"]), (1, ["v1", "v5"]), (2, ["v2", "v6"]),
             (3, ["v3", "v7"])]
+
+
+def count_walks(policy):
+    """Record the row count of every plan ``policy`` walks (a miss)."""
+    walks = []
+    walk = policy._walk
+
+    def counted(count):
+        walks.append(count)
+        return walk(count)
+
+    policy._walk = counted
+    return walks
+
+
+def route_alike(batch_policy, row_policy, count, start):
+    """Route ``count`` rows both ways; assert groups, order, credits."""
+    groups = batch_policy.route_batch(make_columnar(count, start))
+    assert all(isinstance(group, Batch) and group.is_columnar
+               for _index, group in groups)
+    assert [(index, list(group)) for index, group in groups] == (
+        reference_split(row_policy, make_rows(count, start)))
+    assert batch_policy._credit == row_policy._credit
+    return start + count
+
+
+class TestWeightedRoundRobinPlanCache:
+    """A column-backed morsel routes from a plan cached under the
+    credits and the row count; every hit must equal the walk."""
+
+    #: Weights whose credits recur: sums are powers of two, so every
+    #: normalised weight and every credit is exact.
+    RECURRING = ([1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                 [3.0, 1.0], [1.0, 1.0, 2.0, 2.0, 2.0])
+
+    @given(data=st.data(), consumers=st.integers(min_value=2, max_value=5),
+           sizes=st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 32]),
+                          min_size=1, max_size=4),
+           rounds=st.integers(min_value=2, max_value=6))
+    def test_repeated_morsels_route_as_sequential_routes(
+            self, data, consumers, sizes, rounds):
+        weights = data.draw(st.lists(WEIGHT, min_size=consumers,
+                                     max_size=consumers).filter(sum))
+        batch_policy = WeightedRoundRobin(consumers, weights)
+        row_policy = WeightedRoundRobin(consumers, weights)
+        start = 0
+        for _round in range(rounds):
+            for count in sizes:
+                start = route_alike(batch_policy, row_policy, count, start)
+        # A weight update right after the last (often a hit) morsel.
+        update = data.draw(st.lists(WEIGHT, min_size=consumers,
+                                    max_size=consumers).filter(sum))
+        batch_policy.update_weights(update)
+        row_policy.update_weights(update)
+        for count in sizes:
+            start = route_alike(batch_policy, row_policy, count, start)
+        probe = make_rows(1, start=start)[0]
+        assert batch_policy.route(probe) == row_policy.route(probe)
+        assert batch_policy._credit == row_policy._credit
+
+    def test_recurring_credit_states_hit_the_cache(self):
+        for weights in self.RECURRING:
+            consumers = len(weights)
+            batch_policy = WeightedRoundRobin(consumers, weights)
+            row_policy = WeightedRoundRobin(consumers, weights)
+            walks = count_walks(batch_policy)
+            start = 0
+            for _round in range(20):
+                for count in (32, 18, 1, 3):
+                    start = route_alike(batch_policy, row_policy, count,
+                                        start)
+            # 80 morsels over a few recurring states: most are hits.
+            assert len(walks) <= 20, (weights, len(walks))
+            assert len(walks) == len(batch_policy._plans)
+
+    def test_stride_and_scattered_targets(self):
+        # [3, 1]: consumer 1 takes every fourth row from the third (a
+        # stride), consumer 0 the rest (no stride); both gather from
+        # the plan, and the stride's last row is row 14.
+        batch_policy = WeightedRoundRobin(2, [3.0, 1.0])
+        row_policy = WeightedRoundRobin(2, [3.0, 1.0])
+        walks = count_walks(batch_policy)
+        start = 0
+        for _round in range(3):
+            start = route_alike(batch_policy, row_policy, 16, start)
+        assert walks == [16]
+        (_credits, groups), = batch_policy._plans.values()
+        plans = dict(groups)
+        assert plans[1] == slice(2, 15, 4)
+        assert plans[0] == [0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15]
+
+    def test_a_plan_is_keyed_by_the_row_count(self):
+        # Halves are exact: two rows bring the credits back to zero, so
+        # morsels of 2 and 5 rows start from the same credit state.
+        batch_policy = WeightedRoundRobin(2)
+        row_policy = WeightedRoundRobin(2)
+        start = 0
+        for count in (2, 2, 5, 1, 2, 5):
+            start = route_alike(batch_policy, row_policy, count, start)
+
+    def test_an_update_right_after_a_hit_is_routed_afresh(self):
+        batch_policy = WeightedRoundRobin(2)
+        row_policy = WeightedRoundRobin(2)
+        walks = count_walks(batch_policy)
+        start = route_alike(batch_policy, row_policy, 2, 0)
+        start = route_alike(batch_policy, row_policy, 2, start)
+        assert walks == [2]  # the second morsel was a hit
+        # The credits are back at zero, the plan's key: a stale plan
+        # would split these rows half and half.
+        batch_policy.update_weights([0.9, 0.1])
+        row_policy.update_weights([0.9, 0.1])
+        assert not batch_policy._plans
+        start = route_alike(batch_policy, row_policy, 2, start)
+        assert walks == [2, 2]
+
+    def test_the_cache_stops_at_its_size_limit(self):
+        batch_policy = WeightedRoundRobin(3, [1.0, 2.0, 4.0])
+        row_policy = WeightedRoundRobin(3, [1.0, 2.0, 4.0])
+        start = 0
+        # Every row count is new, so every morsel is a distinct key.
+        for count in range(1, PLAN_CACHE_SIZE + 11):
+            start = route_alike(batch_policy, row_policy, count, start)
+        assert len(batch_policy._plans) == PLAN_CACHE_SIZE
 
 
 class TestHashBucketBatches:

@@ -12,6 +12,7 @@ from repro.engine.operators import (
     TableScan,
 )
 from repro.engine.operators.base import END, Operator
+from repro.engine.operators.sink import ResultSink
 from repro.services.ws import WebServiceOperation
 
 from tests.engine.conftest import drain
@@ -206,3 +207,55 @@ class TestHashJoin:
         drain(context.env, join)
         # Two probe tuples each slept 10 ms (sleep blocks, no CPU).
         assert context.env.now >= 20.0
+
+
+class BlockSource(Operator):
+    """Feeds fixed blocks, one per pull."""
+
+    def __init__(self, ctx, blocks):
+        super().__init__(ctx)
+        self.blocks = list(blocks)
+
+    def next_batch(self, max_rows):
+        return self.blocks.pop(0) if self.blocks else END
+        yield  # pragma: no cover
+
+
+def columnar(values, tids):
+    return Batch.from_columns([list(values)], list(tids))
+
+
+def drive(env, sink):
+    def pump():
+        while (yield from sink.next_batch(32)) is not END:
+            yield from sink.ctx.settle()
+
+    env.run(until=env.process(pump()))
+
+
+class TestResultSink:
+    def test_keeps_each_tids_first_row(self, context, eval_ctx):
+        first = columnar("ab", ["a", "b"])
+        sink = ResultSink(eval_ctx, BlockSource(eval_ctx, [
+            first,
+            # An old tid and a repeat within the block.
+            columnar("bccd", ["b", "c", "c", "d"]),
+            # Nothing new.
+            columnar("a", ["a"]),
+            # Row-backed blocks stay row-backed.
+            Batch([Row(("e",), "e"), Row(("x",), "a")]),
+        ]))
+        drive(context.env, sink)
+        assert sink.duplicates_dropped == 4
+        blocks = sink.final_blocks()
+        assert blocks[0] is first
+        assert [block.is_columnar for block in blocks] == [True, True, True,
+                                                           False]
+        assert [block.tids() for block in blocks] == [
+            ["a", "b"], ["c", "d"], [], ["e"]]
+        assert [value for block in blocks
+                for (value,) in zip(*block.columns())] == [
+            "a", "b", "c", "d", "e"]
+        # The result owns a copy: a late block does not change it.
+        sink.blocks.append(columnar("f", ["f"]))
+        assert len(blocks) == 4

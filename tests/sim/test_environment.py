@@ -468,3 +468,45 @@ def test_nested_and_repeated_runs_restore_the_callers_state(collector):
     env.run()
     assert states == [False, False]
     assert gc.isenabled() is collector
+
+
+def test_what_a_run_leaves_alive_skips_the_young_generation():
+    # The collector comes back with the run's survivors in the oldest
+    # generation, so the first allocation after the run starts no pass
+    # over them (decision 46).
+    before = gc.isenabled()
+    gc.enable()
+    try:
+        env = Environment()
+        kept = []
+
+        def body(env):
+            for index in range(2000):
+                kept.append([index])
+                yield env.timeout(1.0)
+
+        env.start(body(env), name="keeper")
+        env.run()
+        counts = gc.get_count()
+        young = gc.get_objects(0)
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert counts[0] == 0
+    assert not any(obj is kept[-1] for obj in young)
+    assert any(obj is kept[-1] for obj in gc.get_objects(2))
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_run_leaves_the_callers_frozen_objects_frozen():
+    before = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        assert gc.get_freeze_count() == frozen > 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if before else gc.disable)()
