@@ -79,7 +79,7 @@ class Relation:
     def read_block(self, start: int, count: int) -> Batch:
         """Rows ``[start, start+count)`` as a batch of column slices."""
         stop = start + count
-        return Batch.from_columns(
+        return Batch(
             [column[start:stop] for column in self._columns],
             self._tids[start:stop])
 

@@ -39,19 +39,14 @@ class Row:
         """Join-style combination with another row's values and tid."""
         return Row(self.values + extra_values, (self.tid, other_tid))
 
-    def replace_values(self, values: tuple) -> "Row":
-        """New row with different values, same provenance."""
-        return Row(tuple(values), self.tid)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class ColumnPredicate:
     """A single-column predicate that exposes its structure.
 
-    Callable on a :class:`Row` like any opaque predicate, but carrying
-    ``position`` and ``test`` so the vectorized ``Select`` path can run
-    ``test`` directly over a column array instead of materializing rows.
-    ``description`` feeds plan explanations.
+    ``Select`` runs ``test`` directly over the column at ``position``;
+    the predicate is also callable on a :class:`Row`.  ``description``
+    feeds plan explanations.
     """
 
     position: int

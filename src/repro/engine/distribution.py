@@ -23,7 +23,6 @@ import typing
 import zlib
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row
 from repro.errors import AdaptationError
 
 
@@ -85,28 +84,15 @@ class DistributionPolicy(abc.ABC):
         self.weights = normalise_weights(weights)
 
     @abc.abstractmethod
-    def route(self, row: Row) -> int:
-        """Consumer index for ``row``."""
+    def route_batch(self, rows: Batch) -> list[tuple[int, Batch]]:
+        """Split a morsel by destination, preserving per-channel order.
 
-    def route_batch(self, rows: typing.Sequence[Row]
-                    ) -> list[tuple[int, typing.Sequence[Row]]]:
-        """Split a batch by destination, preserving per-channel order.
-
-        Routes the rows in sequence — so stateful policies (round-robin
-        credits) advance exactly as ``len(rows)`` :meth:`route` calls
-        would — and returns ``(consumer_index, rows)`` groups in
-        first-appearance order.  A batch under a changing weight vector
-        therefore splits identically to the same rows routed one by one.
-
-        ``rows`` may be a :class:`~repro.data.batch.Batch`; a group's
-        row container may likewise be a ``Batch`` (the single-consumer
-        pass-through), so callers must not assume ``list``.  The
-        returned list is new on every call: a caller may extend it.
+        Returns ``(consumer_index, rows)`` groups in first-appearance
+        order, exactly as routing the tuples one by one would, and
+        advances any routing state (round-robin credits) alike; a
+        single group is the morsel itself.  The returned list is new on
+        every call: a caller may extend it.
         """
-        grouped: dict[int, list[Row]] = {}
-        for row in rows:
-            grouped.setdefault(self.route(row), []).append(row)
-        return list(grouped.items())
 
     @abc.abstractmethod
     def update_weights(self, weights: typing.Sequence[float]) -> None:
@@ -143,32 +129,21 @@ class WeightedRoundRobin(DistributionPolicy):
         #: ``[(target, positions or slice)]``); decision 46.
         self._plans: dict[tuple, tuple] = {}
 
-    def route(self, row: Row) -> int:
-        for index in range(self.consumer_count):
-            self._credit[index] += self.weights[index]
-        best = max(range(self.consumer_count), key=lambda i: self._credit[i])
-        self._credit[best] -= 1.0
-        return best
-
-    def route_batch(self, rows: typing.Sequence[Row]
-                    ) -> list[tuple[int, typing.Sequence[Row]]]:
+    def route_batch(self, rows: Batch) -> list[tuple[int, Batch]]:
         # Single consumer: every route picks index 0 and leaves the
         # credit at exactly 0.0 (+1.0, max, -1.0), so skipping the
-        # per-row credit walk is state- and output-identical.  The
-        # whole batch passes through unsplit — on the columnar plane
-        # this keeps a column-backed Batch intact with zero per-row
-        # work (the compute -> sink channel is always WRR-of-1).
-        if self.consumer_count == 1:
-            return [(0, rows)] if len(rows) else []
-        if not (isinstance(rows, Batch) and rows.is_columnar):
-            return DistributionPolicy.route_batch(self, rows)
-        # The credit walk never reads row content: it is a function of
-        # the credits, the weights and the row count alone, so a
-        # column-backed morsel routes from a cached plan — the targets'
-        # positions and the credits after — without a Row (decision 46).
+        # credit walk is state- and output-identical.  The whole batch
+        # passes through unsplit with zero per-row work (the compute ->
+        # sink channel is always WRR-of-1).
         count = len(rows)
         if count == 0:
             return []
+        if self.consumer_count == 1:
+            return [(0, rows)]
+        # The credit walk never reads row content: it is a function of
+        # the credits, the weights and the row count alone, so a morsel
+        # routes from a cached plan — the targets' positions and the
+        # credits after (decision 46).
         key = (count, *self._credit)
         plan = self._plans.get(key)
         if plan is not None:
@@ -186,14 +161,15 @@ class WeightedRoundRobin(DistributionPolicy):
                 for target, positions in groups]
 
     def _walk(self, count: int) -> list[tuple[int, list[int]]]:
-        """Advance the credits as ``count`` :meth:`route` calls would;
-        returns each target's positions in first-appearance order."""
+        """Advance the credits as routing ``count`` tuples one by one
+        would; returns each target's positions in first-appearance
+        order."""
         credit = self._credit
         weights = self.weights
         others = range(1, self.consumer_count)
         groups: dict[int, list[int]] = {}
         for position in range(count):
-            # route()'s max(): the first highest credit wins a tie.
+            # The first highest credit wins a tie.
             best = 0
             top = credit[0] = credit[0] + weights[0]
             for index in others:
@@ -245,48 +221,36 @@ class HashBucketPolicy(DistributionPolicy):
         if min(bucket_map) < 0 or max(bucket_map) >= self.consumer_count:
             raise AdaptationError("bucket map references unknown consumer")
 
-    def bucket_of(self, row: Row) -> int:
-        key = row.values[self.key_position]
+    def bucket_of(self, key: typing.Any) -> int:
+        """The bucket of one join-key value."""
         return stable_hash(key) % self.bucket_count
 
-    def route(self, row: Row) -> int:
-        return self.bucket_map[self.bucket_of(row)]
-
-    def route_batch(self, rows: typing.Sequence[Row]
-                    ) -> list[tuple[int, typing.Sequence[Row]]]:
-        # Vectorized hash-key extraction + bucket partitioning: one
-        # tight loop with the map, the CRC and the key position bound
-        # as locals.  Same hash, same map lookup, same first-appearance
-        # group order as the per-row ``route`` walk.
+    def owners(self, keys: typing.Iterable) -> list[int]:
+        """The consumer each join-key value routes to, in order."""
+        # The map, the CRC and the bucket count bound as locals: the
+        # same hash and map lookup as bucket_of, in one tight loop.
         bucket_map = self.bucket_map
         bucket_count = self.bucket_count
-        key_position = self.key_position
         crc32 = zlib.crc32
-        if isinstance(rows, Batch) and rows.is_columnar:
-            # Hash over the key column and partition by *row position*,
-            # then gather each group's columns — no Row materialization
-            # and one output block per consumer.  A single-group batch
-            # passes through whole.
-            keys = rows.column(key_position)
-            targets = [bucket_map[crc32(repr(key).encode()) % bucket_count]
-                       for key in keys]
-            positions: dict[int, list[int]] = {}
-            for position, target in enumerate(targets):
-                group = positions.get(target)
-                if group is None:
-                    positions[target] = [position]
-                else:
-                    group.append(position)
-            if len(positions) == 1:
-                return [(next(iter(positions)), rows)]
-            return [(target, rows.take(group))
-                    for target, group in positions.items()]
-        grouped: dict[int, list[Row]] = {}
-        for row in rows:
-            bucket = crc32(repr(row.values[key_position]).encode()) \
-                % bucket_count
-            grouped.setdefault(bucket_map[bucket], []).append(row)
-        return list(grouped.items())
+        return [bucket_map[crc32(repr(key).encode()) % bucket_count]
+                for key in keys]
+
+    def route_batch(self, rows: Batch) -> list[tuple[int, Batch]]:
+        # Hash over the key column and partition by position, then
+        # gather each group's columns: one output block per consumer,
+        # and a single-group batch passes through whole.
+        positions: dict[int, list[int]] = {}
+        for position, target in enumerate(
+                self.owners(rows.column(self.key_position))):
+            group = positions.get(target)
+            if group is None:
+                positions[target] = [position]
+            else:
+                group.append(position)
+        if len(positions) <= 1:
+            return [(target, rows) for target in positions]
+        return [(target, rows.take(group))
+                for target, group in positions.items()]
 
     def update_weights(self, weights: typing.Sequence[float],
                        bucket_map: typing.Sequence[int] | None = None
@@ -364,13 +328,14 @@ def rebalance_buckets(current_map: typing.Sequence[int],
 
 
 def rebalance_outstanding(
-        assignments: typing.Mapping[int, typing.Sequence[Row]],
-        weights: typing.Sequence[float]) -> dict[int, list[tuple[Row, int]]]:
+        assignments: typing.Mapping[int, typing.Sequence],
+        weights: typing.Sequence[float]) -> dict[int, list[tuple]]:
     """Plan a minimal-movement reshuffle of outstanding tuples.
 
     ``assignments`` maps consumer index to its outstanding (unsent or
-    unacknowledged) tuples.  Returns, per source consumer, the list of
-    ``(row, new_consumer)`` moves needed so outstanding counts become
+    unacknowledged) tuples — any items naming them; the producer hands
+    in positions.  Returns, per source consumer, the list of ``(item,
+    new_consumer)`` moves needed so outstanding counts become
     proportional to ``weights``.  Used for R1 on stateless subplans,
     where any tuple may run anywhere.
     """
@@ -390,12 +355,12 @@ def rebalance_outstanding(
 
     deficits = [targets[c] - len(outstanding.get(c, []))
                 for c in range(consumer_count)]
-    moves: dict[int, list[tuple[Row, int]]] = {}
+    moves: dict[int, list[tuple]] = {}
     receivers = [c for c in range(consumer_count) if deficits[c] > 0]
     # Drained receivers advance a cursor instead of ``pop(0)``-ing the
     # list head, which re-shifted every remaining element and made the
     # plan O(n²) in the receiver count.  The visit order — and thus
-    # every (row, target) pair — is identical to the shifting version.
+    # every (item, target) pair — is identical to the shifting version.
     front = 0
     for source in range(consumer_count):
         excess = -deficits[source]
@@ -404,12 +369,12 @@ def rebalance_outstanding(
         # Move the most recently assigned tuples first: they are the
         # least likely to have started processing at the consumer.
         candidates = outstanding.get(source, [])[::-1][:excess]
-        for row in candidates:
+        for item in candidates:
             while front < len(receivers) and deficits[receivers[front]] == 0:
                 front += 1
             if front == len(receivers):
                 break
             target = receivers[front]
             deficits[target] -= 1
-            moves.setdefault(source, []).append((row, target))
+            moves.setdefault(source, []).append((item, target))
     return moves

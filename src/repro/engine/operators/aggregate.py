@@ -1,17 +1,18 @@
 """Grouped aggregation over the deduplicated result stream.
 
 The :class:`GroupAggregator` is attached to the coordinator's result
-sink and consumes rows *after* provenance deduplication, so aggregates
-are exactly-once under retrospective repartitioning and failure
-recovery by construction — a replayed tuple can reach the sink twice
-but contributes to the aggregates once.
+sink and folds the accepted blocks' columns *after* provenance
+deduplication, so aggregates are exactly-once under retrospective
+repartitioning and failure recovery by construction — a replayed tuple
+can reach the sink twice but contributes to the aggregates once.
 """
 
 from __future__ import annotations
 
+import itertools
 import typing
 
-from repro.data.tuples import Row
+from repro.data.batch import Batch
 from repro.errors import ExecutionError
 
 
@@ -110,28 +111,41 @@ class GroupAggregator:
         self.output_layout = list(output_layout)
         self._groups: dict[tuple, list] = {}
 
-    def add(self, row: Row) -> None:
-        """Fold one (already deduplicated) row into its group."""
-        key = tuple(row.values[p] for p in self.group_positions)
-        states = self._groups.get(key)
-        if states is None:
-            states = [implementation.initial()
-                      for implementation, _p in self.aggregates]
-            self._groups[key] = states
+    def add(self, block: Batch) -> None:
+        """Fold an (already deduplicated) block into its groups, one
+        aggregate column at a time in row order."""
+        columns = block.columns()
+        if self.group_positions:
+            keys = zip(*[columns[p] for p in self.group_positions])
+        else:
+            keys = itertools.repeat((), len(block))
+        groups = self._groups
+        group_states = []
+        for key in keys:
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [implementation.initial()
+                                        for implementation, _p
+                                        in self.aggregates]
+            group_states.append(states)
         for index, (implementation, position) in enumerate(self.aggregates):
-            value = row.values[position] if position is not None else None
-            states[index] = implementation.add(states[index], value)
+            add = implementation.add
+            values = (columns[position] if position is not None
+                      else itertools.repeat(None))
+            for states, value in zip(group_states, values):
+                states[index] = add(states[index], value)
 
     @property
     def group_count(self) -> int:
         return len(self._groups)
 
-    def results(self) -> list[Row]:
-        """Final rows, one per group, in select-list column order.
+    def results(self) -> Batch:
+        """The final tuples, one per group, in select-list column order.
 
         Groups are emitted in sorted key order for determinism.
         """
-        rows = []
+        value_rows = []
+        tids = []
         for key in sorted(self._groups, key=repr):
             states = self._groups[key]
             values = []
@@ -141,5 +155,6 @@ class GroupAggregator:
                 else:
                     implementation, _position = self.aggregates[index]
                     values.append(implementation.result(states[index]))
-            rows.append(Row(tuple(values), ("agg",) + key))
-        return rows
+            value_rows.append(values)
+            tids.append(("agg",) + key)
+        return Batch([list(column) for column in zip(*value_rows)], tids)

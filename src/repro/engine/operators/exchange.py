@@ -6,9 +6,9 @@ the consumer half is :mod:`repro.engine.operators.exchange_consumer`.
 The :class:`ExchangeProducer` forms the local root of a subplan.  It
 
 * routes tuples to consumer instances under the current workload
-  vector (a state channel's rows also to a bucket's former owners);
+  vector (a state channel's tuples also to a bucket's former owners);
 * buffers them, inserts checkpoint tuples, keeps per-channel recovery
-  logs and, on a state channel, retains every routed row;
+  logs and, on a state channel, retains every routed tuple;
 * ships buffers (synchronous sends, re-sent under chaos) and emits M2;
 * drives the redistribution protocol of
   :mod:`repro.engine.redistribution`, turning its decisions into CPU
@@ -26,7 +26,7 @@ import dataclasses
 import typing
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row, Tid
+from repro.data.tuples import Tid
 from repro.engine.control import (
     ChannelAnnouncement,
     DataBuffer,
@@ -36,7 +36,7 @@ from repro.engine.control import (
 from repro.engine.distribution import DistributionPolicy
 from repro.engine.operators.base import END, EvalContext, Operator, UnaryOperator
 from repro.engine.operators.exchange_consumer import ConsumerRef
-from repro.engine.redistribution import Moves, Redistribution
+from repro.engine.redistribution import Moves, Redistribution, regroup
 from repro.errors import ExecutionError
 from repro.net.message import KIND_CONTROL, KIND_DATA
 from repro.recovery.checkpoint import Acknowledgement, Checkpoint
@@ -74,11 +74,12 @@ class ExchangeProducer(UnaryOperator):
             RecoveryLog(ref.channel_key)
             if ctx.engine_config.logging_enabled else None
             for ref in consumers]
-        #: State channels (a join's build side): routed rows *are* the
-        #: downstream state, so every one is retained for bucket moves to
-        #: copy; log, consumer queue and hash table share its ``Row``.
-        self._retained: dict[Tid, Row] | None = (
-            {} if state_channel else None)
+        #: State channels (a join's build side): routed tuples *are* the
+        #: downstream state, so every placed block is retained for bucket
+        #: moves to copy, each tid from its first placement only; log,
+        #: buffer and retained state share the block's column slices.
+        self._retained: list[Batch] | None = [] if state_channel else None
+        self._retained_tids: set[Tid] = set()
         #: Who owns each tid at each epoch (the Response stage's state).
         self.protocol = Redistribution(policy, state_channel)
         self._replay_waiters: list = []
@@ -139,12 +140,7 @@ class ExchangeProducer(UnaryOperator):
         protocol = self.protocol
         placements = self.policy.route_batch(batch)
         if protocol.multicast:
-            extras: dict[int, list[Row]] = {}
-            for index, group in placements:
-                for row in group:
-                    for extra in protocol.multicast_targets(row, index):
-                        extras.setdefault(extra, []).append(row)
-            placements.extend(extras.items())
+            placements.extend(protocol.multicast_extras(placements))
         self.routed_total += count
         yield from self._place_and_send(placements)
         return batch
@@ -158,7 +154,7 @@ class ExchangeProducer(UnaryOperator):
     # -- internals ----------------------------------------------------------
 
     def _place_and_send(self, placements: typing.Iterable[
-            tuple[int, typing.Sequence[Row]]]) -> typing.Generator:
+            tuple[int, Batch]]) -> typing.Generator:
         """Place ``(channel, rows)`` groups, charge their log cost and
         transmit the buffers they rotated out."""
         logged = 0
@@ -170,24 +166,20 @@ class ExchangeProducer(UnaryOperator):
         for index, items, row_count in sends:
             yield from self._transmit(index, items, row_count)
 
-    def _place_batch(self, index: int, rows: typing.Sequence[Row],
+    def _place_batch(self, index: int, rows: Batch,
                      sends: list[tuple[int, list, int]]) -> int:
         """Buffer, attribute, retain and log ``rows`` on channel
         ``index`` without yielding; returns the rows logged.
 
-        Rows are chunked into ``Batch`` blocks (column slices when the
-        source is column-backed; row-backed on a state channel) so that
-        a checkpoint marker follows every ``checkpoint_interval``-th row
-        and a buffer rotates out into ``sends`` as ``(index, items,
-        row_count)`` at its ``buffer_size``-th.  A group that fits
-        before both is buffered and logged as it is, not copied: a
-        ``Batch`` is never mutated once built (DESIGN decision 42).
+        Rows are sliced into ``Batch`` blocks so that a checkpoint
+        marker follows every ``checkpoint_interval``-th row and a buffer
+        rotates out into ``sends`` as ``(index, items, row_count)`` at
+        its ``buffer_size``-th.  A group that fits before both is
+        buffered and logged as it is, not copied: a ``Batch`` is never
+        mutated once built (DESIGN decision 42).
         """
         log = self._logs[index]
         config = self.ctx.engine_config
-        if not isinstance(rows, Batch) or (self._retained is not None
-                                           and rows.is_columnar):
-            rows = Batch(rows)
         logged = 0
         position = 0
         total = len(rows)
@@ -204,7 +196,7 @@ class ExchangeProducer(UnaryOperator):
             tids = chunk.tids()
             self.protocol.place(index, tids)
             if self._retained is not None:
-                self._retained.update(zip(tids, chunk.rows))
+                self._retain(chunk, tids)
             if log is not None:
                 log.append_block(chunk)
                 logged += take
@@ -221,6 +213,19 @@ class ExchangeProducer(UnaryOperator):
                 self._buffers[index] = []
                 self._buffer_rows[index] = 0
         return logged
+
+    def _retain(self, chunk: Batch, tids: list[Tid]) -> None:
+        """Keep ``chunk``'s tuples whose tid is not retained yet."""
+        seen = self._retained_tids
+        fresh = []
+        for position, tid in enumerate(tids):
+            if tid not in seen:
+                seen.add(tid)
+                fresh.append(position)
+        if len(fresh) == len(tids):
+            self._retained.append(chunk)
+        elif fresh:
+            self._retained.append(chunk.take(fresh))
 
     def _insert_checkpoint(self, index: int) -> None:
         self._since_checkpoint[index] = 0
@@ -314,18 +319,18 @@ class ExchangeProducer(UnaryOperator):
                                                   self.producer_id, tids,
                                                   revision))
 
-    def _outstanding(self, index: int) -> tuple[list[Row], list[Row]]:
+    def _outstanding(self, index: int) -> tuple[Batch, Batch]:
         """Channel ``index``'s logged rows that are no longer buffered
         (sent but unacknowledged), and its buffered rows, in order."""
-        buffered = [row for item in self._buffers[index]
-                    if isinstance(item, Batch) for row in item.rows]
+        buffered = Batch.concat([item for item in self._buffers[index]
+                                 if isinstance(item, Batch)])
         log = self._logs[index]
         if log is None:
-            return [], buffered
+            return Batch([], []), buffered
         # Buffered rows are also logged; avoid double counting.
-        buffered_tids = {row.tid for row in buffered}
-        return ([row for row in log.outstanding()
-                 if row.tid not in buffered_tids], buffered)
+        logged, _removed = log.outstanding().filter_tids(
+            set(buffered.tids()))
+        return logged, buffered
 
     # -- distribution updates (the Response stage) ---------------------------
 
@@ -343,8 +348,8 @@ class ExchangeProducer(UnaryOperator):
             self.consumers[index] = dataclasses.replace(
                 ref, endpoint=new_endpoint)
             log = self._logs[index]
-            self.protocol.redirect(index, None if log is None else [
-                row.tid for row in log.outstanding()])
+            self.protocol.redirect(index, None if log is None
+                                   else log.outstanding().tids())
             if log is not None:
                 yield from self.ctx.machine.work(
                     "log-extract",
@@ -353,7 +358,7 @@ class ExchangeProducer(UnaryOperator):
                 resend, _buffered = self._outstanding(index)
                 if resend:
                     # Direct resend: already logged, must not re-log.
-                    self._buffers[index].append(Batch(resend))
+                    self._buffers[index].append(resend)
                     self._buffer_rows[index] += len(resend)
                     self.tuples_replayed_for_recovery += len(resend)
             yield from self._flush(index)
@@ -398,11 +403,10 @@ class ExchangeProducer(UnaryOperator):
             yield from self._replay_state_moves()
         elif update.retrospective and self.ctx.engine_config.logging_enabled:
             self.retrospective_moves += 1
-            outstanding = {}
-            for index in range(len(self.consumers)):
-                logged, buffered = self._outstanding(index)
-                outstanding[index] = logged + buffered
-            yield from self._replay_moves(protocol.plan_moves(outstanding))
+            outstanding = {index: Batch.concat(self._outstanding(index))
+                           for index in range(len(self.consumers))}
+            yield from self._replay_moves(outstanding,
+                                          protocol.plan_moves(outstanding))
         if self.finished:
             yield from self.flush_all()
         protocol.settle(update.epoch)
@@ -448,17 +452,20 @@ class ExchangeProducer(UnaryOperator):
         # Scanning the retained state is log-extract-shaped work.
         yield from self.ctx.machine.work(
             "state-extract",
-            self.ctx.cost.log_extract_work * max(1, len(self._retained)))
-        copies = self.protocol.state_copies(self._retained.values(), moved)
+            self.ctx.cost.log_extract_work * len(self._retained_tids))
+        copies = self.protocol.state_copies(self._retained, moved)
         if copies:
-            yield from self._replay_rows(copies)
+            yield from self._replay_blocks(copies)
 
-    def _replay_moves(self, moves: Moves) -> typing.Generator:
+    def _replay_moves(self, outstanding: dict[int, Batch], moves: Moves
+                      ) -> typing.Generator:
         """Retract moved tuples from their channels and replay them."""
         if not any(moves.values()):
             return
         for index, channel_moves in moves.items():
-            moved_tids = {row.tid for row, _target in channel_moves}
+            tids = outstanding[index].tids()
+            moved_tids = {tids[position] for position, _target
+                          in channel_moves}
             buffered_kept = []
             for item in self._buffers[index]:
                 if isinstance(item, Batch):
@@ -478,14 +485,11 @@ class ExchangeProducer(UnaryOperator):
             self.protocol.retract(index, moved_tids)
         # Delivery is confirmed (synchronous flush) before any discard
         # can tear the old copy down.
-        replays: dict[int, list[Row]] = {}
-        for channel_moves in moves.values():
-            for row, target in channel_moves:
-                replays.setdefault(target, []).append(row)
-        yield from self._replay_rows(replays)
+        yield from self._replay_blocks(regroup(
+            (outstanding[index], channel_moves)
+            for index, channel_moves in moves.items()))
 
-    def _replay_rows(self, replays: dict[int, list[Row]]
-                     ) -> typing.Generator:
+    def _replay_blocks(self, replays: dict[int, Batch]) -> typing.Generator:
         """Place ``replays`` (target channel -> rows), pay, transmit and
         flush: delivery is confirmed when this returns."""
         for rows in replays.values():

@@ -2,10 +2,8 @@
 
 Both are vectorized over the batch's column arrays: selection
 evaluates a :class:`~repro.data.tuples.ColumnPredicate`'s test directly
-over the key column and gathers surviving positions column-wise;
-projection is a column select that never touches rows.  An opaque
-(plain callable) predicate is evaluated row by row — the kept rows and
-the charged work are the same either way.
+over its column and gathers surviving positions column-wise;
+projection is a column select that never touches rows.
 """
 
 from __future__ import annotations
@@ -13,27 +11,27 @@ from __future__ import annotations
 import typing
 
 from repro.data.batch import Batch
-from repro.data.tuples import ColumnPredicate, Row
+from repro.data.tuples import ColumnPredicate
 from repro.engine.operators.base import END, EvalContext, Operator, UnaryOperator
 
 
 class Select(UnaryOperator):
-    """Filters rows through a predicate on row values."""
+    """Filters rows through a predicate on one column."""
 
     def __init__(self, ctx: EvalContext, child: Operator,
-                 predicate: typing.Callable[[Row], bool],
+                 predicate: ColumnPredicate,
                  description: str = "predicate") -> None:
         super().__init__(ctx, child)
         self.predicate = predicate
         self.description = description
 
-    def _filter_columnar(self, batch: Batch) -> Batch | None:
+    def _filter(self, batch: Batch) -> Batch | None:
         """Vectorized filter; None when every row is dropped.
 
-        Runs the predicate's scalar test over the key column, then
-        gathers the surviving positions from every column.  An all-pass
-        batch is returned as-is (the common case for selective-upstream
-        plans); the kept set is identical to the row loop's.
+        Runs the predicate's scalar test over its column, then gathers
+        the surviving positions from every column.  An all-pass batch
+        is returned as-is (the common case for selective-upstream
+        plans).
         """
         test = self.predicate.test
         keep = [i for i, value in
@@ -46,7 +44,6 @@ class Select(UnaryOperator):
         return batch.take(keep)
 
     def next_batch(self, max_rows: int) -> typing.Generator:
-        columnar = isinstance(self.predicate, ColumnPredicate)
         # The predicate is charged per input row; empty post-filter
         # batches are retried so callers only ever see non-empty ones.
         while True:
@@ -54,14 +51,9 @@ class Select(UnaryOperator):
             if batch is END:
                 return END
             self.ctx.charge("select", self.ctx.cost.select_work, len(batch))
-            if columnar:
-                kept_batch = self._filter_columnar(batch)
-                if kept_batch is not None:
-                    return kept_batch
-            else:
-                kept = [row for row in batch if self.predicate(row)]
-                if kept:
-                    return batch.replace_rows(kept)
+            kept = self._filter(batch)
+            if kept is not None:
+                return kept
             # One payment per morsel pulled, kept or not.
             yield from self.ctx.settle()
 
@@ -80,6 +72,5 @@ class Project(UnaryOperator):
             return END
         self.ctx.charge("project", self.ctx.cost.project_work, len(batch))
         # Column select: shares the kept column lists and the tid
-        # column; no per-row allocation.  Content matches
-        # row.project(positions) for every row.
+        # column; no per-row allocation.
         return batch.select_columns(self.positions)

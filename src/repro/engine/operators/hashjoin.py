@@ -16,7 +16,7 @@ deduplication of the composed (probe tid, build tid) provenance.
 
 Held matches are a FIFO: a probe morsel with a large match fan-out
 produces many outputs that drain across several ``next_batch`` calls.
-They are held as one column-backed block plus an integer cursor; each
+They are held as one block plus an integer cursor; each
 pull slices ``max_rows`` rows at the cursor, so draining is linear in
 the fan-out however small the pulls are (re-slicing the remainder on
 every pull made skewed keys O(n²)).
@@ -27,7 +27,7 @@ from __future__ import annotations
 import typing
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row, Tid
+from repro.data.tuples import Tid
 from repro.engine.operators.base import END, EvalContext, Operator
 
 #: Work labels, used by perturbations (the paper's Q2 inserts a
@@ -47,7 +47,9 @@ class HashJoin(Operator):
         self.probe_child = probe_child
         self.build_key_position = build_key_position
         self.probe_key_position = probe_key_position
-        self._table: dict[typing.Any, list[Row]] = {}
+        #: Build key -> its build tuples, each one tuple of the values
+        #: followed by the tid.
+        self._table: dict[typing.Any, list[tuple]] = {}
         self._key_of_tid: dict[Tid, typing.Any] = {}
         # Held matches: rows [_pending_cursor:] of the block are still
         # to be served.  Matches are only produced once it is drained.
@@ -70,7 +72,8 @@ class HashJoin(Operator):
             if key is None:
                 continue
             bucket = self._table.get(key, [])
-            self._table[key] = [r for r in bucket if r.tid != tid]
+            self._table[key] = [entry for entry in bucket
+                                if entry[-1] != tid]
             if not self._table[key]:
                 del self._table[key]
             removed += 1
@@ -99,12 +102,12 @@ class HashJoin(Operator):
         table_setdefault = self._table.setdefault
         key_position = self.build_key_position
         inserted = 0
-        for row in batch.rows:
-            tid = row.tid
+        for entry in zip(*batch.columns(), batch.tids()):
+            tid = entry[-1]
             if tid in key_of_tid:
                 continue
-            key = row.values[key_position]
-            table_setdefault(key, []).append(row)
+            key = entry[key_position]
+            table_setdefault(key, []).append(entry)
             key_of_tid[tid] = key
             inserted += 1
         self.build_count += inserted
@@ -154,37 +157,31 @@ class HashJoin(Operator):
             self._match_columnar(probe)
 
     def _match_columnar(self, probe: Batch) -> None:
-        """Vectorized probe: matches land in a column-backed block.
+        """Vectorized probe: matches land in one pending block.
 
-        Each output row is (probe values ++ build values) with the
-        composed ``(probe_tid, build_tid)`` provenance — the exact
-        content of ``Row.extend`` — but built as column appends, so no
-        intermediate ``Row`` is allocated per match.
+        Each output tuple is (probe values ++ build values) with the
+        composed ``(probe_tid, build_tid)`` provenance.  The probe's key
+        column is walked by position; the matched probe positions are
+        then gathered column by column and the matched build entries
+        transposed into columns (their last one the build tids), so no
+        per-tuple object is built for the probe.
         """
-        key_position = self.probe_key_position
         table_get = self._table.get
-        columns: list[list] | None = None
-        tids: list[Tid] = []
-        probe_width = probe.width
-        for probe_row in probe:
-            key = probe_row.values[key_position]
+        positions: list[int] = []
+        matches: list[tuple] = []
+        for position, key in enumerate(probe.column(self.probe_key_position)):
             bucket = table_get(key)
-            if not bucket:
-                continue
-            probe_values = probe_row.values
-            probe_tid = probe_row.tid
-            for build_row in bucket:
-                if columns is None:
-                    columns = [[] for _ in range(
-                        probe_width + len(build_row.values))]
-                for position, value in enumerate(probe_values):
-                    columns[position].append(value)
-                for position, value in enumerate(build_row.values,
-                                                 probe_width):
-                    columns[position].append(value)
-                tids.append((probe_tid, build_row.tid))
-        if tids:
-            self._pending_block = Batch.from_columns(columns, tids)
+            if bucket:
+                positions.extend([position] * len(bucket))
+                matches.extend(bucket)
+        if matches:
+            build = [list(column) for column in zip(*matches)]
+            probe_tids = probe.tids()
+            tids = [(probe_tids[p], build_tid)
+                    for p, build_tid in zip(positions, build.pop())]
+            self._pending_block = Batch(
+                [[column[p] for p in positions]
+                 for column in probe.columns()] + build, tids)
             self._pending_cursor = 0
 
     def close(self) -> typing.Generator:

@@ -26,7 +26,7 @@ class OperationCall(UnaryOperator):
         self.arg_position = arg_position
         self.calls_made = 0
 
-    def _retry_transient_failures(self) -> typing.Generator:
+    def _retry_transient_failures(self, chaos) -> typing.Generator:
         """Re-attempt the call while chaos makes it fail transiently.
 
         Each failed attempt was already charged the operation's work
@@ -34,9 +34,6 @@ class OperationCall(UnaryOperator):
         pays it, backs off per the ``ws_retry`` policy and charges the
         work again.
         """
-        chaos = self.ctx.grid.chaos
-        if chaos is None:
-            return
         attempt = 0
         while chaos.ws_call_fails(self.operation.name):
             attempt += 1
@@ -57,24 +54,15 @@ class OperationCall(UnaryOperator):
         self.ctx.charge("opcall", self.ctx.cost.opcall_overhead_work, count)
         self.ctx.charge(self.operation.work_label,
                         self.operation.base_work_ms, count)
-        if self.ctx.grid.chaos is None:
-            # Vectorized result column: invoke over the argument column
-            # and append the results as a new column; tids carry over
-            # unchanged (replace_values inherits provenance).  Gated on
-            # no chaos so the per-row retry generator — and with it the
-            # chaos RNG draw order — is untouched whenever failures are
-            # possible (_retry_transient_failures returns immediately
-            # without drawing when chaos is None).
-            invoke = self.operation.invoke
-            results = [invoke(value)
-                       for value in batch.column(self.arg_position)]
-            self.calls_made += count
-            return Batch.from_columns(batch.columns() + [results],
-                                      batch.tids())
-        out = []
-        for row in batch:
-            yield from self._retry_transient_failures()
-            result = self.operation.invoke(row.values[self.arg_position])
-            self.calls_made += 1
-            out.append(row.replace_values(row.values + (result,)))
-        return batch.replace_rows(out)
+        # Under chaos each row's transient failures are drawn and paid
+        # first, row by row in batch order; ``invoke`` is pure and takes
+        # no simulated time, so invoking over the column afterwards
+        # keeps the chaos draw order and every simulated time.
+        chaos = self.ctx.grid.chaos
+        if chaos is not None:
+            for _ in range(count):
+                yield from self._retry_transient_failures(chaos)
+        invoke = self.operation.invoke
+        results = [invoke(value) for value in batch.column(self.arg_position)]
+        self.calls_made += count
+        return Batch(batch.columns() + [results], batch.tids())

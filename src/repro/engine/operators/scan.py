@@ -33,8 +33,8 @@ class TableScan(Operator):
         yield  # pragma: no cover - generator form
 
     def next_batch(self, max_rows: int) -> typing.Generator:
-        # Batches are born column-backed here (slices of the relation's
-        # column store) and stay so through the downstream plane.
+        # Batches are born here as slices of the relation's column
+        # store.
         batch = self.gds.read_block(self._cursor, max_rows)
         count = len(batch)
         if count == 0:

@@ -16,11 +16,11 @@ from repro.engine.operators.base import END, EvalContext, Operator, UnaryOperato
 class ResultSink(UnaryOperator):
     """Collects deduplicated result blocks and signals completion.
 
-    Accepted rows stay in the blocks they arrived in (column-backed on
-    the columnar plane), so the sink builds no ``Row`` (decision 46).
-    With an attached :class:`~repro.engine.operators.aggregate.
-    GroupAggregator`, accepted rows are folded into their groups
-    instead and :meth:`final_blocks` returns the aggregated output.
+    Accepted rows stay in the blocks they arrived in, so the sink
+    builds no ``Row`` (decisions 46 and 47).  With an attached
+    :class:`~repro.engine.operators.aggregate.GroupAggregator`,
+    accepted blocks are folded into their groups instead and
+    :meth:`final_blocks` returns the aggregated output.
     """
 
     def __init__(self, ctx: EvalContext, child: Operator,
@@ -61,14 +61,13 @@ class ResultSink(UnaryOperator):
         if self.aggregator is None:
             self.blocks.append(accepted)
         else:
-            for row in accepted:
-                self.aggregator.add(row)
+            self.aggregator.add(accepted)
         return batch
 
     def final_blocks(self) -> list[Batch]:
         """The query's output blocks (aggregated when grouping is on)."""
         if self.aggregator is not None:
-            return [Batch(self.aggregator.results())]
+            return [self.aggregator.results()]
         return list(self.blocks)
 
     def finish(self) -> typing.Generator:

@@ -7,23 +7,41 @@ are redistributed under ``W'``", §3.1).  A :class:`Redistribution` is
 one producer's tid ledger, epoch machine and bucket-owner history, and
 decides who owns each tid at each epoch.  It never waits: the
 :class:`~repro.engine.operators.exchange.ExchangeProducer` driving it
-owns rows, logs, charges, sends and waiters.  Acknowledgements reach it
-only through the outstanding rows the driver hands in.
+owns blocks, logs, charges, sends and waiters.  Acknowledgements reach
+it only through the outstanding blocks the producer hands in.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.data.tuples import Row, Tid
+from repro.data.batch import Batch
+from repro.data.tuples import Tid
 from repro.engine.distribution import (
     DistributionPolicy,
     HashBucketPolicy,
     rebalance_outstanding,
 )
 
-#: ``source channel -> [(row, target channel), ...]``.
-Moves = dict[int, list[tuple[Row, int]]]
+#: ``source channel -> [(position in its outstanding block, target
+#: channel), ...]``.
+Moves = dict[int, list[tuple[int, int]]]
+
+
+def regroup(picks: typing.Iterable[
+        tuple[Batch, typing.Iterable[tuple[int, int]]]]
+            ) -> dict[int, Batch]:
+    """``(block, [(position, target), ...])`` picks as one batch per
+    target: a target's tuples in pick order, targets in the order they
+    are first picked."""
+    parts: dict[int, list[Batch]] = {}
+    for block, pairs in picks:
+        positions: dict[int, list[int]] = {}
+        for position, target in pairs:
+            positions.setdefault(target, []).append(position)
+        for target, group in positions.items():
+            parts.setdefault(target, []).append(block.take(group))
+    return {target: Batch.concat(blocks) for target, blocks in parts.items()}
 
 
 class Redistribution:
@@ -84,12 +102,23 @@ class Redistribution:
                 due.append((index, current, self.revision[index]))
         return due
 
-    def multicast_targets(self, row: Row, primary: int) -> tuple:
-        """Former owners of ``row``'s bucket, beyond ``primary``."""
-        owners = self.bucket_owners.get(self.policy.bucket_of(row))
-        if owners is None:
-            return ()
-        return tuple(sorted(owners - {primary}))
+    def multicast_extras(self, placements: typing.Iterable[
+            tuple[int, Batch]]) -> list[tuple[int, Batch]]:
+        """The placed groups' tuples again, for each bucket's former
+        owners beyond the channel a group is placed on."""
+        owners_of = self.bucket_owners.get
+        bucket_of = self.policy.bucket_of
+
+        def extras(index: int, group: Batch):
+            for position, key in enumerate(
+                    group.column(self.policy.key_position)):
+                owners = owners_of(bucket_of(key))
+                if owners is not None:
+                    for extra in sorted(owners - {index}):
+                        yield position, extra
+
+        return list(regroup((group, extras(index, group))
+                            for index, group in placements).items())
 
     def redirect(self, index: int,
                  outstanding: typing.Iterable[Tid] | None) -> None:
@@ -130,19 +159,23 @@ class Redistribution:
                 self.multicast = True
         return True
 
-    def plan_moves(self, outstanding: typing.Mapping[int, list[Row]]
-                   ) -> Moves:
-        """Which outstanding rows (per channel) move where: hashed rows
-        follow their bucket, others rebalance with minimal movement."""
+    def plan_moves(self, outstanding: typing.Mapping[int, Batch]) -> Moves:
+        """Which outstanding tuples (per channel) move where: hashed
+        tuples follow their bucket, others rebalance with minimal
+        movement."""
         policy = self.policy
         if not isinstance(policy, HashBucketPolicy):
-            return rebalance_outstanding(outstanding, policy.weights)
+            return rebalance_outstanding(
+                {index: range(len(rows))
+                 for index, rows in outstanding.items()}, policy.weights)
         moves: Moves = {}
         for index, rows in outstanding.items():
-            for row in rows:
-                target = policy.route(row)
+            if not rows:
+                continue
+            for position, target in enumerate(
+                    policy.owners(rows.column(policy.key_position))):
                 if target != index:
-                    moves.setdefault(index, []).append((row, target))
+                    moves.setdefault(index, []).append((position, target))
         return moves
 
     def retract(self, index: int, moved: set[Tid]) -> None:
@@ -154,20 +187,25 @@ class Redistribution:
         if discard:
             self.pending_discards.append((index, frozenset(discard)))
 
-    def state_copies(self, retained: typing.Iterable[Row],
-                     moved: typing.Mapping[int, int]
-                     ) -> dict[int, list[Row]]:
-        """Retained rows of the ``moved`` buckets (as read when the copy
-        began), per new owner not holding them.  State channels never
-        retract: probes racing the move still find the old copy, and
-        the sink dedups join outputs by provenance."""
+    def state_copies(self, retained: typing.Iterable[Batch],
+                     moved: typing.Mapping[int, int]) -> dict[int, Batch]:
+        """Retained tuples of the ``moved`` buckets (as read when the
+        copy began), per new owner not holding them.  State channels
+        never retract: probes racing the move still find the old copy,
+        and the sink dedups join outputs by provenance."""
         bucket_of = self.policy.bucket_of
-        copies: dict[int, list[Row]] = {}
-        for row in retained:
-            target = moved.get(bucket_of(row))
-            if target is not None and row.tid not in self.attributed[target]:
-                copies.setdefault(target, []).append(row)
-        return copies
+        attributed = self.attributed
+
+        def copies(block: Batch):
+            tids = block.tids()
+            for position, key in enumerate(
+                    block.column(self.policy.key_position)):
+                target = moved.get(bucket_of(key))
+                if (target is not None
+                        and tids[position] not in attributed[target]):
+                    yield position, target
+
+        return regroup((block, copies(block)) for block in retained)
 
     def settle(self, epoch: int) -> None:
         """The replay phase of ``epoch`` completed."""

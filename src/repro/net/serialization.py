@@ -19,8 +19,7 @@ class SerializationModel:
     """CPU and size costs of encoding tuple buffers as messages.
 
     Work values are in CPU work units (milliseconds at machine speed
-    1.0); sizes are in bytes.  A buffer costs the same whether the
-    blocks in it are row- or column-backed.
+    1.0); sizes are in bytes.
     """
 
     serialize_per_message: float = 2.0

@@ -174,8 +174,8 @@ def build_logical_plan(query: SelectQuery,
         else:
             build, build_pos = right_scan, right_pos
             probe, probe_pos = left_scan, left_pos
-        # Row layout downstream of the join: probe columns then build
-        # columns (matching Row.extend in the engine).
+        # Column layout downstream of the join: probe columns then
+        # build columns (as the hash join emits them).
         schema = probe.schema.concat(build.schema)
         join = LogicalJoin(build, probe, build_pos, probe_pos, schema)
         current_schema = schema

@@ -18,7 +18,7 @@ import collections
 import typing
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row, Tid
+from repro.data.tuples import Tid
 from repro.errors import RecoveryError
 
 
@@ -31,9 +31,8 @@ class RecoveryLog:
     """Checkpoint-segmented log of unacknowledged tuples for a channel.
 
     Segment entries are the :class:`Batch` blocks the producer
-    buffered, kept as they are (column- or row-backed), so logging a
-    block is O(1) and a column-backed block's rows only materialize if
-    an adaptation actually inspects the log.
+    buffered, kept as they are, so logging a block is O(1) and the log
+    holds column slices only.
     """
 
     def __init__(self, channel_key: str) -> None:
@@ -79,32 +78,31 @@ class RecoveryLog:
         self.acknowledged_total += freed
         return freed
 
-    def outstanding(self) -> list[Row]:
+    def outstanding(self) -> Batch:
         """Every logged (sent but unacknowledged) tuple, oldest first."""
-        rows: list[Row] = []
-        for segment in (*self._sealed.values(), self._open):
-            for block in segment:
-                rows.extend(block.rows)
-        return rows
+        return Batch.concat([block for segment in (*self._sealed.values(),
+                                                   self._open)
+                             for block in segment])
 
-    def remove(self, tids: typing.AbstractSet[Tid]) -> list[Row]:
+    def remove(self, tids: typing.AbstractSet[Tid]) -> Batch:
         """Remove (and return) logged tuples whose tid is in ``tids``.
 
         Used when a retrospective repartition moves tuples to another
         consumer: they leave this channel's log and are re-logged on
         the new channel when resent.  A logged block containing any
-        matched tuple is filtered in place (column-backed slice-out);
-        blocks untouched by ``tids`` are kept whole.
+        matched tuple is filtered into a new block; blocks untouched by
+        ``tids`` are kept whole.
         """
-        removed: list[Row] = []
+        removed: list[Batch] = []
 
         def filter_segment(segment: list[Batch]) -> list[Batch]:
             kept = []
             for block in segment:
                 kept_block, dropped = block.filter_tids(tids)
                 if dropped:
-                    removed.extend(row for row in block.rows
-                                   if row.tid in tids)
+                    removed.append(block.take(
+                        [position for position, tid
+                         in enumerate(block.tids()) if tid in tids]))
                 if len(kept_block):
                     kept.append(kept_block)
             return kept
@@ -112,4 +110,4 @@ class RecoveryLog:
         for sealed_id in list(self._sealed):
             self._sealed[sealed_id] = filter_segment(self._sealed[sealed_id])
         self._open = filter_segment(self._open)
-        return removed
+        return Batch.concat(removed)

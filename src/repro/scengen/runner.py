@@ -148,7 +148,7 @@ def _trace_sha(grid: DemoGrid) -> str:
 
 def _digest(grid: DemoGrid, result) -> RunDigest:
     rows_sha = hashlib.sha256(
-        "\n".join(sorted(repr(row.values) for row in result.rows))
+        "\n".join(sorted(repr(values) for values in result.values()))
         .encode()).hexdigest()[:16]
     if grid.context.metrics.enabled:
         sink_rows, sink_discards = _root_channel_counts(grid)

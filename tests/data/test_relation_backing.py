@@ -46,8 +46,7 @@ def observe(relation):
         block = relation.read_block(start, size)
         blocks[start, size] = ([row.values for row in block.rows],
                                [row.tid for row in block.rows],
-                               [block.column(p) for p in range(2)]
-                               if block.is_columnar else None)
+                               [block.column(p) for p in range(2)])
     return {
         "rows": [(row.values, row.tid) for row in relation.rows],
         "iterated": [(row.values, row.tid) for row in relation],

@@ -54,10 +54,9 @@ def run(query, adaptivity, chaos=None, join_sleep=None):
 
 
 def assert_columnar_until_read(result):
-    """Every block is column-backed and no row list exists yet; then
-    ``values()`` and ``rows`` agree value for value, tid for tid."""
+    """No row list exists yet; then ``values()`` and ``rows`` agree
+    value for value, tid for tid."""
     assert result.blocks
-    assert all(block.is_columnar for block in result.blocks)
     assert "rows" not in vars(result)
     values = result.values()
     assert len(values) == result.stats.result_count

@@ -56,7 +56,7 @@ def drain(env, operator):
             yield from operator.ctx.settle()
             if batch is END:
                 break
-            rows.extend(batch)
+            rows.extend(batch.rows)
         yield from operator.close()
         return rows
 

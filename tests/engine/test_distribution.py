@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.distribution import (
     HashBucketPolicy,
@@ -19,6 +20,12 @@ from repro.engine.distribution import (
     stable_hash,
 )
 from repro.errors import AdaptationError
+
+
+def route(policy, row):
+    """``row``'s consumer, routed as a one-row morsel."""
+    ((index, _group),) = policy.route_batch(Batch.from_rows([row]))
+    return index
 
 
 def make_rows(count, key=None):
@@ -82,13 +89,13 @@ class TestWeightMaths:
 class TestWeightedRoundRobin:
     def test_uniform_weights_alternate(self):
         policy = WeightedRoundRobin(2)
-        routes = [policy.route(row) for row in make_rows(10)]
+        routes = [route(policy, row) for row in make_rows(10)]
         assert routes.count(0) == 5
         assert routes.count(1) == 5
 
     def test_weighted_interleaving_tracks_weights(self):
         policy = WeightedRoundRobin(2, [0.75, 0.25])
-        routes = [policy.route(row) for row in make_rows(100)]
+        routes = [route(policy, row) for row in make_rows(100)]
         assert routes.count(0) == 75
         assert routes.count(1) == 25
 
@@ -96,14 +103,14 @@ class TestWeightedRoundRobin:
         # Smooth WRR with weights 2:1 never sends 3 in a row to one
         # consumer.
         policy = WeightedRoundRobin(2, [2.0, 1.0])
-        routes = [policy.route(row) for row in make_rows(60)]
+        routes = [route(policy, row) for row in make_rows(60)]
         for i in range(len(routes) - 2):
             assert len(set(routes[i:i + 3])) > 1
 
     def test_update_weights_changes_ratio(self):
         policy = WeightedRoundRobin(2)
         policy.update_weights([0.9, 0.1])
-        routes = [policy.route(row) for row in make_rows(100)]
+        routes = [route(policy, row) for row in make_rows(100)]
         assert routes.count(0) == 90
 
     def test_mismatched_weight_length_rejected(self):
@@ -116,7 +123,7 @@ class TestWeightedRoundRobin:
     @settings(max_examples=30)
     def test_realised_ratio_matches_weights_property(self, weights, count):
         policy = WeightedRoundRobin(len(weights), weights)
-        routes = [policy.route(row) for row in make_rows(count)]
+        routes = [route(policy, row) for row in make_rows(count)]
         counter = collections.Counter(routes)
         expected = normalise_weights(weights)
         for consumer, weight in enumerate(expected):
@@ -132,16 +139,16 @@ class TestWeightedRoundRobin:
         routes = []
         for row in make_rows(40):
             policy.update_weights([0.5, 0.5])
-            routes.append(policy.route(row))
+            routes.append(route(policy, row))
         assert routes.count(0) == 20
         assert routes.count(1) == 20
 
     def test_post_update_prefix_tracks_new_weights(self):
         policy = WeightedRoundRobin(3)
         for row in make_rows(30):
-            policy.route(row)
+            route(policy, row)
         policy.update_weights([0.7, 0.2, 0.1])
-        routes = [policy.route(row) for row in make_rows(20)]
+        routes = [route(policy, row) for row in make_rows(20)]
         counter = collections.Counter(routes)
         assert counter[0] == pytest.approx(14, abs=1)
         assert counter[1] == pytest.approx(4, abs=1)
@@ -158,10 +165,10 @@ class TestWeightedRoundRobin:
         w1, w2 = w1[:length], w2[:length]
         policy = WeightedRoundRobin(length, w1)
         for row in make_rows(prefix):
-            policy.route(row)
+            route(policy, row)
         policy.update_weights(w2)
         count = 60
-        routes = [policy.route(row) for row in make_rows(count)]
+        routes = [route(policy, row) for row in make_rows(count)]
         counter = collections.Counter(routes)
         expected = normalise_weights(w2)
         # The realised post-update ratio tracks the new weights within
@@ -176,7 +183,7 @@ class TestHashBucketPolicy:
         policy = HashBucketPolicy(3, key_position=0, bucket_count=64)
         row_a = Row(("YAL001C",), "t#1")
         row_b = Row(("YAL001C",), "t#2")
-        assert policy.route(row_a) == policy.route(row_b)
+        assert route(policy, row_a) == route(policy, row_b)
 
     def test_initial_map_proportional_to_weights(self):
         policy = HashBucketPolicy(2, 0, bucket_count=100,

@@ -29,7 +29,7 @@ class TimedSource(Operator):
             return END
         self._produced += 1
         yield from self.ctx.machine.work("source", self.work)
-        return Batch([Row((self._produced,), f"t#{self._produced}")])
+        return Batch.from_rows([Row((self._produced,), f"t#{self._produced}")])
 
     def finish(self):
         self.finish_calls += 1

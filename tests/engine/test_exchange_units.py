@@ -35,7 +35,7 @@ class ListSource(Operator):
         if not rows:
             return END
         self._cursor += len(rows)
-        return Batch(rows)
+        return Batch.from_rows(rows)
         yield  # pragma: no cover
 
 
@@ -57,7 +57,7 @@ class CapturingService:
             if rcpt == recipient and hasattr(payload, "items"):
                 for item in payload.items:
                     if isinstance(item, Batch):  # not a checkpoint marker
-                        rows.extend(item)
+                        rows.extend(item.rows)
         return rows
 
 
@@ -121,7 +121,7 @@ class TestProducerInternals:
 
         process = context.env.process(body(context.env))
         context.env.run(until=process)
-        assert [r.tid for r in process.value] == ["t#3"]
+        assert process.value.tids() == ["t#3"]
         (_recipient, _kind, payload), = service.sent
         assert payload.tuple_count == 4
         assert ([r.tid for r in service.data_rows_to("gqes-0")]
@@ -259,8 +259,7 @@ class TestProducerInternals:
         assert isinstance(resend, Batch) and len(resend) == 6
         # Every outstanding tid exactly once, buffered ones included.
         received = [r.tid for r in service.data_rows_to("gqes-new")]
-        assert sorted(received) == sorted(
-            r.tid for r in log.outstanding())
+        assert sorted(received) == sorted(log.outstanding().tids())
         assert len(received) == len(set(received)) == 8
 
 
@@ -284,7 +283,7 @@ class TestConsumerInternals:
                 batch = yield from consumer.next_batch(1)
                 if batch is END:
                     break
-                rows.extend(batch)
+                rows.extend(batch.rows)
             return rows
 
         process = context.env.process(body(context.env))
@@ -304,7 +303,7 @@ class TestConsumerInternals:
     def test_completion_requires_all_settled(self):
         context, consumer = self.make_consumer()
         rows = [Row((i,), f"t#{i}") for i in range(3)]
-        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows)])
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows(rows)])
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0",
             frozenset(r.tid for r in rows), 1))
@@ -324,32 +323,28 @@ class TestConsumerInternals:
 
     def test_discard_removes_queued_rows(self):
         rows = [Row((i,), f"t#{i}") for i in range(4)]
-        row_backed = Batch(rows)
-        column_backed = Batch.from_columns(
-            [[r.values[0] for r in rows]], [r.tid for r in rows])
-        for block in (row_backed, column_backed):
-            context, consumer = self.make_consumer()
-            consumer.deliver("xp:feed0:0", "gqes-x", [block])
-            removed = consumer.apply_discard(DiscardTuples(
-                "compute:0:0", "xp:feed0:0", frozenset({"t#1", "t#3"})))
-            assert removed == 2
-            discarded = context.metrics.find(
-                "counter", "exchange_rows_discarded", channel="compute:0:0")
-            assert discarded.value == 2
-            assert self.queue_depth_samples(context) == [4, 2]
-            got = self.drain_rows(context, consumer, 2)
-            assert [(r.tid, r.values) for r in got] == [
-                ("t#0", (0,)), ("t#2", (2,))]
+        context, consumer = self.make_consumer()
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows(rows)])
+        removed = consumer.apply_discard(DiscardTuples(
+            "compute:0:0", "xp:feed0:0", frozenset({"t#1", "t#3"})))
+        assert removed == 2
+        discarded = context.metrics.find(
+            "counter", "exchange_rows_discarded", channel="compute:0:0")
+        assert discarded.value == 2
+        assert self.queue_depth_samples(context) == [4, 2]
+        got = self.drain_rows(context, consumer, 2)
+        assert [(r.tid, r.values) for r in got] == [
+            ("t#0", (0,)), ("t#2", (2,))]
 
     def test_abort_resets_the_sampled_queue_depth(self):
         context, consumer = self.make_consumer()
         rows = [Row((i,), f"t#{i}") for i in range(5)]
-        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows[:3])])
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows(rows[:3])])
         consumer.abort()
         assert consumer.aborted and len(consumer.queue) == 0
         # A chaos duplicate or retried buffer arriving after the abort
         # must be sampled on its own, not on top of the dropped rows.
-        consumer.deliver("xp:feed0:0", "gqes-x", [Batch(rows[3:])])
+        consumer.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows(rows[3:])])
         assert self.queue_depth_samples(context) == [3, 0, 2]
 
     def test_abort_releases_a_parked_getter(self):
@@ -371,7 +366,7 @@ class TestConsumerInternals:
     def test_eager_ack_sent_on_checkpoint(self):
         context, consumer = self.make_consumer()
         consumer.deliver("xp:feed0:0", "gqes-x",
-                         [Batch([Row((1,), "t#1")]),
+                         [Batch.from_rows([Row((1,), "t#1")]),
                           Checkpoint(1, "xp:feed0:0", 1)])
         self.drain_rows(context, consumer, 1)
         # Pull once more so the marker is handled (blocks afterwards).
@@ -383,7 +378,7 @@ class TestConsumerInternals:
     def test_deferred_acks_for_stateful_channels(self):
         context, consumer = self.make_consumer(defer_acks=True)
         consumer.deliver("xp:feed0:0", "gqes-x",
-                         [Batch([Row((1,), "t#1")]),
+                         [Batch.from_rows([Row((1,), "t#1")]),
                           Checkpoint(1, "xp:feed0:0", 1)])
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0", frozenset({"t#1"}), 1))
@@ -410,7 +405,7 @@ class TestConsumerInternals:
         context, build = self.make_consumer(defer_acks=True)
         ctx = build.ctx
         first = Row(("k0", 0), "b#0")
-        build.deliver("xp:feed0:0", "gqes-x", [Batch([first])])
+        build.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows([first])])
         build.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0", frozenset({first.tid}), 1))
         probe = ListSource(ctx, [Row((f"k{i}", "p"), f"p#{i}")
@@ -430,14 +425,15 @@ class TestConsumerInternals:
             yield from join.open()
             assert join.state_size == 1
             build.deliver("xp:feed0:0", "gqes-x",
-                          [Batch(late), Checkpoint(1, "xp:feed0:0", 4)])
+                          [Batch.from_rows(late),
+                           Checkpoint(1, "xp:feed0:0", 4)])
             return (yield from join.next_batch(32))
 
         process = context.env.process(body(context.env))
         context.env.run(until=process)
         # All four probes match: the three late rows were inserted
         # before the first probe morsel was matched.
-        assert [r.tid for r in process.value] == [
+        assert process.value.tids() == [
             (f"p#{i}", f"b#{i}") for i in range(4)]
         # One row charged for the one-row build morsel, one per late row.
         assert labels.count("join-build") == 1 + len(late)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row
+from repro.data.tuples import ColumnPredicate, Row
 from repro.engine.operators import (
     HashJoin,
     OperationCall,
@@ -31,7 +31,7 @@ class ListSource(Operator):
             return END
         row = self.rows[self._cursor]
         self._cursor += 1
-        return Batch([row])
+        return Batch.from_rows([row])
         yield  # pragma: no cover
 
 
@@ -74,13 +74,14 @@ class TestSelectProject:
     def test_select_filters_rows(self, context, eval_ctx):
         source = ListSource(eval_ctx, make_rows(range(10)))
         select = Select(eval_ctx, source,
-                        lambda row: row.values[0] % 2 == 0)
+                        ColumnPredicate(0, lambda value: value % 2 == 0))
         rows = drain(context.env, select)
         assert [r.values[0] for r in rows] == [0, 2, 4, 6, 8]
 
     def test_select_empty_result(self, context, eval_ctx):
         source = ListSource(eval_ctx, make_rows(range(5)))
-        select = Select(eval_ctx, source, lambda row: False)
+        select = Select(eval_ctx, source,
+                        ColumnPredicate(0, lambda value: False))
         assert drain(context.env, select) == []
 
     def test_project_reorders_and_drops_columns(self, context, eval_ctx):
@@ -173,13 +174,13 @@ class TestHashJoin:
     def test_insert_build_is_idempotent_by_tid(self, eval_ctx):
         join, _b, _p = self.build_join(eval_ctx, [], [])
         row = Row(("k", 1), "b#9")
-        join._insert_build_batch(Batch([row]))
-        join._insert_build_batch(Batch([row, row]))
+        join._insert_build_batch(Batch.from_rows([row]))
+        join._insert_build_batch(Batch.from_rows([row, row]))
         assert join.state_size == 1
 
     def test_remove_build_drops_state(self, eval_ctx):
         join, _b, _p = self.build_join(eval_ctx, [], [])
-        join._insert_build_batch(Batch([Row(("k", 1), "b#1"),
+        join._insert_build_batch(Batch.from_rows([Row(("k", 1), "b#1"),
                                         Row(("k", 2), "b#2")]))
         assert join.remove_build({"b#1"}) == 1
         assert join.state_size == 1
@@ -194,7 +195,7 @@ class TestHashJoin:
         join = HashJoin(eval_ctx, build, probe, 0, 0)
         # A build tuple for k2 arrives after the build phase, as a
         # retrospective replay would deliver it.
-        build.late_blocks.append(Batch([Row(("k2", 7), "b#late")]))
+        build.late_blocks.append(Batch.from_rows([Row(("k2", 7), "b#late")]))
         rows = drain(context.env, join)
         assert sorted(r.values[1] for r in rows) == ["x", "y"]
 
@@ -222,7 +223,7 @@ class BlockSource(Operator):
 
 
 def columnar(values, tids):
-    return Batch.from_columns([list(values)], list(tids))
+    return Batch([list(values)], list(tids))
 
 
 def drive(env, sink):
@@ -242,15 +243,13 @@ class TestResultSink:
             columnar("bccd", ["b", "c", "c", "d"]),
             # Nothing new.
             columnar("a", ["a"]),
-            # Row-backed blocks stay row-backed.
-            Batch([Row(("e",), "e"), Row(("x",), "a")]),
+            # A block handed in as rows.
+            Batch.from_rows([Row(("e",), "e"), Row(("x",), "a")]),
         ]))
         drive(context.env, sink)
         assert sink.duplicates_dropped == 4
         blocks = sink.final_blocks()
         assert blocks[0] is first
-        assert [block.is_columnar for block in blocks] == [True, True, True,
-                                                           False]
         assert [block.tids() for block in blocks] == [
             ["a", "b"], ["c", "d"], [], ["e"]]
         assert [value for block in blocks

@@ -48,15 +48,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.batch import Batch
 from repro.data.tuples import Row
 from repro.engine.control import DistributionUpdate
 from repro.engine.distribution import HashBucketPolicy, WeightedRoundRobin
-from repro.engine.redistribution import Redistribution
+from repro.engine.redistribution import Redistribution, regroup
+
+from tests.engine.routing import route
 
 KINDS = ("wrr", "hash", "state")
 #: The rows, placed in this order; their keys fall in buckets 0, 1, 0
 #: of a 2-bucket map (stable CRC32 hash).  The model's buffers, logs
-#: and queues hold tids (cheap to hash), the machine gets rows.
+#: and queues hold tids (cheap to hash), the machine gets blocks.
 ROWS = {f"t{index}": Row((key,), f"t{index}")
         for index, key in enumerate(("a", "b", "c"))}
 BUFFER_SIZE = 2
@@ -87,7 +90,7 @@ class Replay:
         self.stage = "start"
         self.moved: dict = {}
         self.plan: list = []        # [(channel, moved tids)]
-        self.replays: dict = {}     # target channel -> rows
+        self.replays: dict = {}     # target channel -> block
         self.sends: list = []       # rotated-out buffers: (channel, items)
         self.flush_next = 0
         self.inflight = None
@@ -122,20 +125,24 @@ class Replay:
                 return False
             if not self.update.retrospective:
                 return self.finish(world)
-            moves = protocol.plan_moves(world.outstanding())
+            outstanding = world.outstanding()
+            moves = protocol.plan_moves(outstanding)
             if not any(moves.values()):
                 return self.finish(world)
             for channel, channel_moves in moves.items():
-                tids = {row.tid for row, _ in channel_moves}
-                self.plan.append((channel, tids))
-                for row, target in channel_moves:
-                    self.replays.setdefault(target, []).append(row)
+                tids = outstanding[channel].tids()
+                self.plan.append((channel, {tids[position] for position, _
+                                            in channel_moves}))
+            self.replays = regroup((outstanding[channel], channel_moves)
+                                   for channel, channel_moves
+                                   in moves.items())
             return self.retract_next(world)
         if self.stage == "stale":
             return True
         if self.stage == "copy":
             copies = protocol.state_copies(
-                [ROWS[tid] for tid in sorted(world.retained)], self.moved)
+                [Batch.from_rows([ROWS[tid]])
+                 for tid in sorted(world.retained)], self.moved)
             if not copies:
                 return self.finish(world)
             self.replays = copies
@@ -169,8 +176,8 @@ class Replay:
         return False
 
     def place_replays(self, world: World) -> bool:
-        for target, rows in self.replays.items():
-            for row in rows:
+        for target, block in self.replays.items():
+            for row in block.rows:
                 world.place_row(target, row, self.sends)
         return self.next_send(world)
 
@@ -350,13 +357,13 @@ class World:
 
     def outstanding(self) -> dict:
         """``_outstanding`` per channel: unbuffered logged rows, then
-        buffered rows."""
+        buffered rows, as one block."""
         outstanding = {}
         for channel in range(2):
             buffered = [tid for tid, _cp in self.buffers[channel]]
-            outstanding[channel] = [
+            outstanding[channel] = Batch.from_rows(
                 ROWS[tid] for tid in [tid for _cp, tid in self.logs[channel]
-                                      if tid not in buffered] + buffered]
+                                      if tid not in buffered] + buffered)
         return outstanding
 
     def attribution(self):
@@ -396,10 +403,11 @@ class World:
             row = ROWS[f"t{self.placed}"]
             self.placed += 1
             protocol = self.protocol
-            index = protocol.policy.route(row)
-            targets = [index]
+            groups = protocol.policy.route_batch(Batch.from_rows([row]))
+            targets = [index for index, _group in groups]
             if protocol.multicast:
-                targets += protocol.multicast_targets(row, index)
+                targets += [extra for extra, _group
+                            in protocol.multicast_extras(groups)]
             sends: list = []
             for channel in targets:
                 self.place_row(channel, row, sends)
@@ -485,7 +493,7 @@ class World:
         redirecting = {proc.channel for proc in self.procs
                        if isinstance(proc, Redirect)}
         for tid in self.retained:
-            owner = policy.route(ROWS[tid])
+            owner = route(policy, ROWS[tid])
             buffered = {item[0] for item in self.buffers[owner]}
             check(tid in self.received[owner] or tid in buffered
                   or owner in redirecting,
@@ -497,7 +505,7 @@ class World:
         for index in range(self.placed):
             tid = f"t{index}"
             if self.kind == "state":
-                owner = self.protocol.policy.route(ROWS[tid])
+                owner = route(self.protocol.policy, ROWS[tid])
                 check(tid in self.received[owner], "delivered",
                       f"{tid} never delivered to its owner {owner}")
             else:

@@ -15,11 +15,11 @@ def rows(start, count):
 
 
 def block(start, count):
-    return Batch(rows(start, count))
+    return Batch.from_rows(rows(start, count))
 
 
 def columnar_block(start, count):
-    return Batch.from_columns(
+    return Batch(
         [list(range(start, start + count))],
         [f"t#{i}" for i in range(start, start + count)])
 
@@ -30,7 +30,7 @@ class TestRecoveryLog:
         log.append_block(block(0, 5))
         log.seal(1)
         log.append_block(block(5, 3))
-        assert [r.tid for r in log.outstanding()] == [
+        assert log.outstanding().tids() == [
             f"t#{i}" for i in range(8)]
         assert len(log) == 8
 
@@ -42,7 +42,7 @@ class TestRecoveryLog:
         log.seal(2)
         freed = log.acknowledge(1)
         assert freed == 4
-        assert [r.tid for r in log.outstanding()] == [
+        assert log.outstanding().tids() == [
             f"t#{i}" for i in range(4, 8)]
 
     def test_acknowledge_covers_multiple_segments(self):
@@ -73,28 +73,28 @@ class TestRecoveryLog:
         log.seal(1)
         log.append_block(block(6, 2))
         removed = log.remove({"t#1", "t#6"})
-        assert sorted(r.tid for r in removed) == ["t#1", "t#6"]
+        assert sorted(removed.tids()) == ["t#1", "t#6"]
         assert len(log) == 6
-        assert "t#1" not in [r.tid for r in log.outstanding()]
+        assert "t#1" not in log.outstanding().tids()
 
     def test_remove_unknown_tids_is_noop(self):
         log = RecoveryLog("ch")
         log.append_block(block(0, 1))
-        assert log.remove({"nope"}) == []
+        assert len(log.remove({"nope"})) == 0
         assert len(log) == 1
 
     @pytest.mark.parametrize("make_block", [block, columnar_block])
     def test_remove_on_block_straddling_kept_and_dropped(self, make_block):
         # One logged block holding both moved and kept tids is filtered
         # in place: the kept rows stay one block, in order, and the
-        # moved rows come back as Rows whatever the block's backing.
+        # moved rows come back as one block, however the log was fed.
         log = RecoveryLog("ch")
         log.append_block(make_block(0, 6))
         log.seal(1)
         removed = log.remove({"t#1", "t#2", "t#5", "t#9"})
-        assert [(r.tid, r.values) for r in removed] == [
+        assert [(r.tid, r.values) for r in removed.rows] == [
             ("t#1", (1,)), ("t#2", (2,)), ("t#5", (5,))]
-        assert [r.tid for r in log.outstanding()] == ["t#0", "t#3", "t#4"]
+        assert log.outstanding().tids() == ["t#0", "t#3", "t#4"]
         assert len(log) == 3
         assert log.appended_total == 6
         assert log.acknowledge(1) == 3
@@ -127,7 +127,7 @@ class TestRecoveryLogEdgeCases:
         log.append_block(block(2, 2))
         log.seal(3)
         assert log.acknowledge(2) == 2
-        assert [r.tid for r in log.outstanding()] == ["t#2", "t#3"]
+        assert log.outstanding().tids() == ["t#2", "t#3"]
 
     def test_repeated_ack_is_idempotent(self):
         log = RecoveryLog("ch")
@@ -171,13 +171,13 @@ class TestRecoveryLogEdgeCases:
         log.append_block(block(4, 4))
         log.seal(2)
         log.acknowledge(1)
-        assert [r.tid for r in log.outstanding()] == [
+        assert log.outstanding().tids() == [
             f"t#{i}" for i in range(4, 8)]
         moved = log.remove({"t#4", "t#5", "t#0"})  # t#0 already acked
-        assert sorted(r.tid for r in moved) == ["t#4", "t#5"]
-        assert [r.tid for r in log.outstanding()] == ["t#6", "t#7"]
-        log.append_block(Batch(moved))  # re-logged on the new channel's resend
-        assert [r.tid for r in log.outstanding()] == [
+        assert sorted(moved.tids()) == ["t#4", "t#5"]
+        assert log.outstanding().tids() == ["t#6", "t#7"]
+        log.append_block(moved)  # re-logged on the new channel's resend
+        assert log.outstanding().tids() == [
             "t#6", "t#7", "t#4", "t#5"]
         assert len(log) == 4
 

@@ -73,8 +73,8 @@ class _StubContext:
 def _held_block(count):
     """A column-backed block of ``count`` held matches, as a probe
     morsel with that fan-out leaves behind."""
-    return Batch.from_columns([list(range(count))],
-                              [("probe", i) for i in range(count)])
+    return Batch([list(range(count))],
+                 [("probe", i) for i in range(count)])
 
 
 class TestHashJoinPendingDrain:
@@ -100,7 +100,7 @@ class TestHashJoinPendingDrain:
         join._pending_block = block
         drained = []
         while join._pending_block is not None:
-            drained.extend(_drive(join.next_batch(7)))
+            drained.extend(_drive(join.next_batch(7)).rows)
         assert drained == block.rows
 
 

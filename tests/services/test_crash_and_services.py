@@ -102,7 +102,7 @@ class TestGridDataService:
         gds = self.make_gds(context)
         rows = gds.read_block(5, 3).rows
         assert [r.values[0] for r in rows] == [5, 6, 7]
-        assert gds.read_block(19, 10)[0].values[0] == 19
+        assert gds.read_block(19, 10).rows[0].values[0] == 19
         assert len(gds.read_block(50, 5)) == 0
 
 

@@ -245,7 +245,7 @@ def test_late_build_drain_of_one_queued_block(count):
         context.env.process(join._drain_late_build())
 
     idle = queued(context.env, drain)  # the process's own start and end
-    build.deliver("xp", "peer", [Batch(
+    build.deliver("xp", "peer", [Batch.from_rows(
         [Row((f"k{i}",), f"b#{i}") for i in range(count)])])
     assert queued(context.env, drain) - idle == 1
     assert join.state_size == count
@@ -291,7 +291,8 @@ def compute_fragment_events(morsels, monitoring, rotate):
                         m1_interval=size)
     fragment.attach_service(GridService(context, "gqes", "m1"))
     consumer.deliver("xp", "peer", [
-        Batch([Row((f"seq{m}-{i}",), f"t#{m}-{i}") for i in range(size)])
+        Batch.from_rows([Row((f"seq{m}-{i}",), f"t#{m}-{i}")
+                         for i in range(size)])
         for m in range(morsels)])
     context.env.process(fragment.run(context.env.event()))
     context.env.run()
