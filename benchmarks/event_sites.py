@@ -40,6 +40,18 @@ number of queries finished by then, the cyclic garbage a full
 collection finds after the run while the grid is still referenced (by
 type; a run makes none, decision 43), and the GC-tracked objects still
 alive after the run by type, against the freshly built grid.
+
+``--peak`` runs the timed run (the workload built first, outside it)
+under ``tracemalloc`` and prints its traced peak and where the heap
+was at its largest, so a memory claim starts from a table too.  Every
+256 dispatched events it reads the traced size, and at a new maximum
+10 % above the last snapshot's it takes one (at most 48, so the kept
+one is within ~10 % of the largest size read; a set built and dropped
+inside one event lifts the traced peak above it unseen); it prints the
+largest snapshot's top allocation sites as ``file:line < caller <
+caller`` (``--depth`` callers).  The listed rows sum to at most the snapshot total printed
+above them.  Host time under tracing means nothing: not with
+``--host``.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ import gc
 import pathlib
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "layered"))
 
@@ -181,6 +194,74 @@ class HeapCounter:
             print(f"{count:>9} {fresh[name]:>9}  {name}")
 
 
+class PeakSampler:
+    """The traced heap's peak over a run and a snapshot near it."""
+
+    #: Dispatched events between two reads of the traced size.
+    EVERY = 256
+    #: A new snapshot needs this much more than the last one's size.
+    GROWTH = 1.10
+    SNAPSHOTS = 48
+
+    def __init__(self, depth: int) -> None:
+        self.frames = depth + 1
+        self.snapshot = None
+        self.snapshot_at = 0
+        self.taken = 0
+        self.events = 0
+        self.peak = 0
+        self._size = 0
+        self._dispatch = None
+
+    def install(self) -> None:
+        # Wraps whatever dispatches now (``--dead``'s hook included).
+        self._dispatch = dispatch = Environment._dispatch
+
+        def dispatching(env, event):
+            self.events += 1
+            if not self.events % self.EVERY:
+                self.sample()
+            dispatch(env, event)
+
+        tracemalloc.start(self.frames)
+        Environment._dispatch = dispatching
+
+    def sample(self) -> None:
+        size = tracemalloc.get_traced_memory()[0]
+        if size >= self._size * self.GROWTH and self.taken < self.SNAPSHOTS:
+            # Taking a snapshot allocates nothing traced; filtering or
+            # grouping one would, so that waits for the run's end.
+            self.snapshot = tracemalloc.take_snapshot()
+            self.snapshot_at = self.events
+            self.taken += 1
+            self._size = size
+
+    def uninstall(self) -> None:
+        if self._dispatch is None:
+            return
+        Environment._dispatch = self._dispatch
+        self.sample()
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+    def report(self, top: int = 15) -> None:
+        snapshot = self.snapshot.filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__),
+             tracemalloc.Filter(False, __file__)])
+        stats = snapshot.statistics("traceback")
+        total = sum(stat.size for stat in stats)
+        print(f"Traced peak: {self.peak / 2**20:.1f} MiB over the timed "
+              f"run; largest of {self.taken} snapshots: "
+              f"{total / 2**20:.1f} MiB at event {self.snapshot_at}")
+        print(f"{'KiB':>9} {'blocks':>9} {'share':>7}  site")
+        for stat in stats[:top]:
+            site = " < ".join(f"{pathlib.Path(frame.filename).name}:"
+                              f"{frame.lineno}"
+                              for frame in reversed(stat.traceback))
+            print(f"{stat.size / 1024:>9.1f} {stat.count:>9} "
+                  f"{100.0 * stat.size / total:>5.1f} %  {site}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -203,7 +284,12 @@ def main(argv=None) -> int:
     parser.add_argument("--host", action="store_true",
                         help="also print the host time from each event's "
                              "pop to the next by the site that queued it")
+    parser.add_argument("--peak", action="store_true",
+                        help="also print the traced heap peak of the timed "
+                             "run and its top allocation sites")
     args = parser.parse_args(argv)
+    if args.peak and args.host:
+        parser.error("--peak slows the run it traces: not with --host")
 
     sites: collections.Counter = collections.Counter()
     dead: collections.Counter = collections.Counter()
@@ -276,6 +362,7 @@ def main(argv=None) -> int:
         # (memo tables, first-touch allocations), as the benchmark's is.
         drive(WORKLOADS[args.workload].build(args.seed, args.scale, None))
     charges = ChargeCounter() if args.charges else None
+    peak = PeakSampler(args.depth) if args.peak else None
     heap = None
     # Counting starts before the build: a workload may queue events
     # while it is set up (mq_faults starts its crash processes), and
@@ -293,9 +380,13 @@ def main(argv=None) -> int:
             gc.callbacks.append(heap)
         if charges is not None:
             charges.install()
+        if peak is not None:
+            peak.install()
         drive(scenario)
         close_interval(clock())
     finally:
+        if peak is not None:
+            peak.uninstall()
         Environment.schedule = schedule
         Environment._dispatch = dispatch
         if charges is not None:
@@ -333,6 +424,8 @@ def main(argv=None) -> int:
         charges.report()
     if heap is not None:
         heap.report(garbage, fresh, tracked_by_type())
+    if peak is not None:
+        peak.report()
     return 0
 
 

@@ -17,16 +17,46 @@ import typing
 Tid = typing.Union[str, tuple]
 
 
+class TidLedger:
+    """A set of tids kept as the tid lists of the blocks that entered it:
+    one ``append`` per block, no per-tid memory.  A list is adopted and
+    never mutated (as a ``Batch``'s, decision 42), and :meth:`remove`
+    rebuilds the lists it touches, so a snapshot keeps its content."""
+
+    def __init__(self, blocks: typing.Iterable[list[Tid]] = ()) -> None:
+        self._blocks = list(blocks)
+
+    def add(self, tids: list[Tid]) -> None:
+        self._blocks.append(tids)
+
+    def snapshot(self) -> tuple[list[Tid], ...]:
+        return tuple(self._blocks)
+
+    def members(self) -> set[Tid]:
+        return set().union(*self._blocks)
+
+    def outside(self, blocks: tuple[list[Tid], ...]) -> set[Tid]:
+        """``blocks``' tids not in here, in a table sized to them."""
+        tids = set().union(*blocks)
+        tids.difference_update(*self._blocks)
+        return set(tids)
+
+    def remove(self, drop: typing.AbstractSet[Tid]) -> set[Tid]:
+        """Take ``drop``'s tids out; returns those that were in."""
+        removed, kept = set(), []
+        for tids in self._blocks:
+            if not drop.isdisjoint(tids):
+                removed.update(drop.intersection(tids))
+                tids = [tid for tid in tids if tid not in drop]
+            kept.append(tids)
+        self._blocks = kept
+        return removed
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class Row:
-    """An immutable data tuple.
-
-    (Named ``Row`` to avoid clashing with ``tuple``; the public API
-    exposes it as ``repro.Row``.)
-
-    Slotted: rows are the single most-allocated object in a run, and a
-    slotted frozen dataclass avoids the per-instance ``__dict__``.
-    """
+    """An immutable data tuple, the public row type (``repro.Row``):
+    the engine carries ``Batch`` columns, not rows (decision 47)."""
 
     values: tuple
     tid: Tid

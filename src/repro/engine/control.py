@@ -8,7 +8,6 @@ on (a discard sent after a data buffer is observed after it).
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 
 @dataclasses.dataclass
@@ -41,16 +40,15 @@ class DiscardTuples:
 
 @dataclasses.dataclass(frozen=True)
 class ChannelAnnouncement:
-    """End-of-stream announcement carrying the channel's full tid set.
-
-    The consumer's channel is complete once every announced tid is
-    settled (processed or discarded).  Revisions (higher ``revision``)
-    replace earlier announcements after retrospective repartitioning.
+    """End-of-stream announcement: the channel's tids, as the producer's
+    ledger snapshot (``TidLedger``).  The channel is complete once every
+    announced tid is settled (processed or discarded).  Revisions
+    (higher ``revision``) replace earlier ones after a retrospective move.
     """
 
     channel_key: str
     producer_id: str
-    sent_tids: frozenset
+    tid_blocks: tuple
     revision: int
 
 
@@ -107,17 +105,9 @@ class ProgressReport:
         return min(1.0, self.tuples_sent / self.estimated_total)
 
 
-#: Sentinel injected into consumer queues to force a completion
-#: re-check (after announcements, discards or query completion).
 class Recheck:
-    """Queue sentinel: re-evaluate channel completion."""
-
-    _instance: typing.ClassVar["Recheck | None"] = None
-
-    def __new__(cls) -> "Recheck":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Queue sentinel (the one instance is ``RECHECK``): re-evaluate
+    channel completion after announcements, discards or completion."""
 
 
 RECHECK = Recheck()

@@ -108,7 +108,7 @@ class ExchangeProducer(UnaryOperator):
     @property
     def sent_per_consumer(self) -> list[int]:
         """Rows currently attributed per consumer (the tuple ratio)."""
-        return [len(tids) for tids in self.protocol.attributed]
+        return self.protocol.attributed_counts()
 
     def progress(self) -> ProgressReport:
         """Progress estimation reply for the Responder ([7])."""

@@ -2,18 +2,20 @@
 
 The :class:`ExchangeConsumer` forms the leaf of a subplan: it owns the
 incoming queue, acknowledges checkpoints, applies the discards of
-retrospective moves and tracks completion by tid sets — a channel is
-complete when every tid its producers announced has been settled
-(returned to the subplan or discarded); revised announcements after a
-move let it "reopen" safely.
+retrospective moves and tracks completion — a channel is complete when
+every tid its producers announced is settled (returned to the subplan
+or discarded): an announcement leaves its tids not in the producer's
+settled ``TidLedger``, and settled blocks shrink that set.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import typing
 
 from repro.data.batch import Batch
+from repro.data.tuples import Tid, TidLedger
 from repro.engine.control import RECHECK, ChannelAnnouncement, DiscardTuples
 from repro.engine.operators.base import END, EvalContext, Operator
 from repro.errors import ExecutionError
@@ -55,9 +57,11 @@ class ExchangeConsumer(Operator):
         #: next stage (otherwise a crash after the ack loses results
         #: that no recovery log can regenerate).
         self.ack_flush_producer: ExchangeProducer | None = None
-        self._settled: dict[str, set] = {
-            pid: set() for pid in self.expected_producers}
+        self._settled: dict[str, TidLedger] = collections.defaultdict(
+            TidLedger, {pid: TidLedger() for pid in self.expected_producers})
         self._announcements: dict[str, ChannelAnnouncement] = {}
+        #: Per announced producer: its announced tids not settled yet.
+        self._missing: dict[str, set[Tid]] = {}
         self._producer_endpoints: dict[str, str] = {}
         self.aborted = False
         self.acks_sent = 0
@@ -130,12 +134,14 @@ class ExchangeConsumer(Operator):
 
     def apply_announcement(self, announcement: ChannelAnnouncement) -> None:
         """Install (or revise) a producer's end-of-stream announcement."""
-        if announcement.producer_id not in self._settled:
-            self._settled[announcement.producer_id] = set()
-            self.expected_producers.append(announcement.producer_id)
-        current = self._announcements.get(announcement.producer_id)
+        producer_id = announcement.producer_id
+        if producer_id not in self._settled:
+            self.expected_producers.append(producer_id)
+        current = self._announcements.get(producer_id)
         if current is None or announcement.revision > current.revision:
-            self._announcements[announcement.producer_id] = announcement
+            self._announcements[producer_id] = announcement
+            self._missing[producer_id] = self._settled[producer_id].outside(
+                announcement.tid_blocks)
 
     def reset_producer(self, producer_id: str) -> None:
         """Forget a producer's announcement (failure recovery).
@@ -144,16 +150,13 @@ class ExchangeConsumer(Operator):
         settled tids are kept so re-deliveries remain accounted.
         """
         self._announcements.pop(producer_id, None)
+        self._missing.pop(producer_id, None)
 
     def is_complete(self) -> bool:
         """All producers announced and every announced tid settled."""
-        for producer_id in self.expected_producers:
-            announcement = self._announcements.get(producer_id)
-            if announcement is None:
-                return False
-            if not announcement.sent_tids <= self._settled[producer_id]:
-                return False
-        return True
+        # An unannounced producer's missing tids are unknown: True.
+        return not any(self._missing.get(producer_id, True)
+                       for producer_id in self.expected_producers)
 
     # -- iterator protocol ----------------------------------------------------
 
@@ -248,16 +251,17 @@ class ExchangeConsumer(Operator):
     def _handle_block(self, producer_id: str, block: Batch) -> None:
         """Settle a wire block taken from the queue: the one data arm.
 
-        One counter update and one settled-set union per block.  Pure
-        bookkeeping — rows, unlike checkpoints, charge no work and
-        schedule no events.
+        One counter update and one ledger append per block (and one
+        difference update once announced).  Pure bookkeeping — rows,
+        unlike checkpoints, charge no work and schedule no events.
         """
         count = len(block)
         self._queued_rows -= count
         self._metric_received.inc(count)
         self.ctx.metrics.record_consumed(count)
-        settled = self._settled.setdefault(producer_id, set())
-        settled.update(block.tids())
+        self._settled[producer_id].add(block.tids())
+        if missing := self._missing.get(producer_id):
+            missing.difference_update(block.tids())
 
     def _send_ack(self, marker: Checkpoint) -> None:
         endpoint = self._producer_endpoints.get(marker.producer_id)

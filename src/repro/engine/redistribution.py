@@ -16,7 +16,7 @@ from __future__ import annotations
 import typing
 
 from repro.data.batch import Batch
-from repro.data.tuples import Tid
+from repro.data.tuples import Tid, TidLedger
 from repro.engine.distribution import (
     DistributionPolicy,
     HashBucketPolicy,
@@ -54,9 +54,9 @@ class Redistribution:
         self.policy = policy
         #: Tids attributed to each channel (buffered or sent), and the
         #: ones actually transmitted on it.
-        self.attributed: list[set[Tid]] = [set() for _ in range(count)]
-        self.on_wire: list[set[Tid]] = [set() for _ in range(count)]
-        self.announced: list[frozenset | None] = [None] * count
+        self._attributed = [TidLedger() for _ in range(count)]
+        self._on_wire = [TidLedger() for _ in range(count)]
+        self.announced: list[tuple | None] = [None] * count
         self.revision: list[int] = [0] * count
         self.applied_epoch = 0
         #: Highest epoch whose replay phase completed (deliveries
@@ -84,20 +84,36 @@ class Redistribution:
 
     # -- the ledger --------------------------------------------------------
 
-    def place(self, index: int, tids: typing.Iterable[Tid]) -> None:
-        self.attributed[index].update(tids)
+    @property
+    def attributed(self) -> list[set[Tid]]:
+        """Read views, built per read: each channel's attributed tids."""
+        return [ledger.members() for ledger in self._attributed]
 
-    def sent(self, index: int, tids: typing.Iterable[Tid]) -> None:
-        self.on_wire[index].update(tids)
+    @property
+    def on_wire(self) -> list[set[Tid]]:
+        return [ledger.members() for ledger in self._on_wire]
 
-    def announcements(self) -> list[tuple[int, frozenset, int]]:
+    def attributed_counts(self) -> list[int]:
+        """Distinct tids attributed per channel, one set at a time."""
+        return [len(ledger.members()) for ledger in self._attributed]
+
+    def place(self, index: int, tids: list[Tid]) -> None:
+        self._attributed[index].add(tids)
+
+    def sent(self, index: int, tids: list[Tid]) -> None:
+        self._on_wire[index].add(tids)
+
+    def announcements(self) -> list[tuple[int, tuple, int]]:
         """``(channel, tids, revision)`` of every channel whose
-        attribution changed since it was last announced."""
+        attributed tids changed since it was last announced."""
         due = []
-        for index, tids in enumerate(self.attributed):
-            current = frozenset(tids)
-            if self.announced[index] != current:
-                self.announced[index] = current
+        for index, ledger in enumerate(self._attributed):
+            current, last = ledger.snapshot(), self.announced[index]
+            self.announced[index] = current
+            # Sets are built only for a channel touched since its last
+            # snapshot (a touch may leave the content as it was).
+            if last is None or (last != current and ledger.members()
+                                != TidLedger(last).members()):
                 self.revision[index] += 1
                 due.append((index, current, self.revision[index]))
         return due
@@ -125,10 +141,10 @@ class Redistribution:
         """Channel ``index`` now points at a replacement consumer.  With
         a log it is re-attributed to the ``outstanding`` (logged) tids:
         acknowledged ones need no replay and must not be awaited."""
-        self.on_wire[index] = set()
+        self._on_wire[index] = TidLedger()
         self.announced[index] = None
         if outstanding is not None:
-            self.attributed[index] = set(outstanding)
+            self._attributed[index] = TidLedger([list(outstanding)])
 
     # -- the epoch machine -------------------------------------------------
 
@@ -181,9 +197,8 @@ class Redistribution:
     def retract(self, index: int, moved: set[Tid]) -> None:
         """``moved`` left channel ``index``; those already on its wire
         are retracted from its consumer in the discard phase."""
-        self.attributed[index] -= moved
-        discard = moved & self.on_wire[index]
-        self.on_wire[index] -= moved
+        self._attributed[index].remove(moved)
+        discard = self._on_wire[index].remove(moved)
         if discard:
             self.pending_discards.append((index, frozenset(discard)))
 
@@ -194,7 +209,8 @@ class Redistribution:
         never retract: probes racing the move still find the old copy,
         and the sink dedups join outputs by provenance."""
         bucket_of = self.policy.bucket_of
-        attributed = self.attributed
+        holds = {target: self._attributed[target].members()
+                 for target in set(moved.values())}
 
         def copies(block: Batch):
             tids = block.tids()
@@ -202,7 +218,7 @@ class Redistribution:
                     block.column(self.policy.key_position)):
                 target = moved.get(bucket_of(key))
                 if (target is not None
-                        and tids[position] not in attributed[target]):
+                        and tids[position] not in holds[target]):
                     yield position, target
 
         return regroup((block, copies(block)) for block in retained)

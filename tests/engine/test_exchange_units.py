@@ -161,7 +161,7 @@ class TestProducerInternals:
         assert len(announcements) == 2
         union = set()
         for announcement in announcements:
-            union |= announcement.sent_tids
+            union.update(*announcement.tid_blocks)
         assert len(union) == 16
 
     def test_stale_epoch_update_is_ignored(self):
@@ -306,7 +306,7 @@ class TestConsumerInternals:
         consumer.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows(rows)])
         consumer.apply_announcement(ChannelAnnouncement(
             "compute:0:0", "xp:feed0:0",
-            frozenset(r.tid for r in rows), 1))
+            ([r.tid for r in rows],), 1))
         assert not consumer.is_complete()
         self.drain_rows(context, consumer, 3)
         assert consumer.is_complete()
@@ -314,9 +314,9 @@ class TestConsumerInternals:
     def test_older_announcement_revision_ignored(self):
         _context, consumer = self.make_consumer()
         newer = ChannelAnnouncement("compute:0:0", "xp:feed0:0",
-                                    frozenset({"t#1"}), 2)
+                                    (["t#1"],), 2)
         older = ChannelAnnouncement("compute:0:0", "xp:feed0:0",
-                                    frozenset({"t#1", "t#2"}), 1)
+                                    (["t#1", "t#2"],), 1)
         consumer.apply_announcement(newer)
         consumer.apply_announcement(older)
         assert consumer._announcements["xp:feed0:0"] is newer
@@ -371,7 +371,7 @@ class TestConsumerInternals:
         self.drain_rows(context, consumer, 1)
         # Pull once more so the marker is handled (blocks afterwards).
         consumer.apply_announcement(ChannelAnnouncement(
-            "compute:0:0", "xp:feed0:0", frozenset({"t#1"}), 1))
+            "compute:0:0", "xp:feed0:0", (["t#1"],), 1))
         self.drain_rows(context, consumer, 1)
         assert consumer.acks_sent == 1
 
@@ -381,14 +381,14 @@ class TestConsumerInternals:
                          [Batch.from_rows([Row((1,), "t#1")]),
                           Checkpoint(1, "xp:feed0:0", 1)])
         consumer.apply_announcement(ChannelAnnouncement(
-            "compute:0:0", "xp:feed0:0", frozenset({"t#1"}), 1))
+            "compute:0:0", "xp:feed0:0", (["t#1"],), 1))
         self.drain_rows(context, consumer, 2)
         assert consumer.acks_sent == 0
 
     def test_reset_producer_forgets_announcement(self):
         _context, consumer = self.make_consumer()
         consumer.apply_announcement(ChannelAnnouncement(
-            "compute:0:0", "xp:feed0:0", frozenset(), 5))
+            "compute:0:0", "xp:feed0:0", (), 5))
         assert consumer.is_complete()
         consumer.reset_producer("xp:feed0:0")
         assert not consumer.is_complete()
@@ -396,7 +396,7 @@ class TestConsumerInternals:
     def test_unknown_producer_announcement_extends_expectations(self):
         _context, consumer = self.make_consumer(expected=())
         consumer.apply_announcement(ChannelAnnouncement(
-            "compute:0:0", "xp:new:0", frozenset(), 1))
+            "compute:0:0", "xp:new:0", (), 1))
         assert "xp:new:0" in consumer.expected_producers
 
     def test_replayed_block_is_state_before_the_next_probe(self):
@@ -407,7 +407,7 @@ class TestConsumerInternals:
         first = Row(("k0", 0), "b#0")
         build.deliver("xp:feed0:0", "gqes-x", [Batch.from_rows([first])])
         build.apply_announcement(ChannelAnnouncement(
-            "compute:0:0", "xp:feed0:0", frozenset({first.tid}), 1))
+            "compute:0:0", "xp:feed0:0", ([first.tid],), 1))
         probe = ListSource(ctx, [Row((f"k{i}", "p"), f"p#{i}")
                                  for i in range(4)])
         join = HashJoin(ctx, build, probe, 0, 0)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.batch import Batch
-from repro.data.tuples import Row
+from repro.data.tuples import Row, TidLedger
 from repro.engine.control import DistributionUpdate
 from repro.engine.distribution import HashBucketPolicy, WeightedRoundRobin
 from repro.engine.redistribution import Redistribution, regroup
@@ -266,18 +266,26 @@ class Redirect:
         return True
 
 
+def copied(item):
+    """A list, set or tid ledger that shares no mutable part with
+    ``item`` (a ledger's tid lists are never mutated in place)."""
+    if type(item) is TidLedger:
+        return TidLedger(item.snapshot())
+    return item.copy()
+
+
 def clone(obj):
     """A copy of ``obj`` sharing nothing mutable with it: lists and
-    dicts (of lists or sets, one level deeper) and sets are copied;
-    rows, tuples and updates are immutable, and a list of tuples is
-    never mutated in place.  An order's prefix runs once and is
-    branched by cloning, far cheaper than ``copy.deepcopy``."""
+    dicts (of lists, sets or tid ledgers, one level deeper) and sets
+    are copied; rows, tuples and updates are immutable, and a list of
+    tuples is never mutated in place.  An order's prefix runs once and
+    is branched by cloning, far cheaper than ``copy.deepcopy``."""
     state = {}
     for name, value in obj.__dict__.items():
         kind = type(value)
         if kind is list:
-            value = ([item.copy() for item in value]
-                     if value and type(value[0]) in (list, set)
+            value = ([copied(item) for item in value]
+                     if value and type(value[0]) in (list, set, TidLedger)
                      else value.copy())
         elif kind is dict:
             value = ({key: item.copy() for key, item in value.items()}

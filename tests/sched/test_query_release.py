@@ -151,7 +151,7 @@ def test_late_messages_pay_ingest_and_raise_nothing():
     gdqs.send(gqes.name, KIND_DATA,
               DataBuffer(channel_key, "xp:late", [], rows))
     gdqs.send(gqes.name, KIND_CONTROL,
-              ChannelAnnouncement(channel_key, "xp:late", frozenset(), 1))
+              ChannelAnnouncement(channel_key, "xp:late", (), 1))
     env.run()
     assert cpu.busy_time == busy + deserialize / speed + control / speed
 
